@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/flat_set.hpp"
-
 namespace poly::rps {
 
 RpsProtocol::RpsProtocol(sim::Network& net, RpsConfig cfg)
@@ -28,9 +26,6 @@ void RpsProtocol::on_node_added(sim::NodeId id) {
 void RpsProtocol::bootstrap_node(sim::NodeId id) {
   auto& view = views_[id];
   view.clear();
-  util::FlatSet<sim::NodeId> seen;
-  seen.reserve(cfg_.view_size + 1);
-  seen.insert(id);
   util::Rng& rng = net_.node_rng(id);
   // Up to view_size distinct alive peers; bounded retries keep this robust
   // in tiny networks where fewer peers exist than view slots.
@@ -39,8 +34,7 @@ void RpsProtocol::bootstrap_node(sim::NodeId id) {
   while (view.size() < want && attempts < 50 * cfg_.view_size) {
     ++attempts;
     const sim::NodeId peer = net_.random_alive(rng);
-    if (peer == sim::kInvalidNode || seen.contains(peer)) continue;
-    seen.insert(peer);
+    if (peer == sim::kInvalidNode || knows(id, peer)) continue;
     view.push_back(RpsEntry{peer, 0});
   }
 }
@@ -77,47 +71,32 @@ bool RpsProtocol::shuffle(sim::NodeId p) {
     return false;
   }
 
-  util::Rng& rng = net_.node_rng(p);
-
   // Step 3: build p's buffer = own fresh descriptor + (l-1) random others
   // (excluding the entry for q, which is removed from p's view — swap
-  // semantics).
+  // semantics).  Entries after the first are the ones p ships out, the
+  // candidates to replace on merge.
   remove_entry(p, q);
-  std::vector<RpsEntry> buf_p;
-  buf_p.push_back(RpsEntry{p, 0});
-  std::vector<sim::NodeId> sent_p;  // ids p ships out (candidates to replace)
-  {
-    auto picks = rng.sample_indices(view.size(),
-                                    std::min(cfg_.shuffle_length - 1,
-                                             view.size()));
-    for (std::size_t i : picks) {
-      buf_p.push_back(view[i]);
-      sent_p.push_back(view[i].id);
-    }
-  }
+  buf_p_.clear();
+  buf_p_.push_back(RpsEntry{p, 0});
+  net_.node_rng(p).sample_indices_into(
+      view.size(), std::min(cfg_.shuffle_length - 1, view.size()), picks_);
+  for (std::size_t i : picks_) buf_p_.push_back(view[i]);
 
   // q builds its reply from its own view before merging p's buffer.
-  auto& qview = views_[q];
-  std::vector<RpsEntry> buf_q;
-  std::vector<sim::NodeId> sent_q;
-  {
-    util::Rng& qrng = net_.node_rng(q);
-    auto picks = qrng.sample_indices(
-        qview.size(), std::min(cfg_.shuffle_length, qview.size()));
-    for (std::size_t i : picks) {
-      buf_q.push_back(qview[i]);
-      sent_q.push_back(qview[i].id);
-    }
-  }
+  const auto& qview = views_[q];
+  buf_q_.clear();
+  net_.node_rng(q).sample_indices_into(
+      qview.size(), std::min(cfg_.shuffle_length, qview.size()), picks_);
+  for (std::size_t i : picks_) buf_q_.push_back(qview[i]);
 
   // Traffic: RPS descriptors carry an id (+age, which we do not bill —
   // the paper excludes RPS from its cost figures anyway).
   net_.traffic().add(sim::Channel::kRps,
-                     static_cast<double>(buf_p.size() + buf_q.size()) *
+                     static_cast<double>(buf_p_.size() + buf_q_.size()) *
                          sim::TrafficMeter::kIdUnits);
 
-  merge(q, buf_p, sent_q);
-  merge(p, buf_q, sent_p);
+  merge(q, buf_p_, buf_q_);
+  merge(p, buf_q_, std::span<const RpsEntry>(buf_p_).subspan(1));
   return true;
 }
 
@@ -130,32 +109,31 @@ void RpsProtocol::remove_entry(sim::NodeId self, sim::NodeId target) {
              view.end());
 }
 
-void RpsProtocol::merge(sim::NodeId self, const std::vector<RpsEntry>& incoming,
-                        const std::vector<sim::NodeId>& sent) {
-  auto& view = views_[self];
-  util::FlatSet<sim::NodeId> present;
-  present.reserve(view.size() + 1);
-  present.insert(self);
-  for (const auto& e : view) present.insert(e.id);
+bool RpsProtocol::knows(sim::NodeId self, sim::NodeId id) const {
+  const auto& view = views_[self];
+  return id == self ||
+         std::any_of(view.begin(), view.end(),
+                     [id](const RpsEntry& e) { return e.id == id; });
+}
 
+void RpsProtocol::merge(sim::NodeId self, std::span<const RpsEntry> incoming,
+                        std::span<const RpsEntry> sent) {
+  auto& view = views_[self];
   for (const auto& e : incoming) {
-    if (present.contains(e.id)) continue;  // drop self-references/duplicates
+    if (knows(self, e.id)) continue;  // drop self-references/duplicates
     if (view.size() < cfg_.view_size) {
       view.push_back(e);
-      present.insert(e.id);
       continue;
     }
     // View full: replace one of the entries shipped out in this shuffle.
     bool replaced = false;
-    for (sim::NodeId victim : sent) {
+    for (const RpsEntry& victim : sent) {
       auto it = std::find_if(view.begin(), view.end(),
-                             [victim](const RpsEntry& x) {
-                               return x.id == victim;
+                             [&](const RpsEntry& x) {
+                               return x.id == victim.id;
                              });
       if (it != view.end()) {
-        present.erase(it->id);
         *it = e;
-        present.insert(e.id);
         replaced = true;
         break;
       }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -96,15 +97,24 @@ class RpsProtocol {
   /// Removes the entry for `target` from `self`'s view, if present.
   void remove_entry(sim::NodeId self, sim::NodeId target);
 
+  /// Whether `id` is `self` or already in `self`'s view.
+  bool knows(sim::NodeId self, sim::NodeId id) const;
+
   /// Merges `incoming` into `self`'s view: drops self-references and
   /// duplicates, fills free slots first, then replaces the entries that
   /// were just sent out (`sent`), never exceeding view_size.
-  void merge(sim::NodeId self, const std::vector<RpsEntry>& incoming,
-             const std::vector<sim::NodeId>& sent);
+  void merge(sim::NodeId self, std::span<const RpsEntry> incoming,
+             std::span<const RpsEntry> sent);
 
   sim::Network& net_;
   RpsConfig cfg_;
   std::vector<std::vector<RpsEntry>> views_;
+
+  // Shuffle scratch, reused by every shuffle so that a shuffle makes no
+  // heap allocation (one protocol object per simulation, never shared).
+  std::vector<std::size_t> picks_;
+  std::vector<RpsEntry> buf_p_;
+  std::vector<RpsEntry> buf_q_;
 };
 
 }  // namespace poly::rps

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "space/wrap.hpp"
+
 namespace poly::space {
 
 RingSpace::RingSpace(double circumference) : circ_(circumference) {
@@ -12,15 +14,11 @@ RingSpace::RingSpace(double circumference) : circ_(circumference) {
 }
 
 double RingSpace::distance(const Point& a, const Point& b) const noexcept {
-  double d = std::fabs(a.c[0] - b.c[0]);
-  d = std::fmod(d, circ_);
-  return std::min(d, circ_ - d);
+  return axis_delta(a.c[0], b.c[0], circ_);
 }
 
 Point RingSpace::normalize(const Point& p) const noexcept {
-  double r = std::fmod(p.c[0], circ_);
-  if (r < 0.0) r += circ_;
-  return Point{r};
+  return Point{wrap_coordinate(p.c[0], circ_)};
 }
 
 std::string RingSpace::name() const {

@@ -4,17 +4,13 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "space/wrap.hpp"
+
 namespace poly::space {
 
 TorusSpace::TorusSpace(double width, double height) : w_(width), h_(height) {
   if (!(width > 0.0) || !(height > 0.0))
     throw std::invalid_argument("TorusSpace: extents must be positive");
-}
-
-double TorusSpace::axis_delta(double a, double b, double extent) noexcept {
-  double d = std::fabs(a - b);
-  d = std::fmod(d, extent);
-  return std::min(d, extent - d);
 }
 
 double TorusSpace::distance2(const Point& a, const Point& b) const noexcept {
@@ -28,12 +24,7 @@ double TorusSpace::distance(const Point& a, const Point& b) const noexcept {
 }
 
 Point TorusSpace::normalize(const Point& p) const noexcept {
-  auto wrap = [](double v, double extent) noexcept {
-    double r = std::fmod(v, extent);
-    if (r < 0.0) r += extent;
-    return r;
-  };
-  return Point{wrap(p.c[0], w_), wrap(p.c[1], h_)};
+  return Point{wrap_coordinate(p.c[0], w_), wrap_coordinate(p.c[1], h_)};
 }
 
 std::string TorusSpace::name() const {

@@ -32,8 +32,6 @@ class TorusSpace final : public MetricSpace {
   double area() const noexcept { return w_ * h_; }
 
  private:
-  static double axis_delta(double a, double b, double extent) noexcept;
-
   double w_;
   double h_;
 };

@@ -4,20 +4,9 @@
 #include <cstdio>
 #include <stdexcept>
 
-namespace poly::space {
+#include "space/wrap.hpp"
 
-namespace {
-double axis_delta(double a, double b, double extent) noexcept {
-  double d = std::fabs(a - b);
-  d = std::fmod(d, extent);
-  return std::min(d, extent - d);
-}
-double wrap(double v, double extent) noexcept {
-  double r = std::fmod(v, extent);
-  if (r < 0.0) r += extent;
-  return r;
-}
-}  // namespace
+namespace poly::space {
 
 Torus3dSpace::Torus3dSpace(double width, double height, double depth)
     : w_(width), h_(height), d_(depth) {
@@ -37,7 +26,8 @@ double Torus3dSpace::distance(const Point& a, const Point& b) const noexcept {
 }
 
 Point Torus3dSpace::normalize(const Point& p) const noexcept {
-  return Point{wrap(p.c[0], w_), wrap(p.c[1], h_), wrap(p.c[2], d_)};
+  return Point{wrap_coordinate(p.c[0], w_), wrap_coordinate(p.c[1], h_),
+               wrap_coordinate(p.c[2], d_)};
 }
 
 std::string Torus3dSpace::name() const {

@@ -1,10 +1,9 @@
 #include "tman/tman.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 #include <stdexcept>
 
-#include "util/flat_set.hpp"
 #include "util/topk.hpp"
 
 namespace poly::tman {
@@ -26,15 +25,10 @@ void TmanProtocol::on_node_added(sim::NodeId id, const space::Point& pos) {
 }
 
 void TmanProtocol::bootstrap_node(sim::NodeId id) {
-  auto& view = views_[id];
-  view.clear();
-  util::Rng& rng = net_.node_rng(id);
-  for (sim::NodeId peer :
-       rps_.random_peers(id, cfg_.init_view, rng)) {
-    if (peer == id || !net_.alive(peer)) continue;
-    view.push_back(Descriptor{peer, pos_[peer], version_[peer]});
-  }
-  rank(id, view);
+  sample_candidates(id, cfg_.init_view, sim::kInvalidNode);
+  views_[id].clear();
+  merge_ranked(views_[id], candidates_, id, pos_[id], space_, cfg_.view_cap,
+               rank_scratch_);
 }
 
 void TmanProtocol::bootstrap_all() {
@@ -46,8 +40,8 @@ void TmanProtocol::set_position(sim::NodeId id, const space::Point& pos) {
   if (pos_[id] == pos) return;
   pos_[id] = pos;
   ++version_[id];
-  // The node's own ranking criterion changed; re-rank its view.
-  rank(id, views_[id]);
+  // The node's own ranking criterion changed: every key moved.
+  rank_view(views_[id], pos_[id], space_, rank_scratch_);
 }
 
 void TmanProtocol::round() {
@@ -59,22 +53,13 @@ void TmanProtocol::refresh_all_views() {
   const double unit = sim::TrafficMeter::descriptor_units(space_.dimension());
   for (sim::NodeId p = 0; p < views_.size(); ++p) {
     if (!net_.alive(p)) continue;
-    auto& view = views_[p];
-    std::size_t updated = 0;
-    for (auto& d : view) {
-      if (version_[d.id] > d.version) {
-        d.pos = pos_[d.id];
-        d.version = version_[d.id];
-        ++updated;
-      }
-    }
-    if (updated > 0) {
-      // Each refreshed entry costs one descriptor on the wire — the
-      // position-update traffic that dominates the paper's Fig. 7b.
+    const std::size_t updated = refresh_ranked(views_[p], pos_, version_,
+                                               pos_[p], space_, rank_scratch_);
+    // Each refreshed entry costs one descriptor on the wire — the
+    // position-update traffic that dominates the paper's Fig. 7b.
+    if (updated > 0)
       net_.traffic().add(sim::Channel::kTman,
                          static_cast<double>(updated) * unit);
-      rank(p, view);
-    }
   }
 }
 
@@ -87,83 +72,58 @@ void TmanProtocol::prune_suspected(sim::NodeId id) {
              view.end());
 }
 
-namespace {
-
-/// Keeps the `keep` descriptors closest to `target`, sorted ascending
-/// with id tie-breaks (deterministic, and a strict total order over
-/// unique-id pools — so the partial selection is element-for-element
-/// identical to a full sort + truncate, while never ordering candidates
-/// that the view cap / message size would discard anyway).
-void sort_by_distance_to(std::vector<Descriptor>& view,
-                         const space::Point& target,
-                         const space::MetricSpace& space,
-                         std::size_t keep = std::numeric_limits<std::size_t>::max()) {
-  util::keep_closest_sorted(
-      view, keep,
-      [&](const Descriptor& d) { return space.distance2(target, d.pos); },
-      [](const Descriptor& d) { return d.id; });
+void TmanProtocol::sample_candidates(sim::NodeId p, std::size_t k,
+                                     sim::NodeId skip) {
+  const auto& peers = rps_.view(p);
+  net_.node_rng(p).sample_indices_into(peers.size(),
+                                       std::min(k, peers.size()), sample_);
+  candidates_.clear();
+  for (std::size_t i : sample_) {
+    const sim::NodeId r = peers[i].id;
+    if (r == p || r == skip || !net_.alive(r)) continue;
+    candidates_.push_back(Descriptor{r, pos_[r], version_[r]});
+  }
 }
 
-}  // namespace
-
-void TmanProtocol::rank(sim::NodeId self, std::vector<Descriptor>& view) const {
-  sort_by_distance_to(view, pos_[self], space_);
-}
-
-std::vector<Descriptor> TmanProtocol::build_buffer(sim::NodeId p,
-                                                   sim::NodeId q) {
-  util::Rng& rng = net_.node_rng(p);
+void TmanProtocol::build_buffer(sim::NodeId p, sim::NodeId q,
+                                std::vector<Descriptor>& buf) {
   // Candidates: own view plus a fresh random sample from the RPS layer
   // ("augmented in some protocols by additional random neighbors returned
   //  by the peer-sampling overlay", §II-B — this is what guarantees
   //  convergence from arbitrary states).
-  std::vector<Descriptor> cand = views_[p];
-  std::size_t mixed = 0;
-  for (sim::NodeId r : rps_.random_peers(p, cfg_.rps_fresh, rng)) {
-    if (r == p || r == q || !net_.alive(r)) continue;
-    cand.push_back(Descriptor{r, pos_[r], version_[r]});
-    ++mixed;
+  sample_candidates(p, cfg_.rps_fresh, q);
+  const auto& view = views_[p];
+  auto candidate = [&](std::uint32_t i) -> const Descriptor& {
+    return i < view.size() ? view[i] : candidates_[i - view.size()];
+  };
+  // Rank the candidates by distance to *q* and keep the best.  The sample
+  // may repeat a view entry with the same key and id but another version,
+  // so this order is not strict: the candidate order (view first, then
+  // sample) and the selection algorithm fix which copy wins.  The take
+  // loop skips at most one entry for q plus one per sampled duplicate, so
+  // a prefix of msg_size + sample size is enough.
+  auto& keys = rank_scratch_.keys;
+  keys.clear();
+  const std::size_t n = view.size() + candidates_.size();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Descriptor& d = candidate(i);
+    keys.push_back(RankKey{space_.distance2(pos_[q], d.pos), d.id, i});
   }
-  // Rank candidates by distance to *q* and keep the best m-1.  The take
-  // loop below skips at most one entry for q plus one per RPS-mixed
-  // duplicate, so a prefix of msg_size + mixed is always enough.
-  sort_by_distance_to(cand, pos_[q], space_, cfg_.msg_size + mixed);
-  std::vector<Descriptor> buf;
-  buf.reserve(cfg_.msg_size);
+  util::keep_smallest_sorted(keys,
+                             std::min(cfg_.msg_size + candidates_.size(), n),
+                             std::less<>());
+  buf.clear();
   buf.push_back(Descriptor{p, pos_[p], version_[p]});  // own, always first
-  util::FlatSet<sim::NodeId> seen;
-  seen.reserve(cfg_.msg_size + 2);
-  seen.insert(p);
-  seen.insert(q);
-  for (const auto& d : cand) {
+  for (const RankKey& k : keys) {
     if (buf.size() >= cfg_.msg_size) break;
-    if (!seen.insert(d.id)) continue;
+    const Descriptor& d = candidate(k.index);
+    if (d.id == q || std::any_of(buf.begin(), buf.end(),
+                                 [&](const Descriptor& b) {
+                                   return b.id == d.id;
+                                 }))
+      continue;
     buf.push_back(d);
   }
-  return buf;
-}
-
-void TmanProtocol::merge(sim::NodeId self,
-                         const std::vector<Descriptor>& incoming) {
-  auto& view = views_[self];
-  // Dedup by linear scan over the (capped, cache-resident) view: at view
-  // sizes of a few dozen this beats building a hash index, and it keeps
-  // the merge free of hash-order state entirely.  Scanning the growing
-  // view also catches duplicates *within* `incoming`.
-  for (const auto& d : incoming) {
-    if (d.id == self) continue;
-    auto it = std::find_if(view.begin(), view.end(),
-                           [&](const Descriptor& v) { return v.id == d.id; });
-    if (it != view.end()) {
-      // Known node: keep the freshest advertised position.
-      if (d.version > it->version) *it = d;
-    } else {
-      view.push_back(d);
-    }
-  }
-  // Rank-and-truncate in one step: only the kept view_cap prefix needs an
-  // order (ids are unique here, so this matches a full sort bit-for-bit).
-  sort_by_distance_to(view, pos_[self], space_, cfg_.view_cap);
 }
 
 bool TmanProtocol::exchange(sim::NodeId p) {
@@ -187,16 +147,19 @@ bool TmanProtocol::exchange(sim::NodeId p) {
   }
 
   // Symmetric push-pull of m-descriptor buffers.
-  const auto buf_pq = build_buffer(p, q);
+  build_buffer(p, q, buf_pq_);
   prune_suspected(q);
-  const auto buf_qp = build_buffer(q, p);
+  build_buffer(q, p, buf_qp_);
 
   const double unit = sim::TrafficMeter::descriptor_units(space_.dimension());
-  net_.traffic().add(sim::Channel::kTman,
-                     static_cast<double>(buf_pq.size() + buf_qp.size()) * unit);
+  net_.traffic().add(
+      sim::Channel::kTman,
+      static_cast<double>(buf_pq_.size() + buf_qp_.size()) * unit);
 
-  merge(q, buf_pq);
-  merge(p, buf_qp);
+  merge_ranked(views_[q], buf_pq_, q, pos_[q], space_, cfg_.view_cap,
+               rank_scratch_);
+  merge_ranked(view, buf_qp_, p, pos_[p], space_, cfg_.view_cap,
+               rank_scratch_);
   return true;
 }
 

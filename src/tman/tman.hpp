@@ -32,6 +32,7 @@
 #include "sim/node_id.hpp"
 #include "space/metric_space.hpp"
 #include "space/point.hpp"
+#include "tman/ranked_view.hpp"
 #include "topo/topology.hpp"
 #include "util/rng.hpp"
 
@@ -51,14 +52,6 @@ struct TmanConfig {
   /// Disabling it leaves views gossip-fresh only (ablation: stale views
   /// slow down post-failure re-convergence dramatically).
   bool refresh_positions = true;
-};
-
-/// A gossiped node descriptor: identity, advertised position, and the
-/// position's version (higher = fresher).
-struct Descriptor {
-  sim::NodeId id = sim::kInvalidNode;
-  space::Point pos;
-  std::uint64_t version = 0;
 };
 
 /// The T-Man protocol over all nodes of a simulated network.
@@ -97,7 +90,7 @@ class TmanProtocol final : public topo::TopologyConstruction {
 
   // ---- view access -------------------------------------------------------
 
-  /// The ranked view of a node (closest first).
+  /// The ranked view of a node: ascending (distance² to the node, id).
   const std::vector<Descriptor>& view(sim::NodeId id) const {
     return views_[id];
   }
@@ -122,16 +115,16 @@ class TmanProtocol final : public topo::TopologyConstruction {
   /// Drops suspected-dead descriptors from a node's view.
   void prune_suspected(sim::NodeId id);
 
-  /// Builds the m-descriptor buffer p sends to q: own descriptor + the
-  /// entries of p's view and a fresh RPS sample, ranked closest to q.
-  std::vector<Descriptor> build_buffer(sim::NodeId p, sim::NodeId q);
+  /// Builds into `buf` the m-descriptor buffer p sends to q: own
+  /// descriptor + the entries of p's view and a fresh RPS sample, ranked
+  /// closest to q.
+  void build_buffer(sim::NodeId p, sim::NodeId q,
+                    std::vector<Descriptor>& buf);
 
-  /// Merges `incoming` into `self`'s view (dedup by id keeping the freshest
-  /// version, re-rank by distance to self, truncate to cap).
-  void merge(sim::NodeId self, const std::vector<Descriptor>& incoming);
-
-  /// Sorts `view` of `self` by ascending distance to self's position.
-  void rank(sim::NodeId self, std::vector<Descriptor>& view) const;
+  /// Draws up to `k` ids from `p`'s RPS view (the draws of
+  /// RpsProtocol::random_peers) and stages a descriptor for each alive one
+  /// other than `p` and `skip` in `candidates_`.
+  void sample_candidates(sim::NodeId p, std::size_t k, sim::NodeId skip);
 
   sim::Network& net_;
   const space::MetricSpace& space_;
@@ -142,6 +135,15 @@ class TmanProtocol final : public topo::TopologyConstruction {
   std::vector<std::vector<Descriptor>> views_;
   std::vector<space::Point> pos_;
   std::vector<std::uint64_t> version_;
+
+  // Exchange scratch: with it an exchange, a refresh or a re-rank makes no
+  // heap allocation once the views have grown (one protocol object per
+  // simulation, so parallel repetitions never share it).
+  RankScratch rank_scratch_;
+  std::vector<std::size_t> sample_;
+  std::vector<Descriptor> candidates_;
+  std::vector<Descriptor> buf_pq_;
+  std::vector<Descriptor> buf_qp_;
 };
 
 }  // namespace poly::tman

@@ -1,10 +1,16 @@
 // Unit + property tests for poly::space — metric axioms on every concrete
-// space (parameterized sweeps), torus/ring modular arithmetic, medoid and
+// space (parameterized sweeps), torus/ring modular arithmetic (the shared
+// axis delta is pinned bit-for-bit to the fmod formula), medoid and
 // diameter primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "space/diameter.hpp"
 #include "space/euclidean.hpp"
@@ -13,6 +19,8 @@
 #include "space/point.hpp"
 #include "space/ring.hpp"
 #include "space/torus.hpp"
+#include "space/torus3d.hpp"
+#include "space/wrap.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -22,6 +30,7 @@ using poly::space::EuclideanSpace;
 using poly::space::MetricSpace;
 using poly::space::Point;
 using poly::space::RingSpace;
+using poly::space::Torus3dSpace;
 using poly::space::TorusSpace;
 using poly::util::Rng;
 
@@ -227,6 +236,101 @@ TEST(Ring, NormalizeWraps) {
 
 TEST(Ring, InvalidCircumferenceThrows) {
   EXPECT_THROW(RingSpace(0.0), std::invalid_argument);
+}
+
+// ---- Wrap-around axis delta -------------------------------------------------
+
+/// The per-axis formula of the modular spaces before axis_delta learned to
+/// skip fmod: always reduce |a−b| modulo the extent.
+double fmod_axis_delta(double a, double b, double extent) {
+  double d = std::fabs(a - b);
+  d = std::fmod(d, extent);
+  return std::min(d, extent - d);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Coordinate pairs for one axis: |a−b| just below, equal to and just
+/// above the extent (and twice it), offsets in and far outside
+/// [0, extent) including negative ones, and seeded random pairs, both
+/// normalized and not.
+std::vector<std::pair<double, double>> axis_cases(double extent, Rng& rng) {
+  std::vector<std::pair<double, double>> out;
+  const double gaps[] = {0.0,
+                         1e-300,
+                         extent / 2,
+                         std::nextafter(extent, 0.0),
+                         extent,
+                         std::nextafter(extent, 2 * extent),
+                         std::nextafter(2 * extent, 0.0),
+                         2 * extent,
+                         7.5 * extent};
+  const double bases[] = {0.0, 3.25, -7.5, extent, -3 * extent, 1e6};
+  for (double gap : gaps) {
+    out.emplace_back(gap, 0.0);  // |a−b| == gap exactly
+    out.emplace_back(0.0, gap);
+    out.emplace_back(-gap, 0.0);
+    for (double base : bases) {
+      out.emplace_back(base + gap, base);
+      out.emplace_back(base, base - gap);
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    out.emplace_back(rng.uniform_real(0.0, extent),
+                     rng.uniform_real(0.0, extent));
+    out.emplace_back(rng.uniform_real(-5 * extent, 5 * extent),
+                     rng.uniform_real(-5 * extent, 5 * extent));
+  }
+  return out;
+}
+
+TEST(AxisDelta, MatchesFmodFormulaBitForBit) {
+  Rng rng(41);
+  for (double extent : {80.0, 40.0, 1.0, 0.3, 100.0, 6.0}) {
+    for (const auto& [a, b] : axis_cases(extent, rng)) {
+      ASSERT_EQ(bits(poly::space::axis_delta(a, b, extent)),
+                bits(fmod_axis_delta(a, b, extent)))
+          << "a=" << a << " b=" << b << " extent=" << extent;
+    }
+  }
+}
+
+TEST(AxisDelta, ModularSpacesMatchFmodFormulaBitForBit) {
+  Rng rng(43);
+  const TorusSpace torus(80.0, 40.0);
+  const Torus3dSpace torus3(8.0, 6.0, 0.3);
+  const RingSpace ring(100.0);
+  const auto xs = axis_cases(80.0, rng);
+  const auto ys = axis_cases(40.0, rng);
+  const auto x3 = axis_cases(8.0, rng);
+  const auto y3 = axis_cases(6.0, rng);
+  const auto z3 = axis_cases(0.3, rng);
+  const auto rs = axis_cases(100.0, rng);
+  for (int i = 0; i < 20000; ++i) {
+    const auto& [ax, bx] = xs[rng.index(xs.size())];
+    const auto& [ay, by] = ys[rng.index(ys.size())];
+    const double dx = fmod_axis_delta(ax, bx, 80.0);
+    const double dy = fmod_axis_delta(ay, by, 40.0);
+    const Point a(ax, ay);
+    const Point b(bx, by);
+    ASSERT_EQ(bits(torus.distance2(a, b)), bits(dx * dx + dy * dy))
+        << a.str() << " " << b.str();
+    ASSERT_EQ(bits(torus.distance(a, b)), bits(std::sqrt(dx * dx + dy * dy)));
+
+    const auto& [ax3, bx3] = x3[rng.index(x3.size())];
+    const auto& [ay3, by3] = y3[rng.index(y3.size())];
+    const auto& [az3, bz3] = z3[rng.index(z3.size())];
+    const double ex = fmod_axis_delta(ax3, bx3, 8.0);
+    const double ey = fmod_axis_delta(ay3, by3, 6.0);
+    const double ez = fmod_axis_delta(az3, bz3, 0.3);
+    ASSERT_EQ(bits(torus3.distance2(Point(ax3, ay3, az3),
+                                    Point(bx3, by3, bz3))),
+              bits(ex * ex + ey * ey + ez * ez));
+
+    const auto& [ar, br] = rs[rng.index(rs.size())];
+    ASSERT_EQ(bits(ring.distance(Point(ar), Point(br))),
+              bits(fmod_axis_delta(ar, br, 100.0)));
+  }
 }
 
 // ---- Medoid ----------------------------------------------------------------

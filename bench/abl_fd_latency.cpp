@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
   using namespace poly;
@@ -24,28 +23,19 @@ int main(int argc, char** argv) {
                      "peak points/node"});
 
   auto run_case = [&](std::uint64_t delay, double fp) {
-    shape::GridTorusShape shape(80, 40);
-    scenario::ExperimentSpec spec;
-    spec.config.seed = opt.seed;
-    spec.config.poly.replication = 4;
-    spec.config.fd_delay_rounds = delay;
-    spec.config.fd_false_positive_rate = fp;
-    spec.repetitions = opt.reps;
-    spec.phases.failure_rounds = 50;
-    spec.phases.reinjection_rounds = 0;
+    auto program = bench::crash_repair_program(3200, 20, 50, opt);
+    program.options.config.fd_delay_rounds = delay;
+    program.options.config.fd_false_positive_rate = fp;
 
-    const auto result = scenario::run_experiment(shape, spec);
+    const auto result = scenario::run_program(program);
+    const auto points =
+        result.series(&scenario::RoundMetrics::points_per_node);
     double peak = 0.0;
-    for (std::size_t round = 0; round < result.points_per_node.rounds();
-         ++round)
-      peak = std::max(peak, result.points_per_node.row(round).mean);
-    const auto reliability = result.reliability_ci();
+    for (std::size_t round = 0; round < points.rounds(); ++round)
+      peak = std::max(peak, points.row(round).mean);
     table.add_row({std::to_string(delay), util::fmt(fp, 3),
                    result.reshaping_ci().str(2),
-                   util::MeanCi{reliability.mean * 100.0,
-                                reliability.ci95 * 100.0, reliability.n}
-                       .str(2),
-                   util::fmt(peak, 2)});
+                   bench::reliability_pct_cell(result), util::fmt(peak, 2)});
   };
 
   for (std::uint64_t delay : {0ull, 1ull, 2ull, 4ull}) run_case(delay, 0.0);

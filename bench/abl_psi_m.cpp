@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
   using namespace poly;
@@ -18,31 +17,20 @@ int main(int argc, char** argv) {
   std::printf("Ablation: psi / m sensitivity (80x40 torus, K=4, %zu reps)\n\n",
               opt.reps);
 
-  shape::GridTorusShape shape(80, 40);
   util::Table table({"psi", "m", "reshaping time (rounds)",
                      "homogeneity@r45", "msg/node/round@steady"});
 
   auto run_case = [&](std::size_t psi, std::size_t m) {
-    scenario::ExperimentSpec spec;
-    spec.config.seed = opt.seed;
-    spec.config.poly.replication = 4;
-    spec.config.poly.psi = psi;
-    spec.config.tman.msg_size = m;
-    spec.repetitions = opt.reps;
-    spec.phases.failure_rounds = 40;
-    spec.phases.reinjection_rounds = 0;
+    auto program = bench::crash_repair_program(3200, 20, 40, opt);
+    program.options.config.poly.psi = psi;
+    program.options.config.tman.msg_size = m;
 
-    const auto result = scenario::run_experiment(shape, spec);
-    auto cell = result.reshaping_ci().str(2);
-    if (result.never_reshaped() > 0)
-      cell += " (" + std::to_string(result.never_reshaped()) + " DNF)";
-    const std::size_t last = result.homogeneity.rounds();
-    const double hom45 =
-        last > 45 ? result.homogeneity.row(45).mean : 0.0;
-    const double msg =
-        last > 45 ? result.msg_paper.row(45).mean : 0.0;
-    table.add_row({std::to_string(psi), std::to_string(m), cell,
-                   util::fmt(hom45, 3), util::fmt(msg, 1)});
+    const auto result = scenario::run_program(program);
+    using scenario::RoundMetrics;
+    table.add_row(
+        {std::to_string(psi), std::to_string(m), bench::reshaping_cell(result),
+         util::fmt(result.series(&RoundMetrics::homogeneity).row(45).mean, 3),
+         util::fmt(result.series(&RoundMetrics::msg_paper).row(45).mean, 1)});
   };
 
   for (std::size_t psi : {1ul, 2ul, 5ul, 10ul}) run_case(psi, 20);

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
   using namespace poly;
@@ -17,33 +16,21 @@ int main(int argc, char** argv) {
   std::printf("Ablation: topology substrate (80x40 torus, K=4, %zu reps)\n\n",
               opt.reps);
 
-  shape::GridTorusShape shape(80, 40);
   util::Table table({"substrate", "reshaping (rounds)", "reliability (%)",
                      "homogeneity@r45", "proximity@r45"});
 
   for (auto substrate : {scenario::Substrate::kTman,
                          scenario::Substrate::kVicinity}) {
-    scenario::ExperimentSpec spec;
-    spec.config.seed = opt.seed;
-    spec.config.substrate = substrate;
-    spec.config.poly.replication = 4;
-    spec.repetitions = opt.reps;
-    spec.phases.failure_rounds = 40;
-    spec.phases.reinjection_rounds = 0;
+    auto program = bench::crash_repair_program(3200, 20, 40, opt);
+    program.options.config.substrate = substrate;
 
-    const auto result = scenario::run_experiment(shape, spec);
-    auto cell = result.reshaping_ci().str(2);
-    if (result.never_reshaped() > 0)
-      cell += " (" + std::to_string(result.never_reshaped()) + " DNF)";
-    const auto reliability = result.reliability_ci();
+    const auto result = scenario::run_program(program);
+    using scenario::RoundMetrics;
     table.add_row(
         {substrate == scenario::Substrate::kTman ? "T-Man" : "Vicinity",
-         cell,
-         util::MeanCi{reliability.mean * 100.0, reliability.ci95 * 100.0,
-                      reliability.n}
-             .str(2),
-         util::fmt(result.homogeneity.row(45).mean, 3),
-         util::fmt(result.proximity.row(45).mean, 3)});
+         bench::reshaping_cell(result), bench::reliability_pct_cell(result),
+         util::fmt(result.series(&RoundMetrics::homogeneity).row(45).mean, 3),
+         util::fmt(result.series(&RoundMetrics::proximity).row(45).mean, 3)});
   }
 
   bench::emit(table, opt, "abl_substrate");

@@ -5,8 +5,7 @@
 //   --reps N / POLY_BENCH_REPS          repetitions per configuration
 //                                       (paper: 25; defaults are smaller so
 //                                       a full `for b in bench/*` sweep
-//                                       finishes in minutes — EXPERIMENTS.md
-//                                       records what was used)
+//                                       finishes in minutes)
 //   --max-nodes N / POLY_BENCH_MAX_NODES  cap for the scalability sweeps
 //   --seed N / POLY_BENCH_SEED          base RNG seed
 //   --csv DIR / POLY_BENCH_CSV          also write gnuplot-ready CSVs there
@@ -17,16 +16,19 @@
 // Flag parsing, `--help`, and the BENCH_<name>.json emit path live in the
 // library (`util/bench_io.hpp`, namespace poly::bench) so the scenario
 // driver shares them; this header adds only the bench-side helpers (sweep
-// grids, the paper's four-configuration scenario, series tables).
+// grids, the scenario programs the benches run, table cells).  Benches
+// that replay a catastrophe timeline run it through scenario::run_program,
+// so repetitions, series aggregation and the reshaping/reliability
+// outcomes have one definition.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "scenario/experiment.hpp"
-#include "shape/grid_torus.hpp"
+#include "scenario/program.hpp"
 #include "util/bench_io.hpp"
 #include "util/table.hpp"
 
@@ -84,56 +86,89 @@ inline std::size_t reps_for_size(const BenchOptions& opt, std::size_t nodes) {
   return opt.reps;
 }
 
+/// The paper's crash-and-repair timeline on the grid_for(nodes) torus:
+/// converge for `converge` rounds, crash the failure half, repair for
+/// `repair` rounds (no re-injection).  Seed and repetitions come from
+/// `opt`; callers tune `options.config` before running it.
+inline scenario::ScenarioProgram crash_repair_program(
+    std::size_t nodes, std::size_t converge, std::size_t repair,
+    const BenchOptions& opt) {
+  const auto dims = grid_for(nodes);
+  auto p = scenario::parse_program(
+      "shape grid:" + std::to_string(dims.nx) + "x" +
+      std::to_string(dims.ny) + "\nrun " + std::to_string(converge) +
+      "\ncrash half\nrun " + std::to_string(repair) + "\n");
+  p.options.config.seed = opt.seed;
+  p.reps = opt.reps;
+  return p;
+}
+
+/// "mean ± ci" reshaping time over the runs that reshaped, followed by
+/// " (N <dnf>)" when N runs never did.
+inline std::string reshaping_cell(const scenario::ProgramResult& r,
+                                  const char* dnf = "DNF") {
+  auto cell = r.reshaping_ci().str(2);
+  if (r.never_reshaped() > 0)
+    cell += " (" + std::to_string(r.never_reshaped()) + " " + dnf + ")";
+  return cell;
+}
+
+/// "mean ± ci" reliability, in percent.
+inline std::string reliability_pct_cell(const scenario::ProgramResult& r) {
+  const auto rel = r.reliability_ci();
+  return util::MeanCi{rel.mean * 100.0, rel.ci95 * 100.0, rel.n}.str(2);
+}
+
 /// The four configurations of the paper's Figs. 6 and 7: Polystyrene with
-/// K ∈ {8, 4, 2} and bare T-Man, all on the 80×40 torus, all through the
-/// three-phase scenario (converge 20 / fail 80 / re-inject 100).
+/// K ∈ {8, 4, 2} and bare T-Man, each through
+/// scenarios/paper_three_phase.poly (converge 20 / crash half / repair 80
+/// / re-inject / run 100 on the 80×40 torus).
 struct PaperScenarioResults {
-  scenario::ExperimentResult poly_k8;
-  scenario::ExperimentResult poly_k4;
-  scenario::ExperimentResult poly_k2;
-  scenario::ExperimentResult tman;
+  scenario::ProgramResult poly_k8;
+  scenario::ProgramResult poly_k4;
+  scenario::ProgramResult poly_k2;
+  scenario::ProgramResult tman;
+
+  /// The per-round series table the paper's figures plot: one row per
+  /// round, one "mean ± ci" column per configuration.
+  util::Table series_table(double scenario::RoundMetrics::*metric) const {
+    const std::pair<const char*, const scenario::ProgramResult*> columns[] = {
+        {"Polystyrene_K8", &poly_k8},
+        {"Polystyrene_K4", &poly_k4},
+        {"Polystyrene_K2", &poly_k2},
+        {"TMan", &tman},
+    };
+    std::vector<std::string> headers{"round"};
+    std::vector<util::SeriesAggregator> series;
+    std::size_t rounds = 0;
+    for (const auto& [name, result] : columns) {
+      headers.emplace_back(name);
+      series.push_back(result->series(metric));
+      rounds = std::max(rounds, series.back().rounds());
+    }
+    util::Table table(std::move(headers));
+    for (std::size_t round = 0; round < rounds; ++round) {
+      std::vector<std::string> row{std::to_string(round)};
+      for (const auto& s : series) row.push_back(s.row(round).str(3));
+      table.add_row(std::move(row));
+    }
+    return table;
+  }
 };
 
 inline PaperScenarioResults run_paper_scenario(const BenchOptions& opt) {
-  shape::GridTorusShape shape(80, 40);
-  scenario::ExperimentSpec spec;
-  spec.config.seed = opt.seed;
-  spec.repetitions = opt.reps;
-  spec.phases = scenario::ThreePhaseSpec{};  // 20 / 80 / 100
-  PaperScenarioResults out;
+  auto program = scenario::load_program(std::string(POLY_SCENARIO_DIR) +
+                                        "/paper_three_phase.poly");
+  program.options.config.seed = opt.seed;
+  program.reps = opt.reps;
   auto run_k = [&](std::size_t k) {
-    auto s = spec;
-    s.config.polystyrene = true;
-    s.config.poly.replication = k;
-    return scenario::run_experiment(shape, s);
+    auto p = program;
+    p.options.config.poly.replication = k;
+    return scenario::run_program(p);
   };
-  out.poly_k8 = run_k(8);
-  out.poly_k4 = run_k(4);
-  out.poly_k2 = run_k(2);
-  auto s = spec;
-  s.config.polystyrene = false;
-  out.tman = scenario::run_experiment(shape, s);
-  return out;
-}
-
-/// Builds the per-round series table the paper's figures plot: one row per
-/// round, one "mean ± ci" column per configuration.
-inline util::Table series_table(
-    const std::vector<std::pair<std::string,
-                                const util::SeriesAggregator*>>& columns) {
-  std::vector<std::string> headers{"round"};
-  for (const auto& [name, series] : columns) headers.push_back(name);
-  util::Table table(std::move(headers));
-  std::size_t rounds = 0;
-  for (const auto& [name, series] : columns)
-    rounds = std::max(rounds, series->rounds());
-  for (std::size_t round = 0; round < rounds; ++round) {
-    std::vector<std::string> row{std::to_string(round)};
-    for (const auto& [name, series] : columns)
-      row.push_back(series->row(round).str(3));
-    table.add_row(std::move(row));
-  }
-  return table;
+  auto tman = program;
+  tman.options.config.polystyrene = false;
+  return {run_k(8), run_k(4), run_k(2), scenario::run_program(tman)};
 }
 
 }  // namespace poly::bench

@@ -21,13 +21,8 @@ int main(int argc, char** argv) {
               opt.reps, static_cast<unsigned long long>(opt.seed));
 
   const auto r = bench::run_paper_scenario(opt);
-  auto table = bench::series_table({
-      {"Polystyrene_K8", &r.poly_k8.homogeneity},
-      {"Polystyrene_K4", &r.poly_k4.homogeneity},
-      {"Polystyrene_K2", &r.poly_k2.homogeneity},
-      {"TMan", &r.tman.homogeneity},
-  });
-  bench::emit(table, opt, "fig06a");
+  bench::emit(r.series_table(&scenario::RoundMetrics::homogeneity), opt,
+              "fig06a");
 
   std::puts("\nKey paper values: K4 homogeneity ≈ 0.61 at round 28; TMan "
             "plateau ≈ 5.25 after the crash; K4 ≈ 0.035 vs TMan ≈ 0.35 at "

@@ -54,13 +54,8 @@ int main(int argc, char** argv) {
               opt.reps, static_cast<unsigned long long>(opt.seed));
 
   const auto r = bench::run_paper_scenario(opt);
-  auto table = bench::series_table({
-      {"Polystyrene_K8", &r.poly_k8.points_per_node},
-      {"Polystyrene_K4", &r.poly_k4.points_per_node},
-      {"Polystyrene_K2", &r.poly_k2.points_per_node},
-      {"TMan", &r.tman.points_per_node},
-  });
-  bench::emit(table, opt, "fig07a");
+  bench::emit(r.series_table(&scenario::RoundMetrics::points_per_node), opt,
+              "fig07a");
 
   std::puts("\nKey paper values: K+1 pre-crash; spike at r=20; ≈ 17.73 for "
             "K8 at round 40; TMan flat at 1.");

@@ -19,22 +19,20 @@ int main(int argc, char** argv) {
               opt.reps, static_cast<unsigned long long>(opt.seed));
 
   const auto r = bench::run_paper_scenario(opt);
-  auto table = bench::series_table({
-      {"Polystyrene_K8", &r.poly_k8.msg_paper},
-      {"Polystyrene_K4", &r.poly_k4.msg_paper},
-      {"Polystyrene_K2", &r.poly_k2.msg_paper},
-      {"TMan", &r.tman.msg_paper},
-  });
-  bench::emit(table, opt, "fig07b");
+  bench::emit(r.series_table(&scenario::RoundMetrics::msg_paper), opt,
+              "fig07b");
 
   // Breakdown for the 93.6% claim: T-Man share of the K = 8 total over the
   // post-failure steady state (rounds 40..99).
+  using scenario::RoundMetrics;
+  const auto k8_tman = r.poly_k8.series(&RoundMetrics::msg_tman);
+  const auto k8_paper = r.poly_k8.series(&RoundMetrics::msg_paper);
   double tman_units = 0.0;
   double total_units = 0.0;
-  for (std::size_t round = 40; round < 100 && round < r.poly_k8.msg_paper.rounds();
+  for (std::size_t round = 40; round < 100 && round < k8_paper.rounds();
        ++round) {
-    tman_units += r.poly_k8.msg_tman.row(round).mean;
-    total_units += r.poly_k8.msg_paper.row(round).mean;
+    tman_units += k8_tman.row(round).mean;
+    total_units += k8_paper.row(round).mean;
   }
   if (total_units > 0.0)
     std::printf("\nT-Man share of Polystyrene_K8 traffic (rounds 40-99): "
@@ -42,7 +40,8 @@ int main(int argc, char** argv) {
                 100.0 * tman_units / total_units);
 
   util::Table breakdown({"channel", "K8 units/node/round (rounds 40-99)"});
-  auto mean_over = [&](const util::SeriesAggregator& s) {
+  auto mean_over = [&](double RoundMetrics::*channel) {
+    const auto s = r.poly_k8.series(channel);
     double sum = 0.0;
     std::size_t n = 0;
     for (std::size_t round = 40; round < 100 && round < s.rounds(); ++round) {
@@ -51,12 +50,14 @@ int main(int argc, char** argv) {
     }
     return n ? sum / static_cast<double>(n) : 0.0;
   };
-  breakdown.add_row({"tman", util::fmt(mean_over(r.poly_k8.msg_tman), 2)});
-  breakdown.add_row({"backup", util::fmt(mean_over(r.poly_k8.msg_backup), 2)});
   breakdown.add_row(
-      {"migration", util::fmt(mean_over(r.poly_k8.msg_migration), 2)});
+      {"tman", util::fmt(mean_over(&RoundMetrics::msg_tman), 2)});
   breakdown.add_row(
-      {"rps (not in paper's figure)", util::fmt(mean_over(r.poly_k8.msg_rps), 2)});
+      {"backup", util::fmt(mean_over(&RoundMetrics::msg_backup), 2)});
+  breakdown.add_row(
+      {"migration", util::fmt(mean_over(&RoundMetrics::msg_migration), 2)});
+  breakdown.add_row({"rps (not in paper's figure)",
+                     util::fmt(mean_over(&RoundMetrics::msg_rps), 2)});
   bench::emit(breakdown, opt, "fig07b_breakdown");
   return 0;
 }

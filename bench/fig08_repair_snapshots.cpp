@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   auto program = scenario::load_program(std::string(POLY_SCENARIO_DIR) +
                                         "/fig08_repair.poly");
-  program.options.seed = opt.seed;
+  program.options.config.seed = opt.seed;
   program.reps = opt.reps;
 
   const auto result = scenario::run_program(program);

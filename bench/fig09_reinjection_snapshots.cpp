@@ -18,7 +18,7 @@ namespace {
 
 const poly::scenario::RoundMetrics& at_round(
     const poly::scenario::ProgramResult& result, std::size_t round) {
-  for (const auto& m : result.first.rounds)
+  for (const auto& m : result.first().rounds)
     if (m.round == round) return m;
   std::fprintf(stderr, "fig09: round %zu missing from the series\n", round);
   std::exit(1);
@@ -30,12 +30,12 @@ void run_config(const char* name, const char* file,
   using namespace poly;
   auto program = scenario::load_program(std::string(POLY_SCENARIO_DIR) +
                                         "/" + file);
-  program.options.seed = opt.seed;
+  program.options.config.seed = opt.seed;
   program.reps = opt.reps;
 
   const auto result = scenario::run_program(program);
   std::printf("\n=== Fig. 9%s: %s at round 125 ===\n",
-              program.options.polystyrene ? "b" : "a", name);
+              program.options.config.polystyrene ? "b" : "a", name);
   scenario::print_events(result, opt.csv_dir);
 
   // The figure's round 125 is the 125th completed round (id 124); the run

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
   using namespace poly;
@@ -24,28 +23,18 @@ int main(int argc, char** argv) {
   util::Table table({"nodes", "grid", "K=2", "K=4", "K=8", "reps"});
   for (std::size_t n : bench::sweep_sizes(opt)) {
     const auto dims = bench::grid_for(n);
-    shape::GridTorusShape shape(dims.nx, dims.ny);
     const std::size_t reps = bench::reps_for_size(opt, n);
 
     std::vector<std::string> row{std::to_string(n),
                                  std::to_string(dims.nx) + "x" +
                                      std::to_string(dims.ny)};
     for (std::size_t k : {2ul, 4ul, 8ul}) {
-      scenario::ExperimentSpec spec;
-      spec.config.seed = opt.seed;
-      spec.config.poly.replication = k;
-      spec.repetitions = reps;
       // Larger networks need a little longer to converge before the crash;
       // the failure window is generous enough for every K.
-      spec.phases.converge_rounds = 25;
-      spec.phases.failure_rounds = 60;
-      spec.phases.reinjection_rounds = 0;
-
-      const auto result = scenario::run_experiment(shape, spec);
-      auto cell = result.reshaping_ci().str(2);
-      if (result.never_reshaped() > 0)
-        cell += " (" + std::to_string(result.never_reshaped()) + " DNF)";
-      row.push_back(cell);
+      auto program = bench::crash_repair_program(n, 25, 60, opt);
+      program.reps = reps;
+      program.options.config.poly.replication = k;
+      row.push_back(bench::reshaping_cell(scenario::run_program(program)));
     }
     row.push_back(std::to_string(reps));
     table.add_row(std::move(row));

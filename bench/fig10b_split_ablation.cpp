@@ -14,7 +14,6 @@
 
 #include "common.hpp"
 #include "core/split.hpp"
-#include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
   using namespace poly;
@@ -38,28 +37,18 @@ int main(int argc, char** argv) {
 
   for (std::size_t n : bench::sweep_sizes(opt)) {
     const auto dims = bench::grid_for(n);
-    shape::GridTorusShape shape(dims.nx, dims.ny);
     const std::size_t reps = bench::reps_for_size(opt, n);
 
     std::vector<std::string> row{std::to_string(n),
                                  std::to_string(dims.nx) + "x" +
                                      std::to_string(dims.ny)};
     for (const auto& [kind, name] : variants) {
-      scenario::ExperimentSpec spec;
-      spec.config.seed = opt.seed;
-      spec.config.poly.replication = 4;
-      spec.config.poly.split_kind = kind;
-      spec.repetitions = reps;
-      spec.phases.converge_rounds = 25;
       // Basic needs a long window at scale (paper: ~29 rounds at 51,200).
-      spec.phases.failure_rounds = 80;
-      spec.phases.reinjection_rounds = 0;
-
-      const auto result = scenario::run_experiment(shape, spec);
-      auto cell = result.reshaping_ci().str(2);
-      if (result.never_reshaped() > 0)
-        cell += " (" + std::to_string(result.never_reshaped()) + " DNF>80)";
-      row.push_back(cell);
+      auto program = bench::crash_repair_program(n, 25, 80, opt);
+      program.reps = reps;
+      program.options.config.poly.split_kind = kind;
+      row.push_back(
+          bench::reshaping_cell(scenario::run_program(program), "DNF>80"));
     }
     row.push_back(std::to_string(reps));
     table.add_row(std::move(row));

@@ -8,8 +8,7 @@
 //
 // Thin wrapper over the scenario compiler: each K row runs
 // scenarios/table2_k{2,4,8}.poly (converge 20 / crash half / repair 40)
-// through the program runner, which repeats and aggregates exactly as the
-// old run_experiment harness did (seeds base+0 … base+R-1, Student-t 95%
+// through the program runner (seeds base+0 … base+R-1, Student-t 95%
 // CIs).  Reshaping time = rounds after the half-torus crash until
 // homogeneity drops below H¹⁶⁰⁰ = √2/2; reliability = fraction of the
 // 3,200 original data points that survive.  The expected trade-off: higher
@@ -42,22 +41,18 @@ int main(int argc, char** argv) {
     auto program = scenario::load_program(
         std::string(POLY_SCENARIO_DIR) + "/table2_k" +
         std::to_string(ks[i]) + ".poly");
-    program.options.seed = opt.seed;
+    program.options.config.seed = opt.seed;
     program.reps = opt.reps;
 
     const auto result = scenario::run_program(program);
-    const auto reshaping = result.reshaping_ci();
-    const auto reliability = result.reliability_ci();
     table.add_row(
         {std::to_string(ks[i]),
-         reshaping.str(3) +
+         result.reshaping_ci().str(3) +
              (result.never_reshaped()
                   ? " (" + std::to_string(result.never_reshaped()) +
                         " runs never reshaped)"
                   : ""),
-         util::MeanCi{reliability.mean * 100.0, reliability.ci95 * 100.0,
-                      reliability.n}
-             .str(2),
+         bench::reliability_pct_cell(result),
          util::fmt(core::PolystyreneLayer::analytic_survival(ks[i], 0.5) *
                        100.0,
                    2),

@@ -68,6 +68,8 @@ struct PolyConfig {
   /// Send incremental deltas to established backups instead of full copies
   /// (the optimization §III-D describes; affects traffic only).
   bool incremental_backup = true;
+
+  bool operator==(const PolyConfig&) const = default;
 };
 
 /// Per-node Polystyrene statistics (tests and metrics).

@@ -63,6 +63,8 @@ struct SplitConfig {
   /// stay well below the default, so the sampled path (and its Rng draws)
   /// only engages on oversized post-catastrophe pools.
   std::size_t medoid_exact_threshold = space::kMedoidExactThreshold;
+
+  bool operator==(const SplitConfig&) const = default;
 };
 
 /// Algorithm 4 — SPLIT_BASIC(points, pos_p, pos_q):

@@ -32,6 +32,8 @@ struct RpsConfig {
   std::size_t view_size = 20;
   /// Number of descriptors exchanged per shuffle (Cyclon's shuffle length).
   std::size_t shuffle_length = 10;
+
+  bool operator==(const RpsConfig&) const = default;
 };
 
 /// An aged view entry.

@@ -296,7 +296,7 @@ class Parser {
     } else if (key == "seed") {
       expect_args(tok, 2, "one integer");
       record(p, key);
-      p.options.seed = parse_count(tok[1], "seed", 0);
+      p.options.config.seed = parse_count(tok[1], "seed", 0);
     } else if (key == "reps") {
       expect_args(tok, 2, "one integer");
       record(p, key);
@@ -304,12 +304,13 @@ class Parser {
     } else if (key == "k") {
       expect_args(tok, 2, "one integer");
       record(p, key);
-      p.options.replication = parse_count(tok[1], "k");
+      p.options.config.poly.replication = parse_count(tok[1], "k");
     } else if (key == "split") {
       expect_args(tok, 2, "basic|pd|md|advanced");
       record(p, key);
       try {
-        p.options.split = core::split_kind_from_string(tok[1]);
+        p.options.config.poly.split_kind =
+            core::split_kind_from_string(tok[1]);
       } catch (const std::invalid_argument&) {
         fail(line_, "unknown split '" + tok[1] +
                         "' (want basic, pd, md, or advanced)");
@@ -318,9 +319,9 @@ class Parser {
       expect_args(tok, 2, "tman|vicinity");
       record(p, key);
       if (tok[1] == "tman")
-        p.options.substrate = Substrate::kTman;
+        p.options.config.substrate = Substrate::kTman;
       else if (tok[1] == "vicinity")
-        p.options.substrate = Substrate::kVicinity;
+        p.options.config.substrate = Substrate::kVicinity;
       else
         fail(line_, "unknown substrate '" + tok[1] +
                         "' (want tman or vicinity)");
@@ -328,21 +329,23 @@ class Parser {
       expect_args(tok, 2, "on|off");
       record(p, key);
       if (tok[1] == "on")
-        p.options.polystyrene = true;
+        p.options.config.polystyrene = true;
       else if (tok[1] == "off")
-        p.options.polystyrene = false;
+        p.options.config.polystyrene = false;
       else
         fail(line_, "polystyrene wants on or off, got '" + tok[1] + "'");
     } else if (key == "fd-delay") {
       expect_args(tok, 2, "one integer");
       record(p, key);
-      p.options.fd_delay_rounds = parse_count(tok[1], "fd-delay", 0);
+      p.options.config.fd_delay_rounds =
+          parse_count(tok[1], "fd-delay", 0);
     } else if (key == "fd-fp") {
       expect_args(tok, 2, "one rate");
       record(p, key);
-      p.options.fd_false_positive_rate = parse_double(tok[1], "fd-fp rate");
-      if (p.options.fd_false_positive_rate < 0.0 ||
-          p.options.fd_false_positive_rate >= 1.0)
+      p.options.config.fd_false_positive_rate =
+          parse_double(tok[1], "fd-fp rate");
+      if (p.options.config.fd_false_positive_rate < 0.0 ||
+          p.options.config.fd_false_positive_rate >= 1.0)
         fail(line_, "fd-fp rate " + tok[1] + " out of [0, 1)");
     } else {
       return false;  // not a header directive — first timeline stage
@@ -726,18 +729,17 @@ std::string serialize(const ScenarioProgram& p) {
   os << "name " << p.name << '\n';
   os << "shape " << p.shape_spec << '\n';
   os << "engine " << engine_header_value(p) << '\n';
-  os << "seed " << p.options.seed << '\n';
+  const SimulationConfig& c = p.options.config;
+  os << "seed " << c.seed << '\n';
   os << "reps " << p.reps << '\n';
-  os << "k " << p.options.replication << '\n';
-  os << "split " << core::to_string(p.options.split) << '\n';
+  os << "k " << c.poly.replication << '\n';
+  os << "split " << core::to_string(c.poly.split_kind) << '\n';
   os << "substrate "
-     << (p.options.substrate == Substrate::kVicinity ? "vicinity" : "tman")
-     << '\n';
-  os << "polystyrene " << (p.options.polystyrene ? "on" : "off") << '\n';
-  if (p.options.fd_delay_rounds != 0)
-    os << "fd-delay " << p.options.fd_delay_rounds << '\n';
-  if (p.options.fd_false_positive_rate != 0.0)
-    os << "fd-fp " << fmt_g(p.options.fd_false_positive_rate) << '\n';
+     << (c.substrate == Substrate::kVicinity ? "vicinity" : "tman") << '\n';
+  os << "polystyrene " << (c.polystyrene ? "on" : "off") << '\n';
+  if (c.fd_delay_rounds != 0) os << "fd-delay " << c.fd_delay_rounds << '\n';
+  if (c.fd_false_positive_rate != 0.0)
+    os << "fd-fp " << fmt_g(c.fd_false_positive_rate) << '\n';
   os << '\n';
 
   for (const auto& s : p.timeline) {
@@ -911,22 +913,23 @@ void validate_for_mode(const ScenarioProgram& p, EngineMode mode) {
 
   if (mode == EngineMode::kSync) return;
 
-  if (!p.options.polystyrene)
+  const SimulationConfig& c = p.options.config;
+  if (!c.polystyrene)
     throw ProgramError(p.file, p.line_of("polystyrene"),
                        std::string("engine ") + m +
                            " runs the full Polystyrene stack; "
                            "'polystyrene off' needs engine sync");
-  if (p.options.substrate != Substrate::kTman)
+  if (c.substrate != Substrate::kTman)
     throw ProgramError(p.file, p.line_of("substrate"),
                        std::string("engine ") + m +
                            " runs on T-Man; 'substrate vicinity' needs "
                            "engine sync");
-  if (p.options.fd_delay_rounds != 0)
+  if (c.fd_delay_rounds != 0)
     throw ProgramError(p.file, p.line_of("fd-delay"),
                        std::string("engine ") + m +
                            " has its own failure detection; fd-delay "
                            "needs engine sync");
-  if (p.options.fd_false_positive_rate != 0.0)
+  if (c.fd_false_positive_rate != 0.0)
     throw ProgramError(p.file, p.line_of("fd-fp"),
                        std::string("engine ") + m +
                            " has its own failure detection; fd-fp needs "
@@ -952,8 +955,7 @@ void validate_for_mode(const ScenarioProgram& p, EngineMode mode) {
 
 ProgramRun run_program_once(const shape::Shape& shape,
                             const ScenarioProgram& p,
-                            const ScenarioOptions& options,
-                            const RoundHook& hook) {
+                            const ScenarioOptions& options) {
   auto rt = make_cluster(shape, options);
   ProgramRun run;
 
@@ -961,6 +963,10 @@ ProgramRun run_program_once(const shape::Shape& shape,
   std::size_t since_measure = 0;
   bool crash_seen = false;
   std::size_t crash_round = 0;
+  // Reshaping is looked for from the first crash until the first later
+  // stage that injects nodes: the post-crash H is the survivors', so
+  // fresh nodes would pull homogeneity under it without any repair.
+  bool reshape_window = false;
   std::size_t crashed_since_grow = 0;
   double morph_w = -1.0;  // current morph-shape extent (lazily = base's)
   double morph_h = -1.0;
@@ -973,7 +979,7 @@ ProgramRun run_program_once(const shape::Shape& shape,
     since_measure = 0;
     run.rounds.push_back(rt->measure());
     const auto& m = run.rounds.back();
-    if (crash_seen && std::isnan(run.reshaping_rounds) &&
+    if (reshape_window && std::isnan(run.reshaping_rounds) &&
         m.homogeneity < run.reference_h_after_crash)
       run.reshaping_rounds =
           static_cast<double>(rt->rounds_run() - crash_round);
@@ -1000,7 +1006,6 @@ ProgramRun run_program_once(const shape::Shape& shape,
   auto step = [&]() {
     rt->run_round();
     if (++since_measure >= cadence) measure_now();
-    if (hook) hook(*rt, rt->rounds_run() - 1);
     check_expects_at(false);
   };
 
@@ -1015,6 +1020,7 @@ ProgramRun run_program_once(const shape::Shape& shape,
     crashed_since_grow += n;
     if (!crash_seen) {
       crash_seen = true;
+      reshape_window = true;
       crash_round = rt->rounds_run();
       run.reference_h_after_crash =
           shape.reference_homogeneity(rt->alive_count());
@@ -1023,6 +1029,9 @@ ProgramRun run_program_once(const shape::Shape& shape,
   };
 
   for (const auto& s : p.timeline) {
+    if (s.kind == Stage::Kind::kGrow || s.kind == Stage::Kind::kFlashCrowd ||
+        s.kind == Stage::Kind::kChurn)
+      reshape_window = false;
     switch (s.kind) {
       case Stage::Kind::kRun:
         for (std::size_t r = 0; r < s.rounds; ++r) step();
@@ -1308,32 +1317,48 @@ ProgramRun run_program_once(const shape::Shape& shape,
   return run;
 }
 
+util::SeriesAggregator ProgramResult::series(
+    double RoundMetrics::*metric) const {
+  util::SeriesAggregator out;
+  for (const auto& run : runs) {
+    std::vector<double> values;
+    values.reserve(run.rounds.size());
+    for (const auto& m : run.rounds) values.push_back(m.*metric);
+    out.add_run(values);
+  }
+  return out;
+}
+
 util::MeanCi ProgramResult::reshaping_ci() const {
   std::vector<double> ok;
-  for (double v : reshaping_rounds)
-    if (!std::isnan(v)) ok.push_back(v);
+  for (const auto& run : runs)
+    if (!std::isnan(run.reshaping_rounds)) ok.push_back(run.reshaping_rounds);
   return util::mean_ci(ok);
 }
 
 util::MeanCi ProgramResult::reliability_ci() const {
-  return util::mean_ci(reliability);
+  std::vector<double> all;
+  for (const auto& run : runs) all.push_back(run.reliability);
+  return util::mean_ci(all);
 }
 
 std::size_t ProgramResult::never_reshaped() const {
-  std::size_t n = 0;
-  for (double v : reshaping_rounds)
-    if (std::isnan(v)) ++n;
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(runs.begin(), runs.end(), [](const ProgramRun& run) {
+        return std::isnan(run.reshaping_rounds);
+      }));
 }
 
-ProgramResult run_program(const ScenarioProgram& p, const RoundHook& hook) {
+ProgramResult run_program(const ScenarioProgram& p) {
   std::string err;
   const auto shape = shape::make_shape(p.shape_spec, &err);
   if (!shape) throw ProgramError(p.file, p.line_of("shape"), err);
   validate_for_mode(p, p.options.engine);
 
   const std::size_t reps = std::max<std::size_t>(1, p.reps);
-  std::vector<ProgramRun> runs(reps);
+  ProgramResult out;
+  out.program = p;
+  out.runs.resize(reps);
   // A throw on a worker thread (a failed expect, mostly) must not
   // std::terminate — capture per repetition, rethrow the lowest index
   // after the join so the diagnostic is deterministic.
@@ -1342,8 +1367,8 @@ ProgramResult run_program(const ScenarioProgram& p, const RoundHook& hook) {
   auto run_rep = [&](std::size_t i) noexcept {
     try {
       ScenarioOptions opt = p.options;
-      opt.seed = p.options.seed + i;
-      runs[i] = run_program_once(*shape, p, opt, i == 0 ? hook : nullptr);
+      opt.config.seed = p.options.config.seed + i;
+      out.runs[i] = run_program_once(*shape, p, opt);
     } catch (...) {
       errors[i] = std::current_exception();
     }
@@ -1376,35 +1401,12 @@ ProgramResult run_program(const ScenarioProgram& p, const RoundHook& hook) {
 
   for (std::size_t i = 0; i < reps; ++i)
     if (errors[i]) std::rethrow_exception(errors[i]);
-
-  // Deterministic aggregation in repetition order.
-  ProgramResult out;
-  out.program = p;
-  for (const auto& run : runs) {
-    std::vector<double> hom, prox, pts, mp, rel;
-    hom.reserve(run.rounds.size());
-    for (const auto& m : run.rounds) {
-      hom.push_back(m.homogeneity);
-      prox.push_back(m.proximity);
-      pts.push_back(m.points_per_node);
-      mp.push_back(m.msg_paper);
-      rel.push_back(m.reliability);
-    }
-    out.homogeneity.add_run(hom);
-    out.proximity.add_run(prox);
-    out.points_per_node.add_run(pts);
-    out.msg_paper.add_run(mp);
-    out.reliability_series.add_run(rel);
-    out.reshaping_rounds.push_back(run.reshaping_rounds);
-    out.reliability.push_back(run.reliability);
-  }
-  out.first = std::move(runs[0]);
   return out;
 }
 
 void print_events(const ProgramResult& result,
                   const std::optional<std::string>& csv_dir) {
-  for (const auto& ev : result.first.events) {
+  for (const auto& ev : result.first().events) {
     if (!ev.is_snapshot) {
       std::printf("## round %zu: %s\n", ev.round, ev.text.c_str());
       continue;
@@ -1433,7 +1435,8 @@ void print_events(const ProgramResult& result,
 
 util::Table series_table_for(const ProgramResult& r) {
   const EngineMode mode = r.program.options.engine;
-  const bool aggregated = r.reshaping_rounds.size() > 1;
+  const bool aggregated = r.runs.size() > 1;
+  const ProgramRun& first = r.first();
 
   std::vector<std::string> headers{"round", "alive", "homogeneity", "H",
                                    "proximity"};
@@ -1450,7 +1453,7 @@ util::Table series_table_for(const ProgramResult& r) {
   // shape — per-rep traffic spreads belong to a later stats row.
   const bool traffic_cols =
       mode == EngineMode::kEvents && !aggregated &&
-      std::any_of(r.first.rounds.begin(), r.first.rounds.end(),
+      std::any_of(first.rounds.begin(), first.rounds.end(),
                   [](const RoundMetrics& m) {
                     return m.requests + m.requests_failed > 0;
                   });
@@ -1459,20 +1462,33 @@ util::Table series_table_for(const ProgramResult& r) {
                           "p999_ms", "hops"})
       headers.push_back(h);
 
+  // Aggregated tables print mean ± ci95 across repetitions per cell.
+  util::SeriesAggregator homogeneity, proximity, points, msg, reliability;
+  if (aggregated) {
+    homogeneity = r.series(&RoundMetrics::homogeneity);
+    proximity = r.series(&RoundMetrics::proximity);
+    if (mode == EngineMode::kSync) {
+      points = r.series(&RoundMetrics::points_per_node);
+      msg = r.series(&RoundMetrics::msg_paper);
+    } else {
+      reliability = r.series(&RoundMetrics::reliability);
+    }
+  }
+
   util::Table table(std::move(headers));
-  for (std::size_t i = 0; i < r.first.rounds.size(); ++i) {
-    const auto& m = r.first.rounds[i];
+  for (std::size_t i = 0; i < first.rounds.size(); ++i) {
+    const auto& m = first.rounds[i];
     std::vector<std::string> row{std::to_string(m.round),
                                  std::to_string(m.alive)};
     if (aggregated) {
-      row.push_back(r.homogeneity.row(i).str(3));
+      row.push_back(homogeneity.row(i).str(3));
       row.push_back(util::fmt(m.reference_h, 3));
-      row.push_back(r.proximity.row(i).str(3));
+      row.push_back(proximity.row(i).str(3));
       if (mode == EngineMode::kSync) {
-        row.push_back(r.points_per_node.row(i).str(2));
-        row.push_back(r.msg_paper.row(i).str(1));
+        row.push_back(points.row(i).str(2));
+        row.push_back(msg.row(i).str(1));
       } else {
-        row.push_back(r.reliability_series.row(i).str(3));
+        row.push_back(reliability.row(i).str(3));
         if (mode == EngineMode::kEvents)
           row.push_back(std::to_string(m.frames));
       }

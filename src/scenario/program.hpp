@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -177,7 +176,9 @@ struct ProgramRun {
   std::vector<ProgramEvent> events;
   /// Rounds from the first crash until homogeneity < the post-crash
   /// reference H (the crash round counts as round 1); NaN when never
-  /// reached.  Sampled at the measure cadence.
+  /// reached.  Sampled at the measure cadence, and only until the first
+  /// later stage that injects nodes (grow, flash-crowd, churn): fresh
+  /// nodes pull homogeneity under an H computed for the survivors alone.
   double reshaping_rounds = std::numeric_limits<double>::quiet_NaN();
   /// Fraction of original data points still hosted at the end of the run.
   double reliability = std::numeric_limits<double>::quiet_NaN();
@@ -189,42 +190,37 @@ struct ProgramRun {
   std::size_t rounds_total = 0;
 };
 
-/// Called after every executed round with the completed 0-based round id.
-using RoundHook = std::function<void(Runtime& rt, std::size_t round)>;
-
 /// Executes the timeline once on a fresh cluster built from `options`.
 /// The program must already be valid for `options.engine`.
 ProgramRun run_program_once(const shape::Shape& shape,
                             const ScenarioProgram& p,
-                            const ScenarioOptions& options,
-                            const RoundHook& hook = nullptr);
+                            const ScenarioOptions& options);
 
-/// Aggregated outcome across repetitions.
+/// Every repetition's outcome, with the aggregates the paper reports.
 struct ProgramResult {
-  ScenarioProgram program;  ///< the program as run (after any overrides)
-  ProgramRun first;         ///< repetition 0 (events, snapshots, series)
+  ScenarioProgram program;       ///< the program as run (after overrides)
+  std::vector<ProgramRun> runs;  ///< repetition i ran at seed base+i
 
-  util::SeriesAggregator homogeneity;
-  util::SeriesAggregator proximity;
-  util::SeriesAggregator points_per_node;  ///< sync mode
-  util::SeriesAggregator msg_paper;        ///< sync mode
-  util::SeriesAggregator reliability_series;  ///< events/live modes
+  /// Repetition 0: its events, snapshots and series are what drivers print.
+  const ProgramRun& first() const { return runs.front(); }
 
-  /// Per-repetition scalars (NaN reshaping = never reshaped).
-  std::vector<double> reshaping_rounds;
-  std::vector<double> reliability;
+  /// One RoundMetrics field across repetitions, e.g.
+  /// `series(&RoundMetrics::msg_tman)`; row r is mean ± ci95 of the r-th
+  /// measured round.
+  util::SeriesAggregator series(double RoundMetrics::*metric) const;
 
+  /// Mean ± 95% CI of the reshaping time over repetitions that reshaped.
   util::MeanCi reshaping_ci() const;
   util::MeanCi reliability_ci() const;
+  /// Repetitions that never reached the post-crash reference H.
   std::size_t never_reshaped() const;
 };
 
 /// Builds the shape, validates the program for its engine mode, and runs
 /// `reps` repetitions (seed, seed+1, …) — in parallel threads under sync
 /// and events modes, sequentially under live.  Throws ProgramError on an
-/// invalid program.  The hook, when given, fires for repetition 0 only.
-ProgramResult run_program(const ScenarioProgram& p,
-                          const RoundHook& hook = nullptr);
+/// invalid program.
+ProgramResult run_program(const ScenarioProgram& p);
 
 /// Prints repetition 0's timeline events to stdout — `## round N: …`
 /// notes, and for snapshots the summary line plus density map.  When

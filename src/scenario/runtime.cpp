@@ -18,8 +18,6 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 class SyncRuntime final : public Runtime {
  public:
-  SyncRuntime(const shape::Shape& shape, const ScenarioOptions& opt)
-      : shape_(shape), sim_(shape, to_config(opt)) {}
   SyncRuntime(const shape::Shape& shape, const SimulationConfig& config)
       : shape_(shape), sim_(shape, config) {}
 
@@ -98,28 +96,16 @@ class SyncRuntime final : public Runtime {
   Simulation* sim() noexcept override { return &sim_; }
 
  private:
-  static SimulationConfig to_config(const ScenarioOptions& opt) {
-    SimulationConfig cfg;
-    cfg.seed = opt.seed;
-    cfg.polystyrene = opt.polystyrene;
-    cfg.substrate = opt.substrate;
-    cfg.poly.replication = opt.replication;
-    cfg.poly.split_kind = opt.split;
-    cfg.fd_delay_rounds = opt.fd_delay_rounds;
-    cfg.fd_false_positive_rate = opt.fd_false_positive_rate;
-    return cfg;
-  }
-
   const shape::Shape& shape_;
   Simulation sim_;
 };
 
 class EventsRuntime final : public Runtime {
  public:
-  EventsRuntime(const shape::Shape& shape, const ScenarioOptions& opt)
+  EventsRuntime(const shape::Shape& shape, const SimulationConfig& config)
       : shape_(shape),
-        fleet_(shape.space_ptr(), shape.generate(), to_config(opt),
-               opt.seed) {}
+        fleet_(shape.space_ptr(), shape.generate(), to_config(config),
+               config.seed) {}
 
   EngineMode mode() const noexcept override { return EngineMode::kEvents; }
   const shape::Shape& target_shape() const noexcept override {
@@ -257,10 +243,10 @@ class EventsRuntime final : public Runtime {
   engine::EventCluster& fleet() noexcept { return fleet_; }
 
  private:
-  static engine::EventClusterConfig to_config(const ScenarioOptions& opt) {
+  static engine::EventClusterConfig to_config(const SimulationConfig& in) {
     engine::EventClusterConfig cfg;
-    cfg.node.replication = opt.replication;
-    cfg.node.split_kind = opt.split;
+    cfg.node.replication = in.poly.replication;
+    cfg.node.split_kind = in.poly.split_kind;
     return cfg;
   }
   static fault::Direction to_fault_dir(LinkDirection dir) noexcept {
@@ -291,10 +277,10 @@ class EventsRuntime final : public Runtime {
 
 class LiveRuntime final : public Runtime {
  public:
-  LiveRuntime(const shape::Shape& shape, const ScenarioOptions& opt)
+  LiveRuntime(const shape::Shape& shape, const SimulationConfig& config)
       : shape_(shape),
-        cfg_(to_config(opt)),
-        fleet_(shape.space_ptr(), shape.generate(), cfg_, opt.seed) {
+        cfg_(to_config(config)),
+        fleet_(shape.space_ptr(), shape.generate(), cfg_, config.seed) {
     fleet_.start();
   }
   ~LiveRuntime() override { fleet_.stop(); }
@@ -356,10 +342,10 @@ class LiveRuntime final : public Runtime {
   }
 
  private:
-  static net::AsyncConfig to_config(const ScenarioOptions& opt) {
+  static net::AsyncConfig to_config(const SimulationConfig& in) {
     net::AsyncConfig cfg;
-    cfg.replication = opt.replication;
-    cfg.split_kind = opt.split;
+    cfg.replication = in.poly.replication;
+    cfg.split_kind = in.poly.split_kind;
     return cfg;
   }
 
@@ -369,8 +355,7 @@ class LiveRuntime final : public Runtime {
   std::size_t rounds_ = 0;
 };
 
-/// Thread-per-node live fleets stop being practical past this size; the
-/// same guard lived in polystyrene_sim before the factory unified setup.
+/// Thread-per-node live fleets stop being practical past this size.
 constexpr std::size_t kLiveMaxNodes = 512;
 
 }  // namespace
@@ -448,31 +433,27 @@ std::size_t Runtime::traffic_inflight() const { no_traffic(*this); }
 
 std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
                                       const ScenarioOptions& options) {
+  const SimulationConfig& config = options.config;
   if (options.engine != EngineMode::kSync) {
     // The fleet engines run the full Polystyrene-on-T-Man AsyncNode stack
-    // with its own failure detection; reject sync-only knobs loudly
-    // instead of silently ignoring them.
-    const char* mode = to_string(options.engine);
-    if (!options.polystyrene)
+    // with its own failure detection and protocol parameters; reject
+    // sync-only knobs (polystyrene off, vicinity, fd-*, the sub-protocol
+    // configs) loudly instead of silently ignoring them.
+    SimulationConfig read;
+    read.seed = config.seed;
+    read.poly.replication = config.poly.replication;
+    read.poly.split_kind = config.poly.split_kind;
+    if (config != read)
       throw std::invalid_argument(
-          std::string("engine ") + mode +
-          " runs the full Polystyrene stack; 'polystyrene off' needs "
-          "engine sync");
-    if (options.substrate != Substrate::kTman)
-      throw std::invalid_argument(std::string("engine ") + mode +
-                                  " runs on T-Man; 'substrate vicinity' "
-                                  "needs engine sync");
-    if (options.fd_delay_rounds != 0 ||
-        options.fd_false_positive_rate != 0.0)
-      throw std::invalid_argument(std::string("engine ") + mode +
-                                  " has its own failure detection; fd-* "
-                                  "knobs need engine sync");
+          std::string("engine ") + to_string(options.engine) +
+          " reads only seed, k and split from the config; every other "
+          "SimulationConfig knob needs engine sync");
   }
   switch (options.engine) {
     case EngineMode::kSync:
-      return std::make_unique<SyncRuntime>(shape, options);
+      return std::make_unique<SyncRuntime>(shape, config);
     case EngineMode::kEvents:
-      return std::make_unique<EventsRuntime>(shape, options);
+      return std::make_unique<EventsRuntime>(shape, config);
     case EngineMode::kLive:
       if (shape.size() > kLiveMaxNodes)
         throw std::invalid_argument(
@@ -480,14 +461,9 @@ std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
             std::to_string(shape.size()) +
             " nodes is too many (use engine events, or a shape of <= " +
             std::to_string(kLiveMaxNodes) + " nodes)");
-      return std::make_unique<LiveRuntime>(shape, options);
+      return std::make_unique<LiveRuntime>(shape, config);
   }
   throw std::invalid_argument("unknown engine mode");
-}
-
-std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
-                                      const SimulationConfig& config) {
-  return std::make_unique<SyncRuntime>(shape, config);
 }
 
 }  // namespace poly::scenario

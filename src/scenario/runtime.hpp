@@ -1,19 +1,15 @@
 // One run API over the three execution engines.
 //
-// Before this existed every driver and bench binary had its own copy of the
-// cluster setup dance — one code path building a sync `Simulation`, one an
-// `engine::EventCluster`, one a threaded `net::LiveCluster` — dispatching
-// on raw "sync"/"events"/"live" strings.  `make_cluster` is now the single
-// factory: it takes a target shape plus `ScenarioOptions`, validates the
-// combination (the fleet engines run the full Polystyrene-on-T-Man stack;
-// substrate/fd/baseline knobs are sync-only), and returns a `Runtime` that
-// exposes the common scenario verbs — run a round, crash (half / region /
-// random / explicit ids), inject, morph, measure — uniformly.
+// `make_cluster` is the single factory for every driver: it takes a target
+// shape plus `ScenarioOptions`, validates the combination (the fleet
+// engines run the full Polystyrene-on-T-Man stack; substrate/fd/baseline
+// and the deeper protocol knobs are sync-only), and returns a `Runtime`
+// that exposes the common scenario verbs — run a round, crash (half /
+// region / random / explicit ids), inject, morph, measure — uniformly.
 //
 // The scenario compiler (`scenario/program.hpp`), the `poly_scenario`
-// driver, `polystyrene_sim`, and the three-phase runner all build fleets
-// through this API, so a scenario written once runs under any engine mode
-// it is valid for:
+// driver and the bench binaries all build fleets through this API, so a
+// scenario written once runs under any engine mode it is valid for:
 //
 //   auto rt = make_cluster(shape, {.engine = EngineMode::kEvents});
 //   rt->run_round();
@@ -32,7 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/split.hpp"
 #include "scenario/simulation.hpp"
 #include "shape/shape.hpp"
 
@@ -50,19 +45,14 @@ enum class EngineMode {
 std::optional<EngineMode> engine_mode_from_string(std::string_view s);
 const char* to_string(EngineMode mode) noexcept;
 
-/// The unified cluster setup knobs, shared by every driver.  Substrate,
-/// baseline, and failure-detector knobs apply to sync mode only —
-/// `make_cluster` rejects them under the fleet engines instead of silently
-/// ignoring them.
+/// The unified cluster setup knobs, shared by every driver: the engine and
+/// the full sync-stack configuration.  The fleet engines read only `seed`,
+/// `poly.replication` and `poly.split_kind`; `make_cluster` rejects any
+/// other field away from its default under them instead of silently
+/// ignoring it.
 struct ScenarioOptions {
   EngineMode engine = EngineMode::kSync;
-  std::uint64_t seed = 1;
-  std::size_t replication = 4;
-  core::SplitKind split = core::SplitKind::kAdvanced;
-  bool polystyrene = true;                       // sync only when false
-  Substrate substrate = Substrate::kTman;        // sync only when vicinity
-  std::uint64_t fd_delay_rounds = 0;             // sync only when nonzero
-  double fd_false_positive_rate = 0.0;           // sync only when nonzero
+  SimulationConfig config;
 };
 
 /// Metrics measured after a completed round.  Fields an engine mode cannot
@@ -214,12 +204,5 @@ class Runtime {
 /// shape must outlive the runtime.
 std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
                                       const ScenarioOptions& options);
-
-/// Sync-mode factory for callers that tune the deeper SimulationConfig
-/// knobs (sub-protocol configs, ablation parameters) the flat
-/// ScenarioOptions does not expose — the experiment harness and ablation
-/// benches build through this.
-std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
-                                      const SimulationConfig& config);
 
 }  // namespace poly::scenario

@@ -57,6 +57,8 @@ struct SimulationConfig {
   /// false-positive rate (ablations).
   std::uint64_t fd_delay_rounds = 0;
   double fd_false_positive_rate = 0.0;
+
+  bool operator==(const SimulationConfig&) const = default;
 };
 
 /// One fully wired simulated deployment.

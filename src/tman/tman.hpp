@@ -52,6 +52,8 @@ struct TmanConfig {
   /// Disabling it leaves views gossip-fresh only (ablation: stale views
   /// slow down post-failure re-convergence dramatically).
   bool refresh_positions = true;
+
+  bool operator==(const TmanConfig&) const = default;
 };
 
 /// The T-Man protocol over all nodes of a simulated network.

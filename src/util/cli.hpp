@@ -1,11 +1,11 @@
 // util::cli — the one typed command-line parser every binary shares.
 //
-// Before this existed, `bench/common.hpp`, `tools/polystyrene_sim.cpp` and
-// each one-off driver hand-rolled the same strcmp/strtoull loop, each with
+// Before this existed, `bench/common.hpp` and each one-off driver
+// hand-rolled the same strcmp/strtoull loop, each with
 // its own quirks (silently ignored unknown flags, junk accepted after
 // numbers).  This parser is deliberately tiny but strict:
 //
-//   * typed flags (`--seed N`, `--drift D`, `--csv DIR`, presence bools)
+//   * typed flags (`--seed N`, `--csv DIR`, presence bools like `--smoke`)
 //     with full-string numeric validation — "--reps 5x" is an error, not 5;
 //   * unknown flags are errors (the old bench parser ignored them, so a
 //     typo like `--max-node` silently ran the default workload);

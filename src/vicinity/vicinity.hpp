@@ -47,6 +47,8 @@ struct VicinityConfig {
   std::size_t gossip_size = 20; ///< descriptors per message
   std::size_t init_view = 10;   ///< bootstrap: random RPS peers
   std::size_t rps_mix = 5;      ///< peer-sampling entries mixed per buffer
+
+  bool operator==(const VicinityConfig&) const = default;
 };
 
 /// An aged, positioned view entry.

@@ -1,8 +1,6 @@
-// Tests for the discrete-event kernel and the sync-driver port: event
-// ordering and cancellation, per-node RNG streams, the engine transport's
-// delivery semantics, and the headline parity property — for a fixed seed,
-// the lock-step scenario driver and its degenerate event-engine schedule
-// produce bit-identical homogeneity / proximity metrics.
+// Tests for the discrete-event kernel: event ordering and cancellation,
+// per-node RNG streams, the engine transport's delivery semantics, and
+// fixed-seed replay of an event-engine fleet.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,9 +10,6 @@
 #include "engine/engine_transport.hpp"
 #include "engine/event_cluster.hpp"
 #include "engine/event_engine.hpp"
-#include "engine/sync_driver.hpp"
-#include "scenario/simulation.hpp"
-#include "shape/grid_torus.hpp"
 #include "shape/ring_shape.hpp"
 
 namespace {
@@ -25,7 +20,6 @@ using poly::engine::EventCluster;
 using poly::engine::EventClusterConfig;
 using poly::engine::EventEngine;
 using poly::engine::SimTime;
-using poly::engine::SyncDriver;
 using poly::engine::UniformLatency;
 using poly::engine::ZeroLatency;
 
@@ -278,90 +272,6 @@ TEST(EngineTransport, DropModelLosesFramesSilently) {
   EXPECT_EQ(hub.frames_dropped() + hub.frames_delivered(), 200u);
   EXPECT_GT(hub.frames_dropped(), 50u);
   EXPECT_GT(delivered, 50);
-}
-
-// ---- sync-driver parity -----------------------------------------------------
-
-/// Runs the paper's three phases on a Simulation, with rounds executed
-/// either directly or through a SyncDriver on an event engine.
-struct Metrics {
-  double homogeneity;
-  double proximity;
-  double reliability;
-  double points_per_node;
-};
-
-template <typename RunRounds>
-Metrics run_scenario(poly::scenario::Simulation& sim, RunRounds&& rounds) {
-  rounds(10);
-  sim.crash_failure_half();
-  rounds(10);
-  sim.reinject(sim.network().num_total() - sim.network().num_alive());
-  rounds(10);
-  return Metrics{sim.homogeneity(), sim.proximity(), sim.reliability(),
-                 sim.avg_points_per_node()};
-}
-
-TEST(SyncDriverParity, IdenticalMetricsForSameSeed) {
-  poly::shape::GridTorusShape shape(16, 8);
-  poly::scenario::SimulationConfig config;
-  config.seed = 5;
-
-  poly::scenario::Simulation direct(shape, config);
-  const Metrics a = run_scenario(direct,
-                                 [&](std::size_t n) { direct.run_rounds(n); });
-
-  poly::scenario::Simulation engined(shape, config);
-  EventEngine engine(5);
-  SyncDriver driver(engined, engine);
-  const Metrics b = run_scenario(
-      engined, [&](std::size_t n) { driver.run_rounds(n); });
-
-  // Bit-identical, not approximately equal: the engine schedule replays the
-  // exact same call sequence.
-  EXPECT_EQ(a.homogeneity, b.homogeneity);
-  EXPECT_EQ(a.proximity, b.proximity);
-  EXPECT_EQ(a.reliability, b.reliability);
-  EXPECT_EQ(a.points_per_node, b.points_per_node);
-  EXPECT_EQ(driver.rounds_run(), 30u);
-}
-
-TEST(SyncDriverParity, ZeroPeriodDegenerateScheduleStillMatches) {
-  poly::shape::GridTorusShape shape(10, 10);
-  poly::scenario::SimulationConfig config;
-  config.seed = 11;
-
-  poly::scenario::Simulation direct(shape, config);
-  direct.run_rounds(15);
-
-  poly::scenario::Simulation engined(shape, config);
-  EventEngine engine(11);
-  SyncDriver driver(engined, engine, SimTime::zero());
-  driver.run_rounds(15);
-
-  EXPECT_EQ(engine.now(), SimTime::zero());  // all rounds at one timestamp
-  EXPECT_EQ(direct.homogeneity(), engined.homogeneity());
-  EXPECT_EQ(direct.proximity(), engined.proximity());
-}
-
-TEST(SyncDriverParity, BareSubstrateBaselineAlsoMatches) {
-  poly::shape::GridTorusShape shape(10, 10);
-  poly::scenario::SimulationConfig config;
-  config.seed = 23;
-  config.polystyrene = false;
-
-  poly::scenario::Simulation direct(shape, config);
-  const Metrics a = run_scenario(direct,
-                                 [&](std::size_t n) { direct.run_rounds(n); });
-
-  poly::scenario::Simulation engined(shape, config);
-  EventEngine engine(23);
-  SyncDriver driver(engined, engine);
-  const Metrics b = run_scenario(
-      engined, [&](std::size_t n) { driver.run_rounds(n); });
-
-  EXPECT_EQ(a.homogeneity, b.homogeneity);
-  EXPECT_EQ(a.proximity, b.proximity);
 }
 
 // ---- event-cluster determinism ----------------------------------------------

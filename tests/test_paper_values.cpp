@@ -1,7 +1,7 @@
 // Acceptance tests against the paper's reported numbers, at the paper's
 // full scale (3,200 nodes, 80×40 torus).  These are the slowest tests in
 // the suite (a few seconds each) and pin down the quantitative fidelity
-// that EXPERIMENTS.md documents:
+// of the reproduction:
 //
 //   * T-Man's post-catastrophe homogeneity plateau: 5.25 (closed form);
 //   * T-Man's post-re-injection plateau: ≈ 0.354;
@@ -15,8 +15,8 @@
 #include <cmath>
 
 #include "core/polystyrene.hpp"
+#include "scenario/program.hpp"
 #include "scenario/simulation.hpp"
-#include "scenario/three_phase.hpp"
 #include "shape/grid_torus.hpp"
 
 namespace {
@@ -25,6 +25,17 @@ using poly::core::PolystyreneLayer;
 using poly::scenario::Simulation;
 using poly::scenario::SimulationConfig;
 using poly::shape::GridTorusShape;
+
+/// Table II's timeline with a 20-round repair window: converge 20 rounds,
+/// crash the failure half, repair; one repetition at `seed` with K = `k`.
+poly::scenario::ProgramRun run_crash_repair(std::uint64_t seed,
+                                            std::size_t k) {
+  auto p = poly::scenario::parse_program(
+      "shape grid:80x40\nrun 20\ncrash half\nrun 20\n");
+  p.options.config.seed = seed;
+  p.options.config.poly.replication = k;
+  return poly::scenario::run_program(p).first();
+}
 
 class PaperScale : public ::testing::Test {
  protected:
@@ -70,21 +81,12 @@ class PaperScaleK : public ::testing::TestWithParam<KCase> {};
 
 TEST_P(PaperScaleK, ReshapesWithinTenRoundsAndReliabilityTracksAnalytic) {
   const auto [k, max_reshaping] = GetParam();
-  GridTorusShape shape(80, 40);
-  SimulationConfig config;
-  config.seed = 7;
-  config.poly.replication = k;
-
-  poly::scenario::ThreePhaseSpec phases;
-  phases.failure_rounds = 20;
-  phases.reinjection_rounds = 0;
-  const auto result =
-      poly::scenario::run_three_phase(shape, config, phases);
+  const auto result = run_crash_repair(7, k);
 
   // Fig. 6a: below H within 10 rounds for every K.
   ASSERT_FALSE(std::isnan(result.reshaping_rounds));
   EXPECT_LE(result.reshaping_rounds, max_reshaping);
-  EXPECT_NEAR(result.reference_h_after_failure, std::sqrt(2.0) / 2.0, 1e-9);
+  EXPECT_NEAR(result.reference_h_after_crash, std::sqrt(2.0) / 2.0, 1e-9);
 
   // Table II: reliability within 1.5 % of 1 − 0.5^(K+1).
   EXPECT_NEAR(result.reliability, PolystyreneLayer::analytic_survival(k, 0.5),
@@ -103,14 +105,7 @@ TEST_F(PaperScale, ReshapingOrderingGrowsWithK) {
   // slower reshaping (5.00 / 6.96 / 9.08 in the paper).
   double previous = 0.0;
   for (std::size_t k : {2ul, 4ul, 8ul}) {
-    SimulationConfig config;
-    config.seed = 11;
-    config.poly.replication = k;
-    poly::scenario::ThreePhaseSpec phases;
-    phases.failure_rounds = 20;
-    phases.reinjection_rounds = 0;
-    const auto result =
-        poly::scenario::run_three_phase(shape_, config, phases);
+    const auto result = run_crash_repair(11, k);
     ASSERT_FALSE(std::isnan(result.reshaping_rounds)) << "K=" << k;
     EXPECT_GE(result.reshaping_rounds, previous) << "K=" << k;
     previous = result.reshaping_rounds;

@@ -1,40 +1,26 @@
-// Integration tests for the scenario layer — the Simulation façade, the
-// three-phase runner, the repetition framework (incl. thread-count
-// invariance), and snapshots.  These are the end-to-end checks that the
-// wired stack reproduces the paper's qualitative results at test scale.
+// Integration tests for the scenario layer — the Simulation façade and
+// snapshots.  These are the end-to-end checks that the wired stack
+// reproduces the paper's qualitative results at test scale; the program
+// runner (timelines, repetitions, reshaping time) is tested in
+// test_scenario_program.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 
-#include "scenario/experiment.hpp"
 #include "scenario/simulation.hpp"
 #include "scenario/snapshot.hpp"
-#include "scenario/three_phase.hpp"
 #include "shape/grid_torus.hpp"
 #include "shape/ring_shape.hpp"
 
 namespace {
 
-using poly::scenario::ExperimentSpec;
-using poly::scenario::RunResult;
 using poly::scenario::Simulation;
 using poly::scenario::SimulationConfig;
-using poly::scenario::ThreePhaseSpec;
 using poly::shape::GridTorusShape;
 using poly::shape::RingShape;
 using poly::sim::NodeId;
 using poly::space::Point;
-
-/// Small, fast scenario used across these tests.
-ThreePhaseSpec small_phases() {
-  ThreePhaseSpec spec;
-  spec.converge_rounds = 10;
-  spec.failure_rounds = 20;
-  spec.reinjection_rounds = 20;
-  return spec;
-}
 
 // ---- Simulation façade ------------------------------------------------------
 
@@ -121,143 +107,6 @@ TEST(Simulation, MessageCostTracksChannels) {
   sim.run_rounds(3);
   // Paper-accounted cost excludes RPS but is positive once T-Man runs.
   EXPECT_GT(sim.message_cost_per_node(1), 0.0);
-}
-
-// ---- Three-phase runner -------------------------------------------------------
-
-TEST(ThreePhase, RecordsEveryRound) {
-  GridTorusShape shape(10, 10);
-  const RunResult r =
-      poly::scenario::run_three_phase(shape, {}, small_phases());
-  EXPECT_EQ(r.rounds.size(), 50u);  // 10 + 20 + 20
-  EXPECT_EQ(r.crashed, 50u);
-  EXPECT_EQ(r.reinjected, 50u);
-  for (std::size_t i = 0; i < r.rounds.size(); ++i)
-    EXPECT_EQ(r.rounds[i].round, i);
-}
-
-TEST(ThreePhase, ComputesReshapingTime) {
-  GridTorusShape shape(16, 8);
-  SimulationConfig config;
-  config.seed = 11;
-  const RunResult r =
-      poly::scenario::run_three_phase(shape, config, small_phases());
-  ASSERT_FALSE(std::isnan(r.reshaping_rounds));
-  EXPECT_GE(r.reshaping_rounds, 1.0);
-  EXPECT_LE(r.reshaping_rounds, 20.0);
-  // The round it points at is indeed below the reference.
-  const auto idx = static_cast<std::size_t>(10 + r.reshaping_rounds - 1);
-  EXPECT_LT(r.rounds[idx].homogeneity, r.reference_h_after_failure);
-}
-
-TEST(ThreePhase, TmanNeverReshapes) {
-  GridTorusShape shape(16, 8);
-  SimulationConfig config;
-  config.polystyrene = false;
-  const RunResult r =
-      poly::scenario::run_three_phase(shape, config, small_phases());
-  EXPECT_TRUE(std::isnan(r.reshaping_rounds));
-}
-
-TEST(ThreePhase, NoFailurePhaseMeansNoCrash) {
-  GridTorusShape shape(8, 8);
-  ThreePhaseSpec spec;
-  spec.converge_rounds = 5;
-  spec.failure_rounds = 0;
-  const RunResult r = poly::scenario::run_three_phase(shape, {}, spec);
-  EXPECT_EQ(r.rounds.size(), 5u);
-  EXPECT_EQ(r.crashed, 0u);
-  EXPECT_DOUBLE_EQ(r.reliability, 1.0);
-}
-
-TEST(ThreePhase, ExplicitReinjectCount) {
-  GridTorusShape shape(8, 8);
-  ThreePhaseSpec spec = small_phases();
-  spec.reinject_count = 10;
-  const RunResult r = poly::scenario::run_three_phase(shape, {}, spec);
-  EXPECT_EQ(r.reinjected, 10u);
-}
-
-TEST(ThreePhase, SnapshotHookSeesEveryRound) {
-  GridTorusShape shape(6, 6);
-  ThreePhaseSpec spec;
-  spec.converge_rounds = 4;
-  spec.failure_rounds = 3;
-  spec.reinjection_rounds = 0;
-  std::vector<std::size_t> seen;
-  poly::scenario::run_three_phase(
-      shape, {}, spec,
-      [&](const Simulation&, std::size_t round) { seen.push_back(round); });
-  EXPECT_EQ(seen.size(), 7u);
-  EXPECT_EQ(seen.front(), 0u);
-  EXPECT_EQ(seen.back(), 6u);
-}
-
-TEST(ThreePhase, DeterministicGivenSeed) {
-  GridTorusShape shape(10, 10);
-  SimulationConfig config;
-  config.seed = 77;
-  const RunResult a =
-      poly::scenario::run_three_phase(shape, config, small_phases());
-  const RunResult b =
-      poly::scenario::run_three_phase(shape, config, small_phases());
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.rounds[i].homogeneity, b.rounds[i].homogeneity);
-    EXPECT_DOUBLE_EQ(a.rounds[i].proximity, b.rounds[i].proximity);
-    EXPECT_DOUBLE_EQ(a.rounds[i].msg_paper, b.rounds[i].msg_paper);
-  }
-  EXPECT_DOUBLE_EQ(a.reshaping_rounds, b.reshaping_rounds);
-  EXPECT_DOUBLE_EQ(a.reliability, b.reliability);
-}
-
-// ---- Experiment framework ------------------------------------------------------
-
-TEST(Experiment, AggregatesAcrossReps) {
-  GridTorusShape shape(10, 10);
-  ExperimentSpec spec;
-  spec.phases = small_phases();
-  spec.repetitions = 4;
-  const auto result = poly::scenario::run_experiment(shape, spec);
-  EXPECT_EQ(result.reshaping_rounds.size(), 4u);
-  EXPECT_EQ(result.reliability.size(), 4u);
-  EXPECT_EQ(result.homogeneity.rounds(), 50u);
-  EXPECT_EQ(result.reliability_ci().n, 4u);
-}
-
-TEST(Experiment, ThreadCountDoesNotChangeResults) {
-  GridTorusShape shape(10, 10);
-  ExperimentSpec spec;
-  spec.phases = small_phases();
-  spec.phases.reinjection_rounds = 0;
-  spec.repetitions = 4;
-
-  spec.threads = 1;
-  const auto serial = poly::scenario::run_experiment(shape, spec);
-  spec.threads = 4;
-  const auto parallel = poly::scenario::run_experiment(shape, spec);
-
-  ASSERT_EQ(serial.reshaping_rounds.size(), parallel.reshaping_rounds.size());
-  for (std::size_t i = 0; i < serial.reshaping_rounds.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.reshaping_rounds[i],
-                     parallel.reshaping_rounds[i]);
-    EXPECT_DOUBLE_EQ(serial.reliability[i], parallel.reliability[i]);
-  }
-  for (std::size_t round = 0; round < serial.homogeneity.rounds(); ++round)
-    EXPECT_DOUBLE_EQ(serial.homogeneity.row(round).mean,
-                     parallel.homogeneity.row(round).mean);
-}
-
-TEST(Experiment, NeverReshapedCounted) {
-  GridTorusShape shape(10, 10);
-  ExperimentSpec spec;
-  spec.config.polystyrene = false;  // T-Man never reshapes
-  spec.phases = small_phases();
-  spec.phases.reinjection_rounds = 0;
-  spec.repetitions = 3;
-  const auto result = poly::scenario::run_experiment(shape, spec);
-  EXPECT_EQ(result.never_reshaped(), 3u);
-  EXPECT_EQ(result.reshaping_ci().n, 0u);
 }
 
 // ---- Snapshots -------------------------------------------------------------------

@@ -1,10 +1,12 @@
 // Tests for the scenario compiler (scenario/program.hpp): parsing and the
 // canonical serializer round-trip, file:line diagnostics on malformed
 // input, per-engine validation, and small end-to-end runs checking the
-// determinism contract and the crash/grow accounting.
+// determinism contract, the crash/grow accounting, repetitions, the
+// reshaping-time window, and a bit-for-bit pin of the paper's timeline.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/program.hpp"
@@ -13,10 +15,13 @@ namespace {
 
 using poly::scenario::EngineMode;
 using poly::scenario::ProgramError;
+using poly::scenario::RoundMetrics;
+using poly::scenario::ScenarioOptions;
 using poly::scenario::ScenarioProgram;
 using poly::scenario::Stage;
 using poly::scenario::Substrate;
 using poly::scenario::TrafficMix;
+using poly::scenario::make_cluster;
 using poly::scenario::parse_program;
 using poly::scenario::run_program;
 using poly::scenario::serialize;
@@ -60,9 +65,9 @@ TEST(ProgramParse, HeaderAndTimeline) {
   EXPECT_EQ(p.name, "demo");
   EXPECT_EQ(p.shape_spec, "grid:8x8");
   EXPECT_EQ(p.options.engine, EngineMode::kEvents);
-  EXPECT_EQ(p.options.seed, 7u);
+  EXPECT_EQ(p.options.config.seed, 7u);
   EXPECT_EQ(p.reps, 3u);
-  EXPECT_EQ(p.options.replication, 2u);
+  EXPECT_EQ(p.options.config.poly.replication, 2u);
 
   ASSERT_EQ(p.timeline.size(), 5u);
   EXPECT_EQ(p.timeline[0].kind, Stage::Kind::kRun);
@@ -119,13 +124,7 @@ TEST(ProgramParse, SerializeRoundTrips) {
   EXPECT_EQ(serialize(p2), canon);
   EXPECT_EQ(p2.name, p.name);
   EXPECT_EQ(p2.shape_spec, p.shape_spec);
-  EXPECT_EQ(p2.options.seed, p.options.seed);
-  EXPECT_EQ(p2.options.replication, p.options.replication);
-  EXPECT_EQ(p2.options.split, p.options.split);
-  EXPECT_EQ(p2.options.substrate, p.options.substrate);
-  EXPECT_EQ(p2.options.fd_delay_rounds, p.options.fd_delay_rounds);
-  EXPECT_DOUBLE_EQ(p2.options.fd_false_positive_rate,
-                   p.options.fd_false_positive_rate);
+  EXPECT_TRUE(p2.options.config == p.options.config);
   ASSERT_EQ(p2.timeline.size(), p.timeline.size());
   for (std::size_t i = 0; i < p.timeline.size(); ++i) {
     EXPECT_EQ(p2.timeline[i].kind, p.timeline[i].kind) << "stage " << i;
@@ -245,14 +244,16 @@ TEST(ProgramRun, CrashAndGrowAccounting) {
       "crash half\n"
       "run 5\n"
       "grow crashed\n"
-      "run 5\n");
+      "run 5\n"
+      "grow 10\n"
+      "run 1\n");
   const auto r = run_program(p);
-  EXPECT_EQ(r.first.crashed, 32u);
-  EXPECT_EQ(r.first.injected, 32u);
-  EXPECT_EQ(r.first.rounds_total, 15u);
-  ASSERT_FALSE(r.first.rounds.empty());
-  EXPECT_EQ(r.first.rounds.back().alive, 64u);
-  EXPECT_FALSE(std::isnan(r.first.reference_h_after_crash));
+  EXPECT_EQ(r.first().crashed, 32u);
+  EXPECT_EQ(r.first().injected, 42u);
+  EXPECT_EQ(r.first().rounds_total, 16u);
+  ASSERT_FALSE(r.first().rounds.empty());
+  EXPECT_EQ(r.first().rounds.back().alive, 74u);
+  EXPECT_FALSE(std::isnan(r.first().reference_h_after_crash));
   const auto rel = r.reliability_ci();
   EXPECT_GE(rel.mean, 0.0);
   EXPECT_LE(rel.mean, 1.0);
@@ -263,9 +264,9 @@ TEST(ProgramRun, MeasureCadenceThinsTheSeries) {
       "shape grid:6x6\nmeasure every 5\nrun 20\n");
   const auto r = run_program(every);
   // Rounds 4, 9, 14, 19 at cadence 5.
-  ASSERT_EQ(r.first.rounds.size(), 4u);
-  EXPECT_EQ(r.first.rounds.front().round, 4u);
-  EXPECT_EQ(r.first.rounds.back().round, 19u);
+  ASSERT_EQ(r.first().rounds.size(), 4u);
+  EXPECT_EQ(r.first().rounds.front().round, 4u);
+  EXPECT_EQ(r.first().rounds.back().round, 19u);
 }
 
 TEST(ProgramRun, SnapshotProducesMapAndPositions) {
@@ -273,7 +274,7 @@ TEST(ProgramRun, SnapshotProducesMapAndPositions) {
       "shape grid:6x6\nrun 3\nsnapshot mid run\nrun 2\n");
   const auto r = run_program(p);
   bool saw = false;
-  for (const auto& e : r.first.events) {
+  for (const auto& e : r.first().events) {
     if (!e.is_snapshot) continue;
     saw = true;
     EXPECT_EQ(e.text, "mid run");
@@ -287,28 +288,28 @@ TEST(ProgramRun, SnapshotProducesMapAndPositions) {
 TEST(ProgramRun, SameSeedSameTrajectorySync) {
   const auto p = parse_program(
       "shape grid:8x8\nseed 11\nrun 5\ncrash frac 0.25\nrun 10\n");
-  const auto a = run_program(p);
-  const auto b = run_program(p);
-  ASSERT_EQ(a.first.rounds.size(), b.first.rounds.size());
-  for (std::size_t i = 0; i < a.first.rounds.size(); ++i) {
-    EXPECT_EQ(a.first.rounds[i].homogeneity, b.first.rounds[i].homogeneity);
-    EXPECT_EQ(a.first.rounds[i].proximity, b.first.rounds[i].proximity);
-    EXPECT_EQ(a.first.rounds[i].alive, b.first.rounds[i].alive);
+  const auto a = run_program(p).first();
+  const auto b = run_program(p).first();
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    EXPECT_EQ(a.rounds[i].homogeneity, b.rounds[i].homogeneity);
+    EXPECT_EQ(a.rounds[i].proximity, b.rounds[i].proximity);
+    EXPECT_EQ(a.rounds[i].alive, b.rounds[i].alive);
   }
-  EXPECT_EQ(a.first.crashed, b.first.crashed);
+  EXPECT_EQ(a.crashed, b.crashed);
 }
 
 TEST(ProgramRun, SameSeedSameTrajectoryEvents) {
   const auto p = parse_program(
       "shape grid:6x6\nengine events\nseed 3\nrun 4\ncrash frac 0.2\n"
       "run 6\n");
-  const auto a = run_program(p);
-  const auto b = run_program(p);
-  ASSERT_EQ(a.first.rounds.size(), b.first.rounds.size());
-  for (std::size_t i = 0; i < a.first.rounds.size(); ++i) {
-    EXPECT_EQ(a.first.rounds[i].homogeneity, b.first.rounds[i].homogeneity);
-    EXPECT_EQ(a.first.rounds[i].alive, b.first.rounds[i].alive);
-    EXPECT_EQ(a.first.rounds[i].frames, b.first.rounds[i].frames);
+  const auto a = run_program(p).first();
+  const auto b = run_program(p).first();
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    EXPECT_EQ(a.rounds[i].homogeneity, b.rounds[i].homogeneity);
+    EXPECT_EQ(a.rounds[i].alive, b.rounds[i].alive);
+    EXPECT_EQ(a.rounds[i].frames, b.rounds[i].frames);
   }
 }
 
@@ -316,10 +317,115 @@ TEST(ProgramRun, RepsAggregateIndependentSeeds) {
   const auto p = parse_program(
       "shape grid:6x6\nreps 3\nrun 5\ncrash half\nrun 10\n");
   const auto r = run_program(p);
-  EXPECT_EQ(r.reliability.size(), 3u);
-  EXPECT_EQ(r.reshaping_rounds.size(), 3u);
-  ASSERT_GT(r.homogeneity.rounds(), 0u);
-  EXPECT_EQ(r.homogeneity.row(0).n, 3u);
+  EXPECT_EQ(r.runs.size(), 3u);
+  EXPECT_EQ(r.reliability_ci().n, 3u);
+  const auto homogeneity = r.series(&RoundMetrics::homogeneity);
+  ASSERT_EQ(homogeneity.rounds(), 15u);
+  EXPECT_EQ(homogeneity.row(0).n, 3u);
+}
+
+TEST(ProgramRun, RepsEqualSingleRunsAtConsecutiveSeeds) {
+  // Repetition i is run_program_once at seed base+i, whatever the worker
+  // pool's schedule.
+  const auto p = parse_program(
+      "shape grid:10x10\nseed 5\nreps 4\nrun 10\ncrash half\nrun 20\n");
+  const auto r = run_program(p);
+  ASSERT_EQ(r.runs.size(), 4u);
+  const auto shape = poly::shape::make_shape(p.shape_spec);
+  for (std::size_t i = 0; i < 4; ++i) {
+    auto options = p.options;
+    options.config.seed = 5 + i;
+    const auto once = poly::scenario::run_program_once(*shape, p, options);
+    const auto& rep = r.runs[i];
+    ASSERT_EQ(rep.rounds.size(), once.rounds.size()) << "rep " << i;
+    for (std::size_t j = 0; j < once.rounds.size(); ++j) {
+      EXPECT_EQ(rep.rounds[j].homogeneity, once.rounds[j].homogeneity);
+      EXPECT_EQ(rep.rounds[j].proximity, once.rounds[j].proximity);
+      EXPECT_EQ(rep.rounds[j].msg_paper, once.rounds[j].msg_paper);
+    }
+    EXPECT_EQ(std::isnan(rep.reshaping_rounds),
+              std::isnan(once.reshaping_rounds));
+    if (!std::isnan(once.reshaping_rounds)) {
+      EXPECT_EQ(rep.reshaping_rounds, once.reshaping_rounds);
+    }
+    EXPECT_EQ(rep.reliability, once.reliability) << "rep " << i;
+  }
+}
+
+TEST(ProgramRun, ReshapingTimeNamesTheFirstRoundBelowH) {
+  const auto p = parse_program(
+      "shape grid:16x8\nseed 11\nrun 10\ncrash half\nrun 20\n");
+  const auto r = run_program(p).first();
+  ASSERT_FALSE(std::isnan(r.reshaping_rounds));
+  EXPECT_GE(r.reshaping_rounds, 1.0);
+  EXPECT_LE(r.reshaping_rounds, 20.0);
+  // The crash round counts as round 1 of the repair: round id 10 + t - 1
+  // is the first measured below the post-crash reference H.
+  const auto named = static_cast<std::size_t>(10 + r.reshaping_rounds - 1);
+  EXPECT_LT(r.rounds[named].homogeneity, r.reference_h_after_crash);
+  for (std::size_t i = 10; i < named; ++i)
+    EXPECT_GE(r.rounds[i].homogeneity, r.reference_h_after_crash);
+}
+
+TEST(ProgramRun, NoCrashMeansFullReliabilityAndNoReshaping) {
+  const auto p = parse_program("shape grid:8x8\nrun 5\n");
+  const auto r = run_program(p).first();
+  EXPECT_EQ(r.rounds.size(), 5u);
+  EXPECT_EQ(r.crashed, 0u);
+  EXPECT_DOUBLE_EQ(r.reliability, 1.0);
+  EXPECT_TRUE(std::isnan(r.reshaping_rounds));
+  EXPECT_TRUE(std::isnan(r.reference_h_after_crash));
+}
+
+TEST(ProgramRun, ReinjectionClosesTheReshapingWindow) {
+  // Bare T-Man never repairs the crashed half (paper Fig. 6a); the fresh
+  // nodes of `grow crashed` pull homogeneity under the survivors' H, which
+  // must not count as reshaping.
+  const auto r = run_program(parse_program(
+      "shape grid:16x8\nreps 2\npolystyrene off\nrun 10\ncrash half\n"
+      "run 20\ngrow crashed\nrun 20\n"));
+  EXPECT_EQ(r.never_reshaped(), 2u);
+  EXPECT_EQ(r.reshaping_ci().n, 0u);
+}
+
+TEST(ProgramRun, ThreePhaseTimelineIsPinnedBitForBit) {
+  // The paper's converge / crash / repair / re-inject timeline at test
+  // scale.  The constants were captured from the three-phase harness this
+  // runner replaced (run_three_phase, run_experiment) before it was
+  // deleted: they prove the port changed no simulated number.
+  const auto r = run_program(parse_program(
+      "shape grid:16x8\nseed 11\nreps 2\nrun 10\ncrash half\nrun 20\n"
+      "grow crashed\nrun 20\n"));
+  ASSERT_EQ(r.runs.size(), 2u);
+  struct Pin {
+    double homogeneity, proximity, msg_paper, reshaping, reliability;
+  };
+  const Pin pins[] = {
+      {0.0546875, 0.98980809752054832, 125.984375, 4, 0.9765625},
+      {0.061159586912079608, 0.9833087785330229, 125.90625, 4, 0.953125},
+  };
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& run = r.runs[i];
+    ASSERT_EQ(run.rounds.size(), 50u);
+    const auto& last = run.rounds.back();
+    EXPECT_EQ(last.homogeneity, pins[i].homogeneity) << "rep " << i;
+    EXPECT_EQ(last.proximity, pins[i].proximity) << "rep " << i;
+    EXPECT_EQ(last.msg_paper, pins[i].msg_paper) << "rep " << i;
+    EXPECT_EQ(run.reshaping_rounds, pins[i].reshaping) << "rep " << i;
+    EXPECT_EQ(run.reliability, pins[i].reliability) << "rep " << i;
+  }
+}
+
+TEST(ProgramRun, FleetEnginesRejectSyncOnlyConfig) {
+  const auto shape = poly::shape::make_shape("grid:8x8");
+  ScenarioOptions options;
+  options.engine = EngineMode::kEvents;
+  options.config.seed = 3;
+  options.config.poly.replication = 2;
+  options.config.poly.split_kind = poly::core::SplitKind::kBasic;
+  EXPECT_NO_THROW(make_cluster(*shape, options));  // the knobs it reads
+  options.config.tman.msg_size = 5;
+  EXPECT_THROW(make_cluster(*shape, options), std::invalid_argument);
 }
 
 TEST(ProgramRun, InvalidForEngineThrowsBeforeRunning) {
@@ -472,24 +578,24 @@ TEST(FaultProgram, ChaosScenarioRunsDeterministically) {
       "partition zone 0 0 3 6 heal 4\ncorrupt 0.2 heal 6\n"
       "stall frac 0.25 2\nrun 8\ncrash frac 0.2\nrun 2\nrecover all\n"
       "run 6\n");
-  const auto a = run_program(p);
-  const auto b = run_program(p);
-  ASSERT_EQ(a.first.rounds.size(), b.first.rounds.size());
-  for (std::size_t i = 0; i < a.first.rounds.size(); ++i) {
-    EXPECT_EQ(a.first.rounds[i].homogeneity, b.first.rounds[i].homogeneity);
-    EXPECT_EQ(a.first.rounds[i].frames, b.first.rounds[i].frames);
-    EXPECT_EQ(a.first.rounds[i].frames_blackholed,
-              b.first.rounds[i].frames_blackholed);
-    EXPECT_EQ(a.first.rounds[i].frames_corrupted,
-              b.first.rounds[i].frames_corrupted);
-    EXPECT_EQ(a.first.rounds[i].frames_rejected,
-              b.first.rounds[i].frames_rejected);
-    EXPECT_EQ(a.first.rounds[i].stall_rounds, b.first.rounds[i].stall_rounds);
+  const auto a = run_program(p).first();
+  const auto b = run_program(p).first();
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    EXPECT_EQ(a.rounds[i].homogeneity, b.rounds[i].homogeneity);
+    EXPECT_EQ(a.rounds[i].frames, b.rounds[i].frames);
+    EXPECT_EQ(a.rounds[i].frames_blackholed,
+              b.rounds[i].frames_blackholed);
+    EXPECT_EQ(a.rounds[i].frames_corrupted,
+              b.rounds[i].frames_corrupted);
+    EXPECT_EQ(a.rounds[i].frames_rejected,
+              b.rounds[i].frames_rejected);
+    EXPECT_EQ(a.rounds[i].stall_rounds, b.rounds[i].stall_rounds);
   }
-  EXPECT_EQ(a.first.recovered, b.first.recovered);
-  EXPECT_GT(a.first.rounds.back().frames_blackholed, 0u);
-  EXPECT_GT(a.first.rounds.back().stall_rounds, 0u);
-  EXPECT_EQ(a.first.recovered, a.first.crashed);
+  EXPECT_EQ(a.recovered, b.recovered);
+  EXPECT_GT(a.rounds.back().frames_blackholed, 0u);
+  EXPECT_GT(a.rounds.back().stall_rounds, 0u);
+  EXPECT_EQ(a.recovered, a.crashed);
 }
 
 // ---- traffic verbs ----------------------------------------------------------
@@ -575,8 +681,8 @@ TEST(TrafficProgram, EndToEndServesAndDrains) {
       "expect success_rate >= 0.8 @ end\n"
       "expect mean_hops < 16 @ end\n");
   const auto r = run_program(p);
-  ASSERT_FALSE(r.first.rounds.empty());
-  const auto& last = r.first.rounds.back();
+  ASSERT_FALSE(r.first().rounds.empty());
+  const auto& last = r.first().rounds.back();
   EXPECT_GT(last.requests, 500u);
   EXPECT_EQ(last.requests_inflight, 0u);
   EXPECT_GE(last.success_rate, 0.8);
@@ -589,24 +695,24 @@ TEST(TrafficProgram, SameSeedSameTraffic) {
   const auto p = parse_program(
       "shape grid:8x8\nengine events\nseed 9\nrun 5\n"
       "traffic 40 mixed\nrun 15\ncrash frac 0.25\nrun 10\ndrain\n");
-  const auto a = run_program(p);
-  const auto b = run_program(p);
+  const auto a = run_program(p).first();
+  const auto b = run_program(p).first();
   // Rounds measured before the traffic verb report NaN latency metrics;
   // bit-equality (NaN matches NaN) is the determinism contract.
   const auto same = [](double x, double y) {
     return (std::isnan(x) && std::isnan(y)) || x == y;
   };
-  ASSERT_EQ(a.first.rounds.size(), b.first.rounds.size());
-  for (std::size_t i = 0; i < a.first.rounds.size(); ++i) {
-    EXPECT_EQ(a.first.rounds[i].requests, b.first.rounds[i].requests);
-    EXPECT_EQ(a.first.rounds[i].requests_failed,
-              b.first.rounds[i].requests_failed);
-    EXPECT_PRED2(same, a.first.rounds[i].success_rate,
-                 b.first.rounds[i].success_rate);
-    EXPECT_PRED2(same, a.first.rounds[i].p99_latency_ms,
-                 b.first.rounds[i].p99_latency_ms);
-    EXPECT_PRED2(same, a.first.rounds[i].mean_hops,
-                 b.first.rounds[i].mean_hops);
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
+    EXPECT_EQ(a.rounds[i].requests, b.rounds[i].requests);
+    EXPECT_EQ(a.rounds[i].requests_failed,
+              b.rounds[i].requests_failed);
+    EXPECT_PRED2(same, a.rounds[i].success_rate,
+                 b.rounds[i].success_rate);
+    EXPECT_PRED2(same, a.rounds[i].p99_latency_ms,
+                 b.rounds[i].p99_latency_ms);
+    EXPECT_PRED2(same, a.rounds[i].mean_hops,
+                 b.rounds[i].mean_hops);
   }
 }
 

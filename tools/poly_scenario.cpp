@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     }
     program.shape_spec = shape;
   }
-  if (cli.was_set("seed")) program.options.seed = seed;
+  if (cli.was_set("seed")) program.options.config.seed = seed;
   if (cli.was_set("reps")) program.reps = reps == 0 ? 1 : reps;
   if (cli.was_set("every")) program.measure_every = every == 0 ? 1 : every;
   if (smoke) {
@@ -144,44 +144,44 @@ int main(int argc, char** argv) {
   }
 
   const auto& p = result.program;
+  const auto& config = p.options.config;
   std::printf(
       "# scenario=%s engine=%s shape=%s seed=%llu reps=%zu rounds=%zu "
       "k=%zu split=%s substrate=%s polystyrene=%s\n",
       p.name.c_str(), scenario::to_string(p.options.engine),
       p.shape_spec.c_str(),
-      static_cast<unsigned long long>(p.options.seed), p.reps,
-      p.total_rounds(), p.options.replication,
-      core::to_string(p.options.split).c_str(),
-      p.options.substrate == scenario::Substrate::kVicinity ? "vicinity"
-                                                            : "tman",
-      p.options.polystyrene ? "on" : "off");
+      static_cast<unsigned long long>(config.seed), p.reps,
+      p.total_rounds(), config.poly.replication,
+      core::to_string(config.poly.split_kind).c_str(),
+      config.substrate == scenario::Substrate::kVicinity ? "vicinity"
+                                                         : "tman",
+      config.polystyrene ? "on" : "off");
 
   scenario::print_events(result, csv_dir);
 
   bench::BenchOptions io;
   io.reps = p.reps;
-  io.seed = p.options.seed;
+  io.seed = config.seed;
   io.csv_dir = csv_dir;
   io.json_dir = json_dir;
   std::puts("");
   bench::emit(scenario::series_table_for(result), io, p.name);
 
-  std::printf("\ncrashed=%zu injected=%zu", result.first.crashed,
-              result.first.injected);
-  if (result.first.recovered > 0)
-    std::printf(" recovered=%zu", result.first.recovered);
-  if (!std::isnan(result.first.reference_h_after_crash)) {
+  const auto& first = result.first();
+  std::printf("\ncrashed=%zu injected=%zu", first.crashed, first.injected);
+  if (first.recovered > 0) std::printf(" recovered=%zu", first.recovered);
+  if (!std::isnan(first.reference_h_after_crash)) {
     const auto reshaping = result.reshaping_ci();
     std::printf(" reshaping=%s",
                 reshaping.n > 0 ? reshaping.str(2).c_str() : "never");
     if (result.never_reshaped() > 0)
       std::printf(" (%zu/%zu runs never reshaped)", result.never_reshaped(),
-                  result.reshaping_rounds.size());
+                  result.runs.size());
   }
   std::printf(" reliability=%s\n", result.reliability_ci().str(4).c_str());
 
-  if (!result.first.rounds.empty()) {
-    const auto& last = result.first.rounds.back();
+  if (!first.rounds.empty()) {
+    const auto& last = first.rounds.back();
     std::printf("final: round=%zu alive=%zu homogeneity=%.3f (H=%.3f)\n",
                 last.round, last.alive, last.homogeneity, last.reference_h);
     if (last.requests + last.requests_failed > 0) {

@@ -11,55 +11,9 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "core/polystyrene.hpp"
-#include "scenario/simulation.hpp"
-#include "shape/grid_torus.hpp"
-
-namespace {
-
-using namespace poly;
-
-struct Outcome {
-  double reliability_mean = 0.0;
-  double reshaping_mean = 0.0;
-  std::size_t reshaped_runs = 0;
-};
-
-/// Runs `reps` repetitions of a region or random failure with the given
-/// placement; returns measured reliability and reshaping.
-Outcome run_case(core::BackupPlacement placement, bool region_failure,
-                 const bench::BenchOptions& opt) {
-  shape::GridTorusShape shape(80, 40);
-  util::RunningStats reliability;
-  util::RunningStats reshaping;
-  for (std::size_t rep = 0; rep < opt.reps; ++rep) {
-    scenario::SimulationConfig config;
-    config.seed = opt.seed + rep;
-    config.poly.replication = 4;
-    config.poly.backup_placement = placement;
-    scenario::Simulation sim(shape, config);
-    sim.run_rounds(20);
-    if (region_failure) {
-      sim.crash_failure_half();
-    } else {
-      sim.crash_random(1600);
-    }
-    const double href = sim.reference_homogeneity();
-    double reshaped_at = -1;
-    for (int round = 1; round <= 50; ++round) {
-      sim.run_round();
-      if (reshaped_at < 0 && sim.homogeneity() < href) reshaped_at = round;
-    }
-    reliability.add(sim.reliability());
-    if (reshaped_at > 0) reshaping.add(reshaped_at);
-  }
-  return Outcome{reliability.mean() * 100.0, reshaping.mean(),
-                 reshaping.count()};
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace poly;
   const auto opt = bench::BenchOptions::parse(argc, argv, /*reps=*/5);
   std::printf("Ablation: backup placement under correlated vs uncorrelated "
               "failures (80x40, K=4, %zu reps)\n\n",
@@ -71,13 +25,19 @@ int main(int argc, char** argv) {
       {core::BackupPlacement::kRandom, "random (paper)"},
       {core::BackupPlacement::kNeighbor, "neighbour"},
   };
+  const std::pair<const char*, const char*> failures[] = {
+      {"half-torus region", "crash half"},
+      {"random 50%", "crash frac 0.5"},
+  };
   for (const auto& [placement, name] : placements) {
-    for (bool region : {true, false}) {
-      const auto r = run_case(placement, region, opt);
-      table.add_row({name, region ? "half-torus region" : "random 50%",
-                     util::fmt(r.reliability_mean, 2),
-                     r.reshaped_runs > 0 ? util::fmt(r.reshaping_mean, 2)
-                                         : "DNF>50"});
+    for (const auto& [failure, crash] : failures) {
+      auto program = bench::grid_program(
+          3200, std::string("run 20\n") + crash + "\nrun 50\n", opt);
+      program.options.config.poly.backup_placement = placement;
+      const auto r = scenario::run_program(program);
+      table.add_row({name, failure,
+                     util::fmt(r.reliability_ci().mean * 100.0, 2),
+                     bench::reshaping_mean_cell(r, "DNF>50")});
     }
   }
 

@@ -15,53 +15,35 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "scenario/simulation.hpp"
-#include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
   using namespace poly;
+  using scenario::RoundMetrics;
   const auto opt = bench::BenchOptions::parse(argc, argv, /*reps=*/3);
   std::printf("Ablation: sustained churn (80x40 torus, K=4, 100 churn "
               "rounds, %zu reps)\n\n",
               opt.reps);
 
-  shape::GridTorusShape shape(80, 40);
   util::Table table({"churn/round (%)", "homogeneity@100", "H",
                      "reliability@100 (%)", "reliability after +catastrophe"});
 
   for (double churn_pct : {0.0, 0.5, 1.0, 2.0, 5.0}) {
-    util::RunningStats hom;
-    util::RunningStats rel;
-    util::RunningStats rel_cat;
-    double href = 0.0;
-    for (std::size_t rep = 0; rep < opt.reps; ++rep) {
-      scenario::SimulationConfig config;
-      config.seed = opt.seed + rep;
-      config.poly.replication = 4;
-      scenario::Simulation sim(shape, config);
-      sim.run_rounds(20);
-
-      const auto churn_count = static_cast<std::size_t>(
-          static_cast<double>(sim.network().num_alive()) * churn_pct / 100.0);
-      for (int round = 0; round < 100; ++round) {
-        if (churn_count > 0) {
-          sim.crash_random(churn_count);
-          sim.reinject(churn_count);
-        }
-        sim.run_round();
-      }
-      hom.add(sim.homogeneity());
-      rel.add(sim.reliability());
-      href = sim.reference_homogeneity();
-
-      // The catastrophe on top of the churned system.
-      sim.crash_failure_half();
-      sim.run_rounds(15);
-      rel_cat.add(sim.reliability());
-    }
-    table.add_row({util::fmt(churn_pct, 1), util::fmt(hom.mean(), 3),
-                   util::fmt(href, 3), util::fmt(rel.mean() * 100.0, 2),
-                   util::fmt(rel_cat.mean() * 100.0, 2)});
+    const std::string churn =
+        churn_pct > 0.0 ? "churn " + std::to_string(churn_pct) + " 100"
+                        : "run 100";
+    const auto r = scenario::run_program(bench::grid_program(
+        3200, "run 20\n" + churn + "\ncrash half\nrun 15\n", opt));
+    // Row 119: the last churn round, before the catastrophe on top.
+    constexpr std::size_t kChurned = 119;
+    table.add_row(
+        {util::fmt(churn_pct, 1),
+         util::fmt(r.series(&RoundMetrics::homogeneity).row(kChurned).mean,
+                   3),
+         util::fmt(r.first().rounds[kChurned].reference_h, 3),
+         util::fmt(
+             r.series(&RoundMetrics::reliability).row(kChurned).mean * 100.0,
+             2),
+         util::fmt(r.reliability_ci().mean * 100.0, 2)});
   }
 
   bench::emit(table, opt, "abl_churn");

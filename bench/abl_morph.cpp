@@ -19,57 +19,31 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "scenario/simulation.hpp"
-#include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
   using namespace poly;
+  using scenario::RoundMetrics;
   const auto opt = bench::BenchOptions::parse(argc, argv, /*reps=*/3);
   std::printf("Ablation: evolving target shape (80x40 torus, K=4, rigid "
               "drift, %zu reps)\n\n",
               opt.reps);
 
-  shape::GridTorusShape shape(80, 40);
   util::Table table({"drift/round", "homogeneity@80 (tracking)", "H",
                      "reshaping after catastrophe (rounds)"});
 
   for (double drift : {0.0, 0.1, 0.25, 0.5, 1.0}) {
-    util::RunningStats hom;
-    util::RunningStats reshape;
-    double href = 0.0;
-    for (std::size_t rep = 0; rep < opt.reps; ++rep) {
-      scenario::SimulationConfig config;
-      config.seed = opt.seed + rep;
-      config.poly.replication = 4;
-      scenario::Simulation sim(shape, config);
-      sim.run_rounds(20);
-
-      auto translate = [&](const space::Point& p) {
-        return space::Point{p.x() + drift, p.y()};
-      };
-      for (int round = 0; round < 60; ++round) {
-        if (drift > 0.0) sim.morph_shape(translate);
-        sim.run_round();
-      }
-      hom.add(sim.homogeneity());
-      href = sim.reference_homogeneity();
-
-      // Catastrophe while the shape keeps drifting.
-      sim.crash_failure_half();
-      const double h_target = sim.reference_homogeneity();
-      double reshaped_at = -1;
-      for (int round = 1; round <= 40; ++round) {
-        if (drift > 0.0) sim.morph_shape(translate);
-        sim.run_round();
-        if (reshaped_at < 0 && sim.homogeneity() < h_target)
-          reshaped_at = round;
-      }
-      if (reshaped_at > 0) reshape.add(reshaped_at);
-    }
-    table.add_row({util::fmt(drift, 2), util::fmt(hom.mean(), 3),
-                   util::fmt(href, 3),
-                   reshape.count() > 0 ? util::fmt(reshape.mean(), 2)
-                                       : "DNF>40"});
+    // The catastrophe strikes while the shape keeps drifting.
+    const std::string move =
+        drift > 0.0 ? "morph drift " + std::to_string(drift) + " 0 " : "run ";
+    const auto r = scenario::run_program(bench::grid_program(
+        3200, "run 20\n" + move + "60\ncrash half\n" + move + "40\n", opt));
+    // Row 79: the last tracking round, before the catastrophe.
+    constexpr std::size_t kTracked = 79;
+    table.add_row(
+        {util::fmt(drift, 2),
+         util::fmt(r.series(&RoundMetrics::homogeneity).row(kTracked).mean, 3),
+         util::fmt(r.first().rounds[kTracked].reference_h, 3),
+         bench::reshaping_mean_cell(r, "DNF>40")});
   }
 
   bench::emit(table, opt, "abl_morph");

@@ -86,21 +86,39 @@ inline std::size_t reps_for_size(const BenchOptions& opt, std::size_t nodes) {
   return opt.reps;
 }
 
-/// The paper's crash-and-repair timeline on the grid_for(nodes) torus:
-/// converge for `converge` rounds, crash the failure half, repair for
-/// `repair` rounds (no re-injection).  Seed and repetitions come from
-/// `opt`; callers tune `options.config` before running it.
-inline scenario::ScenarioProgram crash_repair_program(
-    std::size_t nodes, std::size_t converge, std::size_t repair,
-    const BenchOptions& opt) {
+/// A timeline (one stage per line) on the grid_for(nodes) torus, with seed
+/// and repetitions from `opt`; callers tune `options.config` before
+/// running it.
+inline scenario::ScenarioProgram grid_program(std::size_t nodes,
+                                              const std::string& timeline,
+                                              const BenchOptions& opt) {
   const auto dims = grid_for(nodes);
-  auto p = scenario::parse_program(
-      "shape grid:" + std::to_string(dims.nx) + "x" +
-      std::to_string(dims.ny) + "\nrun " + std::to_string(converge) +
-      "\ncrash half\nrun " + std::to_string(repair) + "\n");
+  auto p = scenario::parse_program("shape grid:" + std::to_string(dims.nx) +
+                                   "x" + std::to_string(dims.ny) + "\n" +
+                                   timeline);
   p.options.config.seed = opt.seed;
   p.reps = opt.reps;
   return p;
+}
+
+/// The paper's crash-and-repair timeline: converge for `converge` rounds,
+/// crash the failure half, repair for `repair` rounds (no re-injection).
+inline scenario::ScenarioProgram crash_repair_program(
+    std::size_t nodes, std::size_t converge, std::size_t repair,
+    const BenchOptions& opt) {
+  return grid_program(nodes,
+                      "run " + std::to_string(converge) +
+                          "\ncrash half\nrun " + std::to_string(repair) +
+                          "\n",
+                      opt);
+}
+
+/// The mean reshaping time, or `dnf` when no repetition reshaped.
+inline std::string reshaping_mean_cell(const scenario::ProgramResult& r,
+                                       const char* dnf) {
+  return r.never_reshaped() < r.runs.size()
+             ? util::fmt(r.reshaping_ci().mean, 2)
+             : std::string(dnf);
 }
 
 /// "mean ± ci" reshaping time over the runs that reshaped, followed by

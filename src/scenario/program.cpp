@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -14,9 +15,36 @@
 
 namespace poly::scenario {
 
-namespace {
+/// run_program_once's state: the cluster, the run record, and what the
+/// stages carry from one to the next.  Each verb's execution function
+/// works on it.
+struct Execution {
+  const ScenarioProgram& p;
+  const shape::Shape& shape;
+  std::unique_ptr<Runtime> rt;
+  ProgramRun run{};
+  std::size_t cadence = 1;
+  std::size_t since_measure = 0;
+  bool crash_seen = false;
+  std::size_t crash_round = 0;
+  // Reshaping is looked for from the first crash until the first later
+  // stage that injects nodes: the post-crash H is the survivors', so
+  // fresh nodes would pull homogeneity under it without any repair.
+  bool reshape_window = false;
+  std::size_t crashed_since_grow = 0;
+  double morph_w = -1.0;  // current morph-shape extent (lazily = base's)
+  double morph_h = -1.0;
 
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  void note(const std::string& text) {
+    run.events.push_back({rt->rounds_run(), false, text, {}, {}, {}});
+  }
+  void measure_now();
+  void check_expects(bool at_end) const;
+  void step();
+  void record_crash(std::size_t n, const std::string& how);
+};
+
+namespace {
 
 std::string location(const std::string& file, int line) {
   return line > 0 ? file + ":" + std::to_string(line) : file;
@@ -35,137 +63,50 @@ std::string fmt_g(double v) {
   return buf;
 }
 
-/// The metric vocabulary of `expect`, with per-mode availability (sync
-/// cannot observe frame traffic; events cannot observe points/node).
-struct ExpectMetric {
-  const char* name;
-  bool sync_ok;
-  bool events_ok;
-};
-constexpr ExpectMetric kExpectMetrics[] = {
-    {"homogeneity", true, true},
-    {"proximity", true, true},
-    {"reliability", true, true},
-    {"alive", true, true},
-    {"points_per_node", true, false},
-    {"frames", false, true},
-    {"frames_rejected", false, true},
-    {"frames_blackholed", false, true},
-    {"frames_duplicated", false, true},
-    {"frames_corrupted", false, true},
-    {"frames_reordered", false, true},
-    {"stall_rounds", false, true},
-    {"recoveries", false, true},
-    // Traffic-plane metrics (docs/TRAFFIC.md) — the workload runs on the
-    // event engine only.
-    {"requests", false, true},
-    {"requests_failed", false, true},
-    {"success_rate", false, true},
-    {"p50_latency_ms", false, true},
-    {"p99_latency_ms", false, true},
-    {"p999_latency_ms", false, true},
-    {"mean_hops", false, true},
-};
-
-const ExpectMetric* find_expect_metric(const std::string& name) {
-  for (const auto& m : kExpectMetrics)
-    if (name == m.name) return &m;
-  return nullptr;
+constexpr unsigned bit(EngineMode mode) {
+  return 1u << static_cast<unsigned>(mode);
 }
+constexpr unsigned kSync = bit(EngineMode::kSync);
+constexpr unsigned kEvents = bit(EngineMode::kEvents);
+constexpr unsigned kAll = kSync | kEvents | bit(EngineMode::kLive);
 
-std::string expect_metric_names() {
-  std::string out;
-  for (const auto& m : kExpectMetrics) {
-    if (!out.empty()) out += ", ";
-    out += m.name;
+/// The non-empty pieces of `text` between `sep`s.
+std::vector<std::string_view> split(std::string_view text, char sep) {
+  std::vector<std::string_view> out;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t end = std::min(text.find(sep, at), text.size());
+    if (end > at) out.push_back(text.substr(at, end - at));
+    at = end + 1;
   }
   return out;
 }
 
-std::optional<Expect::Op> parse_expect_op(const std::string& s) {
-  if (s == "<") return Expect::Op::kLt;
-  if (s == "<=") return Expect::Op::kLe;
-  if (s == ">") return Expect::Op::kGt;
-  if (s == ">=") return Expect::Op::kGe;
-  if (s == "==") return Expect::Op::kEq;
-  if (s == "!=") return Expect::Op::kNe;
-  return std::nullopt;
+std::vector<std::string_view> words(std::string_view grammar) {
+  return split(grammar, ' ');
 }
 
-const char* to_string(Expect::Op op) {
-  switch (op) {
-    case Expect::Op::kLt: return "<";
-    case Expect::Op::kLe: return "<=";
-    case Expect::Op::kGt: return ">";
-    case Expect::Op::kGe: return ">=";
-    case Expect::Op::kEq: return "==";
-    case Expect::Op::kNe: return "!=";
+/// "a", "a or b", "a, b, or c", … — the alternatives a diagnostic offers.
+std::string one_of(const std::vector<std::string_view>& alts) {
+  std::string out;
+  for (std::size_t i = 0; i < alts.size(); ++i) {
+    if (i > 0) out += alts.size() > 2 ? ", " : " ";
+    if (i > 0 && i + 1 == alts.size()) out += "or ";
+    out += alts[i];
   }
-  return "?";
+  return out;
 }
 
-bool eval_expect_op(Expect::Op op, double lhs, double rhs) {
-  switch (op) {
-    case Expect::Op::kLt: return lhs < rhs;
-    case Expect::Op::kLe: return lhs <= rhs;
-    case Expect::Op::kGt: return lhs > rhs;
-    case Expect::Op::kGe: return lhs >= rhs;
-    case Expect::Op::kEq: return lhs == rhs;
-    case Expect::Op::kNe: return lhs != rhs;
-  }
-  return false;
+/// The alternative of an `a|b|c` choice that enumerator `e` stands for.
+template <class Enum>
+std::string choice_at(std::string_view alts, Enum e) {
+  return std::string(split(alts, '|').at(static_cast<std::size_t>(e)));
 }
 
-/// The measured value an expect compares against.  `reliability` goes
-/// through the runtime (sync's RoundMetrics carries NaN there; the direct
-/// query works in every mode).
-double expect_value(const std::string& metric, const RoundMetrics& m,
-                    const Runtime& rt) {
-  if (metric == "homogeneity") return m.homogeneity;
-  if (metric == "proximity") return m.proximity;
-  if (metric == "reliability") return rt.reliability();
-  if (metric == "alive") return static_cast<double>(m.alive);
-  if (metric == "points_per_node") return m.points_per_node;
-  if (metric == "frames") return static_cast<double>(m.frames);
-  if (metric == "frames_rejected")
-    return static_cast<double>(m.frames_rejected);
-  if (metric == "frames_blackholed")
-    return static_cast<double>(m.frames_blackholed);
-  if (metric == "frames_duplicated")
-    return static_cast<double>(m.frames_duplicated);
-  if (metric == "frames_corrupted")
-    return static_cast<double>(m.frames_corrupted);
-  if (metric == "frames_reordered")
-    return static_cast<double>(m.frames_reordered);
-  if (metric == "stall_rounds") return static_cast<double>(m.stall_rounds);
-  if (metric == "recoveries") return static_cast<double>(m.recoveries);
-  if (metric == "requests") return static_cast<double>(m.requests);
-  if (metric == "requests_failed")
-    return static_cast<double>(m.requests_failed);
-  if (metric == "success_rate") return m.success_rate;
-  if (metric == "p50_latency_ms") return m.p50_latency_ms;
-  if (metric == "p99_latency_ms") return m.p99_latency_ms;
-  if (metric == "p999_latency_ms") return m.p999_latency_ms;
-  if (metric == "mean_hops") return m.mean_hops;
-  return std::numeric_limits<double>::quiet_NaN();  // unreachable: validated
-}
-
-const char* traffic_mix_token(TrafficMix mix) {
-  switch (mix) {
-    case TrafficMix::kGet: return "get";
-    case TrafficMix::kPut: return "put";
-    case TrafficMix::kMixed: break;
-  }
-  return "mixed";
-}
-
-const char* link_dir_token(LinkDirection dir) {
-  switch (dir) {
-    case LinkDirection::kInto: return "in";
-    case LinkDirection::kOutOf: return "out";
-    case LinkDirection::kBoth: break;
-  }
-  return "both";
+std::string engine_list(unsigned engines) {
+  std::vector<std::string_view> names;
+  for (auto m : {EngineMode::kSync, EngineMode::kEvents, EngineMode::kLive})
+    if ((engines & bit(m)) != 0) names.emplace_back(to_string(m));
+  return one_of(names);
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -179,10 +120,678 @@ std::vector<std::string> tokenize(const std::string& line) {
   return out;
 }
 
-class Parser {
+/// File:line diagnostics and the token checks every grammar shares.
+class Reader {
+ public:
+  explicit Reader(std::string file) : file_(std::move(file)) {}
+
+  [[noreturn]] void fail(int line, const std::string& msg) const {
+    throw ProgramError(file_, line, msg);
+  }
+  [[noreturn]] void fail(const std::string& msg) const { fail(line_, msg); }
+
+  std::size_t count(const std::string& tok, const std::string& noun,
+                    std::size_t min) const {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+    if (end == tok.c_str() || *end != '\0' || tok[0] == '-' ||
+        errno == ERANGE)
+      fail("bad " + noun + " '" + tok + "' (want a non-negative integer)");
+    if (v < min)
+      fail(noun + " must be >= " + std::to_string(min) + ", got " + tok);
+    return static_cast<std::size_t>(v);
+  }
+
+  double real(const std::string& tok, const std::string& noun) const {
+    char* end = nullptr;
+    const double v = std::strtod(tok.c_str(), &end);
+    if (end == tok.c_str() || *end != '\0' || !std::isfinite(v))
+      fail("bad " + noun + " '" + tok + "'");
+    return v;
+  }
+
+  /// A real in (lo, hi], or in [lo, hi) when `closed_low`.
+  double real_in(const std::string& tok, const std::string& noun, double lo,
+                 double hi, bool closed_low = false) const {
+    const double v = real(tok, noun);
+    if (closed_low ? (v < lo || v >= hi) : (v <= lo || v > hi)) {
+      char range[64];
+      std::snprintf(range, sizeof range,
+                    closed_low ? "[%g, %g)" : "(%g, %g]", lo, hi);
+      fail(noun + " " + tok + " out of " + range);
+    }
+    return v;
+  }
+
+  /// The index of `tok` among the `a|b|c` alternatives.
+  std::size_t choice(std::string_view alts, const std::string& tok,
+                     const std::string& noun) const {
+    const auto list = split(alts, '|');
+    for (std::size_t i = 0; i < list.size(); ++i)
+      if (list[i] == tok) return i;
+    fail("unknown " + noun + " '" + tok + "' (want " + one_of(list) + ")");
+  }
+
+ protected:
+  std::string file_;
+  int line_ = 0;
+};
+
+// ---- slots ------------------------------------------------------------------
+
+/// The typed slots of verb grammars.  Each fixes how many tokens it takes,
+/// its parse and range check (and the noun its diagnostics use), how it
+/// prints, and the Stage field it fills.
+enum class Slot {
+  kRounds, kHeal, kNodes, kRate, kFraction, kPercent, kProbability, kDrop,
+  kJitter, kZone, kIds, kOffset, kShape, kLabel, kDirection, kMix,
+};
+
+constexpr std::string_view kDirections = "in|out|both";
+constexpr std::string_view kMixes = "get|put|mixed";
+
+struct SlotType {
+  std::string_view key;  ///< how a grammar writes the slot
+  Slot slot;
+  std::size_t width;     ///< tokens taken; 0 = the rest of the line
+};
+
+constexpr SlotType kSlotTypes[] = {
+    {"<rounds>", Slot::kRounds, 1},    {"<heal>", Slot::kHeal, 1},
+    {"<nodes>", Slot::kNodes, 1},      {"<rate>", Slot::kRate, 1},
+    {"<fraction>", Slot::kFraction, 1}, {"<percent>", Slot::kPercent, 1},
+    {"<probability>", Slot::kProbability, 1},
+    {"<drop>", Slot::kDrop, 1},        {"<ms>", Slot::kJitter, 1},
+    {"<zone>", Slot::kZone, 4},        {"<ids>", Slot::kIds, 1},
+    {"<offset>", Slot::kOffset, 2},    {"<shape>", Slot::kShape, 1},
+    {"[label]", Slot::kLabel, 0},      {kDirections, Slot::kDirection, 1},
+    {kMixes, Slot::kMix, 1},
+};
+
+/// The slot a grammar word names; nullptr for a literal word.
+const SlotType* find_slot(std::string_view word) {
+  for (const auto& t : kSlotTypes)
+    if (t.key == word) return &t;
+  return nullptr;
+}
+
+/// Parses one slot's tokens into `s`; `verb` names it in diagnostics.
+void fill_slot(const Reader& in, Slot slot, std::span<const std::string> t,
+               const std::string& verb, Stage& s) {
+  switch (slot) {
+    case Slot::kRounds: s.rounds = in.count(t[0], "round count", 1); return;
+    case Slot::kHeal: s.rounds = in.count(t[0], "heal round count", 0); return;
+    case Slot::kNodes: s.count = in.count(t[0], "node count", 1); return;
+    case Slot::kRate: s.count = in.count(t[0], verb + " rate", 1); return;
+    case Slot::kFraction:
+      s.frac = in.real_in(t[0], verb + " fraction", 0.0, 1.0);
+      return;
+    case Slot::kPercent:
+      s.frac = in.real_in(t[0], verb + " percentage", 0.0, 100.0);
+      return;
+    case Slot::kProbability:
+      s.frac = in.real_in(t[0], verb + " probability", 0.0, 1.0);
+      return;
+    case Slot::kDrop:
+      s.drop = in.real_in(t[0], verb + " drop rate", 0.0, 1.0, true);
+      return;
+    case Slot::kJitter:
+      s.jitter_ms = in.real(t[0], verb + " jitter");
+      if (s.jitter_ms < 0.0)
+        in.fail(verb + " jitter " + t[0] + " must be >= 0 ms");
+      return;
+    case Slot::kZone:
+      s.zone = {in.real(t[0], "zone x0"), in.real(t[1], "zone y0"),
+                in.real(t[2], "zone x1"), in.real(t[3], "zone y1")};
+      if (s.zone.x1 <= s.zone.x0 || s.zone.y1 <= s.zone.y0)
+        in.fail("empty " + verb + " zone (want x0 < x1 and y0 < y1)");
+      return;
+    case Slot::kIds: {
+      std::istringstream is(t[0]);
+      for (std::string id; std::getline(is, id, ',');)
+        s.ids.push_back(in.count(id, "node id", 0));
+      return;
+    }
+    case Slot::kOffset:
+      s.dx = in.real(t[0], verb + " dx");
+      s.dy = in.real(t[1], verb + " dy");
+      return;
+    case Slot::kShape: {
+      std::string err;
+      if (!shape::make_shape(t[0], &err))
+        in.fail(verb + " to unknown shape: " + err);
+      s.shape_spec = t[0];
+      return;
+    }
+    case Slot::kLabel:
+      for (const auto& word : t) {
+        if (!s.label.empty()) s.label += ' ';
+        s.label += word;
+      }
+      return;
+    case Slot::kDirection:
+      s.dir = static_cast<LinkDirection>(
+          in.choice(kDirections, t[0], verb + " direction"));
+      return;
+    case Slot::kMix:
+      s.mix = static_cast<TrafficMix>(in.choice(kMixes, t[0], verb + " mix"));
+      return;
+  }
+}
+
+std::string print_slot(Slot slot, const Stage& s) {
+  switch (slot) {
+    case Slot::kRounds:
+    case Slot::kHeal: return std::to_string(s.rounds);
+    case Slot::kNodes:
+    case Slot::kRate: return std::to_string(s.count);
+    case Slot::kFraction:
+    case Slot::kPercent:
+    case Slot::kProbability: return fmt_g(s.frac);
+    case Slot::kDrop: return fmt_g(s.drop);
+    case Slot::kJitter: return fmt_g(s.jitter_ms);
+    case Slot::kZone:
+      return fmt_g(s.zone.x0) + ' ' + fmt_g(s.zone.y0) + ' ' +
+             fmt_g(s.zone.x1) + ' ' + fmt_g(s.zone.y1);
+    case Slot::kIds: {
+      std::string out;
+      for (const std::size_t id : s.ids)
+        out += (out.empty() ? "" : ",") + std::to_string(id);
+      return out;
+    }
+    case Slot::kOffset: return fmt_g(s.dx) + ' ' + fmt_g(s.dy);
+    case Slot::kShape: return s.shape_spec;
+    case Slot::kLabel: return s.label;
+    case Slot::kDirection: return choice_at(kDirections, s.dir);
+    case Slot::kMix: return choice_at(kMixes, s.mix);
+  }
+  return {};
+}
+
+// ---- verb execution ---------------------------------------------------------
+
+std::string zone_text(const Zone& z) {
+  return "zone " + fmt_g(z.x0) + "," + fmt_g(z.y0) + " to " + fmt_g(z.x1) +
+         "," + fmt_g(z.y1);
+}
+
+std::string heal_text(std::size_t rounds) {
+  return rounds != 0 ? ", heal after " + std::to_string(rounds) + " rounds"
+                     : std::string(", never heals");
+}
+
+/// How many of `n` nodes a fractional verb picks.
+std::size_t share(double frac, std::size_t n) {
+  return static_cast<std::size_t>(frac * static_cast<double>(n));
+}
+
+void exec_run(Execution& x, const Stage& s) {
+  for (std::size_t r = 0; r < s.rounds; ++r) x.step();
+}
+
+void grow(Execution& x, std::size_t want) {
+  x.reshape_window = false;
+  const std::size_t n = x.rt->inject(want);
+  x.run.injected += n;
+  x.crashed_since_grow = 0;
+  x.note("injected " + std::to_string(n) + " fresh nodes (parallel grid)");
+}
+void exec_grow(Execution& x, const Stage& s) { grow(x, s.count); }
+void exec_grow_crashed(Execution& x, const Stage&) {
+  grow(x, x.crashed_since_grow);
+}
+
+void exec_crash_half(Execution& x, const Stage&) {
+  x.record_crash(x.rt->crash_half(), "failure half");
+}
+void exec_crash_frac(Execution& x, const Stage& s) {
+  x.record_crash(x.rt->crash_random(share(s.frac, x.rt->alive_count())),
+                 "random " + fmt_g(s.frac) + " of alive");
+}
+void exec_crash_zone(Execution& x, const Stage& s) {
+  const std::size_t n = x.rt->crash_region(
+      [&](const space::Point& pt) { return s.zone.contains(pt); });
+  x.record_crash(n, zone_text(s.zone));
+}
+void exec_crash_ids(Execution& x, const Stage& s) {
+  x.record_crash(x.rt->crash_ids(s.ids), "explicit ids");
+}
+
+void exec_churn(Execution& x, const Stage& s) {
+  x.reshape_window = false;
+  x.note("churn " + fmt_g(s.frac) + "%/round for " +
+         std::to_string(s.rounds) + " rounds");
+  for (std::size_t r = 0; r < s.rounds; ++r) {
+    const auto n = static_cast<std::size_t>(
+        static_cast<double>(x.rt->alive_count()) * s.frac / 100.0);
+    if (n > 0) {
+      x.run.crashed += x.rt->crash_random(n);
+      x.crashed_since_grow += n;
+      x.run.injected += x.rt->inject(n);
+    }
+    x.step();
+  }
+}
+
+void exec_flash_crowd(Execution& x, const Stage& s) {
+  x.reshape_window = false;
+  x.note("flash crowd: " + std::to_string(s.count) + " joins over " +
+         std::to_string(s.rounds) + " rounds");
+  for (std::size_t r = 0; r < s.rounds; ++r) {
+    const std::size_t n =
+        s.count * (r + 1) / s.rounds - s.count * r / s.rounds;
+    if (n > 0) x.run.injected += x.rt->inject(n);
+    x.step();
+  }
+}
+
+/// Moves the target by `transform` ahead of each of `rounds` rounds.
+void morph_rounds(
+    Execution& x, std::size_t rounds,
+    const std::function<space::Point(const space::Point&)>& transform) {
+  for (std::size_t r = 0; r < rounds; ++r) {
+    x.rt->morph(transform);
+    x.step();
+  }
+}
+
+void exec_morph_drift(Execution& x, const Stage& s) {
+  x.note("morph drift (" + fmt_g(s.dx) + ", " + fmt_g(s.dy) +
+         ")/round for " + std::to_string(s.rounds) + " rounds");
+  morph_rounds(x, s.rounds, [&](const space::Point& pt) {
+    return space::Point{pt.x() + s.dx, pt.y() + s.dy};
+  });
+}
+
+void exec_morph_shape(Execution& x, const Stage& s) {
+  // Scale the target about the origin, one compounding per-round factor
+  // per axis, so after N rounds the extent is exactly the target's.
+  // run_program checked that both shapes are grids and the target fits.
+  const auto target = shape::make_shape(s.shape_spec);
+  const auto& tt = dynamic_cast<const space::TorusSpace&>(target->space());
+  if (x.morph_w <= 0.0) {
+    const auto& base = dynamic_cast<const space::TorusSpace&>(x.shape.space());
+    x.morph_w = base.width();
+    x.morph_h = base.height();
+  }
+  const double fx =
+      std::pow(tt.width() / x.morph_w, 1.0 / static_cast<double>(s.rounds));
+  const double fy =
+      std::pow(tt.height() / x.morph_h, 1.0 / static_cast<double>(s.rounds));
+  x.note("morph to " + s.shape_spec + " over " + std::to_string(s.rounds) +
+         " rounds");
+  morph_rounds(x, s.rounds, [&](const space::Point& pt) {
+    return space::Point{pt.x() * fx, pt.y() * fy};
+  });
+  x.morph_w = tt.width();
+  x.morph_h = tt.height();
+}
+
+void exec_migrate(Execution& x, const Stage& s) {
+  const double sx = s.dx / static_cast<double>(s.rounds);
+  const double sy = s.dy / static_cast<double>(s.rounds);
+  x.note("migrate by (" + fmt_g(s.dx) + ", " + fmt_g(s.dy) + ") over " +
+         std::to_string(s.rounds) + " rounds");
+  morph_rounds(x, s.rounds, [&](const space::Point& pt) {
+    return space::Point{pt.x() + sx, pt.y() + sy};
+  });
+}
+
+void exec_snapshot(Execution& x, const Stage& s) {
+  ProgramEvent ev;
+  ev.round = x.rt->rounds_run();
+  ev.is_snapshot = true;
+  ev.text = s.label.empty() ? "r" + std::to_string(ev.round) : s.label;
+  if (auto* sim = x.rt->sim()) {
+    ev.summary = summary_line(*sim);
+  } else {
+    const auto m = x.rt->measure();
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "round=%llu alive=%zu homogeneity=%.3f (H=%.3f) "
+                  "proximity=%.3f reliability=%.3f",
+                  static_cast<unsigned long long>(x.rt->rounds_run()),
+                  m.alive, m.homogeneity, m.reference_h, m.proximity,
+                  m.reliability);
+    ev.summary = buf;
+  }
+  ev.positions = x.rt->alive_positions();
+  ev.map = ascii_density_map(x.shape.space(), ev.positions);
+  x.run.events.push_back(std::move(ev));
+}
+
+void exec_measure_every(Execution& x, const Stage& s) {
+  x.cadence = s.rounds;
+  x.since_measure = 0;
+}
+
+void exec_partition(Execution& x, const Stage& s) {
+  const std::size_t n = x.rt->partition_region(
+      [&](const space::Point& pt) { return s.zone.contains(pt); }, s.rounds);
+  x.note("partitioned " + std::to_string(n) + " nodes (" + zone_text(s.zone) +
+         heal_text(s.rounds) + ")");
+}
+
+void exec_degrade(Execution& x, const Stage& s) {
+  const std::size_t n = x.rt->degrade_region(
+      [&](const space::Point& pt) { return s.zone.contains(pt); }, s.dir,
+      s.drop, s.jitter_ms, s.rounds);
+  x.note("degraded links of " + std::to_string(n) + " nodes (" +
+         choice_at(kDirections, s.dir) + ", drop " + fmt_g(s.drop) +
+         ", jitter " + fmt_g(s.jitter_ms) + "ms" + heal_text(s.rounds) + ")");
+}
+
+void exec_corrupt(Execution& x, const Stage& s) {
+  x.rt->corrupt_frames(s.frac, s.rounds);
+  x.note("corrupting frames (p " + fmt_g(s.frac) + heal_text(s.rounds) + ")");
+}
+
+void exec_duplicate(Execution& x, const Stage& s) {
+  x.rt->duplicate_frames(s.frac, s.rounds);
+  x.note("duplicating frames (p " + fmt_g(s.frac) + heal_text(s.rounds) +
+         ")");
+}
+
+void exec_reorder(Execution& x, const Stage& s) {
+  x.rt->reorder_frames(s.frac, s.jitter_ms, s.rounds);
+  x.note("reordering frames (p " + fmt_g(s.frac) + ", jitter " +
+         fmt_g(s.jitter_ms) + "ms" + heal_text(s.rounds) + ")");
+}
+
+void stalled(Execution& x, const Stage& s, std::size_t n,
+             const std::string& how) {
+  x.note("stalled " + std::to_string(n) + " nodes for " +
+         std::to_string(s.rounds) + " rounds (" + how + ")");
+}
+void exec_stall_zone(Execution& x, const Stage& s) {
+  stalled(x, s,
+          x.rt->stall_region(
+              [&](const space::Point& pt) { return s.zone.contains(pt); },
+              s.rounds),
+          zone_text(s.zone));
+}
+void exec_stall_frac(Execution& x, const Stage& s) {
+  stalled(x, s,
+          x.rt->stall_random(share(s.frac, x.rt->alive_count()), s.rounds),
+          "random " + fmt_g(s.frac) + " of alive");
+}
+
+void recovered(Execution& x, std::size_t n, const std::string& how) {
+  x.run.recovered += n;
+  x.note("recovered " + std::to_string(n) + " nodes (" + how + ")");
+}
+void exec_recover_all(Execution& x, const Stage&) {
+  recovered(x, x.rt->recover_all(), "all crashed");
+}
+void exec_recover_frac(Execution& x, const Stage& s) {
+  const std::size_t candidates =
+      x.run.crashed > x.run.recovered ? x.run.crashed - x.run.recovered : 0;
+  recovered(x, x.rt->recover_random(share(s.frac, candidates)),
+            "random " + fmt_g(s.frac) + " of crashed");
+}
+void exec_recover_ids(Execution& x, const Stage& s) {
+  recovered(x, x.rt->recover_ids(s.ids), "explicit ids");
+}
+
+void exec_traffic(Execution& x, const Stage& s) {
+  x.rt->start_traffic(s.count, s.mix);
+  x.note("traffic " + std::to_string(s.count) + "/round (" +
+         choice_at(kMixes, s.mix) + ")");
+}
+
+void exec_drain(Execution& x, const Stage& s) {
+  x.rt->stop_traffic();
+  std::size_t drained = 0;
+  while (x.rt->traffic_inflight() > 0) {
+    if (++drained > 10000)
+      throw ProgramError(x.p.file, s.line,
+                         "drain ran 10000 rounds with traffic still in "
+                         "flight — the workload is not draining");
+    x.step();
+  }
+  x.note("drained in-flight traffic (" + std::to_string(drained) +
+         " rounds)");
+}
+
+// ---- the verb table ---------------------------------------------------------
+
+const char* after_a_crash(const Stage&, std::span<const Stage> earlier) {
+  const bool crashed =
+      std::any_of(earlier.begin(), earlier.end(), [](const Stage& e) {
+        const auto verb = words(e.verb->grammar).front();
+        return verb == "crash" || verb == "churn";
+      });
+  return crashed ? nullptr
+                 : "'grow crashed' needs a crash or churn stage before it";
+}
+
+const char* degrades_something(const Stage& s, std::span<const Stage>) {
+  return s.drop == 0.0 && s.jitter_ms == 0.0
+             ? "degrade with drop 0 and jitter 0 does nothing"
+             : nullptr;
+}
+
+const char* reorder_jitter_positive(const Stage& s, std::span<const Stage>) {
+  return s.jitter_ms > 0.0 ? nullptr : "reorder jitter must be > 0 ms";
+}
+
+// Fractional crashes and churn draw from the cluster RNG, which live mode
+// lacks; morph/migrate need the sync simulator; the fault and traffic
+// planes live in the event hub.
+const Verb kVerbs[] = {
+    {"run <rounds>", kAll, true, exec_run},
+    {"grow <nodes>", kAll, false, exec_grow},
+    {"grow crashed", kAll, false, exec_grow_crashed, after_a_crash},
+    {"crash half", kAll, false, exec_crash_half},
+    {"crash frac <fraction>", kSync | kEvents, false, exec_crash_frac},
+    {"crash zone <zone>", kAll, false, exec_crash_zone},
+    {"crash ids <ids>", kAll, false, exec_crash_ids},
+    {"churn <percent> <rounds>", kSync | kEvents, true, exec_churn},
+    {"flash-crowd <nodes> <rounds>", kAll, true, exec_flash_crowd},
+    {"morph drift <offset> <rounds>", kSync, true, exec_morph_drift},
+    {"morph shape <shape> <rounds>", kSync, true, exec_morph_shape},
+    {"migrate <offset> <rounds>", kSync, true, exec_migrate},
+    {"snapshot [label]", kAll, false, exec_snapshot},
+    {"measure every <rounds>", kAll, false, exec_measure_every},
+    {"partition zone <zone> heal <heal>", kEvents, false, exec_partition},
+    {"degrade zone <zone> in|out|both drop <drop> jitter <ms> heal <heal>",
+     kEvents, false, exec_degrade, degrades_something},
+    {"corrupt <probability> heal <heal>", kEvents, false, exec_corrupt},
+    {"duplicate <probability> heal <heal>", kEvents, false, exec_duplicate},
+    {"reorder <probability> jitter <ms> heal <heal>", kEvents, false,
+     exec_reorder, reorder_jitter_positive},
+    {"stall zone <zone> <rounds>", kEvents, false, exec_stall_zone},
+    {"stall frac <fraction> <rounds>", kEvents, false, exec_stall_frac},
+    {"recover all", kEvents, false, exec_recover_all},
+    {"recover frac <fraction>", kEvents, false, exec_recover_frac},
+    {"recover ids <ids>", kEvents, false, exec_recover_ids},
+    {"traffic <rate> get|put|mixed", kEvents, false, exec_traffic},
+    {"drain", kEvents, false, exec_drain},
+};
+
+// ---- header directives ------------------------------------------------------
+
+/// A directive's value token, with the checks its field applies.
+struct Value {
+  const Reader& in;
+  const std::string& tok;
+  const std::string& key;
+
+  std::size_t count(std::size_t min) const { return in.count(tok, key, min); }
+};
+
+/// One header directive: its key, its value's grammar, and the program
+/// field it prints (`get`) and writes (`set`).
+struct Directive {
+  const char* key;
+  const char* grammar;  ///< a choice (`on|off`) or a slot (`<integer>`)
+  /// Why a non-default value needs engine sync ("engine events <why>");
+  /// nullptr when every engine reads the field.
+  const char* sync_only;
+  bool omit_default;  ///< serialize() leaves the directive out at its default
+  std::string (*get)(const ScenarioProgram&);
+  void (*set)(ScenarioProgram&, const Value&);
+};
+
+// `p` is the program, `v` the value; choices arrive already checked.
+const Directive kDirectives[] = {
+    {"name", "<word>", nullptr, false, [](auto& p) { return p.name; },
+     [](auto& p, auto& v) { p.name = v.tok; }},
+    {"shape", "<shape>", nullptr, false, [](auto& p) { return p.shape_spec; },
+     [](auto& p, auto& v) {
+       std::string err;
+       if (!shape::make_shape(v.tok, &err)) v.in.fail(err);
+       p.shape_spec = v.tok;
+     }},
+    {"engine", "sync|events|live", nullptr, false,
+     [](auto& p) { return std::string(to_string(p.options.engine)); },
+     [](auto& p, auto& v) {
+       p.options.engine = *engine_mode_from_string(v.tok);
+     }},
+    {"seed", "<integer>", nullptr, false,
+     [](auto& p) { return std::to_string(p.options.config.seed); },
+     [](auto& p, auto& v) { p.options.config.seed = v.count(0); }},
+    {"reps", "<integer>", nullptr, false,
+     [](auto& p) { return std::to_string(p.reps); },
+     [](auto& p, auto& v) { p.reps = v.count(1); }},
+    {"k", "<integer>", nullptr, false,
+     [](auto& p) { return std::to_string(p.options.config.poly.replication); },
+     [](auto& p, auto& v) { p.options.config.poly.replication = v.count(1); }},
+    {"split", "basic|pd|md|advanced", nullptr, false,
+     [](auto& p) { return core::to_string(p.options.config.poly.split_kind); },
+     [](auto& p, auto& v) {
+       p.options.config.poly.split_kind = core::split_kind_from_string(v.tok);
+     }},
+    {"substrate", "tman|vicinity", "runs on T-Man", false,
+     [](auto& p) {
+       return std::string(p.options.config.substrate == Substrate::kVicinity
+                              ? "vicinity"
+                              : "tman");
+     },
+     [](auto& p, auto& v) {
+       p.options.config.substrate =
+           v.tok == "vicinity" ? Substrate::kVicinity : Substrate::kTman;
+     }},
+    {"polystyrene", "on|off", "runs the full Polystyrene stack", false,
+     [](auto& p) {
+       return std::string(p.options.config.polystyrene ? "on" : "off");
+     },
+     [](auto& p, auto& v) { p.options.config.polystyrene = v.tok == "on"; }},
+    {"fd-delay", "<integer>", "has its own failure detection", true,
+     [](auto& p) { return std::to_string(p.options.config.fd_delay_rounds); },
+     [](auto& p, auto& v) { p.options.config.fd_delay_rounds = v.count(0); }},
+    {"fd-fp", "<probability>", "has its own failure detection", true,
+     [](auto& p) { return fmt_g(p.options.config.fd_false_positive_rate); },
+     [](auto& p, auto& v) {
+       p.options.config.fd_false_positive_rate =
+           v.in.real_in(v.tok, "fd-fp rate", 0.0, 1.0, /*closed_low=*/true);
+     }},
+};
+
+// ---- expect metrics ---------------------------------------------------------
+
+/// One `expect` metric: its name, the engines that measure it, and its
+/// RoundMetrics field.  Live runs are not reproducible, so no metric can
+/// be expected under live.
+struct Metric {
+  const char* name;
+  unsigned engines;
+  double (*get)(const RoundMetrics&);
+};
+
+template <auto Field>
+double field(const RoundMetrics& m) {
+  return static_cast<double>(m.*Field);
+}
+
+const Metric kMetrics[] = {
+    {"homogeneity", kSync | kEvents, field<&RoundMetrics::homogeneity>},
+    {"proximity", kSync | kEvents, field<&RoundMetrics::proximity>},
+    {"reliability", kSync | kEvents, field<&RoundMetrics::reliability>},
+    {"alive", kSync | kEvents, field<&RoundMetrics::alive>},
+    {"points_per_node", kSync, field<&RoundMetrics::points_per_node>},
+    // Frame and fault-plane counters: the event hub's.
+    {"frames", kEvents, field<&RoundMetrics::frames>},
+    {"frames_rejected", kEvents, field<&RoundMetrics::frames_rejected>},
+    {"frames_blackholed", kEvents, field<&RoundMetrics::frames_blackholed>},
+    {"frames_duplicated", kEvents, field<&RoundMetrics::frames_duplicated>},
+    {"frames_corrupted", kEvents, field<&RoundMetrics::frames_corrupted>},
+    {"frames_reordered", kEvents, field<&RoundMetrics::frames_reordered>},
+    {"stall_rounds", kEvents, field<&RoundMetrics::stall_rounds>},
+    {"recoveries", kEvents, field<&RoundMetrics::recoveries>},
+    // Traffic-plane metrics (docs/TRAFFIC.md): the workload runs on the
+    // event engine only.
+    {"requests", kEvents, field<&RoundMetrics::requests>},
+    {"requests_failed", kEvents, field<&RoundMetrics::requests_failed>},
+    {"success_rate", kEvents, field<&RoundMetrics::success_rate>},
+    {"p50_latency_ms", kEvents, field<&RoundMetrics::p50_latency_ms>},
+    {"p99_latency_ms", kEvents, field<&RoundMetrics::p99_latency_ms>},
+    {"p999_latency_ms", kEvents, field<&RoundMetrics::p999_latency_ms>},
+    {"mean_hops", kEvents, field<&RoundMetrics::mean_hops>},
+};
+
+const Metric* find_metric(const std::string& name) {
+  for (const auto& m : kMetrics)
+    if (name == m.name) return &m;
+  return nullptr;
+}
+
+/// `expect` comparisons, in Expect::Op order.
+constexpr std::string_view kOps = "<|<=|>|>=|==|!=";
+constexpr const char* kExpectGrammar =
+    "expect <metric> <op> <value> @ <round|end>";
+
+bool holds(Expect::Op op, double lhs, double rhs) {
+  switch (op) {
+    case Expect::Op::kLt: return lhs < rhs;
+    case Expect::Op::kLe: return lhs <= rhs;
+    case Expect::Op::kGt: return lhs > rhs;
+    case Expect::Op::kGe: return lhs >= rhs;
+    case Expect::Op::kEq: return lhs == rhs;
+    case Expect::Op::kNe: return lhs != rhs;
+  }
+  return false;
+}
+
+// ---- the parser -------------------------------------------------------------
+
+/// Morph-shape targets must be grids that fit inside the torus of the shape
+/// that runs (positions cannot leave the metric space).  Checked at parse
+/// time, so a bad timeline fails before round 1, and again by run_program,
+/// since callers (`poly_scenario --shape`) may override the shape.
+void check_morph_shapes(const ScenarioProgram& p) {
+  std::unique_ptr<shape::Shape> base;
+  const space::TorusSpace* torus = nullptr;
+  for (const auto& s : p.timeline) {
+    if (s.shape_spec.empty()) continue;  // only `morph shape` names a shape
+    if (base == nullptr) {
+      base = shape::make_shape(p.shape_spec);
+      torus = dynamic_cast<const space::TorusSpace*>(&base->space());
+      if (torus == nullptr)
+        throw ProgramError(p.file, 0,
+                           "morph shape needs a grid:WxH base shape, not " +
+                               p.shape_spec);
+    }
+    const auto target = shape::make_shape(s.shape_spec);
+    const auto* tt = dynamic_cast<const space::TorusSpace*>(&target->space());
+    if (tt == nullptr)
+      throw ProgramError(p.file, s.line,
+                         "morph shape target must be a grid:WxH, not " +
+                             s.shape_spec);
+    if (tt->width() > torus->width() || tt->height() > torus->height())
+      throw ProgramError(p.file, s.line,
+                         "morph target " + s.shape_spec + " does not fit the " +
+                             fmt_g(torus->width()) + "x" +
+                             fmt_g(torus->height()) + " torus of " +
+                             p.shape_spec);
+  }
+}
+
+class Parser : Reader {
  public:
   Parser(const std::string& text, const std::string& filename)
-      : text_(text), file_(filename) {}
+      : Reader(filename), text_(text) {}
 
   ScenarioProgram parse() {
     ScenarioProgram p;
@@ -197,21 +806,20 @@ class Parser {
       if (tok.empty()) continue;
       if (!in_timeline_ && header_directive(p, tok)) continue;
       in_timeline_ = true;
-      stage(p, tok);
+      if (tok[0] == "expect")
+        expect(p, tok);
+      else
+        stage(p, tok);
     }
 
     if (p.shape_spec.empty())
       fail(0, "missing required 'shape' directive (e.g. shape grid:80x40)");
-    check_shapes(p);
-    check_expects(p);
+    check_morph_shapes(p);
+    check_expect_rounds(p);
     return p;
   }
 
  private:
-  [[noreturn]] void fail(int line, const std::string& msg) const {
-    throw ProgramError(file_, line, msg);
-  }
-
   std::string default_name() const {
     std::string stem = file_;
     if (const auto slash = stem.find_last_of('/');
@@ -222,457 +830,129 @@ class Parser {
     return stem;
   }
 
-  std::size_t parse_count(const std::string& tok, const char* what,
-                          std::size_t min = 1) const {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || tok[0] == '-')
-      fail(line_, std::string("bad ") + what + " '" + tok +
-                      "' (want a non-negative integer)");
-    if (v < min)
-      fail(line_, std::string(what) + " must be >= " + std::to_string(min) +
-                      ", got " + tok);
-    return static_cast<std::size_t>(v);
-  }
-
-  double parse_double(const std::string& tok, const char* what) const {
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == tok.c_str() || *end != '\0' || !std::isfinite(v))
-      fail(line_, std::string("bad ") + what + " '" + tok + "'");
-    return v;
-  }
-
-  /// Parses four zone corners starting at `tok[base]` into `s`; rejects
-  /// empty rectangles (shared by crash/partition/degrade/stall zones).
-  void parse_zone(Stage& s, const std::vector<std::string>& tok,
-                  std::size_t base, const char* verb) const {
-    s.x0 = parse_double(tok[base + 0], "zone x0");
-    s.y0 = parse_double(tok[base + 1], "zone y0");
-    s.x1 = parse_double(tok[base + 2], "zone x1");
-    s.y1 = parse_double(tok[base + 3], "zone y1");
-    if (s.x1 <= s.x0 || s.y1 <= s.y0)
-      fail(line_, std::string("empty ") + verb +
-                      " zone (want x0 < x1 and y0 < y1)");
-  }
-
-  void expect_args(const std::vector<std::string>& tok, std::size_t n,
-                   const char* usage) const {
-    if (tok.size() != n)
-      fail(line_, "'" + tok[0] + "' wants " + usage + ", got " +
-                      std::to_string(tok.size() - 1) + " argument(s)");
-  }
-
-  void record(ScenarioProgram& p, const std::string& key) {
-    for (const auto& [k, l] : p.directive_lines)
-      if (k == key)
-        fail(line_, "duplicate '" + key + "' (first set on line " +
-                        std::to_string(l) + ")");
-    p.directive_lines.emplace_back(key, line_);
+  /// Names what a verb wants: its grammar after the verb word.
+  [[noreturn]] void wants(const std::vector<std::string>& tok,
+                          std::string_view grammar) const {
+    const std::size_t space = grammar.find(' ');
+    fail("'" + tok[0] + "' wants " +
+         (space == std::string_view::npos
+              ? "no arguments"
+              : std::string(grammar.substr(space + 1))) +
+         ", got " + std::to_string(tok.size() - 1) + " argument(s)");
   }
 
   /// Returns true when `tok` was a header directive.
   bool header_directive(ScenarioProgram& p,
                         const std::vector<std::string>& tok) {
-    const std::string& key = tok[0];
-    if (key == "name") {
-      expect_args(tok, 2, "one word");
-      record(p, key);
-      p.name = tok[1];
-    } else if (key == "shape") {
-      expect_args(tok, 2, "one spec (grid:WxH, ring:N, cube:XxYxZ)");
-      record(p, key);
-      std::string err;
-      if (!shape::make_shape(tok[1], &err)) fail(line_, err);
-      p.shape_spec = tok[1];
-    } else if (key == "engine") {
-      expect_args(tok, 2, "sync|events|live");
-      record(p, key);
-      const auto mode = engine_mode_from_string(tok[1]);
-      if (!mode)
-        fail(line_, "unknown engine '" + tok[1] +
-                        "' (want sync, events, or live)");
-      p.options.engine = *mode;
-    } else if (key == "seed") {
-      expect_args(tok, 2, "one integer");
-      record(p, key);
-      p.options.config.seed = parse_count(tok[1], "seed", 0);
-    } else if (key == "reps") {
-      expect_args(tok, 2, "one integer");
-      record(p, key);
-      p.reps = parse_count(tok[1], "reps");
-    } else if (key == "k") {
-      expect_args(tok, 2, "one integer");
-      record(p, key);
-      p.options.config.poly.replication = parse_count(tok[1], "k");
-    } else if (key == "split") {
-      expect_args(tok, 2, "basic|pd|md|advanced");
-      record(p, key);
-      try {
-        p.options.config.poly.split_kind =
-            core::split_kind_from_string(tok[1]);
-      } catch (const std::invalid_argument&) {
-        fail(line_, "unknown split '" + tok[1] +
-                        "' (want basic, pd, md, or advanced)");
-      }
-    } else if (key == "substrate") {
-      expect_args(tok, 2, "tman|vicinity");
-      record(p, key);
-      if (tok[1] == "tman")
-        p.options.config.substrate = Substrate::kTman;
-      else if (tok[1] == "vicinity")
-        p.options.config.substrate = Substrate::kVicinity;
-      else
-        fail(line_, "unknown substrate '" + tok[1] +
-                        "' (want tman or vicinity)");
-    } else if (key == "polystyrene") {
-      expect_args(tok, 2, "on|off");
-      record(p, key);
-      if (tok[1] == "on")
-        p.options.config.polystyrene = true;
-      else if (tok[1] == "off")
-        p.options.config.polystyrene = false;
-      else
-        fail(line_, "polystyrene wants on or off, got '" + tok[1] + "'");
-    } else if (key == "fd-delay") {
-      expect_args(tok, 2, "one integer");
-      record(p, key);
-      p.options.config.fd_delay_rounds =
-          parse_count(tok[1], "fd-delay", 0);
-    } else if (key == "fd-fp") {
-      expect_args(tok, 2, "one rate");
-      record(p, key);
-      p.options.config.fd_false_positive_rate =
-          parse_double(tok[1], "fd-fp rate");
-      if (p.options.config.fd_false_positive_rate < 0.0 ||
-          p.options.config.fd_false_positive_rate >= 1.0)
-        fail(line_, "fd-fp rate " + tok[1] + " out of [0, 1)");
-    } else {
-      return false;  // not a header directive — first timeline stage
-    }
+    const auto* d = std::find_if(
+        std::begin(kDirectives), std::end(kDirectives),
+        [&](const Directive& row) { return tok[0] == row.key; });
+    if (d == std::end(kDirectives)) return false;  // the first stage
+    if (tok.size() != 2) wants(tok, std::string(d->key) + " " + d->grammar);
+    if (const int first = p.line_of(tok[0]))
+      fail("duplicate '" + tok[0] + "' (first set on line " +
+           std::to_string(first) + ")");
+    p.directive_lines.emplace_back(tok[0], line_);
+    if (std::string_view(d->grammar).find('|') != std::string_view::npos)
+      choice(d->grammar, tok[1], tok[0]);
+    d->set(p, Value{*this, tok[1], tok[0]});
     return true;
   }
 
+  /// The verb row `tok` names.  Rows sharing a verb are told apart by their
+  /// second word: a literal selector, or a slot (`grow <nodes>`) that takes
+  /// whatever no selector matched.
+  const Verb& select(const std::vector<std::string>& tok) const {
+    std::vector<std::string_view> verbs, selectors;
+    std::vector<const Verb*> forms;
+    const Verb* open = nullptr;
+    for (const auto& v : kVerbs) {
+      const auto w = words(v.grammar);
+      if (verbs.empty() || verbs.back() != w[0]) verbs.push_back(w[0]);
+      if (w[0] != tok[0]) continue;
+      forms.push_back(&v);
+      if (w.size() < 2 || find_slot(w[1]) != nullptr)
+        open = &v;
+      else if (tok.size() > 1 && tok[1] == w[1])
+        return v;
+      else
+        selectors.push_back(w[1]);
+    }
+    if (open != nullptr) return *open;
+    if (forms.empty()) {
+      verbs.emplace_back("expect");
+      fail("unknown stage '" + tok[0] + "' (want " + one_of(verbs) + ")");
+    }
+    // A lone form: stage() says what its literal words want.
+    if (forms.size() == 1) return *forms.front();
+    if (tok.size() < 2) fail("'" + tok[0] + "' wants " + one_of(selectors));
+    fail("unknown " + tok[0] + " selector '" + tok[1] + "' (want " +
+         one_of(selectors) + ")");
+  }
+
   void stage(ScenarioProgram& p, const std::vector<std::string>& tok) {
-    // `expect` is an assertion, not a stage — position-independent, keyed
-    // by completed-round count (or `end`), collected outside the timeline.
-    if (tok[0] == "expect") {
-      expect_args(tok, 6, "<metric> <op> <value> @ <round|end>");
-      Expect e;
-      e.line = line_;
-      e.metric = tok[1];
-      if (find_expect_metric(e.metric) == nullptr)
-        fail(line_, "unknown expect metric '" + tok[1] + "' (want one of " +
-                        expect_metric_names() + ")");
-      const auto op = parse_expect_op(tok[2]);
-      if (!op)
-        fail(line_, "unknown expect comparison '" + tok[2] +
-                        "' (want <, <=, >, >=, ==, or !=)");
-      e.op = *op;
-      e.value = parse_double(tok[3], "expect value");
-      if (tok[4] != "@")
-        fail(line_, "'expect' wants: expect <metric> <op> <value> @ "
-                    "<round|end>");
-      if (tok[5] == "end")
-        e.at_end = true;
-      else
-        e.round = parse_count(tok[5], "expect round");
-      p.expects.push_back(std::move(e));
-      return;
-    }
-
+    const Verb& verb = select(tok);
     Stage s;
+    s.verb = &verb;
     s.line = line_;
-    const std::string& verb = tok[0];
-
-    if (verb == "run") {
-      expect_args(tok, 2, "a round count");
-      s.kind = Stage::Kind::kRun;
-      s.rounds = parse_count(tok[1], "round count");
-    } else if (verb == "grow") {
-      expect_args(tok, 2, "a node count or 'crashed'");
-      s.kind = Stage::Kind::kGrow;
-      if (tok[1] == "crashed") {
-        if (!crash_seen_)
-          fail(line_, "'grow crashed' needs a crash or churn stage before "
-                      "it");
-        s.grow_crashed = true;
-      } else {
-        s.count = parse_count(tok[1], "node count");
-      }
-    } else if (verb == "crash") {
-      s.kind = Stage::Kind::kCrash;
-      if (tok.size() < 2)
-        fail(line_, "'crash' wants half, frac F, zone X0 Y0 X1 Y1, or "
-                    "ids A,B,…");
-      const std::string& sel = tok[1];
-      if (sel == "half") {
-        expect_args(tok, 2, "no further arguments");
-        s.selector = Stage::CrashSelector::kHalf;
-      } else if (sel == "frac") {
-        expect_args(tok, 3, "one fraction");
-        s.selector = Stage::CrashSelector::kFrac;
-        s.frac = parse_double(tok[2], "crash fraction");
-        if (s.frac <= 0.0 || s.frac > 1.0)
-          fail(line_, "crash fraction " + tok[2] + " out of (0, 1]");
-      } else if (sel == "zone") {
-        expect_args(tok, 6, "four corner coordinates X0 Y0 X1 Y1");
-        s.selector = Stage::CrashSelector::kZone;
-        s.x0 = parse_double(tok[2], "zone x0");
-        s.y0 = parse_double(tok[3], "zone y0");
-        s.x1 = parse_double(tok[4], "zone x1");
-        s.y1 = parse_double(tok[5], "zone y1");
-        if (s.x1 <= s.x0 || s.y1 <= s.y0)
-          fail(line_, "empty crash zone (want x0 < x1 and y0 < y1)");
-      } else if (sel == "ids") {
-        expect_args(tok, 3, "a comma-separated id list");
-        s.selector = Stage::CrashSelector::kIds;
-        std::istringstream is(tok[2]);
-        std::string part;
-        while (std::getline(is, part, ','))
-          s.ids.push_back(parse_count(part, "node id", 0));
-        if (s.ids.empty()) fail(line_, "empty crash id list");
-      } else {
-        fail(line_, "unknown crash selector '" + sel +
-                        "' (want half, frac, zone, or ids)");
-      }
-      crash_seen_ = true;
-    } else if (verb == "churn") {
-      expect_args(tok, 3, "a percentage and a round count");
-      s.kind = Stage::Kind::kChurn;
-      s.frac = parse_double(tok[1], "churn percentage");
-      if (s.frac <= 0.0 || s.frac > 100.0)
-        fail(line_, "churn percentage " + tok[1] + " out of (0, 100]");
-      s.rounds = parse_count(tok[2], "round count");
-      crash_seen_ = true;
-    } else if (verb == "flash-crowd") {
-      expect_args(tok, 3, "a node count and a round count");
-      s.kind = Stage::Kind::kFlashCrowd;
-      s.count = parse_count(tok[1], "node count");
-      s.rounds = parse_count(tok[2], "round count");
-    } else if (verb == "morph") {
-      if (tok.size() < 2)
-        fail(line_, "'morph' wants drift DX DY N or shape SPEC N");
-      if (tok[1] == "drift") {
-        expect_args(tok, 5, "drift DX DY N");
-        s.kind = Stage::Kind::kMorphDrift;
-        s.dx = parse_double(tok[2], "drift dx");
-        s.dy = parse_double(tok[3], "drift dy");
-        s.rounds = parse_count(tok[4], "round count");
-      } else if (tok[1] == "shape") {
-        expect_args(tok, 4, "shape SPEC N");
-        s.kind = Stage::Kind::kMorphShape;
-        std::string err;
-        if (!shape::make_shape(tok[2], &err))
-          fail(line_, "morph to unknown shape: " + err);
-        s.shape_spec = tok[2];
-        s.rounds = parse_count(tok[3], "round count");
-      } else {
-        fail(line_, "unknown morph mode '" + tok[1] +
-                        "' (want drift or shape)");
-      }
-    } else if (verb == "migrate") {
-      expect_args(tok, 4, "DX DY N");
-      s.kind = Stage::Kind::kMigrate;
-      s.dx = parse_double(tok[1], "migrate dx");
-      s.dy = parse_double(tok[2], "migrate dy");
-      s.rounds = parse_count(tok[3], "round count");
-    } else if (verb == "snapshot") {
-      s.kind = Stage::Kind::kSnapshot;
-      for (std::size_t i = 1; i < tok.size(); ++i) {
-        if (i > 1) s.label += ' ';
-        s.label += tok[i];
-      }
-    } else if (verb == "measure") {
-      if (tok.size() != 3 || tok[1] != "every")
-        fail(line_, "'measure' wants: measure every R");
-      s.kind = Stage::Kind::kMeasureEvery;
-      s.rounds = parse_count(tok[2], "measure cadence");
-    } else if (verb == "partition") {
-      expect_args(tok, 8, "zone X0 Y0 X1 Y1 heal N");
-      if (tok[1] != "zone" || tok[6] != "heal")
-        fail(line_, "'partition' wants: partition zone X0 Y0 X1 Y1 heal N");
-      s.kind = Stage::Kind::kPartition;
-      s.selector = Stage::CrashSelector::kZone;
-      parse_zone(s, tok, 2, "partition");
-      s.rounds = parse_count(tok[7], "heal round count", 0);
-    } else if (verb == "degrade") {
-      expect_args(tok, 13,
-                  "zone X0 Y0 X1 Y1 in|out|both drop D jitter MS heal N");
-      if (tok[1] != "zone" || tok[7] != "drop" || tok[9] != "jitter" ||
-          tok[11] != "heal")
-        fail(line_, "'degrade' wants: degrade zone X0 Y0 X1 Y1 "
-                    "in|out|both drop D jitter MS heal N");
-      s.kind = Stage::Kind::kDegrade;
-      s.selector = Stage::CrashSelector::kZone;
-      parse_zone(s, tok, 2, "degrade");
-      if (tok[6] == "in")
-        s.dir = LinkDirection::kInto;
-      else if (tok[6] == "out")
-        s.dir = LinkDirection::kOutOf;
-      else if (tok[6] == "both")
-        s.dir = LinkDirection::kBoth;
-      else
-        fail(line_, "unknown degrade direction '" + tok[6] +
-                        "' (want in, out, or both)");
-      s.drop = parse_double(tok[8], "degrade drop rate");
-      if (s.drop < 0.0 || s.drop >= 1.0)
-        fail(line_, "degrade drop rate " + tok[8] + " out of [0, 1)");
-      s.jitter_ms = parse_double(tok[10], "degrade jitter");
-      if (s.jitter_ms < 0.0)
-        fail(line_, "degrade jitter " + tok[10] + " must be >= 0 ms");
-      if (s.drop == 0.0 && s.jitter_ms == 0.0)
-        fail(line_, "degrade with drop 0 and jitter 0 does nothing");
-      s.rounds = parse_count(tok[12], "heal round count", 0);
-    } else if (verb == "corrupt" || verb == "duplicate") {
-      expect_args(tok, 4, "P heal N");
-      if (tok[2] != "heal")
-        fail(line_, "'" + verb + "' wants: " + verb + " P heal N");
-      s.kind = verb == "corrupt" ? Stage::Kind::kCorrupt
-                                 : Stage::Kind::kDuplicate;
-      s.frac = parse_double(tok[1], (verb + " probability").c_str());
-      if (s.frac <= 0.0 || s.frac > 1.0)
-        fail(line_, verb + " probability " + tok[1] + " out of (0, 1]");
-      s.rounds = parse_count(tok[3], "heal round count", 0);
-    } else if (verb == "reorder") {
-      expect_args(tok, 6, "P jitter MS heal N");
-      if (tok[2] != "jitter" || tok[4] != "heal")
-        fail(line_, "'reorder' wants: reorder P jitter MS heal N");
-      s.kind = Stage::Kind::kReorder;
-      s.frac = parse_double(tok[1], "reorder probability");
-      if (s.frac <= 0.0 || s.frac > 1.0)
-        fail(line_, "reorder probability " + tok[1] + " out of (0, 1]");
-      s.jitter_ms = parse_double(tok[3], "reorder jitter");
-      if (s.jitter_ms <= 0.0)
-        fail(line_, "reorder jitter " + tok[3] + " must be > 0 ms");
-      s.rounds = parse_count(tok[5], "heal round count", 0);
-    } else if (verb == "stall") {
-      s.kind = Stage::Kind::kStall;
-      if (tok.size() < 2)
-        fail(line_, "'stall' wants zone X0 Y0 X1 Y1 N or frac F N");
-      if (tok[1] == "zone") {
-        expect_args(tok, 7, "zone X0 Y0 X1 Y1 N");
-        s.selector = Stage::CrashSelector::kZone;
-        parse_zone(s, tok, 2, "stall");
-        s.rounds = parse_count(tok[6], "stall round count");
-      } else if (tok[1] == "frac") {
-        expect_args(tok, 4, "frac F N");
-        s.selector = Stage::CrashSelector::kFrac;
-        s.frac = parse_double(tok[2], "stall fraction");
-        if (s.frac <= 0.0 || s.frac > 1.0)
-          fail(line_, "stall fraction " + tok[2] + " out of (0, 1]");
-        s.rounds = parse_count(tok[3], "stall round count");
-      } else {
-        fail(line_, "unknown stall selector '" + tok[1] +
-                        "' (want zone or frac)");
-      }
-    } else if (verb == "recover") {
-      s.kind = Stage::Kind::kRecover;
-      if (tok.size() < 2)
-        fail(line_, "'recover' wants all, frac F, or ids A,B,…");
-      if (tok[1] == "all") {
-        expect_args(tok, 2, "no further arguments");
-        s.recover = Stage::RecoverSelector::kAll;
-      } else if (tok[1] == "frac") {
-        expect_args(tok, 3, "one fraction");
-        s.recover = Stage::RecoverSelector::kFrac;
-        s.frac = parse_double(tok[2], "recover fraction");
-        if (s.frac <= 0.0 || s.frac > 1.0)
-          fail(line_, "recover fraction " + tok[2] + " out of (0, 1]");
-      } else if (tok[1] == "ids") {
-        expect_args(tok, 3, "a comma-separated id list");
-        s.recover = Stage::RecoverSelector::kIds;
-        std::istringstream is(tok[2]);
-        std::string part;
-        while (std::getline(is, part, ','))
-          s.ids.push_back(parse_count(part, "node id", 0));
-        if (s.ids.empty()) fail(line_, "empty recover id list");
-      } else {
-        fail(line_, "unknown recover selector '" + tok[1] +
-                        "' (want all, frac, or ids)");
-      }
-    } else if (verb == "traffic") {
-      expect_args(tok, 3, "<rate> get|put|mixed");
-      s.kind = Stage::Kind::kTraffic;
-      s.count = parse_count(tok[1], "traffic rate");
-      if (tok[2] == "get")
-        s.mix = TrafficMix::kGet;
-      else if (tok[2] == "put")
-        s.mix = TrafficMix::kPut;
-      else if (tok[2] == "mixed")
-        s.mix = TrafficMix::kMixed;
-      else
-        fail(line_, "unknown traffic mix '" + tok[2] +
-                        "' (want get, put, or mixed)");
-    } else if (verb == "drain") {
-      expect_args(tok, 1, "no arguments");
-      s.kind = Stage::Kind::kDrain;
-    } else {
-      fail(line_, "unknown stage '" + verb +
-                      "' (want run, grow, crash, churn, flash-crowd, "
-                      "morph, migrate, snapshot, measure, partition, "
-                      "degrade, corrupt, duplicate, reorder, stall, "
-                      "recover, traffic, drain, or expect)");
+    std::size_t at = 0;
+    for (const auto word : words(verb.grammar)) {
+      const SlotType* slot = find_slot(word);
+      const std::size_t n = slot == nullptr  ? 1
+                            : slot->width > 0 ? slot->width
+                                              : tok.size() - at;  // [label]
+      if (at + n > tok.size()) wants(tok, verb.grammar);
+      if (slot != nullptr)
+        fill_slot(*this, slot->slot,
+                  std::span<const std::string>(tok).subspan(at, n), tok[0], s);
+      else if (tok[at] != word)
+        fail("'" + tok[0] + "' wants: " + verb.grammar);
+      at += n;
     }
+    if (at != tok.size()) wants(tok, verb.grammar);
+    if (verb.check != nullptr)
+      if (const char* err = verb.check(s, p.timeline)) fail(err);
     p.timeline.push_back(std::move(s));
   }
 
-  /// Morph-shape targets must fit inside the torus the base shape created
-  /// (positions cannot leave the metric space); checked here so a bad
-  /// timeline fails at parse time, not 80 rounds into a run.
-  void check_shapes(const ScenarioProgram& p) const {
-    bool any_morph_shape = false;
-    for (const auto& s : p.timeline)
-      if (s.kind == Stage::Kind::kMorphShape) any_morph_shape = true;
-    if (!any_morph_shape) return;
-
-    const auto base = shape::make_shape(p.shape_spec);
-    const auto* torus =
-        dynamic_cast<const space::TorusSpace*>(&base->space());
-    if (torus == nullptr)
-      throw ProgramError(p.file, 0,
-                         "morph shape needs a grid:WxH base shape, not " +
-                             p.shape_spec);
-    for (const auto& s : p.timeline) {
-      if (s.kind != Stage::Kind::kMorphShape) continue;
-      const auto target = shape::make_shape(s.shape_spec);
-      const auto* tt =
-          dynamic_cast<const space::TorusSpace*>(&target->space());
-      if (tt == nullptr)
-        throw ProgramError(p.file, s.line,
-                           "morph shape target must be a grid:WxH, not " +
-                               s.shape_spec);
-      if (tt->width() > torus->width() || tt->height() > torus->height())
-        throw ProgramError(
-            p.file, s.line,
-            "morph target " + s.shape_spec + " does not fit the " +
-                fmt_g(torus->width()) + "x" + fmt_g(torus->height()) +
-                " torus of " + p.shape_spec);
+  // `expect` is an assertion, not a stage — position-independent, keyed
+  // by completed-round count (or `end`), collected outside the timeline.
+  void expect(ScenarioProgram& p, const std::vector<std::string>& tok) {
+    if (tok.size() != 6) wants(tok, kExpectGrammar);
+    Expect e;
+    e.line = line_;
+    e.metric = tok[1];
+    if (find_metric(e.metric) == nullptr) {
+      std::string names;
+      for (const auto& m : kMetrics)
+        names += (names.empty() ? "" : ", ") + std::string(m.name);
+      fail("unknown expect metric '" + tok[1] + "' (want one of " + names +
+           ")");
     }
+    e.op = static_cast<Expect::Op>(choice(kOps, tok[2], "expect comparison"));
+    e.value = real(tok[3], "expect value");
+    if (tok[4] != "@") fail(std::string("'expect' wants: ") + kExpectGrammar);
+    if (tok[5] == "end")
+      e.at_end = true;
+    else
+      e.round = count(tok[5], "expect round", 1);
+    p.expects.push_back(std::move(e));
   }
 
   /// An expect keyed past the last executed round would silently never
   /// fire — reject it at parse time.
-  void check_expects(const ScenarioProgram& p) const {
+  void check_expect_rounds(const ScenarioProgram& p) const {
     const std::size_t total = p.total_rounds();
     for (const auto& e : p.expects)
       if (!e.at_end && e.round > total)
-        throw ProgramError(p.file, e.line,
-                           "expect @ round " + std::to_string(e.round) +
-                               " but the timeline only runs " +
-                               std::to_string(total) + " rounds");
+        fail(e.line, "expect @ round " + std::to_string(e.round) +
+                         " but the timeline only runs " +
+                         std::to_string(total) + " rounds");
   }
 
   const std::string& text_;
-  std::string file_;
-  int line_ = 0;
   bool in_timeline_ = false;
-  bool crash_seen_ = false;
 };
-
-std::string engine_header_value(const ScenarioProgram& p) {
-  return to_string(p.options.engine);
-}
 
 }  // namespace
 
@@ -682,6 +962,8 @@ ProgramError::ProgramError(const std::string& file, int line,
       file_(file),
       line_(line) {}
 
+std::span<const Verb> verb_table() noexcept { return kVerbs; }
+
 int ScenarioProgram::line_of(const std::string& directive) const {
   for (const auto& [k, l] : directive_lines)
     if (k == directive) return l;
@@ -689,25 +971,12 @@ int ScenarioProgram::line_of(const std::string& directive) const {
 }
 
 std::size_t ScenarioProgram::total_rounds() const noexcept {
+  // Fault verbs' heal bounds and stall spans are not executed rounds, and
+  // neither are drain's: how many it runs depends on the in-flight
+  // population, so expects about the post-drain state use `@ end`.
   std::size_t n = 0;
-  for (const auto& s : timeline) {
-    switch (s.kind) {
-      case Stage::Kind::kRun:
-      case Stage::Kind::kChurn:
-      case Stage::Kind::kFlashCrowd:
-      case Stage::Kind::kMorphDrift:
-      case Stage::Kind::kMorphShape:
-      case Stage::Kind::kMigrate:
-        n += s.rounds;
-        break;
-      default:
-        // Instantaneous stages; the fault verbs' `rounds` is a heal bound
-        // or stall span, not executed rounds.  `drain` does run rounds,
-        // but how many depends on the in-flight population — expects
-        // about the post-drain state must use `@ end`.
-        break;
-    }
-  }
+  for (const auto& s : timeline)
+    if (s.verb->timed) n += s.rounds;
   return n;
 }
 
@@ -726,595 +995,133 @@ ScenarioProgram load_program(const std::string& path) {
 
 std::string serialize(const ScenarioProgram& p) {
   std::ostringstream os;
-  os << "name " << p.name << '\n';
-  os << "shape " << p.shape_spec << '\n';
-  os << "engine " << engine_header_value(p) << '\n';
-  const SimulationConfig& c = p.options.config;
-  os << "seed " << c.seed << '\n';
-  os << "reps " << p.reps << '\n';
-  os << "k " << c.poly.replication << '\n';
-  os << "split " << core::to_string(c.poly.split_kind) << '\n';
-  os << "substrate "
-     << (c.substrate == Substrate::kVicinity ? "vicinity" : "tman") << '\n';
-  os << "polystyrene " << (c.polystyrene ? "on" : "off") << '\n';
-  if (c.fd_delay_rounds != 0) os << "fd-delay " << c.fd_delay_rounds << '\n';
-  if (c.fd_false_positive_rate != 0.0)
-    os << "fd-fp " << fmt_g(c.fd_false_positive_rate) << '\n';
+  const ScenarioProgram defaults;
+  for (const auto& d : kDirectives) {
+    const std::string value = d.get(p);
+    if (!d.omit_default || value != d.get(defaults))
+      os << d.key << ' ' << value << '\n';
+  }
   os << '\n';
 
   for (const auto& s : p.timeline) {
-    switch (s.kind) {
-      case Stage::Kind::kRun:
-        os << "run " << s.rounds;
-        break;
-      case Stage::Kind::kGrow:
-        if (s.grow_crashed)
-          os << "grow crashed";
-        else
-          os << "grow " << s.count;
-        break;
-      case Stage::Kind::kCrash:
-        switch (s.selector) {
-          case Stage::CrashSelector::kHalf:
-            os << "crash half";
-            break;
-          case Stage::CrashSelector::kFrac:
-            os << "crash frac " << fmt_g(s.frac);
-            break;
-          case Stage::CrashSelector::kZone:
-            os << "crash zone " << fmt_g(s.x0) << ' ' << fmt_g(s.y0) << ' '
-               << fmt_g(s.x1) << ' ' << fmt_g(s.y1);
-            break;
-          case Stage::CrashSelector::kIds:
-            os << "crash ids ";
-            for (std::size_t i = 0; i < s.ids.size(); ++i)
-              os << (i ? "," : "") << s.ids[i];
-            break;
-        }
-        break;
-      case Stage::Kind::kChurn:
-        os << "churn " << fmt_g(s.frac) << ' ' << s.rounds;
-        break;
-      case Stage::Kind::kFlashCrowd:
-        os << "flash-crowd " << s.count << ' ' << s.rounds;
-        break;
-      case Stage::Kind::kMorphDrift:
-        os << "morph drift " << fmt_g(s.dx) << ' ' << fmt_g(s.dy) << ' '
-           << s.rounds;
-        break;
-      case Stage::Kind::kMorphShape:
-        os << "morph shape " << s.shape_spec << ' ' << s.rounds;
-        break;
-      case Stage::Kind::kMigrate:
-        os << "migrate " << fmt_g(s.dx) << ' ' << fmt_g(s.dy) << ' '
-           << s.rounds;
-        break;
-      case Stage::Kind::kSnapshot:
-        os << "snapshot";
-        if (!s.label.empty()) os << ' ' << s.label;
-        break;
-      case Stage::Kind::kMeasureEvery:
-        os << "measure every " << s.rounds;
-        break;
-      case Stage::Kind::kPartition:
-        os << "partition zone " << fmt_g(s.x0) << ' ' << fmt_g(s.y0) << ' '
-           << fmt_g(s.x1) << ' ' << fmt_g(s.y1) << " heal " << s.rounds;
-        break;
-      case Stage::Kind::kDegrade:
-        os << "degrade zone " << fmt_g(s.x0) << ' ' << fmt_g(s.y0) << ' '
-           << fmt_g(s.x1) << ' ' << fmt_g(s.y1) << ' '
-           << link_dir_token(s.dir) << " drop " << fmt_g(s.drop)
-           << " jitter " << fmt_g(s.jitter_ms) << " heal " << s.rounds;
-        break;
-      case Stage::Kind::kCorrupt:
-        os << "corrupt " << fmt_g(s.frac) << " heal " << s.rounds;
-        break;
-      case Stage::Kind::kDuplicate:
-        os << "duplicate " << fmt_g(s.frac) << " heal " << s.rounds;
-        break;
-      case Stage::Kind::kReorder:
-        os << "reorder " << fmt_g(s.frac) << " jitter " << fmt_g(s.jitter_ms)
-           << " heal " << s.rounds;
-        break;
-      case Stage::Kind::kStall:
-        if (s.selector == Stage::CrashSelector::kZone)
-          os << "stall zone " << fmt_g(s.x0) << ' ' << fmt_g(s.y0) << ' '
-             << fmt_g(s.x1) << ' ' << fmt_g(s.y1) << ' ' << s.rounds;
-        else
-          os << "stall frac " << fmt_g(s.frac) << ' ' << s.rounds;
-        break;
-      case Stage::Kind::kRecover:
-        switch (s.recover) {
-          case Stage::RecoverSelector::kAll:
-            os << "recover all";
-            break;
-          case Stage::RecoverSelector::kFrac:
-            os << "recover frac " << fmt_g(s.frac);
-            break;
-          case Stage::RecoverSelector::kIds:
-            os << "recover ids ";
-            for (std::size_t i = 0; i < s.ids.size(); ++i)
-              os << (i ? "," : "") << s.ids[i];
-            break;
-        }
-        break;
-      case Stage::Kind::kTraffic:
-        os << "traffic " << s.count << ' ' << traffic_mix_token(s.mix);
-        break;
-      case Stage::Kind::kDrain:
-        os << "drain";
-        break;
+    std::string line;
+    for (const auto word : words(s.verb->grammar)) {
+      const SlotType* slot = find_slot(word);
+      const std::string text =
+          slot != nullptr ? print_slot(slot->slot, s) : std::string(word);
+      if (text.empty()) continue;  // a snapshot without a label
+      line += (line.empty() ? "" : " ") + text;
     }
-    os << '\n';
+    os << line << '\n';
   }
 
   if (!p.expects.empty()) {
     os << '\n';
-    for (const auto& e : p.expects) {
-      os << "expect " << e.metric << ' ' << to_string(e.op) << ' '
-         << fmt_g(e.value) << " @ ";
-      if (e.at_end)
-        os << "end";
-      else
-        os << e.round;
-      os << '\n';
-    }
+    for (const auto& e : p.expects)
+      os << "expect " << e.metric << ' ' << choice_at(kOps, e.op) << ' '
+         << fmt_g(e.value) << " @ "
+         << (e.at_end ? "end" : std::to_string(e.round)) << '\n';
   }
   return os.str();
 }
 
 void validate_for_mode(const ScenarioProgram& p, EngineMode mode) {
-  const char* m = to_string(mode);
-
-  // The fault plane lives in the event hub — every chaos / recovery verb
-  // needs engine events, in any other mode the stage cannot execute.
-  if (mode != EngineMode::kEvents) {
-    for (const auto& s : p.timeline) {
-      const char* verb = nullptr;
-      switch (s.kind) {
-        case Stage::Kind::kPartition: verb = "partition"; break;
-        case Stage::Kind::kDegrade: verb = "degrade"; break;
-        case Stage::Kind::kCorrupt: verb = "corrupt"; break;
-        case Stage::Kind::kDuplicate: verb = "duplicate"; break;
-        case Stage::Kind::kReorder: verb = "reorder"; break;
-        case Stage::Kind::kStall: verb = "stall"; break;
-        case Stage::Kind::kRecover: verb = "recover"; break;
-        case Stage::Kind::kTraffic: verb = "traffic"; break;
-        case Stage::Kind::kDrain: verb = "drain"; break;
-        default: break;
-      }
-      if (verb != nullptr)
-        throw ProgramError(p.file, s.line,
-                           std::string("'") + verb +
-                               "' needs engine events (the fault and "
-                               "traffic planes live in the event hub), "
-                               "not " + m);
-    }
-  }
+  const std::string m = to_string(mode);
+  for (const auto& s : p.timeline)
+    if ((s.verb->engines & bit(mode)) == 0)
+      throw ProgramError(p.file, s.line,
+                         "'" + std::string(s.verb->grammar) +
+                             "' needs engine " + engine_list(s.verb->engines) +
+                             ", not " + m);
 
   // Expects replay against a fixed trajectory, and each metric must be
-  // observable under the mode that runs.
+  // observable under the engine that runs.
   for (const auto& e : p.expects) {
-    if (mode == EngineMode::kLive)
+    const Metric* metric = find_metric(e.metric);
+    if (metric == nullptr)
       throw ProgramError(p.file, e.line,
-                         "expect needs a deterministic trajectory; engine "
-                         "live is not reproducible");
-    const auto* info = find_expect_metric(e.metric);
-    if (info == nullptr) continue;  // unreachable: parse already rejected
-    if (mode == EngineMode::kSync && !info->sync_ok)
+                         "unknown expect metric '" + e.metric + "'");
+    if ((metric->engines & bit(mode)) == 0)
       throw ProgramError(p.file, e.line,
-                         "metric '" + e.metric +
-                             "' is events-only (sync mode has no frame "
-                             "traffic)");
-    if (mode == EngineMode::kEvents && !info->events_ok)
-      throw ProgramError(p.file, e.line,
-                         "metric '" + e.metric + "' is sync-only");
+                         "metric '" + e.metric + "' needs engine " +
+                             engine_list(metric->engines) + ", not " + m);
   }
 
   if (mode == EngineMode::kSync) return;
-
-  const SimulationConfig& c = p.options.config;
-  if (!c.polystyrene)
-    throw ProgramError(p.file, p.line_of("polystyrene"),
-                       std::string("engine ") + m +
-                           " runs the full Polystyrene stack; "
-                           "'polystyrene off' needs engine sync");
-  if (c.substrate != Substrate::kTman)
-    throw ProgramError(p.file, p.line_of("substrate"),
-                       std::string("engine ") + m +
-                           " runs on T-Man; 'substrate vicinity' needs "
-                           "engine sync");
-  if (c.fd_delay_rounds != 0)
-    throw ProgramError(p.file, p.line_of("fd-delay"),
-                       std::string("engine ") + m +
-                           " has its own failure detection; fd-delay "
-                           "needs engine sync");
-  if (c.fd_false_positive_rate != 0.0)
-    throw ProgramError(p.file, p.line_of("fd-fp"),
-                       std::string("engine ") + m +
-                           " has its own failure detection; fd-fp needs "
-                           "engine sync");
-
-  for (const auto& s : p.timeline) {
-    if (s.kind == Stage::Kind::kMorphDrift ||
-        s.kind == Stage::Kind::kMorphShape ||
-        s.kind == Stage::Kind::kMigrate)
-      throw ProgramError(p.file, s.line,
-                         std::string("morph/migrate stages need engine "
-                                     "sync, not ") +
-                             m);
-    if (mode == EngineMode::kLive &&
-        (s.kind == Stage::Kind::kChurn ||
-         (s.kind == Stage::Kind::kCrash &&
-          s.selector == Stage::CrashSelector::kFrac)))
-      throw ProgramError(p.file, s.line,
-                         "churn / crash frac need a deterministic cluster "
-                         "RNG; engine live has none (use sync or events)");
+  const ScenarioProgram defaults;
+  for (const auto& d : kDirectives) {
+    if (d.sync_only == nullptr) continue;
+    const std::string value = d.get(p);
+    if (value != d.get(defaults))
+      throw ProgramError(p.file, p.line_of(d.key),
+                         "engine " + m + " " + d.sync_only + "; '" + d.key +
+                             " " + value + "' needs engine sync");
   }
+}
+
+void Execution::measure_now() {
+  since_measure = 0;
+  run.rounds.push_back(rt->measure());
+  const auto& m = run.rounds.back();
+  if (reshape_window && std::isnan(run.reshaping_rounds) &&
+      m.homogeneity < run.reference_h_after_crash)
+    run.reshaping_rounds = static_cast<double>(rt->rounds_run() - crash_round);
+}
+
+// Expect evaluation measures freshly at the trigger point so a sparse
+// measure cadence cannot shift what an assertion sees.
+void Execution::check_expects(bool at_end) const {
+  for (const auto& e : p.expects) {
+    if (e.at_end != at_end) continue;
+    if (!at_end && e.round != rt->rounds_run()) continue;
+    const double actual = find_metric(e.metric)->get(rt->measure());
+    if (!holds(e.op, actual, e.value))
+      throw ProgramError(
+          p.file, e.line,
+          "expect failed: " + e.metric + " = " + fmt_g(actual) + ", want " +
+              choice_at(kOps, e.op) + " " + fmt_g(e.value) +
+              (at_end ? std::string(" @ end")
+                      : " @ round " + std::to_string(e.round)));
+  }
+}
+
+void Execution::step() {
+  rt->run_round();
+  if (++since_measure >= cadence) measure_now();
+  check_expects(false);
+}
+
+void Execution::record_crash(std::size_t n, const std::string& how) {
+  run.crashed += n;
+  crashed_since_grow += n;
+  if (!crash_seen) {
+    crash_seen = true;
+    reshape_window = true;
+    crash_round = rt->rounds_run();
+    run.reference_h_after_crash =
+        shape.reference_homogeneity(rt->alive_count());
+  }
+  note("crashed " + std::to_string(n) + " nodes (" + how + ")");
 }
 
 ProgramRun run_program_once(const shape::Shape& shape,
                             const ScenarioProgram& p,
                             const ScenarioOptions& options) {
-  auto rt = make_cluster(shape, options);
-  ProgramRun run;
-
-  std::size_t cadence = std::max<std::size_t>(1, p.measure_every);
-  std::size_t since_measure = 0;
-  bool crash_seen = false;
-  std::size_t crash_round = 0;
-  // Reshaping is looked for from the first crash until the first later
-  // stage that injects nodes: the post-crash H is the survivors', so
-  // fresh nodes would pull homogeneity under it without any repair.
-  bool reshape_window = false;
-  std::size_t crashed_since_grow = 0;
-  double morph_w = -1.0;  // current morph-shape extent (lazily = base's)
-  double morph_h = -1.0;
-
-  auto note = [&](const std::string& text) {
-    run.events.push_back({rt->rounds_run(), false, text, {}, {}, {}});
-  };
-
-  auto measure_now = [&]() {
-    since_measure = 0;
-    run.rounds.push_back(rt->measure());
-    const auto& m = run.rounds.back();
-    if (reshape_window && std::isnan(run.reshaping_rounds) &&
-        m.homogeneity < run.reference_h_after_crash)
-      run.reshaping_rounds =
-          static_cast<double>(rt->rounds_run() - crash_round);
-  };
-
-  // Expect evaluation measures freshly at the trigger point so a sparse
-  // measure cadence cannot shift what an assertion sees.
-  auto check_expects_at = [&](bool at_end) {
-    for (const auto& e : p.expects) {
-      if (e.at_end != at_end) continue;
-      if (!at_end && e.round != rt->rounds_run()) continue;
-      const RoundMetrics m = rt->measure();
-      const double actual = expect_value(e.metric, m, *rt);
-      if (!eval_expect_op(e.op, actual, e.value))
-        throw ProgramError(
-            p.file, e.line,
-            "expect failed: " + e.metric + " = " + fmt_g(actual) +
-                ", want " + to_string(e.op) + " " + fmt_g(e.value) +
-                (at_end ? std::string(" @ end")
-                        : " @ round " + std::to_string(e.round)));
-    }
-  };
-
-  auto step = [&]() {
-    rt->run_round();
-    if (++since_measure >= cadence) measure_now();
-    check_expects_at(false);
-  };
-
-  auto heal_text = [](std::size_t rounds) {
-    return rounds != 0
-               ? ", heal after " + std::to_string(rounds) + " rounds"
-               : std::string(", never heals");
-  };
-
-  auto record_crash = [&](std::size_t n, const std::string& how) {
-    run.crashed += n;
-    crashed_since_grow += n;
-    if (!crash_seen) {
-      crash_seen = true;
-      reshape_window = true;
-      crash_round = rt->rounds_run();
-      run.reference_h_after_crash =
-          shape.reference_homogeneity(rt->alive_count());
-    }
-    note("crashed " + std::to_string(n) + " nodes (" + how + ")");
-  };
-
-  for (const auto& s : p.timeline) {
-    if (s.kind == Stage::Kind::kGrow || s.kind == Stage::Kind::kFlashCrowd ||
-        s.kind == Stage::Kind::kChurn)
-      reshape_window = false;
-    switch (s.kind) {
-      case Stage::Kind::kRun:
-        for (std::size_t r = 0; r < s.rounds; ++r) step();
-        break;
-
-      case Stage::Kind::kGrow: {
-        const std::size_t want = s.grow_crashed ? crashed_since_grow
-                                                : s.count;
-        const std::size_t n = rt->inject(want);
-        run.injected += n;
-        crashed_since_grow = 0;
-        note("injected " + std::to_string(n) +
-             " fresh nodes (parallel grid)");
-        break;
-      }
-
-      case Stage::Kind::kCrash:
-        switch (s.selector) {
-          case Stage::CrashSelector::kHalf:
-            record_crash(rt->crash_half(), "failure half");
-            break;
-          case Stage::CrashSelector::kFrac:
-            record_crash(
-                rt->crash_random(static_cast<std::size_t>(
-                    s.frac * static_cast<double>(rt->alive_count()))),
-                "random " + fmt_g(s.frac) + " of alive");
-            break;
-          case Stage::CrashSelector::kZone:
-            record_crash(rt->crash_region([&](const space::Point& pt) {
-                           return pt.x() >= s.x0 && pt.x() < s.x1 &&
-                                  pt.y() >= s.y0 && pt.y() < s.y1;
-                         }),
-                         "zone " + fmt_g(s.x0) + "," + fmt_g(s.y0) + " to " +
-                             fmt_g(s.x1) + "," + fmt_g(s.y1));
-            break;
-          case Stage::CrashSelector::kIds:
-            record_crash(rt->crash_ids(s.ids), "explicit ids");
-            break;
-        }
-        break;
-
-      case Stage::Kind::kChurn: {
-        note("churn " + fmt_g(s.frac) + "%/round for " +
-             std::to_string(s.rounds) + " rounds");
-        for (std::size_t r = 0; r < s.rounds; ++r) {
-          const auto n = static_cast<std::size_t>(
-              static_cast<double>(rt->alive_count()) * s.frac / 100.0);
-          if (n > 0) {
-            run.crashed += rt->crash_random(n);
-            crashed_since_grow += n;
-            run.injected += rt->inject(n);
-          }
-          step();
-        }
-        break;
-      }
-
-      case Stage::Kind::kFlashCrowd: {
-        note("flash crowd: " + std::to_string(s.count) + " joins over " +
-             std::to_string(s.rounds) + " rounds");
-        for (std::size_t r = 0; r < s.rounds; ++r) {
-          const std::size_t n =
-              s.count * (r + 1) / s.rounds - s.count * r / s.rounds;
-          if (n > 0) run.injected += rt->inject(n);
-          step();
-        }
-        break;
-      }
-
-      case Stage::Kind::kMorphDrift: {
-        note("morph drift (" + fmt_g(s.dx) + ", " + fmt_g(s.dy) +
-             ")/round for " + std::to_string(s.rounds) + " rounds");
-        for (std::size_t r = 0; r < s.rounds; ++r) {
-          rt->morph([&](const space::Point& pt) {
-            return space::Point{pt.x() + s.dx, pt.y() + s.dy};
-          });
-          step();
-        }
-        break;
-      }
-
-      case Stage::Kind::kMorphShape: {
-        // Scale the target about the origin, one compounding per-round
-        // factor per axis, so after N rounds the extent is exactly the
-        // target's.  Parse-time validation guarantees grid→grid and fit.
-        const auto target = shape::make_shape(s.shape_spec);
-        const auto& tt =
-            dynamic_cast<const space::TorusSpace&>(target->space());
-        const auto& base =
-            dynamic_cast<const space::TorusSpace&>(shape.space());
-        if (morph_w <= 0.0) {
-          morph_w = base.width();
-          morph_h = base.height();
-        }
-        const double fx = std::pow(tt.width() / morph_w,
-                                   1.0 / static_cast<double>(s.rounds));
-        const double fy = std::pow(tt.height() / morph_h,
-                                   1.0 / static_cast<double>(s.rounds));
-        note("morph to " + s.shape_spec + " over " +
-             std::to_string(s.rounds) + " rounds");
-        for (std::size_t r = 0; r < s.rounds; ++r) {
-          rt->morph([&](const space::Point& pt) {
-            return space::Point{pt.x() * fx, pt.y() * fy};
-          });
-          step();
-        }
-        morph_w = tt.width();
-        morph_h = tt.height();
-        break;
-      }
-
-      case Stage::Kind::kMigrate: {
-        const double sx = s.dx / static_cast<double>(s.rounds);
-        const double sy = s.dy / static_cast<double>(s.rounds);
-        note("migrate by (" + fmt_g(s.dx) + ", " + fmt_g(s.dy) + ") over " +
-             std::to_string(s.rounds) + " rounds");
-        for (std::size_t r = 0; r < s.rounds; ++r) {
-          rt->morph([&](const space::Point& pt) {
-            return space::Point{pt.x() + sx, pt.y() + sy};
-          });
-          step();
-        }
-        break;
-      }
-
-      case Stage::Kind::kSnapshot: {
-        ProgramEvent ev;
-        ev.round = rt->rounds_run();
-        ev.is_snapshot = true;
-        ev.text = s.label.empty() ? "r" + std::to_string(ev.round)
-                                  : s.label;
-        if (auto* sim = rt->sim()) {
-          ev.summary = summary_line(*sim);
-        } else {
-          const auto m = rt->measure();
-          char buf[160];
-          std::snprintf(buf, sizeof buf,
-                        "round=%llu alive=%zu homogeneity=%.3f (H=%.3f) "
-                        "proximity=%.3f reliability=%.3f",
-                        static_cast<unsigned long long>(rt->rounds_run()),
-                        m.alive, m.homogeneity, m.reference_h, m.proximity,
-                        m.reliability);
-          ev.summary = buf;
-        }
-        ev.positions = rt->alive_positions();
-        ev.map = ascii_density_map(shape.space(), ev.positions);
-        run.events.push_back(std::move(ev));
-        break;
-      }
-
-      case Stage::Kind::kMeasureEvery:
-        cadence = s.rounds;
-        since_measure = 0;
-        break;
-
-      case Stage::Kind::kPartition: {
-        const std::size_t n = rt->partition_region(
-            [&](const space::Point& pt) {
-              return pt.x() >= s.x0 && pt.x() < s.x1 && pt.y() >= s.y0 &&
-                     pt.y() < s.y1;
-            },
-            s.rounds);
-        note("partitioned " + std::to_string(n) + " nodes (zone " +
-             fmt_g(s.x0) + "," + fmt_g(s.y0) + " to " + fmt_g(s.x1) + "," +
-             fmt_g(s.y1) + heal_text(s.rounds) + ")");
-        break;
-      }
-
-      case Stage::Kind::kDegrade: {
-        const std::size_t n = rt->degrade_region(
-            [&](const space::Point& pt) {
-              return pt.x() >= s.x0 && pt.x() < s.x1 && pt.y() >= s.y0 &&
-                     pt.y() < s.y1;
-            },
-            s.dir, s.drop, s.jitter_ms, s.rounds);
-        note("degraded links of " + std::to_string(n) + " nodes (" +
-             link_dir_token(s.dir) + ", drop " + fmt_g(s.drop) +
-             ", jitter " + fmt_g(s.jitter_ms) + "ms" + heal_text(s.rounds) +
-             ")");
-        break;
-      }
-
-      case Stage::Kind::kCorrupt:
-        rt->corrupt_frames(s.frac, s.rounds);
-        note("corrupting frames (p " + fmt_g(s.frac) + heal_text(s.rounds) +
-             ")");
-        break;
-
-      case Stage::Kind::kDuplicate:
-        rt->duplicate_frames(s.frac, s.rounds);
-        note("duplicating frames (p " + fmt_g(s.frac) + heal_text(s.rounds) +
-             ")");
-        break;
-
-      case Stage::Kind::kReorder:
-        rt->reorder_frames(s.frac, s.jitter_ms, s.rounds);
-        note("reordering frames (p " + fmt_g(s.frac) + ", jitter " +
-             fmt_g(s.jitter_ms) + "ms" + heal_text(s.rounds) + ")");
-        break;
-
-      case Stage::Kind::kStall: {
-        std::size_t n = 0;
-        std::string how;
-        if (s.selector == Stage::CrashSelector::kZone) {
-          n = rt->stall_region(
-              [&](const space::Point& pt) {
-                return pt.x() >= s.x0 && pt.x() < s.x1 && pt.y() >= s.y0 &&
-                       pt.y() < s.y1;
-              },
-              s.rounds);
-          how = "zone " + fmt_g(s.x0) + "," + fmt_g(s.y0) + " to " +
-                fmt_g(s.x1) + "," + fmt_g(s.y1);
-        } else {
-          n = rt->stall_random(
-              static_cast<std::size_t>(
-                  s.frac * static_cast<double>(rt->alive_count())),
-              s.rounds);
-          how = "random " + fmt_g(s.frac) + " of alive";
-        }
-        note("stalled " + std::to_string(n) + " nodes for " +
-             std::to_string(s.rounds) + " rounds (" + how + ")");
-        break;
-      }
-
-      case Stage::Kind::kRecover: {
-        std::size_t n = 0;
-        std::string how;
-        switch (s.recover) {
-          case Stage::RecoverSelector::kAll:
-            n = rt->recover_all();
-            how = "all crashed";
-            break;
-          case Stage::RecoverSelector::kFrac: {
-            const std::size_t candidates =
-                run.crashed > run.recovered ? run.crashed - run.recovered
-                                            : 0;
-            n = rt->recover_random(static_cast<std::size_t>(
-                s.frac * static_cast<double>(candidates)));
-            how = "random " + fmt_g(s.frac) + " of crashed";
-            break;
-          }
-          case Stage::RecoverSelector::kIds:
-            n = rt->recover_ids(s.ids);
-            how = "explicit ids";
-            break;
-        }
-        run.recovered += n;
-        note("recovered " + std::to_string(n) + " nodes (" + how + ")");
-        break;
-      }
-
-      case Stage::Kind::kTraffic:
-        rt->start_traffic(s.count, s.mix);
-        note("traffic " + std::to_string(s.count) + "/round (" +
-             traffic_mix_token(s.mix) + ")");
-        break;
-
-      case Stage::Kind::kDrain: {
-        rt->stop_traffic();
-        std::size_t drained = 0;
-        while (rt->traffic_inflight() > 0) {
-          if (++drained > 10000)
-            throw ProgramError(p.file, s.line,
-                               "drain ran 10000 rounds with traffic still "
-                               "in flight — the workload is not draining");
-          step();
-        }
-        note("drained in-flight traffic (" + std::to_string(drained) +
-             " rounds)");
-        break;
-      }
-    }
-  }
+  Execution x{.p = p,
+              .shape = shape,
+              .rt = make_cluster(shape, options),
+              .cadence = std::max<std::size_t>(1, p.measure_every)};
+  for (const auto& s : p.timeline) s.verb->exec(x, s);
 
   // The last executed round is always measured, so "final" values exist
   // even at a sparse cadence.
-  if (rt->rounds_run() > 0 && since_measure != 0) measure_now();
+  if (x.rt->rounds_run() > 0 && x.since_measure != 0) x.measure_now();
 
-  check_expects_at(true);
+  x.check_expects(true);
 
-  run.reliability = rt->reliability();
-  run.rounds_total = rt->rounds_run();
-  return run;
+  x.run.reliability = x.rt->measure().reliability;
+  x.run.rounds_total = x.rt->rounds_run();
+  return std::move(x.run);
 }
 
 util::SeriesAggregator ProgramResult::series(
@@ -1353,6 +1160,7 @@ ProgramResult run_program(const ScenarioProgram& p) {
   std::string err;
   const auto shape = shape::make_shape(p.shape_spec, &err);
   if (!shape) throw ProgramError(p.file, p.line_of("shape"), err);
+  check_morph_shapes(p);
   validate_for_mode(p, p.options.engine);
 
   const std::size_t reps = std::max<std::size_t>(1, p.reps);

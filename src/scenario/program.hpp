@@ -16,13 +16,17 @@
 //   snapshot catastrophe
 //   run 10
 //
-// `parse_program` compiles the text into a `ScenarioProgram`, rejecting
-// malformed input with file:line diagnostics (unknown stage, crash fraction
-// out of (0,1], morph to a shape that does not fit the torus, …) — never
-// silently defaulting.  `run_program` executes the timeline on a cluster
-// built through `make_cluster`, once per repetition (seed, seed+1, …),
-// and aggregates per-round series and the paper's two scalar outcomes
-// (reshaping time, reliability) across repetitions.
+// The language is three tables in program.cpp — timeline verbs (one row
+// per verb form, `verb_table()`), header directives and `expect` metrics —
+// and parsing, serializing, per-engine validation, round accounting and
+// execution all read their rows.  `parse_program` compiles the text into a
+// `ScenarioProgram`, rejecting malformed input with file:line diagnostics
+// (unknown stage, crash fraction out of (0,1], morph to a shape that does
+// not fit the torus, …) — never silently defaulting.  `run_program`
+// executes the timeline on a cluster built through `make_cluster`, once
+// per repetition (seed, seed+1, …), and aggregates per-round series and the
+// paper's two scalar outcomes (reshaping time, reliability) across
+// repetitions.
 //
 // Determinism contract: a fixed (file, seed, engine) pair replays the same
 // trajectory bit for bit under sync and events modes.
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -56,55 +61,62 @@ class ProgramError : public std::runtime_error {
   int line_;
 };
 
-/// One timeline stage.
-struct Stage {
-  enum class Kind {
-    kRun,           ///< run N — execute N rounds
-    kGrow,          ///< grow N | grow crashed — inject fresh nodes
-    kCrash,         ///< crash half | frac F | zone X0 Y0 X1 Y1 | ids a,b,…
-    kChurn,         ///< churn PCT N — PCT% of alive nodes replaced, N rounds
-    kFlashCrowd,    ///< flash-crowd N R — N joins spread over R rounds
-    kMorphDrift,    ///< morph drift DX DY N — rigid translation per round
-    kMorphShape,    ///< morph shape SPEC N — scale the target over N rounds
-    kMigrate,       ///< migrate DX DY N — total displacement over N rounds
-    kSnapshot,      ///< snapshot [label] — density map + summary now
-    kMeasureEvery,  ///< measure every R — change the sampling cadence
-    // Fault verbs (events mode only; docs/FAULTS.md).  `heal N` bounds a
-    // fault's life in rounds from its install point; heal 0 = never.
-    kPartition,     ///< partition zone X0 Y0 X1 Y1 heal N
-    kDegrade,       ///< degrade zone … in|out|both drop D jitter MS heal N
-    kCorrupt,       ///< corrupt P heal N — payload corruption
-    kDuplicate,     ///< duplicate P heal N — frame duplication
-    kReorder,       ///< reorder P jitter MS heal N — FIFO-breaking delay
-    kStall,         ///< stall zone X0 Y0 X1 Y1 N | stall frac F N
-    kRecover,       ///< recover all | frac F | ids A,B,…
-    // Traffic verbs (events mode only; docs/TRAFFIC.md).
-    kTraffic,       ///< traffic RATE get|put|mixed — start/retune workload
-    kDrain,         ///< drain — stop arrivals, run rounds until none in flight
-  };
-  enum class CrashSelector { kHalf, kFrac, kZone, kIds };
-  enum class RecoverSelector { kAll, kFrac, kIds };
+/// An axis-aligned rectangle of original data-point positions,
+/// [x0, x1) × [y0, y1): the region a zone verb (crash, partition, degrade,
+/// stall) acts on.
+struct Zone {
+  double x0 = 0.0, y0 = 0.0, x1 = 0.0, y1 = 0.0;
 
-  Kind kind = Kind::kRun;
+  bool contains(const space::Point& p) const noexcept {
+    return p.x() >= x0 && p.x() < x1 && p.y() >= y0 && p.y() < y1;
+  }
+  bool operator==(const Zone&) const = default;
+};
+
+struct Stage;
+/// The state of one running timeline (program.cpp) that verbs execute on.
+struct Execution;
+
+/// One verb form of the timeline language: a row of the verb table.
+/// Parsing, serializing, per-engine validation, round accounting and
+/// execution all read the row, so a verb is added or changed in one place.
+struct Verb {
+  /// Literal words, choices (`in|out|both`) and typed slots (`<rounds>`),
+  /// e.g. "crash frac <fraction>".  The first word is the verb; rows that
+  /// share it are told apart by their second word.
+  const char* grammar;
+  unsigned engines;  ///< bit `1 << EngineMode` for each engine it runs under
+  bool timed;        ///< its <rounds> slot counts executed timeline rounds
+  void (*exec)(Execution&, const Stage&);
+  /// A parse-time rule beyond the slots' own checks, given the stages
+  /// before it: returns the diagnostic, or nullptr when the stage is fine.
+  const char* (*check)(const Stage&, std::span<const Stage> earlier) =
+      nullptr;
+};
+
+/// Every verb form, one row each, in the order docs/SCENARIOS.md lists them.
+std::span<const Verb> verb_table() noexcept;
+
+/// One timeline stage: its verb row, its source line, and the values its
+/// grammar's slots filled (fields the row has no slot for stay default).
+struct Stage {
+  const Verb* verb = nullptr;
   int line = 0;  ///< 1-based source line, for diagnostics
 
-  std::size_t rounds = 0;  ///< run/churn/…/measure; fault heal / stall span
-  std::size_t count = 0;   ///< grow N / flash-crowd N
-  bool grow_crashed = false;
+  std::size_t rounds = 0;  ///< <rounds>, or <heal> (0 = never heals)
+  std::size_t count = 0;   ///< <nodes> / <rate>
+  double frac = 0.0;       ///< <fraction> / <percent> / <probability>
+  double drop = 0.0;       ///< <drop>: extra link drop rate
+  double jitter_ms = 0.0;  ///< <ms>: jitter cap
+  double dx = 0.0, dy = 0.0;  ///< <offset>: per round (drift) / total
+  Zone zone;                  ///< <zone>
+  std::vector<std::size_t> ids;              ///< <ids>
+  LinkDirection dir = LinkDirection::kBoth;  ///< in|out|both
+  TrafficMix mix = TrafficMix::kMixed;       ///< get|put|mixed
+  std::string shape_spec;  ///< <shape>: morph target
+  std::string label;       ///< [label]: snapshot label
 
-  CrashSelector selector = CrashSelector::kHalf;  ///< crash / stall zone|frac
-  RecoverSelector recover = RecoverSelector::kAll;
-  double frac = 0.0;  ///< crash/stall/recover frac; corrupt/duplicate/reorder P
-  double x0 = 0.0, y0 = 0.0, x1 = 0.0, y1 = 0.0;  ///< zone corners
-  std::vector<std::size_t> ids;                   ///< crash/recover ids
-
-  double dx = 0.0, dy = 0.0;  ///< morph drift (per round) / migrate (total)
-  LinkDirection dir = LinkDirection::kBoth;  ///< degrade direction
-  TrafficMix mix = TrafficMix::kMixed;       ///< traffic request mix
-  double drop = 0.0;                         ///< degrade extra drop rate
-  double jitter_ms = 0.0;                    ///< degrade/reorder jitter cap
-  std::string shape_spec;     ///< morph shape target
-  std::string label;          ///< snapshot label
+  bool operator==(const Stage&) const = default;
 };
 
 /// A self-check: `expect <metric> <op> <value> @ <round|end>` — evaluated
@@ -191,7 +203,7 @@ struct ProgramRun {
 };
 
 /// Executes the timeline once on a fresh cluster built from `options`.
-/// The program must already be valid for `options.engine`.
+/// The program must already be valid for `options.engine` and `shape`.
 ProgramRun run_program_once(const shape::Shape& shape,
                             const ScenarioProgram& p,
                             const ScenarioOptions& options);
@@ -216,7 +228,8 @@ struct ProgramResult {
   std::size_t never_reshaped() const;
 };
 
-/// Builds the shape, validates the program for its engine mode, and runs
+/// Builds the shape, validates the program for its engine mode and that
+/// shape (morph targets must fit the torus that actually runs), and runs
 /// `reps` repetitions (seed, seed+1, …) — in parallel threads under sync
 /// and events modes, sequentially under live.  Throws ProgramError on an
 /// invalid program.

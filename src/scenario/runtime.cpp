@@ -57,7 +57,6 @@ class SyncRuntime final : public Runtime {
     return sim_.reinject(count).size();
   }
 
-  bool supports_morph() const noexcept override { return true; }
   void morph(const std::function<space::Point(const space::Point&)>&
                  transform) override {
     sim_.morph_shape(transform);
@@ -72,7 +71,7 @@ class SyncRuntime final : public Runtime {
     m.reference_h = sim_.reference_homogeneity();
     m.proximity = sim_.proximity();
     m.points_per_node = sim_.avg_points_per_node();
-    m.reliability = kNaN;
+    m.reliability = sim_.reliability();
     if (net.round() > 0) {
       const auto& traffic = net.traffic();
       m.msg_tman = traffic.per_node(m.round, sim::Channel::kTman);
@@ -85,7 +84,6 @@ class SyncRuntime final : public Runtime {
         m.mean_hops = kNaN;
     return m;
   }
-  double reliability() const override { return sim_.reliability(); }
   std::vector<space::Point> alive_positions() const override {
     std::vector<space::Point> out;
     for (sim::NodeId n : sim_.network().alive_ids())
@@ -141,7 +139,6 @@ class EventsRuntime final : public Runtime {
     return positions.size();
   }
 
-  bool supports_faults() const noexcept override { return true; }
   std::size_t partition_region(
       const std::function<bool(const space::Point&)>& pred,
       std::size_t heal_rounds) override {
@@ -181,7 +178,6 @@ class EventsRuntime final : public Runtime {
     return n;
   }
 
-  bool supports_traffic() const noexcept override { return true; }
   void start_traffic(std::size_t rate, TrafficMix mix) override {
     traffic::TrafficConfig cfg;
     cfg.rate_per_round = rate;
@@ -235,7 +231,6 @@ class EventsRuntime final : public Runtime {
     }
     return m;
   }
-  double reliability() const override { return fleet_.reliability(); }
   std::vector<space::Point> alive_positions() const override {
     return fleet_.alive_positions();
   }
@@ -336,7 +331,6 @@ class LiveRuntime final : public Runtime {
         m.mean_hops = kNaN;
     return m;
   }
-  double reliability() const override { return fleet_.reliability(); }
   std::vector<space::Point> alive_positions() const override {
     return fleet_.alive_positions();
   }

@@ -65,7 +65,7 @@ struct RoundMetrics {
   double reference_h = 0.0;    ///< H for the current alive count
   double proximity = 0.0;
   double points_per_node = 0.0;  ///< NaN outside sync mode
-  double reliability = 0.0;      ///< NaN in sync mode (measured at run end)
+  double reliability = 0.0;      ///< original data points still hosted
   double msg_paper = 0.0;        ///< T-Man+backup+migration; NaN non-sync
   double msg_tman = 0.0;
   double msg_backup = 0.0;
@@ -96,12 +96,14 @@ struct RoundMetrics {
 
 /// Traffic-mix selector for the `traffic` scenario verb (the scenario-level
 /// mirror of traffic::Mix — keeps traffic headers out of every driver).
+/// Enumerators follow the verb's `get|put|mixed` alternatives.
 enum class TrafficMix { kGet, kPut, kMixed };
 
 /// Traffic directions for link degradation, relative to the degraded set
 /// (the scenario-level mirror of fault::Direction — keeps fault headers
 /// out of every driver).
-enum class LinkDirection { kBoth, kInto, kOutOf };
+/// Enumerators follow the `degrade` verb's `in|out|both` alternatives.
+enum class LinkDirection { kInto, kOutOf, kBoth };
 
 /// A running cluster under one engine mode, driven through scenario verbs.
 class Runtime {
@@ -135,7 +137,6 @@ class Runtime {
   virtual std::size_t inject(std::size_t count) = 0;
 
   /// Shape morphing (drift / migration / reshaping) — sync mode only.
-  virtual bool supports_morph() const noexcept { return false; }
   virtual void morph(
       const std::function<space::Point(const space::Point&)>& transform);
 
@@ -144,7 +145,6 @@ class Runtime {
   // after `heal_rounds` rounds (0 = never).  Region predicates test
   // *original* data-point positions, like crash_region.
 
-  virtual bool supports_faults() const noexcept { return false; }
   /// Partitions the region from the rest of the fleet; returns its size.
   virtual std::size_t partition_region(
       const std::function<bool(const space::Point&)>& pred,
@@ -178,7 +178,6 @@ class Runtime {
   // ---- traffic plane (events mode only; the defaults throw) --------------
   // Open-loop get/put workload over the live views (docs/TRAFFIC.md).
 
-  virtual bool supports_traffic() const noexcept { return false; }
   /// Starts (or retunes) the workload: `rate` requests per round of `mix`.
   virtual void start_traffic(std::size_t rate, TrafficMix mix);
   /// Stops injecting; in-flight requests drain as rounds run.
@@ -187,9 +186,6 @@ class Runtime {
   virtual std::size_t traffic_inflight() const;
 
   virtual RoundMetrics measure() const = 0;
-  /// Fraction of the original data points still hosted (end-of-run
-  /// scalar; cheap enough to also sample mid-run).
-  virtual double reliability() const = 0;
   /// Current advertised position of every alive node (density maps).
   virtual std::vector<space::Point> alive_positions() const = 0;
 

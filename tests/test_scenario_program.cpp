@@ -5,9 +5,14 @@
 // reshaping-time window, and a bit-for-bit pin of the paper's timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "scenario/program.hpp"
 
@@ -21,11 +26,13 @@ using poly::scenario::ScenarioProgram;
 using poly::scenario::Stage;
 using poly::scenario::Substrate;
 using poly::scenario::TrafficMix;
+using poly::scenario::load_program;
 using poly::scenario::make_cluster;
 using poly::scenario::parse_program;
 using poly::scenario::run_program;
 using poly::scenario::serialize;
 using poly::scenario::validate_for_mode;
+using poly::scenario::verb_table;
 
 /// Expects `parse_program(text)` to throw with the given 1-based line and
 /// a message containing `needle`.
@@ -70,14 +77,13 @@ TEST(ProgramParse, HeaderAndTimeline) {
   EXPECT_EQ(p.options.config.poly.replication, 2u);
 
   ASSERT_EQ(p.timeline.size(), 5u);
-  EXPECT_EQ(p.timeline[0].kind, Stage::Kind::kRun);
+  EXPECT_STREQ(p.timeline[0].verb->grammar, "run <rounds>");
   EXPECT_EQ(p.timeline[0].rounds, 10u);
-  EXPECT_EQ(p.timeline[1].kind, Stage::Kind::kCrash);
-  EXPECT_EQ(p.timeline[1].selector, Stage::CrashSelector::kFrac);
+  EXPECT_STREQ(p.timeline[1].verb->grammar, "crash frac <fraction>");
   EXPECT_DOUBLE_EQ(p.timeline[1].frac, 0.25);
-  EXPECT_TRUE(p.timeline[2].grow_crashed);
+  EXPECT_STREQ(p.timeline[2].verb->grammar, "grow crashed");
   EXPECT_EQ(p.timeline[3].label, "after repair");
-  EXPECT_EQ(p.timeline[4].kind, Stage::Kind::kMeasureEvery);
+  EXPECT_STREQ(p.timeline[4].verb->grammar, "measure every <rounds>");
   EXPECT_EQ(p.timeline[4].rounds, 5u);
   EXPECT_EQ(p.total_rounds(), 10u);
 }
@@ -127,9 +133,46 @@ TEST(ProgramParse, SerializeRoundTrips) {
   EXPECT_TRUE(p2.options.config == p.options.config);
   ASSERT_EQ(p2.timeline.size(), p.timeline.size());
   for (std::size_t i = 0; i < p.timeline.size(); ++i) {
-    EXPECT_EQ(p2.timeline[i].kind, p.timeline[i].kind) << "stage " << i;
+    EXPECT_EQ(p2.timeline[i].verb, p.timeline[i].verb) << "stage " << i;
     EXPECT_EQ(p2.timeline[i].rounds, p.timeline[i].rounds) << "stage " << i;
     EXPECT_EQ(p2.timeline[i].ids, p.timeline[i].ids) << "stage " << i;
+  }
+}
+
+TEST(ProgramParse, CheckedInScenariosRoundTrip) {
+  // serialize(parse(f)) is a fixpoint for every checked-in program, and it
+  // re-parses to the same header, verb rows, slot values and expects.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(POLY_SCENARIO_DIR))
+    if (entry.path().extension() == ".poly") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 16u);
+  // The canonical text puts stages on other lines.
+  const auto values = [](std::vector<Stage> timeline) {
+    for (auto& s : timeline) s.line = 0;
+    return timeline;
+  };
+  for (const auto& file : files) {
+    SCOPED_TRACE(file.string());
+    const auto p = load_program(file.string());
+    const auto canon = serialize(p);
+    const auto p2 = parse_program(canon, "canon.poly");
+    EXPECT_EQ(serialize(p2), canon);
+    EXPECT_EQ(p2.name, p.name);
+    EXPECT_EQ(p2.shape_spec, p.shape_spec);
+    EXPECT_EQ(p2.options.engine, p.options.engine);
+    EXPECT_TRUE(p2.options.config == p.options.config);
+    EXPECT_EQ(p2.reps, p.reps);
+    EXPECT_TRUE(values(p2.timeline) == values(p.timeline));
+    ASSERT_EQ(p2.expects.size(), p.expects.size());
+    for (std::size_t i = 0; i < p.expects.size(); ++i) {
+      EXPECT_EQ(p2.expects[i].metric, p.expects[i].metric);
+      EXPECT_EQ(p2.expects[i].op, p.expects[i].op);
+      EXPECT_EQ(p2.expects[i].value, p.expects[i].value);
+      EXPECT_EQ(p2.expects[i].round, p.expects[i].round);
+      EXPECT_EQ(p2.expects[i].at_end, p.expects[i].at_end);
+    }
   }
 }
 
@@ -158,7 +201,7 @@ TEST(ProgramDiagnostics, EmptyCrashZone) {
                      "empty crash zone");
 }
 
-TEST(ProgramDiagnostics, UnknownCrashSelector) {
+TEST(ProgramDiagnostics, CrashWithUnknownSelector) {
   expect_parse_error("shape grid:4x4\ncrash everything\n", 2,
                      "unknown crash selector");
 }
@@ -175,6 +218,15 @@ TEST(ProgramDiagnostics, GrowCrashedNeedsACrash) {
 
 TEST(ProgramDiagnostics, NonIntegerRoundCount) {
   expect_parse_error("shape grid:4x4\nrun ten\n", 2, "bad round count");
+}
+
+TEST(ProgramDiagnostics, OutOfRangeCountIsRejected) {
+  // strtoull saturates at 2^64-1; that must not pass for a round count or
+  // a seed.
+  expect_parse_error("shape grid:4x4\nrun 99999999999999999999\n", 2,
+                     "bad round count");
+  expect_parse_error("shape grid:4x4\nseed 99999999999999999999\nrun 1\n",
+                     2, "bad seed");
 }
 
 TEST(ProgramDiagnostics, UnknownEngine) {
@@ -233,6 +285,66 @@ TEST(ProgramValidate, ChurnRejectedUnderLiveOnly) {
   EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kSync));
   EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kEvents));
   EXPECT_THROW(validate_for_mode(p, EngineMode::kLive), ProgramError);
+}
+
+TEST(ProgramValidate, EveryVerbRowRunsUnderExactlyItsEngines) {
+  // One sample line per row of the verb table, with the engines it runs
+  // under written out here rather than read from the table.
+  struct Sample {
+    const char* line;
+    bool sync, events, live;
+  };
+  const Sample samples[] = {
+      {"run 5", true, true, true},
+      {"grow 4", true, true, true},
+      {"grow crashed", true, true, true},
+      {"crash half", true, true, true},
+      {"crash frac 0.5", true, true, false},
+      {"crash zone 0 0 4 4", true, true, true},
+      {"crash ids 1,2", true, true, true},
+      {"churn 5 10", true, true, false},
+      {"flash-crowd 8 4", true, true, true},
+      {"morph drift 1 0 5", true, false, false},
+      {"morph shape grid:4x4 5", true, false, false},
+      {"migrate 4 2 10", true, false, false},
+      {"snapshot a label", true, true, true},
+      {"measure every 2", true, true, true},
+      {"partition zone 0 0 1 1 heal 0", false, true, false},
+      {"degrade zone 0 0 4 8 in drop 0.25 jitter 1.5 heal 0", false, true,
+       false},
+      {"corrupt 0.05 heal 8", false, true, false},
+      {"duplicate 0.1 heal 0", false, true, false},
+      {"reorder 0.2 jitter 3 heal 4", false, true, false},
+      {"stall zone 0 0 4 8 6", false, true, false},
+      {"stall frac 0.5 3", false, true, false},
+      {"recover all", false, true, false},
+      {"recover frac 0.5", false, true, false},
+      {"recover ids 1,2,3", false, true, false},
+      {"traffic 100 mixed", false, true, false},
+      {"drain", false, true, false},
+  };
+  std::set<std::string> rows;  // the grammars the samples parsed to
+  for (const auto& sample : samples) {
+    SCOPED_TRACE(sample.line);
+    // `grow crashed` needs an earlier crash; `crash half` runs anywhere.
+    const auto p = parse_program(std::string("shape grid:8x8\ncrash half\n") +
+                                 sample.line + "\n");
+    rows.insert(p.timeline.back().verb->grammar);
+    const std::pair<EngineMode, bool> engines[] = {
+        {EngineMode::kSync, sample.sync},
+        {EngineMode::kEvents, sample.events},
+        {EngineMode::kLive, sample.live},
+    };
+    for (const auto& [mode, runs] : engines) {
+      if (runs)
+        EXPECT_NO_THROW(validate_for_mode(p, mode)) << to_string(mode);
+      else
+        EXPECT_THROW(validate_for_mode(p, mode), ProgramError)
+            << to_string(mode);
+    }
+  }
+  EXPECT_EQ(rows.size(), std::size(samples));  // one sample per row
+  EXPECT_EQ(verb_table().size(), std::size(samples));
 }
 
 // ---- execution --------------------------------------------------------------
@@ -416,6 +528,39 @@ TEST(ProgramRun, ThreePhaseTimelineIsPinnedBitForBit) {
   }
 }
 
+TEST(ProgramRun, SyncMeasuresReliabilityEveryRound) {
+  // Like the fleet engines, sync fills RoundMetrics::reliability each
+  // round, so the last row agrees with the run's end-of-run scalar.
+  const auto r = run_program(parse_program(
+                                 "shape grid:8x8\nseed 3\nrun 5\ncrash half\n"
+                                 "run 5\n"))
+                     .first();
+  ASSERT_EQ(r.rounds.size(), 10u);
+  EXPECT_EQ(r.rounds.front().reliability, 1.0);
+  EXPECT_EQ(r.rounds.back().reliability, r.reliability);
+}
+
+TEST(ProgramRun, MorphTargetIsCheckedAgainstTheShapeThatRuns) {
+  // Callers override the parsed shape (poly_scenario --shape); the morph
+  // target must fit the torus that actually runs, not the file's.
+  auto p = parse_program("shape grid:8x8\nrun 1\nmorph shape grid:8x8 2\n",
+                         "morph.poly");
+  const auto expect_run_error = [&](int line, const std::string& needle) {
+    try {
+      run_program(p);
+      FAIL() << "expected ProgramError on " << p.shape_spec;
+    } catch (const ProgramError& e) {
+      EXPECT_EQ(e.line(), line) << e.what();
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  p.shape_spec = "grid:4x4";
+  expect_run_error(3, "does not fit");
+  p.shape_spec = "ring:64";
+  expect_run_error(0, "needs a grid:WxH base shape");
+}
+
 TEST(ProgramRun, FleetEnginesRejectSyncOnlyConfig) {
   const auto shape = poly::shape::make_shape("grid:8x8");
   ScenarioOptions options;
@@ -470,7 +615,7 @@ TEST(FaultProgram, FaultVerbsAndExpectsRoundTrip) {
   EXPECT_EQ(serialize(p2), canon);
   ASSERT_EQ(p2.timeline.size(), p.timeline.size());
   for (std::size_t i = 0; i < p.timeline.size(); ++i) {
-    EXPECT_EQ(p2.timeline[i].kind, p.timeline[i].kind) << "stage " << i;
+    EXPECT_EQ(p2.timeline[i].verb, p.timeline[i].verb) << "stage " << i;
     EXPECT_EQ(p2.timeline[i].rounds, p.timeline[i].rounds) << "stage " << i;
     EXPECT_DOUBLE_EQ(p2.timeline[i].frac, p.timeline[i].frac)
         << "stage " << i;
@@ -617,12 +762,13 @@ TEST(TrafficProgram, ParseAndSerializeRoundTrip) {
   const auto p = parse_program(text, "served.poly");
 
   ASSERT_EQ(p.timeline.size(), 7u);
-  EXPECT_EQ(p.timeline[1].kind, Stage::Kind::kTraffic);
+  EXPECT_STREQ(p.timeline[1].verb->grammar,
+               "traffic <rate> get|put|mixed");
   EXPECT_EQ(p.timeline[1].count, 500u);
   EXPECT_EQ(p.timeline[1].mix, TrafficMix::kGet);
   EXPECT_EQ(p.timeline[3].mix, TrafficMix::kPut);
   EXPECT_EQ(p.timeline[5].mix, TrafficMix::kMixed);
-  EXPECT_EQ(p.timeline[6].kind, Stage::Kind::kDrain);
+  EXPECT_STREQ(p.timeline[6].verb->grammar, "drain");
   // traffic/drain execute no scheduled rounds themselves (drain's rounds
   // are demand-driven); only the runs count.
   EXPECT_EQ(p.total_rounds(), 15u);
@@ -635,7 +781,7 @@ TEST(TrafficProgram, ParseAndSerializeRoundTrip) {
   EXPECT_EQ(serialize(p2), canon);
   ASSERT_EQ(p2.timeline.size(), p.timeline.size());
   for (std::size_t i = 0; i < p.timeline.size(); ++i) {
-    EXPECT_EQ(p2.timeline[i].kind, p.timeline[i].kind) << "stage " << i;
+    EXPECT_EQ(p2.timeline[i].verb, p.timeline[i].verb) << "stage " << i;
     EXPECT_EQ(p2.timeline[i].count, p.timeline[i].count) << "stage " << i;
     EXPECT_EQ(p2.timeline[i].mix, p.timeline[i].mix) << "stage " << i;
   }

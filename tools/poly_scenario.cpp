@@ -16,6 +16,7 @@
 //
 // Determinism: a fixed (file, seed, engine) triple reproduces the same
 // trajectory bit for bit under sync and events modes.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -26,34 +27,8 @@
 #include "util/bench_io.hpp"
 #include "util/cli.hpp"
 
-namespace {
-
-using namespace poly;
-
-/// Caps every round-consuming stage for --smoke runs.  Fault stages keep
-/// their `rounds` field untouched — there it is a heal bound or stall
-/// span, and shrinking it would change the injected fault, not the cost.
-void cap_rounds(scenario::ScenarioProgram& p, std::size_t cap) {
-  using Kind = scenario::Stage::Kind;
-  for (auto& s : p.timeline) {
-    switch (s.kind) {
-      case Kind::kRun:
-      case Kind::kChurn:
-      case Kind::kFlashCrowd:
-      case Kind::kMorphDrift:
-      case Kind::kMorphShape:
-      case Kind::kMigrate:
-        if (s.rounds > cap) s.rounds = cap;
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace poly;
   std::string file;
   std::string engine;
   std::string shape;
@@ -122,7 +97,10 @@ int main(int argc, char** argv) {
     // An explicit --reps wins: smoke-sized stages with a real repetition
     // pool is how CI exercises the multithreaded rep workers cheaply.
     if (!cli.was_set("reps")) program.reps = 1;
-    cap_rounds(program, 10);
+    // Round-consuming stages only: a fault's heal bound or stall span sets
+    // the injected fault, not the cost.
+    for (auto& s : program.timeline)
+      if (s.verb->timed) s.rounds = std::min<std::size_t>(s.rounds, 10);
     // Expect thresholds are tuned against full-length runs; a capped
     // timeline would trip them spuriously.
     if (!program.expects.empty()) {

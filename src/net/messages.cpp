@@ -15,6 +15,12 @@ std::uint32_t checked_length(util::ByteReader& r) {
     throw util::CodecError("messages: implausible list length");
   return n;
 }
+
+void read_address(util::ByteReader& r, Address& out) {
+  r.str_into(out);
+  if (out.size() > kMaxAddressLength)
+    throw util::CodecError("messages: address too long");
+}
 }  // namespace
 
 void encode_point(util::ByteWriter& w, const space::Point& p) {
@@ -52,7 +58,7 @@ Header decode_header(util::ByteReader& r) {
     throw util::CodecError("header: unknown message type");
   h.type = static_cast<MsgType>(t);
   h.sender = r.u64();
-  h.sender_addr = r.str();
+  read_address(r, h.sender_addr);
   return h;
 }
 
@@ -73,7 +79,7 @@ void decode_peers_into(util::ByteReader& r, std::vector<WirePeer>& out) {
   for (std::uint32_t i = 0; i < n; ++i) {
     WirePeer& p = out[i];
     p.id = r.u64();
-    r.str_into(p.addr);
+    read_address(r, p.addr);
     p.age = r.u32();
     p.pos = decode_point(r);
     p.version = r.u64();
@@ -104,7 +110,7 @@ void decode_descriptors_into(util::ByteReader& r,
   for (std::uint32_t i = 0; i < n; ++i) {
     WireDescriptor& d = out[i];
     d.id = r.u64();
-    r.str_into(d.addr);
+    read_address(r, d.addr);
     d.pos = decode_point(r);
     d.version = r.u64();
   }

@@ -16,6 +16,7 @@
 //                         phase), or a busy rejection
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -30,6 +31,11 @@ namespace poly::net {
 /// Logical node identity in the live runtime (decoupled from transport
 /// addresses; a node is identified by id, reached via its address).
 using LiveNodeId = std::uint64_t;
+
+/// Longest transport address a frame may carry — the capacity of the
+/// inline names in AsyncNode's views (InlineAddr).  Decoders reject a
+/// header, peer or descriptor address longer than this with CodecError.
+inline constexpr std::size_t kMaxAddressLength = 23;
 
 enum class MsgType : std::uint8_t {
   kRpsShuffleReq = 1,

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <stdexcept>
 
 #include "net/fleet_metrics.hpp"
-#include "util/topk.hpp"
 #include "net/inproc_transport.hpp"
 #include "net/tcp_transport.hpp"
 #include "space/medoid.hpp"
@@ -34,13 +35,22 @@ void to_wire_into(const core::PointSet& set, std::vector<WirePoint>& out) {
     out[i] = WirePoint{set[i].id, set[i].pos};
 }
 
-/// First index with the strictly greatest age (what std::max_element
-/// returned over the AoS view this SoA layout replaces).
-std::size_t oldest_index(const util::ArenaVec<PeerHot>& hot) {
+/// First index of the greatest age (the one std::max_element returns).
+std::size_t oldest_index(const PeerList& view) {
   std::size_t oldest = 0;
-  for (std::size_t i = 1; i < hot.size(); ++i)
-    if (hot[i].age > hot[oldest].age) oldest = i;
+  for (std::size_t i = 1; i < view.size(); ++i)
+    if (view[i].age > view[oldest].age) oldest = i;
   return oldest;
+}
+
+PeerEntry to_entry(const WirePeer& p) {
+  PeerEntry e{p.id, p.age, p.pos, p.version, {}};
+  e.addr.assign(p.addr);
+  return e;
+}
+
+WirePeer to_wire(const PeerEntry& e) {
+  return WirePeer{e.id, e.addr.str(), e.age, e.pos, e.version};
 }
 
 }  // namespace
@@ -48,9 +58,6 @@ std::size_t oldest_index(const util::ArenaVec<PeerHot>& hot) {
 // ---- AsyncScratch -----------------------------------------------------------
 
 void AsyncScratch::bind(util::Arena& arena, const AsyncConfig& cfg) {
-  const std::uint32_t phys = tman_phys_cap(cfg);
-  tman_cand.bind(arena, phys);
-  rank_tmp.bind(arena, phys);
   backup_targets.bind(arena, static_cast<std::uint32_t>(cfg.replication));
   mig_candidates.bind(arena, static_cast<std::uint32_t>(cfg.psi + 1));
 }
@@ -74,6 +81,9 @@ AsyncNode::AsyncNode(LiveNodeId id,
                      : nullptr),
       arena_(arena != nullptr ? arena : own_arena_.get()),
       scratch_(scratch) {
+  if (addr_.size() > kMaxAddressLength)
+    throw std::invalid_argument("AsyncNode: address '" + addr_ +
+                                "' is longer than kMaxAddressLength");
   if (scratch_ == nullptr) {
     own_scratch_ = std::make_unique<AsyncScratch>();
     own_scratch_->bind(*arena_, cfg_);
@@ -102,7 +112,7 @@ void AsyncNode::bootstrap(const std::vector<Seed>& seeds) {
   for (const auto& s : seeds) {
     if (s.id == id_) continue;
     if (rps_view_.size() < cfg_.rps_view)
-      rps_view_.push_back(PeerHot{s.id, 0, {}, 0}, s.addr);
+      rps_view_.push_back(to_entry(WirePeer{s.id, s.addr, 0, {}, 0}));
   }
 }
 
@@ -251,9 +261,10 @@ bool AsyncNode::send_to(LiveNodeId peer, std::string_view addr,
 void AsyncNode::peer_unreachable(LiveNodeId peer) {
   EpCacheSlot& slot = ep_cache_[peer & (kEpCacheSlots - 1)];
   if (slot.id == peer) slot.ep = kInvalidEndpointId;
-  rps_view_.erase_if([peer](const PeerHot& e) { return e.id == peer; });
-  tman_view_.erase_if([peer](const DescriptorHot& e) { return e.id == peer; });
-  backups_.erase_if([peer](const PeerHot& b) { return b.id == peer; });
+  const auto is_peer = [peer](const auto& e) { return e.id == peer; };
+  erase_where(rps_view_, is_peer);
+  erase_where(tman_view_, is_peer);
+  erase_where(backups_, is_peer);
   if (migrating_ && migrate_partner_ == peer) {
     migrating_ = false;  // exchange aborted; our guests were never released
   }
@@ -325,10 +336,9 @@ void AsyncNode::on_message(Message& msg) {
 
 void AsyncNode::step_rps() {
   if (rps_view_.empty()) return;
-  for (auto& e : rps_view_.hot) ++e.age;
-  const std::size_t oldest = oldest_index(rps_view_.hot);
-  const PeerHot target = rps_view_.hot[oldest];
-  const InlineAddr target_addr = rps_view_.names[oldest];
+  for (auto& e : rps_view_) ++e.age;
+  const std::size_t oldest = oldest_index(rps_view_);
+  const PeerEntry target = rps_view_[oldest];
   rps_view_.erase(oldest);  // swap semantics, as in Cyclon
 
   auto& out = scratch_->out_peers;
@@ -337,14 +347,11 @@ void AsyncNode::step_rps() {
   rng_.sample_indices_into(rps_view_.size(),
                            std::min(cfg_.rps_shuffle - 1, rps_view_.size()),
                            scratch_->samples);
-  for (std::size_t i : scratch_->samples)
-    out.push_back({rps_view_.hot[i].id, rps_view_.names[i].str(),
-                   rps_view_.hot[i].age, rps_view_.hot[i].pos,
-                   rps_view_.hot[i].version});
+  for (std::size_t i : scratch_->samples) out.push_back(to_wire(rps_view_[i]));
 
   util::ByteWriter w = frame_writer();
   encode_rps(w, header(MsgType::kRpsShuffleReq), out);
-  send_to(target.id, target_addr.view(), w.take());
+  send_to(target.id, target.addr.view(), w.take());
 }
 
 void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
@@ -357,9 +364,7 @@ void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
                              std::min(cfg_.rps_shuffle, rps_view_.size()),
                              scratch_->samples);
     for (std::size_t i : scratch_->samples)
-      out.push_back({rps_view_.hot[i].id, rps_view_.names[i].str(),
-                     rps_view_.hot[i].age, rps_view_.hot[i].pos,
-                     rps_view_.hot[i].version});
+      out.push_back(to_wire(rps_view_[i]));
     util::ByteWriter w = frame_writer();
     encode_rps(w, header(MsgType::kRpsShuffleResp), out);
     send_reply(h, w.take());
@@ -368,74 +373,42 @@ void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
   // The view never exceeds cfg_.rps_view, whatever the frame carried.
   for (const auto& p : peers) {
     if (p.id == id_) continue;
-    const std::size_t i = rps_view_.find(p.id);
-    if (i < rps_view_.size()) {
-      PeerHot& e = rps_view_.hot[i];
-      if (p.age < e.age) e.age = p.age;  // keep the fresher view
-      if (p.version > e.version) {
-        e.pos = p.pos;
-        e.version = p.version;
+    if (PeerEntry* e = find_id(rps_view_, p.id)) {
+      if (p.age < e->age) e->age = p.age;  // keep the fresher view
+      if (p.version > e->version) {
+        e->pos = p.pos;
+        e->version = p.version;
       }
       continue;
     }
     if (rps_view_.size() < cfg_.rps_view) {
-      rps_view_.push_back(PeerHot{p.id, p.age, p.pos, p.version}, p.addr);
+      rps_view_.push_back(to_entry(p));
     } else {
-      const std::size_t oldest = oldest_index(rps_view_.hot);
-      if (rps_view_.hot[oldest].age > p.age) {
-        rps_view_.hot[oldest] = PeerHot{p.id, p.age, p.pos, p.version};
-        rps_view_.names[oldest].assign(p.addr);
-      }
+      PeerEntry& oldest = rps_view_[oldest_index(rps_view_)];
+      if (oldest.age > p.age) oldest = to_entry(p);
     }
   }
 }
 
 // ---- T-Man -------------------------------------------------------------------
 
-void AsyncNode::rank_closest(DescriptorList& entries,
-                             const space::Point& origin, std::size_t keep) {
-  // Keys are computed once over the hot array (the cold names are never
-  // read); the (key, id) comparator makes the order strictly total, so
-  // the partial selection is element-for-element identical to a full
-  // sort + truncate.  The gather copies hot+name pairs through rank_tmp
-  // and back — view storage never trades blocks with the scratch.
-  auto& keys = scratch_->rank_keys.keys;
-  keys.clear();
-  keys.reserve(entries.size());
-  for (std::uint32_t i = 0; i < entries.size(); ++i)
-    keys.emplace_back(space_->distance2(origin, entries.hot[i].pos), i);
-  util::keep_smallest_sorted(
-      keys, std::min(keep, keys.size()),
-      [&](const std::pair<double, std::uint32_t>& a,
-          const std::pair<double, std::uint32_t>& b) {
-        if (a.first != b.first) return a.first < b.first;
-        return entries.hot[a.second].id < entries.hot[b.second].id;
-      });
-  auto& tmp = scratch_->rank_tmp;
-  tmp.clear();
-  for (const auto& [key, idx] : keys)
-    tmp.push_back(entries.hot[idx], entries.names[idx]);
-  entries.assign(tmp);
-}
-
 void AsyncNode::step_tman() {
   // Age the view and evict the unheard-of.  First-hand contact resets an
   // entry's age (handle_tman); anything past the TTL is a member we have
   // no recent evidence for — crashed, or moved far enough that gossip no
   // longer circulates its descriptors here, in which case its advertised
-  // position is a lie that would rank as "nearby" forever.  erase_if is
-  // order-preserving, so an already-ranked view stays ranked.
+  // position is a lie that would rank as "nearby" forever.  The erase
+  // keeps the order, so an already-ranked view stays ranked.
   if (cfg_.tman_ttl > 0 && !tman_view_.empty()) {
     const auto ttl = static_cast<std::uint32_t>(cfg_.tman_ttl);
     bool expired = false;
-    for (std::size_t i = 0; i < tman_view_.size(); ++i) {
-      DescriptorHot& e = tman_view_.hot[i];
+    for (TmanEntry& e : tman_view_) {
       if (e.age <= ttl) ++e.age;  // saturating: no wraparound
       expired = expired || e.age > ttl;
     }
     if (expired)
-      tman_view_.erase_if(
-          [ttl](const DescriptorHot& e) { return e.age > ttl; });
+      erase_where(tman_view_,
+                  [ttl](const TmanEntry& e) { return e.age > ttl; });
   }
   const std::uint32_t fwd_horizon = tman_forward_age(cfg_);
   // Random-candidate injection — the role the RPS layer plays in the
@@ -446,89 +419,83 @@ void AsyncNode::step_tman() {
   // each other (routing across such a seam otherwise dead-ends forever:
   // both sides gossip strictly away from it).  Injected entries count
   // as second-hand, exactly as if a gossip partner had forwarded them.
-  {
-    const std::size_t phys = tman_phys_cap(cfg_);
-    for (std::size_t i = 0; i < rps_view_.size(); ++i) {
-      const PeerHot& p = rps_view_.hot[i];
-      if (p.version == 0 || p.id == id_) continue;
-      const std::size_t j = tman_view_.find(p.id);
-      if (j < tman_view_.size()) {
-        DescriptorHot& e = tman_view_.hot[j];
-        if (p.version > e.version) {
-          e.pos = p.pos;
-          e.version = p.version;
-          tman_ranked_ = false;
-        }
-        e.age = std::min(e.age, fwd_horizon);
-        continue;
+  // They may fill the view past tman_view up to its physical cap, until
+  // the next merge truncates (docs/ARCHITECTURE.md, "Kept fleet rules").
+  for (const PeerEntry& p : rps_view_) {
+    if (p.version == 0 || p.id == id_) continue;
+    if (TmanEntry* e = find_id(tman_view_, p.id)) {
+      if (p.version > e->version) {
+        e->pos = p.pos;
+        e->version = p.version;
+        tman_ranked_ = false;
       }
-      if (tman_ranked_ && tman_view_.size() >= cfg_.tman_view) {
-        // A candidate no closer than the worst ranked entry cannot
-        // enter a full view — reject without touching the rank.
-        const DescriptorHot& worst = tman_view_.hot[tman_view_.size() - 1];
-        if (space_->distance2(pos_, p.pos) >=
-            space_->distance2(pos_, worst.pos))
-          continue;
-      }
-      if (tman_view_.size() >= phys)
-        rank_closest(tman_view_, pos_, cfg_.tman_view);
-      tman_view_.push_back(DescriptorHot{p.id, p.version, p.pos, fwd_horizon},
-                           rps_view_.names[i]);
-      tman_ranked_ = false;
+      e->age = std::min(e->age, fwd_horizon);
+      continue;
     }
+    if (tman_ranked_ && tman_view_.size() >= cfg_.tman_view) {
+      // A candidate no closer than the worst ranked entry cannot enter a
+      // full view — reject without touching the rank.
+      const TmanEntry& worst = tman_view_.back();
+      if (space_->distance2(pos_, p.pos) >= space_->distance2(pos_, worst.pos))
+        continue;
+    }
+    if (tman_view_.size() >= tman_phys_cap(cfg_)) {
+      tman::rank_view(tman_view_, pos_, *space_, scratch_->rank);
+      tman_view_.resize(cfg_.tman_view);
+    }
+    tman_view_.push_back(
+        TmanEntry{p.id, p.version, p.pos, fwd_horizon, p.addr});
+    tman_ranked_ = false;
   }
   if (tman_view_.empty()) {
     // Cold start (no peer has a known position yet): seed the topology
     // view with placeholder descriptors so there is someone to contact.
-    for (std::size_t i = 0; i < rps_view_.size(); ++i)
-      tman_view_.push_back(DescriptorHot{rps_view_.hot[i].id, 0, pos_},
-                           rps_view_.names[i]);
+    for (const PeerEntry& p : rps_view_)
+      tman_view_.push_back(TmanEntry{p.id, 0, pos_, 0, p.addr});
     if (tman_view_.empty()) return;
     tman_ranked_ = false;
   }
-  // Rank by distance to our position, pick among the ψ closest.  Skipped
-  // when the view is already ranked for the current position (no merge and
-  // no reprojection since the last rank): re-sorting a sorted view is the
-  // identity, so the skip is bit-identical and saves the dominant ranking
-  // cost in converged fleets.
+  // Rank by distance to our position, pick among the ψ closest.  The rank
+  // is lazy: only a view that an injection or a reprojection left unranked
+  // is re-ranked here (docs/ARCHITECTURE.md, "Kept fleet rules").
   if (!tman_ranked_) {
-    rank_closest(tman_view_, pos_, tman_view_.size());
+    tman::rank_view(tman_view_, pos_, *space_, scratch_->rank);
     tman_ranked_ = true;
   }
   const std::size_t horizon = std::min(cfg_.psi, tman_view_.size());
-  const std::size_t tidx = rng_.index(horizon);
-  const DescriptorHot target = tman_view_.hot[tidx];
-  const InlineAddr target_addr = tman_view_.names[tidx];
+  const TmanEntry target = tman_view_[rng_.index(horizon)];
+  util::ByteWriter w = frame_writer();
+  encode_tman(w, header(MsgType::kTmanReq), tman_buffer(target.id, target.pos));
+  send_to(target.id, target.addr.view(), w.take());
+}
 
+const std::vector<WireDescriptor>& AsyncNode::tman_buffer(
+    LiveNodeId receiver, const space::Point& receiver_pos) {
+  // The tman_msg entries closest to the receiver are walked in order,
+  // skipping the receiver and what the forwarding rule rejects, so a frame
+  // often carries fewer than tman_msg - 1 entries; filtering before the
+  // cut would fill it but cost greedy routing its shortcuts
+  // (docs/ARCHITECTURE.md, "Kept fleet rules").  The rule: version-0
+  // entries are bootstrap placeholders carrying our *own* position as a
+  // stand-in for the member's — forwarded, such a guess would rank as
+  // nearby in third-party views and never heal.  And only first-hand-fresh
+  // entries are forwarded (see tman_forward_age): second-hand copies
+  // arrive exactly at the horizon and are never re-forwarded, so rumors
+  // about dead or moved members cannot outlive their last confirmation.
+  const std::uint32_t horizon = tman_forward_age(cfg_);
+  auto forwardable = [&](const TmanEntry& e) {
+    return e.version != 0 && (cfg_.tman_ttl == 0 || e.age < horizon);
+  };
   auto& out = scratch_->out_descriptors;
   out.clear();
   out.push_back(WireDescriptor{id_, addr_, pos_, pos_version_});
-  // Entries closest to the target, capped at tman_msg.  The take loop
-  // below skips at most one entry (the target itself), so a ranked prefix
-  // of tman_msg is always enough.
-  auto& cand = scratch_->tman_cand;
-  cand.assign(tman_view_);
-  rank_closest(cand, target.pos, cfg_.tman_msg);
-  for (std::size_t i = 0; i < cand.size(); ++i) {
-    if (out.size() >= cfg_.tman_msg) break;
-    if (cand.hot[i].id == target.id) continue;
-    // Version-0 entries are bootstrap placeholders carrying our *own*
-    // position as a stand-in for the member's.  Forwarding such a guess
-    // would plant "node X is here" lies in third-party views, where they
-    // rank as nearby and never heal (gossip only refreshes entries that
-    // really are near their holder).  Placeholders stay local.
-    if (cand.hot[i].version == 0) continue;
-    // Forward only first-hand-fresh entries (see tman_forward_age):
-    // second-hand copies arrive exactly at the horizon and are never
-    // re-forwarded, so rumors about dead or moved members cannot
-    // circulate past their last direct confirmation.
-    if (cfg_.tman_ttl > 0 && cand.hot[i].age >= fwd_horizon) continue;
-    out.push_back({cand.hot[i].id, cand.names[i].str(), cand.hot[i].pos,
-                   cand.hot[i].version});
+  for (std::uint32_t i :
+       tman::pick_closest(tman_view_, {}, receiver, receiver_pos, id_, *space_,
+                          cfg_.tman_msg, scratch_->rank, forwardable)) {
+    const TmanEntry& e = tman_view_[i];
+    out.push_back({e.id, e.addr.str(), e.pos, e.version});
   }
-  util::ByteWriter w = frame_writer();
-  encode_tman(w, header(MsgType::kTmanReq), out);
-  send_to(target.id, target_addr.view(), w.take());
+  return out;
 }
 
 void AsyncNode::handle_tman(const Header& h,
@@ -538,65 +505,36 @@ void AsyncNode::handle_tman(const Header& h,
     // Symmetric reply: our descriptor + entries closest to the sender.
     const space::Point sender_pos =
         descriptors.empty() ? pos_ : descriptors.front().pos;
-    auto& out = scratch_->out_descriptors;
-    out.clear();
-    out.push_back(WireDescriptor{id_, addr_, pos_, pos_version_});
-    auto& cand = scratch_->tman_cand;
-    cand.assign(tman_view_);
-    rank_closest(cand, sender_pos, cfg_.tman_msg);
-    const std::uint32_t fwd_horizon = tman_forward_age(cfg_);
-    for (std::size_t i = 0; i < cand.size(); ++i) {
-      if (out.size() >= cfg_.tman_msg) break;
-      if (cand.hot[i].id == h.sender) continue;
-      // Never forward bootstrap placeholders or second-hand entries
-      // past the forwarding horizon (see step_tman).
-      if (cand.hot[i].version == 0) continue;
-      if (cfg_.tman_ttl > 0 && cand.hot[i].age >= fwd_horizon) continue;
-      out.push_back({cand.hot[i].id, cand.names[i].str(), cand.hot[i].pos,
-                     cand.hot[i].version});
-    }
     util::ByteWriter w = frame_writer();
-    encode_tman(w, header(MsgType::kTmanResp), out);
+    encode_tman(w, header(MsgType::kTmanResp),
+                tman_buffer(h.sender, sender_pos));
     send_reply(h, w.take());
   }
-  // Merge: dedup by id keeping the freshest version, rank, truncate.  The
-  // view's physical cap is tman_view + tman_msg; an in-spec frame (at
-  // most tman_msg descriptors into a ranked view of at most tman_view)
-  // can never reach it, so the mid-merge rank-truncate below fires only
-  // on oversized/hostile frames.  When it does fire, correctness is
-  // unchanged: top-k selection over a strict total order is associative
-  // (top-k(top-k(A) ∪ B) == top-k(A ∪ B)), so truncating to the ranked
-  // view cap mid-merge keeps exactly the entries the unbounded merge
-  // would have kept.
-  const std::size_t phys = tman_phys_cap(cfg_);
+  // First-hand contact (the member itself is talking to us) proves it
+  // alive *now*: age 0.  A forwarded copy only proves someone heard from
+  // it within the forwarding horizon, so it arrives that old and can
+  // lower — never raise — the age we already track.
   const std::uint32_t fwd_horizon = tman_forward_age(cfg_);
-  for (const auto& d : descriptors) {
-    if (d.id == id_) continue;
-    // First-hand contact (the member itself is talking to us) proves it
-    // alive *now*: age 0.  A forwarded copy only proves someone heard
-    // from it within the forwarding horizon, so it arrives that old and
-    // can lower — never raise — the age we already track.
-    const std::uint32_t arrival_age = d.id == h.sender ? 0 : fwd_horizon;
-    const std::size_t i = tman_view_.find(d.id);
-    if (i < tman_view_.size()) {
-      DescriptorHot& e = tman_view_.hot[i];
-      if (d.version > e.version) {
-        e = DescriptorHot{d.id, d.version, d.pos,
-                          std::min(e.age, arrival_age)};
-        tman_view_.names[i].assign(d.addr);
-      } else {
-        e.age = std::min(e.age, arrival_age);
-      }
-    } else {
-      if (tman_view_.size() >= phys)
-        rank_closest(tman_view_, pos_, cfg_.tman_view);
-      tman_view_.push_back(DescriptorHot{d.id, d.version, d.pos, arrival_age},
-                           d.addr);
-    }
+  // Merging m ids costs O(m · (view + m)), so a frame longer than the
+  // view's physical cap (an in-spec one carries at most tman_msg) is
+  // counted and cut to it.
+  const std::size_t n =
+      std::min<std::size_t>(descriptors.size(), tman_phys_cap(cfg_));
+  if (n < descriptors.size()) ++frames_overlong_;
+  auto& in = scratch_->in_tman;
+  in.clear();
+  for (const WireDescriptor& d : std::span(descriptors).first(n)) {
+    in.push_back(TmanEntry{d.id, d.version, d.pos,
+                           d.id == h.sender ? 0 : fwd_horizon, {}});
+    in.back().addr.assign(d.addr);
   }
-  // Rank-and-truncate in one step: only the kept view-cap prefix is
-  // ever ordered.
-  rank_closest(tman_view_, pos_, cfg_.tman_view);
+  // Merge the staged frame, then truncate to tman_view.
+  if (!tman_ranked_) tman::rank_view(tman_view_, pos_, *space_, scratch_->rank);
+  tman::merge_ranked(tman_view_, in, id_, pos_, *space_, cfg_.tman_view,
+                     scratch_->rank,
+                     [](TmanEntry& kept, const TmanEntry& arriving) {
+                       kept.age = std::min(kept.age, arriving.age);
+                     });
   tman_ranked_ = true;
 }
 
@@ -607,12 +545,10 @@ void AsyncNode::step_backup() {
   std::size_t attempts = 0;
   while (backups_.size() < cfg_.replication &&
          attempts++ < 4 * cfg_.replication && !rps_view_.empty()) {
-    const std::size_t ci = rng_.index(rps_view_.size());
-    const PeerHot& cand = rps_view_.hot[ci];
-    if (cand.id == id_) continue;
-    if (backups_.find(cand.id) < backups_.size()) continue;
-    backups_.push_back(PeerHot{cand.id, 0, cand.pos, cand.version},
-                       rps_view_.names[ci]);
+    PeerEntry cand = rps_view_[rng_.index(rps_view_.size())];
+    if (cand.id == id_ || find_id(backups_, cand.id) != nullptr) continue;
+    cand.age = 0;
+    backups_.push_back(cand);
   }
   // Push guests (full copy; doubles as the origin's heartbeat).  Iterate
   // over a scratch copy: send failures mutate backups_ via
@@ -627,7 +563,7 @@ void AsyncNode::step_backup() {
   for (std::size_t i = 0; i < targets.size(); ++i) {
     util::ByteWriter w = frame_writer();
     w.bytes(scratch_->frame.data(), scratch_->frame.size());
-    send_to(targets.hot[i].id, targets.names[i].view(), w.take());
+    send_to(targets[i].id, targets[i].addr.view(), w.take());
   }
 }
 
@@ -666,17 +602,16 @@ void AsyncNode::step_migration() {
   // one random peer from the sampling view (Algorithm 3).
   auto& candidates = scratch_->mig_candidates;
   candidates.clear();
-  for (std::size_t i = 0; i < tman_view_.size(); ++i) {
+  for (const TmanEntry& e : tman_view_) {
     if (candidates.size() >= cfg_.psi) break;
-    candidates.push_back({tman_view_.hot[i].id, tman_view_.names[i]});
+    candidates.push_back({e.id, 0, e.pos, e.version, e.addr});
   }
   if (!rps_view_.empty()) {
-    const std::size_t ri = rng_.index(rps_view_.size());
-    const LiveNodeId rid = rps_view_.hot[ri].id;
-    if (rid != id_ &&
+    const PeerEntry& r = rps_view_[rng_.index(rps_view_.size())];
+    if (r.id != id_ &&
         std::none_of(candidates.begin(), candidates.end(),
-                     [&](const auto& c) { return c.id == rid; }))
-      candidates.push_back({rid, rps_view_.names[ri]});
+                     [&](const auto& c) { return c.id == r.id; }))
+      candidates.push_back(r);
   }
   if (candidates.empty() || guests_.empty()) return;
 
@@ -751,8 +686,7 @@ AsyncNode::ViewHop AsyncNode::closest_view_member(
     void* ctx) const {
   util::MutexLock lk(state_mu_);
   ViewHop best;
-  for (std::size_t i = 0; i < tman_view_.size(); ++i) {
-    const DescriptorHot& d = tman_view_.hot[i];
+  for (const TmanEntry& d : tman_view_) {
     if (accept != nullptr && !accept(ctx, d.id)) continue;
     const double dist = space_->distance(d.pos, target);
     if (!best.found || dist < best.distance ||
@@ -770,10 +704,7 @@ void AsyncNode::for_each_view_member(
                std::uint64_t version),
     void* ctx) const {
   util::MutexLock lk(state_mu_);
-  for (std::size_t i = 0; i < tman_view_.size(); ++i) {
-    const DescriptorHot& d = tman_view_.hot[i];
-    fn(ctx, d.id, d.pos, d.version);
-  }
+  for (const TmanEntry& d : tman_view_) fn(ctx, d.id, d.pos, d.version);
 }
 
 core::PointSet AsyncNode::guests() const {

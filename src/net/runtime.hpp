@@ -22,7 +22,7 @@
 // Memory layout (see docs/ARCHITECTURE.md, "Per-node memory layout"): a
 // node's protocol state — RPS/T-Man views, backup targets, ghost table,
 // endpoint cache — lives in util::Arena storage with caps derived from
-// AsyncConfig, hot/cold split per net/view_storage.hpp.  The call-scoped
+// AsyncConfig, one array per view (net/view_storage.hpp).  The call-scoped
 // working buffers live in an AsyncScratch that single-threaded drivers
 // (the engine fleets) share across every node, so the steady state holds
 // zero per-node heap vectors.
@@ -43,10 +43,10 @@
 #include "net/view_storage.hpp"
 #include "space/medoid.hpp"
 #include "space/metric_space.hpp"
+#include "tman/ranked_view.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/topk.hpp"
 
 namespace poly::net {
 
@@ -79,10 +79,10 @@ struct AsyncConfig {
   std::size_t tman_ttl = 48;
 };
 
-/// Physical capacity of the T-Man view storage: the ranked view plus one
-/// merge's worth of headroom.  handle_tman rank-truncates mid-merge at
-/// this bound, so in-spec gossip (<= tman_msg descriptors per frame)
-/// never hits it and oversized frames cannot grow the view past it.
+/// Physical capacity of the T-Man view storage: tman_view plus tman_msg
+/// slots for step_tman's RPS injection, which may hold entries past
+/// tman_view until the next merge truncates to it.  Also the most
+/// descriptors handle_tman merges from one frame.
 inline std::uint32_t tman_phys_cap(const AsyncConfig& cfg) {
   const std::size_t phys = cfg.tman_view + cfg.tman_msg;
   return static_cast<std::uint32_t>(
@@ -114,7 +114,7 @@ struct Seed {
 /// state_mu_, which cannot order accesses across nodes.
 ///
 /// Must be bound to the same Arena as the views of the nodes that use it
-/// (rank staging copies view entries through rank_tmp/tman_cand).
+/// (so the arena's byte counters account for its arrays too).
 ///
 /// Externally synchronized: AsyncScratch itself carries no lock and no
 /// single-thread checker on purpose.  Which mutex covers it depends on the
@@ -129,14 +129,10 @@ struct AsyncScratch {
   std::vector<WirePoint> in_points, out_points, wire_guests;
   std::vector<std::size_t> samples;      // rng sample staging
   std::vector<std::uint8_t> frame;       // one-encode backup frame
-  util::KeepClosestScratch rank_keys;    // (distance, index) rank staging
-  DescriptorList tman_cand, rank_tmp;    // buffer-build + rank gather
+  std::vector<TmanEntry> in_tman;        // decoded T-Man frame, as entries
+  tman::RankScratch<TmanEntry> rank;     // ranked-view staging
   PeerList backup_targets;               // step_backup staging
-  struct MigCandidate {
-    LiveNodeId id = 0;
-    InlineAddr addr;
-  };
-  util::ArenaVec<MigCandidate> mig_candidates;
+  PeerList mig_candidates;               // step_migration staging
 
   void bind(util::Arena& arena, const AsyncConfig& cfg);
 };
@@ -216,8 +212,8 @@ class AsyncNode {
   /// filter skips entries (the traffic plane rejects crashed members —
   /// modelling a sender that times out on a dead neighbour and tries its
   /// next candidate; a plain function pointer keeps the hot path
-  /// allocation-free).  The RPS view is not consulted — its entries carry
-  /// no positions (PeerHot is id+age only).
+  /// allocation-free).  The RPS view's entries carry positions too, but
+  /// greedy routing runs over the T-Man topology, not random peers.
   struct ViewHop {
     LiveNodeId id = 0;
     double distance = 0.0;
@@ -245,6 +241,12 @@ class AsyncNode {
   /// truncated or corrupted input that never reached a handler.  Zero on
   /// clean links.
   std::uint64_t frames_rejected() const;
+  /// T-Man frames cut to their first tman_phys_cap descriptors before the
+  /// merge: no sender of this config builds one that long.
+  std::uint64_t frames_overlong() const {
+    util::MutexLock lk(state_mu_);
+    return frames_overlong_;
+  }
   bool running() const;
 
  private:
@@ -271,13 +273,12 @@ class AsyncNode {
                            const std::vector<WirePoint>& guests)
       REQUIRES(state_mu_);
 
-  /// Reduces `entries` to the `keep` entries closest to `origin`, sorted
-  /// ascending with id tie-breaks.  Ids are unique within a view, so the
-  /// order is strictly total and the partial selection is element-for-
-  /// element identical to a full sort + truncate.  Stages through the
-  /// scratch (rank_keys + rank_tmp).
-  void rank_closest(DescriptorList& entries, const space::Point& origin,
-                    std::size_t keep) REQUIRES(state_mu_);
+  /// Stages in the scratch the T-Man frame sent to `receiver`, at
+  /// `receiver_pos`: our descriptor, then the view entries closest to it
+  /// that the forwarding rule lets through (tman::pick_closest).
+  const std::vector<WireDescriptor>& tman_buffer(
+      LiveNodeId receiver, const space::Point& receiver_pos)
+      REQUIRES(state_mu_);
 
   // Protocol steps (called with state_mu_ held unless noted).
   void step_rps() REQUIRES(state_mu_);
@@ -351,10 +352,11 @@ class AsyncNode {
   PeerList rps_view_ GUARDED_BY(state_mu_);
 
   // T-Man state: ranked descriptor view, cap tman_phys_cap(cfg_).
-  DescriptorList tman_view_ GUARDED_BY(state_mu_);
+  TmanView tman_view_ GUARDED_BY(state_mu_);
   /// True while tman_view_ is sorted by (distance to pos_, id) — set by
   /// the rank sites, cleared when pos_ moves or unranked entries appear.
-  /// Lets step_tman skip the per-tick re-rank (a no-op on a sorted view).
+  /// The re-rank is lazy: reproject only clears it, and the next step_tman
+  /// or merge ranks the view.
   bool tman_ranked_ GUARDED_BY(state_mu_) = false;
   space::Point pos_ GUARDED_BY(state_mu_);
   std::uint64_t pos_version_ GUARDED_BY(state_mu_) = 1;
@@ -376,6 +378,7 @@ class AsyncNode {
   /// by state_mu_ like the scratch it protects: the increment happens in
   /// on_message's CodecError catch.
   std::uint64_t frames_rejected_ GUARDED_BY(state_mu_) = 0;
+  std::uint64_t frames_overlong_ GUARDED_BY(state_mu_) = 0;  ///< see accessor
 
   // Reply fast path: the interned sender id and transport-level source
   // address of the message currently in on_message (null outside it).

@@ -1,16 +1,11 @@
 // Arena-backed per-node view storage for the live runtime.
 //
 // AsyncNode's protocol state is a handful of small bounded lists: the RPS
-// view (<= rps_view entries), the ranked T-Man view (<= tman_view), the
-// backup target list (<= K) and the ghost table (~K entries).  This module
-// gives them a hot/cold split over util::Arena storage:
-//
-//   * hot arrays hold exactly what the per-tick loops touch — ids, ages,
-//     versions, positions — as trivially copyable structs packed in arena
-//     memory (PeerHot 16 B, DescriptorHot 48 B);
-//   * cold arrays hold the transport names as fixed-capacity InlineAddr
-//     records, kept index-parallel to the hot array.  Ranking, merging and
-//     aging never read them; only the send path does.
+// view (<= rps_view entries), the ranked T-Man view (<= tman_view +
+// tman_msg), the backup target list (<= K) and the ghost table (~K
+// entries).  Each view is one util::ArenaVec of trivially copyable
+// entries that carry the peer's transport name inline (InlineAddr), so
+// ranking, merging and the send path read one array (80 B per entry).
 //
 // The caps come from AsyncConfig, so the entire view footprint is known at
 // node construction and carved from the cluster's arena in one pass —
@@ -41,12 +36,12 @@
 
 namespace poly::net {
 
-/// A transport address stored inline (no heap): covers the in-tree name
-/// schemes ("node-<id>", "ip:port") with room to spare.  Longer addresses
-/// are truncated — a documented limit of the arena-backed views, checked
-/// by the runtime when peers are admitted.
+/// A transport address stored inline (no heap).  Its capacity is the
+/// codec's kMaxAddressLength: decoders reject longer addresses and the
+/// AsyncNode constructor rejects a longer own address, so every name that
+/// reaches a view fits.
 struct InlineAddr {
-  static constexpr std::size_t kCap = 23;
+  static constexpr std::size_t kCap = kMaxAddressLength;
 
   std::uint8_t len = 0;
   char buf[kCap] = {};
@@ -61,17 +56,19 @@ struct InlineAddr {
 };
 static_assert(sizeof(InlineAddr) == 24, "InlineAddr layout drifted");
 
-/// Hot half of an RPS view entry: what aging, sampling and merge
-/// compare, plus the peer's last known topology descriptor (see
-/// WirePeer — `version == 0` means the position is unknown).
-struct PeerHot {
+/// An RPS view entry (and a backup target): the Cyclon (id, age) pair,
+/// the peer's last known topology descriptor (see WirePeer — `version ==
+/// 0` means the position is unknown) and its name.
+struct PeerEntry {
   LiveNodeId id = 0;
   std::uint32_t age = 0;
   space::Point pos;
   std::uint64_t version = 0;
+  InlineAddr addr;
 };
+static_assert(sizeof(PeerEntry) == 80, "PeerEntry layout drifted");
 
-/// Hot half of a T-Man view entry: what ranking and merge compare.
+/// A T-Man view entry: what ranking and merge compare, and the name.
 ///
 /// `age` is purely local state (never on the wire): ticks since the
 /// entry was last refreshed.  First-hand contact (the member itself
@@ -80,85 +77,34 @@ struct PeerHot {
 /// older than AsyncConfig::tman_ttl are evicted each tick — the view's
 /// only defence against members that crashed or moved far away, whose
 /// stale descriptors would otherwise rank as "nearby" forever.
-struct DescriptorHot {
+struct TmanEntry {
   LiveNodeId id = 0;
   std::uint64_t version = 0;
   space::Point pos;
   std::uint32_t age = 0;
+  InlineAddr addr;
 };
+static_assert(sizeof(TmanEntry) == 80, "TmanEntry layout drifted");
 
-/// An index-parallel (hot entries, cold names) pair over arena storage.
-/// Every mutation keeps the two arrays in lockstep.
-template <typename Hot>
-struct SoaList {
-  util::ArenaVec<Hot> hot;
-  util::ArenaVec<InlineAddr> names;
+using PeerList = util::ArenaVec<PeerEntry>;
+using TmanView = util::ArenaVec<TmanEntry>;
 
-  void bind(util::Arena& arena, std::uint32_t cap) {
-    hot.bind(arena, cap);
-    names.bind(arena, cap);
-  }
+/// The entry of `list` with id `id`, or null.  A linear scan: views hold
+/// a few dozen entries at most.
+template <typename Entry>
+Entry* find_id(util::ArenaVec<Entry>& list, LiveNodeId id) noexcept {
+  for (Entry& e : list)
+    if (e.id == id) return &e;
+  return nullptr;
+}
 
-  std::size_t size() const noexcept { return hot.size(); }
-  bool empty() const noexcept { return hot.empty(); }
-  void clear() noexcept {
-    hot.clear();
-    names.clear();
-  }
-
-  void push_back(const Hot& h, std::string_view addr) {
-    hot.push_back(h);
-    names.push_back(InlineAddr{});
-    names.back().assign(addr);
-  }
-
-  void push_back(const Hot& h, const InlineAddr& addr) {
-    hot.push_back(h);
-    names.push_back(addr);
-  }
-
-  void erase(std::size_t i) noexcept {
-    hot.erase(i);
-    names.erase(i);
-  }
-
-  /// Removes every entry whose hot half satisfies `pred` (order kept).
-  template <typename Pred>
-  void erase_if(Pred pred) noexcept {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < hot.size(); ++i) {
-      if (pred(hot[i])) continue;
-      if (out != i) {
-        hot[out] = hot[i];
-        names[out] = names[i];
-      }
-      ++out;
-    }
-    hot.resize(out);
-    names.resize(out);
-  }
-
-  /// Linear id lookup (views hold <= ~24 entries; a scan over 16-byte
-  /// strides beats any index).  Returns size() when absent.
-  std::size_t find(LiveNodeId id) const noexcept {
-    for (std::size_t i = 0; i < hot.size(); ++i)
-      if (hot[i].id == id) return i;
-    return hot.size();
-  }
-
-  void assign(const SoaList& o) {
-    hot.assign(o.hot);
-    names.assign(o.names);
-  }
-
-  void swap(SoaList& o) noexcept {
-    hot.swap(o.hot);
-    names.swap(o.names);
-  }
-};
-
-using PeerList = SoaList<PeerHot>;
-using DescriptorList = SoaList<DescriptorHot>;
+/// Removes every entry of `list` that satisfies `pred`, keeping the order
+/// of the rest (a ranked view stays ranked).
+template <typename Entry, typename Pred>
+void erase_where(util::ArenaVec<Entry>& list, Pred pred) noexcept {
+  list.resize(static_cast<std::size_t>(
+      std::remove_if(list.begin(), list.end(), pred) - list.begin()));
+}
 
 /// Ghost sets keyed by origin id, slots in arena memory sorted ascending
 /// by origin (the recovery merge order the old flat vector / std::map

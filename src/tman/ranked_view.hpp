@@ -1,32 +1,36 @@
-// Ranked T-Man views, kept ranked incrementally.
+// Ranked topology views: the one implementation of view ranking, merging
+// and gossip-buffer selection, shared by every topology protocol — sync
+// T-Man (`tman::Descriptor`), Vicinity (`vicinity::VicinityEntry`) and the
+// fleet's AsyncNode (`net::TmanEntry`).  Header-only, templated over the
+// entry type (anything with `id`, `pos` and `version`; an `age` member is
+// carried through merges) and the container (`std::vector` or an arena
+// `util::ArenaVec`).
 //
-// A sync T-Man view is always ranked by (distance² to its owner's
-// position, id), ascending.  Ids in a view are unique, so that key is a
-// strict total order: the ranking of a set of descriptors is unique, and
-// any correct update equals a full sort of the result.  The operations
-// below exploit that.  A merge or a position refresh re-keys only the
-// descriptors it changes or adds (a gossip merge adds at most m = 20 to a
-// view of up to view_cap = 100), sorts those, and merges them back in
-// place, back to front, into the untouched ranked rest.  Keys of the rest
-// are computed lazily, only for the tail the new descriptors interleave
-// with; no key is stored per entry.
-//
-// Capacity rule: a view grows to exactly the size it needs, never by
-// doubling, so its capacity never exceeds the largest size it has held —
-// at most the cap its merges truncate to.  Views dominate the heap of a
-// sync simulation, so spare capacity (doubling growth, a cached key per
-// entry, storage swapped with a shared buffer) shows directly in its peak
-// memory.
+// A ranked view is ordered by (distance² to its owner's position, id),
+// ascending.  Ids in a view are unique, so that key is a strict total
+// order and any correct update equals a full sort of the result.  A merge
+// or a position refresh re-keys only the entries it changes or adds, sorts
+// those, and merges them back in place, back to front, into the untouched
+// ranked rest, whose keys are computed lazily; no key is stored per entry.
+// A std::vector view grows to exactly the size it needs, never by
+// doubling (views dominate a sync simulation's heap); arena views are
+// bound at their physical cap.  See docs/ARCHITECTURE.md, "Ranked-view
+// invariant".
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sim/node_id.hpp"
 #include "space/metric_space.hpp"
 #include "space/point.hpp"
+#include "util/topk.hpp"
 
 namespace poly::tman {
 
@@ -38,11 +42,16 @@ struct Descriptor {
   std::uint64_t version = 0;
 };
 
-/// The rank of one descriptor: distance² to the ranking target, then id.
-/// `index` says where the descriptor is; it fills what would be padding.
+/// The id type of a view entry.
+template <typename Entry>
+using IdOf = decltype(Entry::id);
+
+/// The rank of one entry: distance² to the ranking target, then id.
+/// `index` says where the entry is; it fills what would be padding.
+template <typename Id>
 struct RankKey {
   double key = 0.0;
-  sim::NodeId id = sim::kInvalidNode;
+  Id id{};
   std::uint32_t index = 0;
 
   friend bool operator<(const RankKey& a, const RankKey& b) noexcept {
@@ -52,38 +61,231 @@ struct RankKey {
 };
 
 /// Reusable staging for the ranked-view operations.  Each protocol object
-/// owns one, so steady-state updates allocate nothing.
+/// (or fleet scratch) owns one, so steady-state updates allocate nothing.
+template <typename Entry>
 struct RankScratch {
-  std::vector<Descriptor> fresh;  ///< descriptors re-keyed by the update
-  std::vector<RankKey> keys;
+  std::vector<Entry> fresh;  ///< entries re-keyed by the update
+  std::vector<RankKey<IdOf<Entry>>> keys;
+  std::vector<std::uint32_t> moved;   ///< view slots merge_ranked vacated
+  std::vector<std::uint32_t> picked;  ///< pick_closest's result
 };
 
-/// Merges `incoming` into `view`, the ranked view of `owner` (at
-/// `owner_pos`), and truncates it to `cap`.  Descriptors of `owner` are
-/// skipped; a known id keeps the freshest version, and a duplicate id
-/// inside `incoming` is compared against the copy already taken.  The
-/// result equals appending the new ids, applying the newer versions,
-/// fully re-sorting and truncating.
-void merge_ranked(std::vector<Descriptor>& view,
-                  std::span<const Descriptor> incoming, sim::NodeId owner,
-                  const space::Point& owner_pos,
+/// Age rule of an entry type without ages (sync T-Man).
+struct NoAge {
+  template <typename Entry>
+  void operator()(Entry&, const Entry&) const noexcept {}
+};
+
+/// Forwarding rule that forwards every entry.
+struct ForwardAll {
+  template <typename Entry>
+  bool operator()(const Entry&) const noexcept { return true; }
+};
+
+namespace detail {
+
+/// `kept` takes `arriving`'s newer descriptor; its age, if it has one,
+/// stays for the caller's age rule to set.
+template <typename Entry>
+void take_newer(Entry& kept, const Entry& arriving) {
+  Entry newer = arriving;
+  if constexpr (requires { kept.age; }) newer.age = kept.age;
+  kept = newer;
+}
+
+/// Merges `scratch.fresh` into the ranked `view` and keeps the first `cap`
+/// entries.  Precondition: the fresh ids are unique and absent from `view`,
+/// so (key, id) orders the union strictly.
+template <typename View, typename Entry>
+void insert_fresh(View& view, const space::Point& owner_pos,
                   const space::MetricSpace& space, std::size_t cap,
-                  RankScratch& scratch);
+                  RankScratch<Entry>& scratch) {
+  const auto& fresh = scratch.fresh;
+  auto& keys = scratch.keys;
+  keys.clear();
+  for (std::uint32_t i = 0; i < fresh.size(); ++i)
+    keys.push_back({space.distance2(owner_pos, fresh[i].pos), fresh[i].id, i});
+  std::sort(keys.begin(), keys.end());
 
-/// Position refresh of the ranked `view` of a node at `owner_pos`: every
-/// entry whose version is older than `versions[id]` takes
-/// `positions[id]` and that version, and the view is re-ranked.  Returns
-/// the number of refreshed entries.
-std::size_t refresh_ranked(std::vector<Descriptor>& view,
-                           std::span<const space::Point> positions,
-                           std::span<const std::uint64_t> versions,
-                           const space::Point& owner_pos,
-                           const space::MetricSpace& space,
-                           RankScratch& scratch);
+  const std::size_t rest = view.size();
+  const std::size_t n = std::min(cap, rest + keys.size());
+  if constexpr (requires { view.reserve(n); })
+    if (n > view.capacity()) view.reserve(n);  // grow exactly, never double
+  if (n > rest) view.resize(n);
 
-/// Full re-rank of `view` around `owner_pos`, for when the owner itself
-/// moved and every key changed.
-void rank_view(std::vector<Descriptor>& view, const space::Point& owner_pos,
-               const space::MetricSpace& space, RankScratch& scratch);
+  // Back to front: `out` is the merged position of the larger of the two
+  // tails' last elements.  It always lies past the unread rest, so the
+  // merge needs no second buffer; positions from `n` on are dropped.  A
+  // rest entry is keyed only when a fresh one is still left to compare
+  // it with.
+  std::size_t i = rest;
+  std::size_t j = keys.size();
+  std::size_t out = rest + keys.size();
+  RankKey<IdOf<Entry>> key_i;
+  bool keyed_i = false;
+  while (j > 0) {
+    --out;
+    const auto& key_j = keys[j - 1];
+    bool rest_is_larger = false;
+    if (i > 0) {
+      if (!keyed_i) {
+        key_i.key = space.distance2(owner_pos, view[i - 1].pos);
+        key_i.id = view[i - 1].id;
+        keyed_i = true;
+      }
+      rest_is_larger = key_j < key_i;
+    }
+    if (rest_is_larger) {
+      if (out < n) view[out] = view[i - 1];
+      --i;
+      keyed_i = false;
+    } else {
+      if (out < n) view[out] = fresh[key_j.index];
+      --j;
+    }
+  }
+  if (view.size() > n) view.resize(n);
+}
+
+}  // namespace detail
+
+/// Full re-rank of `view` around `owner_pos`, for when the owner moved and
+/// every key changed (or the view was filled out of order).
+template <typename View, typename Entry>
+void rank_view(View& view, const space::Point& owner_pos,
+               const space::MetricSpace& space, RankScratch<Entry>& scratch) {
+  scratch.fresh.assign(view.begin(), view.end());
+  view.clear();
+  detail::insert_fresh(view, owner_pos, space,
+                       std::numeric_limits<std::size_t>::max(), scratch);
+}
+
+/// Merges `incoming` into `view`, the ranked view of `owner` (at
+/// `owner_pos`), and truncates it to `cap`.  Entries of `owner` are
+/// skipped.  A known id keeps the newer version; a new id enters with its
+/// own age.  Either way `age_rule(kept, arriving)` then sets the kept
+/// entry's age (every arrival calls it, whatever the versions).  A
+/// duplicate id inside `incoming` meets the copy already taken.  The
+/// result equals applying those updates, appending the new ids, fully
+/// re-sorting and truncating — also when the ranked rest is already longer
+/// than `cap`.  The cost is O(|incoming| · (|view| + |incoming|)): callers
+/// bound what an untrusted peer can pass.
+template <typename View, typename Entry, typename AgeRule = NoAge>
+void merge_ranked(View& view,
+                  std::type_identity_t<std::span<const Entry>> incoming,
+                  IdOf<Entry> owner, const space::Point& owner_pos,
+                  const space::MetricSpace& space, std::size_t cap,
+                  RankScratch<Entry>& scratch, AgeRule age_rule = {}) {
+  auto& fresh = scratch.fresh;
+  auto& moved = scratch.moved;
+  fresh.clear();
+  moved.clear();
+  // An entry whose position changes moves from `view` to `fresh`; its
+  // stale slot stays until the one compaction pass after the loop.  Every
+  // lookup checks `fresh` first, so each id resolves to exactly one live
+  // copy, and a duplicate inside `incoming` finds the copy already taken.
+  for (const Entry& d : incoming) {
+    if (d.id == owner) continue;
+    auto by_id = [&](const Entry& v) { return v.id == d.id; };
+    if (auto f = std::find_if(fresh.begin(), fresh.end(), by_id);
+        f != fresh.end()) {
+      if (d.version > f->version) detail::take_newer(*f, d);
+      age_rule(*f, d);
+      continue;
+    }
+    auto v = std::find_if(view.begin(), view.end(), by_id);
+    if (v == view.end()) {
+      fresh.push_back(d);
+      age_rule(fresh.back(), d);
+    } else if (d.version > v->version) {
+      fresh.push_back(*v);
+      detail::take_newer(fresh.back(), d);
+      age_rule(fresh.back(), d);
+      moved.push_back(static_cast<std::uint32_t>(v - view.begin()));
+    } else {
+      age_rule(*v, d);  // same position: the rank holds
+    }
+  }
+  if (!moved.empty()) {
+    std::sort(moved.begin(), moved.end());
+    std::size_t out = moved.front(), next = 0;
+    for (std::size_t i = out; i < view.size(); ++i)
+      if (next < moved.size() && moved[next] == i) ++next;
+      else view[out++] = view[i];
+    view.resize(out);
+  }
+  detail::insert_fresh(view, owner_pos, space, cap, scratch);
+}
+
+/// Position refresh of the ranked sync T-Man `view` of a node at
+/// `owner_pos`: every entry whose version is older than `versions[id]`
+/// takes `positions[id]` and that version, and the view is re-ranked.
+/// Returns the number of refreshed entries.
+inline std::size_t refresh_ranked(std::vector<Descriptor>& view,
+                                  std::span<const space::Point> positions,
+                                  std::span<const std::uint64_t> versions,
+                                  const space::Point& owner_pos,
+                                  const space::MetricSpace& space,
+                                  RankScratch<Descriptor>& scratch) {
+  auto& fresh = scratch.fresh;
+  fresh.clear();
+  std::size_t kept = 0;
+  for (const Descriptor& d : view) {
+    if (versions[d.id] > d.version)
+      fresh.push_back(Descriptor{d.id, positions[d.id], versions[d.id]});
+    else
+      view[kept++] = d;
+  }
+  if (fresh.empty()) return 0;
+  view.resize(kept);
+  detail::insert_fresh(view, owner_pos, space,
+                       std::numeric_limits<std::size_t>::max(), scratch);
+  return fresh.size();
+}
+
+/// Selects the gossip buffer `sender` sends to `receiver` (at
+/// `receiver_pos`): keys `view` ++ `extra` by distance² to the receiver,
+/// keeps the `msg + |extra|` smallest (util::keep_smallest_sorted) and
+/// walks them in order, skipping the receiver, ids already taken (the
+/// sender's own included) and entries `forward` rejects, until `msg − 1`
+/// are taken; each protocol puts its own descriptor first.  Returns their
+/// indices into view ++ extra, in rank order, valid until `scratch`'s
+/// next use.
+///
+/// `extra` may repeat a view entry with the same key and id but another
+/// version, so this order is not strict: the candidate order (view first,
+/// then extra) and the selection algorithm fix which copy wins.
+template <typename View, typename Entry, typename Forward = ForwardAll>
+std::span<const std::uint32_t> pick_closest(
+    const View& view, std::type_identity_t<std::span<const Entry>> extra,
+    IdOf<Entry> receiver, const space::Point& receiver_pos, IdOf<Entry> sender,
+    const space::MetricSpace& space, std::size_t msg,
+    RankScratch<Entry>& scratch, Forward forward = {}) {
+  const std::size_t rest = view.size();
+  auto entry = [&](std::uint32_t i) -> const Entry& {
+    return i < rest ? view[i] : extra[i - rest];
+  };
+  auto& keys = scratch.keys;
+  keys.clear();
+  const std::size_t n = rest + extra.size();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const Entry& e = entry(i);
+    keys.push_back({space.distance2(receiver_pos, e.pos), e.id, i});
+  }
+  util::keep_smallest_sorted(keys, std::min(msg + extra.size(), n),
+                             std::less<>());
+  auto& picked = scratch.picked;
+  picked.clear();
+  for (const auto& k : keys) {
+    if (picked.size() + 1 >= msg) break;
+    if (k.id == receiver || k.id == sender ||
+        std::any_of(picked.begin(), picked.end(),
+                    [&](std::uint32_t i) { return entry(i).id == k.id; }) ||
+        !forward(entry(k.index)))
+      continue;
+    picked.push_back(k.index);
+  }
+  return picked;
+}
 
 }  // namespace poly::tman

@@ -1,10 +1,7 @@
 #include "tman/tman.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
-
-#include "util/topk.hpp"
 
 namespace poly::tman {
 
@@ -90,40 +87,14 @@ void TmanProtocol::build_buffer(sim::NodeId p, sim::NodeId q,
   // Candidates: own view plus a fresh random sample from the RPS layer
   // ("augmented in some protocols by additional random neighbors returned
   //  by the peer-sampling overlay", §II-B — this is what guarantees
-  //  convergence from arbitrary states).
+  //  convergence from arbitrary states), ranked by distance to *q*.
   sample_candidates(p, cfg_.rps_fresh, q);
   const auto& view = views_[p];
-  auto candidate = [&](std::uint32_t i) -> const Descriptor& {
-    return i < view.size() ? view[i] : candidates_[i - view.size()];
-  };
-  // Rank the candidates by distance to *q* and keep the best.  The sample
-  // may repeat a view entry with the same key and id but another version,
-  // so this order is not strict: the candidate order (view first, then
-  // sample) and the selection algorithm fix which copy wins.  The take
-  // loop skips at most one entry for q plus one per sampled duplicate, so
-  // a prefix of msg_size + sample size is enough.
-  auto& keys = rank_scratch_.keys;
-  keys.clear();
-  const std::size_t n = view.size() + candidates_.size();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Descriptor& d = candidate(i);
-    keys.push_back(RankKey{space_.distance2(pos_[q], d.pos), d.id, i});
-  }
-  util::keep_smallest_sorted(keys,
-                             std::min(cfg_.msg_size + candidates_.size(), n),
-                             std::less<>());
   buf.clear();
   buf.push_back(Descriptor{p, pos_[p], version_[p]});  // own, always first
-  for (const RankKey& k : keys) {
-    if (buf.size() >= cfg_.msg_size) break;
-    const Descriptor& d = candidate(k.index);
-    if (d.id == q || std::any_of(buf.begin(), buf.end(),
-                                 [&](const Descriptor& b) {
-                                   return b.id == d.id;
-                                 }))
-      continue;
-    buf.push_back(d);
-  }
+  for (std::uint32_t i : pick_closest(view, candidates_, q, pos_[q], p, space_,
+                                      cfg_.msg_size, rank_scratch_))
+    buf.push_back(i < view.size() ? view[i] : candidates_[i - view.size()]);
 }
 
 bool TmanProtocol::exchange(sim::NodeId p) {

@@ -141,7 +141,7 @@ class TmanProtocol final : public topo::TopologyConstruction {
   // Exchange scratch: with it an exchange, a refresh or a re-rank makes no
   // heap allocation once the views have grown (one protocol object per
   // simulation, so parallel repetitions never share it).
-  RankScratch rank_scratch_;
+  RankScratch<Descriptor> rank_scratch_;
   std::vector<std::size_t> sample_;
   std::vector<Descriptor> candidates_;
   std::vector<Descriptor> buf_pq_;

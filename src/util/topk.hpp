@@ -1,16 +1,13 @@
-// Keep-smallest selection for the gossip view/buffer builders.
+// Keep-smallest selection, used to pick gossip buffers.
 //
-// T-Man and Vicinity cap their ranked views (view_cap / view_size) and
-// their gossip buffers (msg_size / gossip_size), yet historically sorted
-// the *whole* candidate pool before truncating.  At 50k–100k nodes that is
-// wasted work: only the kept prefix needs an order.  `keep_smallest_sorted`
-// partitions with std::nth_element and sorts just the prefix.
+// Every topology protocol picks its gossip buffer (tman::pick_closest in
+// tman/ranked_view.hpp) from a candidate pool larger than the buffer, and
+// only the kept prefix needs an order.  `keep_smallest_sorted` partitions
+// with std::nth_element and sorts just the prefix.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace poly::util {
@@ -29,49 +26,6 @@ void keep_smallest_sorted(std::vector<T>& v, std::size_t keep, Cmp cmp) {
     v.resize(keep);
   }
   std::sort(v.begin(), v.end(), cmp);
-}
-
-/// Reusable staging for the allocation-free keep_closest_sorted overload
-/// (per-tick hot paths keep one per call site).
-struct KeepClosestScratch {
-  std::vector<std::pair<double, std::uint32_t>> keys;  // (key, index)
-};
-
-/// The gossip-layer instantiation: reduces `v` to its `keep` entries with
-/// the smallest `key_of(entry)` (ties broken by ascending `id_of(entry)`,
-/// which is what makes the order total over unique-id pools), sorted.
-/// Keys are computed once per entry — re-evaluating the metric inside the
-/// comparator is the dominant ranking cost at 50k-node scale.  This
-/// overload stages through caller-owned scratch, so steady-state callers
-/// allocate nothing; `tmp` receives the discarded entries.
-template <typename T, typename KeyOf, typename IdOf>
-void keep_closest_sorted(std::vector<T>& v, std::size_t keep, KeyOf&& key_of,
-                         IdOf&& id_of, KeepClosestScratch& scratch,
-                         std::vector<T>& tmp) {
-  auto& keys = scratch.keys;
-  keys.clear();
-  keys.reserve(v.size());
-  for (std::uint32_t i = 0; i < v.size(); ++i)
-    keys.emplace_back(key_of(v[i]), i);
-  keep_smallest_sorted(keys, std::min(keep, keys.size()),
-                       [&](const std::pair<double, std::uint32_t>& a,
-                           const std::pair<double, std::uint32_t>& b) {
-                         if (a.first != b.first) return a.first < b.first;
-                         return id_of(v[a.second]) < id_of(v[b.second]);
-                       });
-  tmp.clear();
-  tmp.reserve(keys.size());
-  for (const auto& [key, idx] : keys) tmp.push_back(std::move(v[idx]));
-  v.swap(tmp);
-}
-
-/// Allocating convenience wrapper over the scratch overload.
-template <typename T, typename KeyOf, typename IdOf>
-void keep_closest_sorted(std::vector<T>& v, std::size_t keep, KeyOf&& key_of,
-                         IdOf&& id_of) {
-  KeepClosestScratch scratch;
-  std::vector<T> tmp;
-  keep_closest_sorted(v, keep, key_of, id_of, scratch, tmp);
 }
 
 }  // namespace poly::util

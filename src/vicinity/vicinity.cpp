@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/flat_set.hpp"
-#include "util/topk.hpp"
-
 namespace poly::vicinity {
 
 VicinityProtocol::VicinityProtocol(sim::Network& net,
@@ -28,14 +25,15 @@ void VicinityProtocol::on_node_added(sim::NodeId id, const space::Point& pos) {
 }
 
 void VicinityProtocol::bootstrap_node(sim::NodeId id) {
-  auto& view = views_[id];
-  view.clear();
   util::Rng& rng = net_.node_rng(id);
+  candidates_.clear();
   for (sim::NodeId peer : rps_.random_peers(id, cfg_.init_view, rng)) {
     if (peer == id || !net_.alive(peer)) continue;
-    view.push_back(VicinityEntry{peer, pos_[peer], version_[peer], 0});
+    candidates_.push_back(VicinityEntry{peer, pos_[peer], version_[peer], 0});
   }
-  select_closest(id, view);
+  views_[id].clear();
+  tman::merge_ranked(views_[id], candidates_, id, pos_[id], space_,
+                     cfg_.view_size, rank_scratch_);
 }
 
 void VicinityProtocol::bootstrap_all() {
@@ -73,89 +71,49 @@ void VicinityProtocol::refresh_positions(sim::NodeId p) {
         sim::Channel::kTman,
         static_cast<double>(updated) *
             sim::TrafficMeter::descriptor_units(space_.dimension()));
-    select_closest(p, view);
+    tman::rank_view(view, pos_[p], space_, rank_scratch_);
   }
 }
 
-void VicinityProtocol::select_closest(sim::NodeId self,
-                                      std::vector<VicinityEntry>& view) const {
-  // Only the kept view_size prefix needs an order; ids are unique within a
-  // view, so the key is a strict total order and the partial selection
-  // matches a full sort bit-for-bit.
-  const space::Point& me = pos_[self];
-  util::keep_closest_sorted(
-      view, cfg_.view_size,
-      [&](const VicinityEntry& e) { return space_.distance2(me, e.pos); },
-      [](const VicinityEntry& e) { return e.id; });
-}
-
-std::vector<VicinityEntry> VicinityProtocol::build_buffer(sim::NodeId p,
-                                                          sim::NodeId q) {
+void VicinityProtocol::build_buffer(sim::NodeId p, sim::NodeId q,
+                                    std::vector<VicinityEntry>& buf) {
   util::Rng& rng = net_.node_rng(p);
   // Own descriptor + Vicinity view + a slice of the peer-sampling view —
   // the two-layer candidate pool of the original protocol.
-  std::vector<VicinityEntry> cand = views_[p];
-  std::size_t mixed = 0;
+  candidates_.clear();
   for (const rps::RpsEntry& r : rps_.random_view_entries(p, cfg_.rps_mix, rng)) {
     if (r.id == p || r.id == q || !net_.alive(r.id)) continue;
     // Descriptors minted from the peer-sampling layer carry the RPS view's
     // own age: p never contacted r, so advertising r as fresh (age 0)
     // would rejuvenate stale entries across the network and delay the
     // Cyclon-style flushing of dead nodes after a catastrophe.
-    cand.push_back(VicinityEntry{r.id, pos_[r.id], version_[r.id], r.age});
-    ++mixed;
+    candidates_.push_back(
+        VicinityEntry{r.id, pos_[r.id], version_[r.id], r.age});
   }
-  // The take loop below skips at most one entry for q plus one per
-  // RPS-mixed duplicate, so ranking a gossip_size + mixed prefix is always
-  // enough — no need to sort the whole candidate pool.
-  const space::Point& qpos = pos_[q];
-  util::keep_closest_sorted(
-      cand, cfg_.gossip_size + mixed,
-      [&](const VicinityEntry& e) { return space_.distance2(qpos, e.pos); },
-      [](const VicinityEntry& e) { return e.id; });
-  std::vector<VicinityEntry> buf;
-  buf.reserve(cfg_.gossip_size);
+  const auto& view = views_[p];
+  buf.clear();
   buf.push_back(VicinityEntry{p, pos_[p], version_[p], 0});
-  util::FlatSet<sim::NodeId> seen;
-  seen.reserve(cfg_.gossip_size + 2);
-  seen.insert(p);
-  seen.insert(q);
-  for (const auto& e : cand) {
-    if (buf.size() >= cfg_.gossip_size) break;
-    if (!seen.insert(e.id)) continue;
-    buf.push_back(e);
-  }
-  return buf;
+  for (std::uint32_t i :
+       tman::pick_closest(view, candidates_, q, pos_[q], p, space_,
+                          cfg_.gossip_size, rank_scratch_))
+    buf.push_back(i < view.size() ? view[i] : candidates_[i - view.size()]);
 }
 
 void VicinityProtocol::merge(sim::NodeId self, sim::NodeId from,
                              const std::vector<VicinityEntry>& incoming) {
   auto& view = views_[self];
-  // Dedup by linear scan over the capped view (see TmanProtocol::merge):
-  // cheaper than a hash index at view sizes of a few dozen, immune to
-  // hash-order escape, and duplicates within `incoming` still resolve to
-  // the already-appended entry.
-  for (const auto& e : incoming) {
-    if (e.id == self) continue;
-    auto it = std::find_if(view.begin(), view.end(),
-                           [&](const VicinityEntry& v) { return v.id == e.id; });
-    if (it != view.end()) {
-      auto& mine = *it;
-      if (e.version > mine.version) {
-        mine.pos = e.pos;
-        mine.version = e.version;
-      }
-      // Only direct contact proves liveness: the exchange partner's own
-      // descriptor resets the age, but relayed descriptors must not — the
-      // old min-merge let third-hand (and RPS-minted age-0) descriptors
-      // keep dead entries young without any contact.
-      if (e.id == from) mine.age = 0;
-    } else {
-      view.push_back(e);
-      if (e.id == from) view.back().age = 0;
-    }
-  }
-  select_closest(self, view);
+  // set_position does not re-rank, so the view may still be in the order
+  // of the node's previous position: rank it before merging into it.
+  tman::rank_view(view, pos_[self], space_, rank_scratch_);
+  tman::merge_ranked(
+      view, incoming, self, pos_[self], space_, cfg_.view_size, rank_scratch_,
+      [from](VicinityEntry& kept, const VicinityEntry& arriving) {
+        // Only direct contact proves liveness: the exchange partner's own
+        // descriptor resets the age, but relayed descriptors must not — a
+        // min-merge would let third-hand (and RPS-minted age-0)
+        // descriptors keep dead entries young without any contact.
+        if (arriving.id == from) kept.age = 0;
+      });
 }
 
 void VicinityProtocol::prune_suspected(sim::NodeId id) {
@@ -193,15 +151,15 @@ bool VicinityProtocol::exchange(sim::NodeId p) {
     return false;
   }
 
-  const auto buf_pq = build_buffer(p, q);
+  build_buffer(p, q, buf_pq_);
   prune_suspected(q);
-  const auto buf_qp = build_buffer(q, p);
+  build_buffer(q, p, buf_qp_);
   net_.traffic().add(
       sim::Channel::kTman,
-      static_cast<double>(buf_pq.size() + buf_qp.size()) *
+      static_cast<double>(buf_pq_.size() + buf_qp_.size()) *
           sim::TrafficMeter::descriptor_units(space_.dimension()));
-  merge(q, p, buf_pq);
-  merge(p, q, buf_qp);
+  merge(q, p, buf_pq_);
+  merge(p, q, buf_qp_);
   return true;
 }
 

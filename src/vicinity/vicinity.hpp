@@ -37,6 +37,7 @@
 #include "sim/network.hpp"
 #include "sim/node_id.hpp"
 #include "space/metric_space.hpp"
+#include "tman/ranked_view.hpp"
 #include "topo/topology.hpp"
 
 namespace poly::vicinity {
@@ -74,6 +75,9 @@ class VicinityProtocol final : public topo::TopologyConstruction {
   const space::Point& position(sim::NodeId id) const override {
     return pos_[id];
   }
+  /// Moves a node and bumps its version.  Unlike T-Man's, it does not
+  /// re-rank the node's view: the view keeps the order of the previous
+  /// position (the order closest_alive reads) until its next merge.
   void set_position(sim::NodeId id, const space::Point& pos) override;
   std::vector<sim::NodeId> closest_alive(sim::NodeId id,
                                          std::size_t k) const override;
@@ -92,7 +96,11 @@ class VicinityProtocol final : public topo::TopologyConstruction {
   /// T-Man's prune_suspected; run at the start of every exchange).
   void prune_suspected(sim::NodeId id);
 
-  std::vector<VicinityEntry> build_buffer(sim::NodeId p, sim::NodeId q);
+  /// Builds into `buf` the buffer p sends to q: own descriptor + the
+  /// entries of p's Vicinity view and a slice of its peer-sampling view,
+  /// ranked closest to q.
+  void build_buffer(sim::NodeId p, sim::NodeId q,
+                    std::vector<VicinityEntry>& buf);
 
   /// Merges `incoming` (received from the directly-contacted peer `from`)
   /// into `self`'s view.  Positions/versions adopt the freshest advertised
@@ -100,8 +108,6 @@ class VicinityProtocol final : public topo::TopologyConstruction {
   /// never rejuvenate existing entries.
   void merge(sim::NodeId self, sim::NodeId from,
              const std::vector<VicinityEntry>& incoming);
-
-  void select_closest(sim::NodeId self, std::vector<VicinityEntry>& view) const;
 
   sim::Network& net_;
   const space::MetricSpace& space_;
@@ -112,6 +118,12 @@ class VicinityProtocol final : public topo::TopologyConstruction {
   std::vector<std::vector<VicinityEntry>> views_;
   std::vector<space::Point> pos_;
   std::vector<std::uint64_t> version_;
+
+  // Exchange scratch (one protocol object per simulation).
+  tman::RankScratch<VicinityEntry> rank_scratch_;
+  std::vector<VicinityEntry> candidates_;
+  std::vector<VicinityEntry> buf_pq_;
+  std::vector<VicinityEntry> buf_qp_;
 };
 
 }  // namespace poly::vicinity

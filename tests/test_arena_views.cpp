@@ -21,6 +21,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/engine_transport.hpp"
@@ -197,6 +199,33 @@ TEST(CappedViews, OversizedTmanFrameCannotGrowView) {
   EXPECT_GT(rig.node->tman_view_size(), 0u);
 }
 
+TEST(CappedViews, HugeTmanFrameIsCutBeforeTheMerge) {
+  // Merging m distinct ids costs O(m · (view + m)), so a frame longer than
+  // the view's physical cap is counted and only that many descriptors are
+  // merged.  Here the descriptors past the cut sit on the node itself and
+  // would outrank every earlier one: none may reach the view.
+  HostileRig rig;
+  const std::size_t phys = net::tman_phys_cap(rig.cfg);
+  const auto points = rig.shape.generate();
+  constexpr std::uint64_t kFirst = 1000;
+  std::vector<net::WireDescriptor> descs;
+  for (std::uint64_t i = 0; i < (std::uint64_t{1} << 16); ++i)
+    descs.push_back({kFirst + i, "node-" + std::to_string(kFirst + i),
+                     i < phys ? points[10].pos : points[0].pos, 1});
+  rig.deliver(net::encode_tman(
+      net::Header{net::MsgType::kTmanResp, 999, "attacker"}, descs));
+  EXPECT_EQ(rig.node->frames_overlong(), 1u);
+  EXPECT_EQ(rig.node->frames_rejected(), 0u);
+  EXPECT_EQ(rig.node->tman_view_size(), rig.cfg.tman_view);
+  std::vector<net::LiveNodeId> ids;
+  rig.node->for_each_view_member(
+      [](void* ctx, net::LiveNodeId id, const space::Point&, std::uint64_t) {
+        static_cast<std::vector<net::LiveNodeId>*>(ctx)->push_back(id);
+      },
+      &ids);
+  for (net::LiveNodeId id : ids) EXPECT_LT(id, kFirst + phys);
+}
+
 TEST(CappedViews, DuplicateIdFloodIsIdempotent) {
   HostileRig rig;
   // The same id 500 times with rising versions: must occupy one slot.
@@ -206,6 +235,29 @@ TEST(CappedViews, DuplicateIdFloodIsIdempotent) {
   rig.deliver(net::encode_tman(
       net::Header{net::MsgType::kTmanReq, 777, "node-777"}, descs));
   EXPECT_LE(rig.node->tman_view_size(), rig.cfg.tman_view);
+}
+
+TEST(CappedViews, OverlongAddressIsRejectedAtDecode) {
+  // Views hold names inline (InlineAddr, kMaxAddressLength characters): a
+  // longer address must not reach them, truncated or otherwise.  The codec
+  // rejects the whole frame.
+  HostileRig rig;
+  const std::string overlong(30, 'x');
+  ASSERT_GT(overlong.size(), net::kMaxAddressLength);
+  rig.deliver(net::encode_tman(
+      net::Header{net::MsgType::kTmanReq, 777, "attacker"},
+      {{778, overlong, rig.shape.generate()[1].pos, 1}}));
+  EXPECT_EQ(rig.node->tman_view_size(), 0u);
+  EXPECT_EQ(rig.node->frames_rejected(), 1u);
+}
+
+TEST(CappedViews, OverlongOwnAddressIsRejectedAtConstruction) {
+  HostileRig rig;
+  auto points = rig.shape.generate();
+  EXPECT_THROW(net::AsyncNode(net::LiveNodeId{2}, rig.shape.space_ptr(),
+                              rig.hub.make_endpoint(std::string(30, 'n')),
+                              points[1], rig.cfg, /*seed=*/4),
+               std::invalid_argument);
 }
 
 // ---- arena stability under churn --------------------------------------------

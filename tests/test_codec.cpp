@@ -6,6 +6,7 @@
 // required field.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "net/messages.hpp"
@@ -250,6 +251,29 @@ TEST(CodecCorruption, CorruptStringLengthThrows) {
   buf[1] = 0xff;
   ByteReader r(buf);
   EXPECT_THROW(r.str(), CodecError);
+}
+
+TEST(CodecCorruption, OverlongAddressThrows) {
+  // Header, peer and descriptor addresses are bounded by the capacity of
+  // the runtime's inline view names.
+  const std::string fits(poly::net::kMaxAddressLength, 'a');
+  const std::string overlong(poly::net::kMaxAddressLength + 1, 'a');
+  const Point p(1.0, 2.0);
+  for (const std::string* addr : {&fits, &overlong}) {
+    const bool ok = addr == &fits;
+    const auto header = poly::net::encode_tman(
+        Header{MsgType::kTmanReq, 1, *addr}, kDescriptors);
+    const auto peer = poly::net::encode_rps(
+        Header{MsgType::kRpsShuffleReq, 1, "a"}, {{2, *addr, 0, p, 1}});
+    const auto descriptor = poly::net::encode_tman(
+        Header{MsgType::kTmanResp, 1, "a"}, {{3, *addr, p, 1}});
+    for (const auto* frame : {&header, &peer, &descriptor}) {
+      if (ok)
+        EXPECT_NO_THROW(decode_any(*frame));
+      else
+        EXPECT_THROW(decode_any(*frame), CodecError);
+    }
+  }
 }
 
 TEST(CodecCorruption, BadPointDimensionThrows) {

@@ -502,29 +502,45 @@ TEST(ProgramRun, ReinjectionClosesTheReshapingWindow) {
 
 TEST(ProgramRun, ThreePhaseTimelineIsPinnedBitForBit) {
   // The paper's converge / crash / repair / re-inject timeline at test
-  // scale.  The constants were captured from the three-phase harness this
-  // runner replaced (run_three_phase, run_experiment) before it was
-  // deleted: they prove the port changed no simulated number.
-  const auto r = run_program(parse_program(
-      "shape grid:16x8\nseed 11\nreps 2\nrun 10\ncrash half\nrun 20\n"
-      "grow crashed\nrun 20\n"));
-  ASSERT_EQ(r.runs.size(), 2u);
+  // scale, on both substrates.  The T-Man constants were captured from the
+  // three-phase harness this runner replaced (run_three_phase,
+  // run_experiment) before it was deleted: they prove the port changed no
+  // simulated number.  The Vicinity constants were captured before its
+  // ranking moved to the shared ranked-view core (tman/ranked_view.hpp).
   struct Pin {
     double homogeneity, proximity, msg_paper, reshaping, reliability;
   };
-  const Pin pins[] = {
-      {0.0546875, 0.98980809752054832, 125.984375, 4, 0.9765625},
-      {0.061159586912079608, 0.9833087785330229, 125.90625, 4, 0.953125},
+  struct Substrate {
+    const char* name;
+    Pin pins[2];
   };
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto& run = r.runs[i];
-    ASSERT_EQ(run.rounds.size(), 50u);
-    const auto& last = run.rounds.back();
-    EXPECT_EQ(last.homogeneity, pins[i].homogeneity) << "rep " << i;
-    EXPECT_EQ(last.proximity, pins[i].proximity) << "rep " << i;
-    EXPECT_EQ(last.msg_paper, pins[i].msg_paper) << "rep " << i;
-    EXPECT_EQ(run.reshaping_rounds, pins[i].reshaping) << "rep " << i;
-    EXPECT_EQ(run.reliability, pins[i].reliability) << "rep " << i;
+  const Substrate substrates[] = {
+      {"tman",
+       {{0.0546875, 0.98980809752054832, 125.984375, 4, 0.9765625},
+        {0.061159586912079608, 0.9833087785330229, 125.90625, 4,
+         0.953125}}},
+      {"vicinity",
+       {{0.060211771728019906, 0.9963585621002935, 126.03125, 4, 0.9765625},
+        {0.073548543456039811, 0.99233762499870048, 126.1640625, 3,
+         0.953125}}},
+  };
+  for (const auto& sub : substrates) {
+    const auto r = run_program(parse_program(
+        std::string("shape grid:16x8\nseed 11\nreps 2\nsubstrate ") +
+        sub.name + "\nrun 10\ncrash half\nrun 20\ngrow crashed\nrun 20\n"));
+    ASSERT_EQ(r.runs.size(), 2u) << sub.name;
+    for (std::size_t i = 0; i < 2; ++i) {
+      const auto& run = r.runs[i];
+      const Pin& pin = sub.pins[i];
+      ASSERT_EQ(run.rounds.size(), 50u) << sub.name;
+      const auto& last = run.rounds.back();
+      EXPECT_EQ(last.homogeneity, pin.homogeneity) << sub.name << " rep " << i;
+      EXPECT_EQ(last.proximity, pin.proximity) << sub.name << " rep " << i;
+      EXPECT_EQ(last.msg_paper, pin.msg_paper) << sub.name << " rep " << i;
+      EXPECT_EQ(run.reshaping_rounds, pin.reshaping)
+          << sub.name << " rep " << i;
+      EXPECT_EQ(run.reliability, pin.reliability) << sub.name << " rep " << i;
+    }
   }
 }
 

@@ -7,16 +7,21 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "rps/rps.hpp"
 #include "scenario/simulation.hpp"
 #include "shape/grid_torus.hpp"
 #include "sim/failure_detector.hpp"
+#include "net/view_storage.hpp"
 #include "sim/network.hpp"
 #include "tman/ranked_view.hpp"
 #include "tman/tman.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
+#include "vicinity/vicinity.hpp"
 
 namespace {
 
@@ -310,59 +315,92 @@ TEST(Tman, DeterministicGivenSeed) {
 }
 
 // ---- ranked-view operations vs the full-sort reference ----------------------
+//
+// The ranked-view core serves three entry types: sync T-Man's Descriptor
+// (32-bit ids, no age), Vicinity's VicinityEntry (32-bit ids, an age) and
+// the fleet's TmanEntry (64-bit ids, an age and an inline name, kept in an
+// arena view).  Each operation is checked against a plain full-sort
+// reference for each of them.
 
+using poly::net::TmanEntry;
 using poly::tman::Descriptor;
+using poly::tman::IdOf;
 using poly::tman::RankScratch;
+using poly::vicinity::VicinityEntry;
 
-/// Full (distance², id) sort around `owner_pos` — the reference order.
-void reference_sort(std::vector<Descriptor>& view, const Point& owner_pos,
-                    const poly::space::MetricSpace& space) {
-  std::sort(view.begin(), view.end(),
-            [&](const Descriptor& a, const Descriptor& b) {
-              const double ka = space.distance2(owner_pos, a.pos);
-              const double kb = space.distance2(owner_pos, b.pos);
-              if (ka != kb) return ka < kb;
-              return a.id < b.id;
-            });
+template <typename Entry>
+constexpr bool kHasAge = requires(Entry e) { e.age; };
+
+/// The (distance² to `target`, id) order — the reference ranking.
+template <typename Entry>
+bool ranks_before(const Entry& a, const Entry& b, const Point& target,
+                  const poly::space::MetricSpace& space) {
+  const double ka = space.distance2(target, a.pos);
+  const double kb = space.distance2(target, b.pos);
+  if (ka != kb) return ka < kb;
+  return a.id < b.id;
 }
 
-/// The merge as T-Man did it before views were kept ranked: append new ids
-/// and apply newer versions (scanning the growing view, so duplicates
-/// inside `incoming` meet the copy already taken), then fully re-sort and
-/// truncate.
-std::vector<Descriptor> reference_merge(std::vector<Descriptor> view,
-                                        const std::vector<Descriptor>& incoming,
-                                        NodeId owner, const Point& owner_pos,
-                                        const poly::space::MetricSpace& space,
-                                        std::size_t cap) {
+/// Full (distance², id) sort around `owner_pos`.
+template <typename Entry>
+void reference_sort(std::vector<Entry>& view, const Point& owner_pos,
+                    const poly::space::MetricSpace& space) {
+  std::sort(view.begin(), view.end(), [&](const Entry& a, const Entry& b) {
+    return ranks_before(a, b, owner_pos, space);
+  });
+}
+
+/// The merge as T-Man did it before views were kept ranked: apply newer
+/// versions (an entry keeps its age) and append new ids (with their own
+/// age), then let the age rule set the age, scanning the growing view so
+/// duplicates inside `incoming` meet the copy already taken; then fully
+/// re-sort and truncate.
+template <typename Entry, typename AgeRule>
+std::vector<Entry> reference_merge(std::vector<Entry> view,
+                                   const std::vector<Entry>& incoming,
+                                   IdOf<Entry> owner, const Point& owner_pos,
+                                   const poly::space::MetricSpace& space,
+                                   std::size_t cap, AgeRule age_rule) {
   for (const auto& d : incoming) {
     if (d.id == owner) continue;
     auto it = std::find_if(view.begin(), view.end(),
-                           [&](const Descriptor& v) { return v.id == d.id; });
-    if (it == view.end())
+                           [&](const Entry& v) { return v.id == d.id; });
+    if (it == view.end()) {
       view.push_back(d);
-    else if (d.version > it->version)
-      *it = d;
+      age_rule(view.back(), d);
+      continue;
+    }
+    if (d.version > it->version) {
+      Entry newer = d;
+      if constexpr (kHasAge<Entry>) newer.age = it->age;
+      *it = newer;
+    }
+    age_rule(*it, d);
   }
   reference_sort(view, owner_pos, space);
   if (view.size() > cap) view.resize(cap);
   return view;
 }
 
-/// Bit-for-bit equality: ids, versions, dims and coordinate bit patterns.
-::testing::AssertionResult same_bits(const std::vector<Descriptor>& got,
-                                     const std::vector<Descriptor>& want) {
+/// Bit-for-bit equality: ids, versions, ages, names, dims and coordinate
+/// bit patterns.
+template <typename Entry>
+::testing::AssertionResult same_bits(const std::vector<Entry>& got,
+                                     const std::vector<Entry>& want) {
   if (got.size() != want.size())
     return ::testing::AssertionFailure()
            << "size " << got.size() << " != " << want.size();
   for (std::size_t i = 0; i < got.size(); ++i) {
-    const Descriptor& g = got[i];
-    const Descriptor& w = want[i];
+    const Entry& g = got[i];
+    const Entry& w = want[i];
     bool same =
         g.id == w.id && g.version == w.version && g.pos.dim == w.pos.dim;
     for (int c = 0; c < 3; ++c)
       same = same && std::bit_cast<std::uint64_t>(g.pos.c[c]) ==
                          std::bit_cast<std::uint64_t>(w.pos.c[c]);
+    if constexpr (kHasAge<Entry>) same = same && g.age == w.age;
+    if constexpr (requires { g.addr; })
+      same = same && g.addr.view() == w.addr.view();
     if (!same)
       return ::testing::AssertionFailure()
              << "entry " << i << ": id " << g.id << " v" << g.version << " "
@@ -372,10 +410,22 @@ std::vector<Descriptor> reference_merge(std::vector<Descriptor> view,
   return ::testing::AssertionSuccess();
 }
 
-/// Random descriptors over a small id pool on a 6x4 torus: grid positions
-/// (many equal distances with different ids) or real ones, versions 0..4.
+/// Random entries over a small id pool on a 6x4 torus: grid positions
+/// (many equal distances with different ids) or real ones, versions 0..4,
+/// ages 0..7.  Pool index k maps to id k, or to 2^40 + 3k for 64-bit ids,
+/// so their high bits take part in the comparisons.
+template <typename Entry>
 struct ViewFuzzer {
+  using Id = IdOf<Entry>;
+
   explicit ViewFuzzer(std::uint64_t seed) : rng(seed) {}
+
+  Id id(std::size_t k) const {
+    if constexpr (sizeof(Id) > 4)
+      return (Id{1} << 40) + 3 * static_cast<Id>(k);
+    else
+      return static_cast<Id>(k);
+  }
 
   Point random_pos() {
     if (rng.bernoulli(0.7))
@@ -384,26 +434,34 @@ struct ViewFuzzer {
     return Point(rng.uniform_real(0.0, 6.0), rng.uniform_real(0.0, 4.0));
   }
 
-  Descriptor random_descriptor(NodeId pool) {
-    return Descriptor{static_cast<NodeId>(rng.index(pool)), random_pos(),
-                      rng.index(5)};
+  Entry random_entry(std::size_t pool) {
+    Entry e{};
+    e.id = id(rng.index(pool));
+    e.pos = random_pos();
+    e.version = rng.index(5);
+    if constexpr (kHasAge<Entry>)
+      e.age = static_cast<std::uint32_t>(rng.index(8));
+    if constexpr (requires { e.addr; })
+      e.addr.assign("node-" + std::to_string(e.id) + "/" +
+                    std::to_string(e.version));
+    return e;
   }
 
   /// A ranked view of `owner`: unique ids, never the owner, at most
   /// `size`, with no spare capacity (as T-Man grows its views).
-  std::vector<Descriptor> ranked_view(NodeId owner, const Point& owner_pos,
-                                      NodeId pool, std::size_t size) {
-    std::vector<Descriptor> view;
+  std::vector<Entry> ranked_view(Id owner, const Point& owner_pos,
+                                 std::size_t pool, std::size_t size) {
+    std::vector<Entry> view;
     for (std::size_t i = 0; i < size; ++i) {
-      Descriptor d = random_descriptor(pool);
-      if (d.id == owner ||
+      Entry e = random_entry(pool);
+      if (e.id == owner ||
           std::any_of(view.begin(), view.end(),
-                      [&](const Descriptor& v) { return v.id == d.id; }))
+                      [&](const Entry& v) { return v.id == e.id; }))
         continue;
-      view.push_back(d);
+      view.push_back(e);
     }
     reference_sort(view, owner_pos, space);
-    return std::vector<Descriptor>(view.begin(), view.end());
+    return std::vector<Entry>(view.begin(), view.end());
   }
 
   Rng rng;
@@ -411,31 +469,74 @@ struct ViewFuzzer {
   const poly::space::MetricSpace& space = shape.space();
 };
 
-TEST(TmanRankedView, MergeMatchesFullSortReference) {
-  ViewFuzzer fz(2014);
-  RankScratch scratch;
-  std::size_t truncated = 0, duplicated = 0, owner_seen = 0, empty = 0;
+/// A view container under test: `std::vector` (sync) or an arena view
+/// bound at a fixed capacity that no operation may grow (fleet).
+template <typename View>
+struct ViewUnderTest {
+  View view;
+  /// A new vector each load: no spare capacity, as T-Man grows its views,
+  /// so every merge that adds entries must grow it exactly.
+  void load(const auto& entries) {
+    view = View(entries.begin(), entries.end());
+  }
+  auto entries() const { return std::vector(view.begin(), view.end()); }
+  /// Sync views grow exactly: never past the cap or their old capacity.
+  bool capacity_ok(std::size_t cap, std::size_t before) const {
+    return view.capacity() <= std::max(cap, before);
+  }
+};
+
+template <typename Entry>
+struct ViewUnderTest<poly::util::ArenaVec<Entry>> {
+  static constexpr std::uint32_t kCap = 64;
+  poly::util::Arena arena{std::size_t{1} << 14};
+  poly::util::ArenaVec<Entry> view;
+  ViewUnderTest() { view.bind(arena, kCap); }
+  void load(const std::vector<Entry>& entries) {
+    view.clear();
+    for (const Entry& e : entries) view.push_back(e);
+  }
+  std::vector<Entry> entries() const {
+    return std::vector<Entry>(view.begin(), view.end());
+  }
+  bool capacity_ok(std::size_t, std::size_t) const {
+    return view.capacity() == kCap &&
+           arena.bytes_used() == kCap * sizeof(Entry);
+  }
+};
+
+/// 20,000 seeded merges of `View`s of `Entry`, each against
+/// reference_merge, followed by a full re-rank against reference_sort.
+/// `make_rule(fz, incoming)` draws the case's age rule.
+template <typename View, typename Entry, typename MakeRule>
+void fuzz_merge(std::uint64_t seed, MakeRule make_rule) {
+  ViewFuzzer<Entry> fz(seed);
+  RankScratch<Entry> scratch;
+  ViewUnderTest<View> t;
+  std::size_t truncated = 0, duplicated = 0, owner_seen = 0, empty = 0,
+              over_cap = 0;
   for (int round = 0; round < 20000; ++round) {
-    const NodeId pool = 8 + static_cast<NodeId>(fz.rng.index(40));
-    const NodeId owner = static_cast<NodeId>(fz.rng.index(pool));
+    const std::size_t pool = 8 + fz.rng.index(40);
+    const auto owner = fz.id(fz.rng.index(pool));
     const Point owner_pos = fz.random_pos();
     const std::size_t cap = 1 + fz.rng.index(30);
     // Mostly within the cap, as T-Man keeps it; sometimes empty, sometimes
-    // above the cap (the merge must truncate it too).
+    // above the cap (a fleet view after RPS injection; the merge must
+    // truncate it too).
     std::size_t size = fz.rng.index(cap + 1);
     if (fz.rng.bernoulli(0.1)) size = 0;
     if (fz.rng.bernoulli(0.1)) size = cap + 1 + fz.rng.index(8);
-    std::vector<Descriptor> view =
+    const std::vector<Entry> before =
         fz.ranked_view(owner, owner_pos, pool, size);
-    const std::size_t capacity = std::max(cap, view.capacity());
-    std::vector<Descriptor> incoming;
+    if (before.size() > cap) ++over_cap;
+    std::vector<Entry> incoming;
     const std::size_t m = fz.rng.index(25);
     for (std::size_t i = 0; i < m; ++i) {
-      Descriptor d = fz.random_descriptor(pool);
-      if (!view.empty() && fz.rng.bernoulli(0.4)) {
+      Entry d = fz.random_entry(pool);
+      if (!before.empty() && fz.rng.bernoulli(0.4)) {
         // An id the view knows: older, equal or newer version, same or
         // moved position.
-        const Descriptor& known = view[fz.rng.index(view.size())];
+        const Entry& known = before[fz.rng.index(before.size())];
         d.id = known.id;
         if (fz.rng.bernoulli(0.5)) d.pos = known.pos;
       }
@@ -449,30 +550,72 @@ TEST(TmanRankedView, MergeMatchesFullSortReference) {
       }
       incoming.push_back(d);
     }
-    if (view.empty()) ++empty;
+    if (before.empty()) ++empty;
+    const auto rule = make_rule(fz, incoming);
 
-    const auto want =
-        reference_merge(view, incoming, owner, owner_pos, fz.space, cap);
+    const auto want = reference_merge(before, incoming, owner, owner_pos,
+                                      fz.space, cap, rule);
     if (want.size() == cap) ++truncated;
-    poly::tman::merge_ranked(view, incoming, owner, owner_pos, fz.space, cap,
-                             scratch);
-    ASSERT_TRUE(same_bits(view, want)) << "case " << round;
-    ASSERT_LE(view.capacity(), capacity) << "case " << round;
+    t.load(before);
+    const std::size_t capacity = t.view.capacity();
+    poly::tman::merge_ranked(t.view, incoming, owner, owner_pos, fz.space, cap,
+                             scratch, rule);
+    ASSERT_TRUE(same_bits(t.entries(), want)) << "case " << round;
+    ASSERT_TRUE(t.capacity_ok(cap, capacity)) << "case " << round;
+
+    // The owner moves: full re-rank.
+    const Point moved = fz.random_pos();
+    auto want_ranked = want;
+    reference_sort(want_ranked, moved, fz.space);
+    poly::tman::rank_view(t.view, moved, fz.space, scratch);
+    ASSERT_TRUE(same_bits(t.entries(), want_ranked)) << "case " << round;
+    ASSERT_TRUE(t.capacity_ok(cap, capacity)) << "case " << round;
   }
   // The generator reached every corner it is meant to cover.
   EXPECT_GT(truncated, 1000u);
   EXPECT_GT(duplicated, 1000u);
   EXPECT_GT(owner_seen, 1000u);
   EXPECT_GT(empty, 1000u);
+  EXPECT_GT(over_cap, 500u);
+}
+
+TEST(TmanRankedView, MergeMatchesFullSortReference) {
+  // Sync T-Man: no ages.
+  fuzz_merge<std::vector<Descriptor>, Descriptor>(
+      2014, [](auto&, const auto&) { return poly::tman::NoAge{}; });
+}
+
+TEST(TmanRankedView, VicinityAgeRuleMergeMatchesFullSortReference) {
+  // Only the exchange partner's entries are rejuvenated; the partner is
+  // often in the frame, sometimes not.
+  fuzz_merge<std::vector<VicinityEntry>, VicinityEntry>(
+      2016, [](auto& fz, const std::vector<VicinityEntry>& incoming) {
+        const NodeId from = !incoming.empty() && fz.rng.bernoulli(0.8)
+                                ? incoming[fz.rng.index(incoming.size())].id
+                                : fz.id(fz.rng.index(48));
+        return [from](VicinityEntry& kept, const VicinityEntry& arriving) {
+          if (arriving.id == from) kept.age = 0;
+        };
+      });
+}
+
+TEST(TmanRankedView, FleetAgeRuleMergeMatchesFullSortReference) {
+  // The fleet keeps the younger age; 64-bit ids, names inline, arena view.
+  fuzz_merge<poly::util::ArenaVec<TmanEntry>, TmanEntry>(
+      2017, [](auto&, const auto&) {
+        return [](TmanEntry& kept, const TmanEntry& arriving) {
+          kept.age = std::min(kept.age, arriving.age);
+        };
+      });
 }
 
 TEST(TmanRankedView, RefreshAndReRankMatchFullSortReference) {
-  ViewFuzzer fz(2015);
-  RankScratch scratch;
+  ViewFuzzer<Descriptor> fz(2015);
+  RankScratch<Descriptor> scratch;
   std::size_t refreshed = 0;
   for (int round = 0; round < 20000; ++round) {
-    const NodeId pool = 8 + static_cast<NodeId>(fz.rng.index(40));
-    const NodeId owner = static_cast<NodeId>(fz.rng.index(pool));
+    const std::size_t pool = 8 + fz.rng.index(40);
+    const NodeId owner = fz.id(fz.rng.index(pool));
     const Point owner_pos = fz.random_pos();
     const std::size_t size = fz.rng.bernoulli(0.1) ? 0 : fz.rng.index(40);
     std::vector<Descriptor> view =
@@ -511,6 +654,161 @@ TEST(TmanRankedView, RefreshAndReRankMatchFullSortReference) {
     ASSERT_EQ(view.capacity(), capacity) << "case " << round;
   }
   EXPECT_GT(refreshed, 10000u);
+}
+
+/// The buffer as a plain full sort picks it: sort view ++ extra by
+/// (distance² to the receiver, id), keep the msg + |extra| first, walk
+/// them, skip the receiver, the sender, taken ids and rejected entries,
+/// stop at msg − 1.  Returns the taken candidates' indices.
+template <typename Entry, typename Forward>
+std::vector<std::uint32_t> reference_pick(const std::vector<Entry>& cand,
+                                          std::size_t n_extra,
+                                          IdOf<Entry> receiver,
+                                          const Point& receiver_pos,
+                                          IdOf<Entry> sender,
+                                          const poly::space::MetricSpace& space,
+                                          std::size_t msg, Forward forward) {
+  std::vector<std::uint32_t> order(cand.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return ranks_before(cand[a], cand[b], receiver_pos, space);
+  });
+  if (order.size() > msg + n_extra) order.resize(msg + n_extra);
+  std::vector<std::uint32_t> taken;
+  for (std::uint32_t i : order) {
+    if (taken.size() + 1 >= msg) break;
+    const Entry& e = cand[i];
+    if (e.id == receiver || e.id == sender || !forward(e) ||
+        std::any_of(taken.begin(), taken.end(),
+                    [&](std::uint32_t t) { return cand[t].id == e.id; }))
+      continue;
+    taken.push_back(i);
+  }
+  return taken;
+}
+
+struct PickCoverage {
+  std::size_t with_extra = 0, rejected = 0, tied = 0, full = 0, short_of = 0;
+};
+
+/// 20,000 seeded buffer picks from `View`s of `Entry` plus extra
+/// candidates, each against reference_pick.  An extra candidate may
+/// repeat a view entry's id at the same position (sync T-Man's RPS
+/// sample): such ties have no strict order, so where the case has one
+/// the check compares ids and keys; elsewhere it compares the entries.
+template <typename View, typename Entry, typename Forward>
+PickCoverage fuzz_pick(std::uint64_t seed, Forward forward) {
+  ViewFuzzer<Entry> fz(seed);
+  RankScratch<Entry> scratch;
+  ViewUnderTest<View> t;
+  PickCoverage cov;
+  for (int round = 0; round < 20000; ++round) {
+    const std::size_t pool = 8 + fz.rng.index(40);
+    const auto sender = fz.id(fz.rng.index(pool));
+    const Point sender_pos = fz.random_pos();
+    const std::vector<Entry> view =
+        fz.ranked_view(sender, sender_pos, pool, fz.rng.index(30));
+    std::vector<Entry> extra;
+    const std::size_t n_extra = fz.rng.bernoulli(0.3) ? 0 : fz.rng.index(8);
+    for (std::size_t i = 0; i < n_extra; ++i) {
+      Entry e = fz.random_entry(pool);
+      if (!view.empty() && fz.rng.bernoulli(0.4)) {
+        // A view member again, often at the same position.
+        const Entry& known = view[fz.rng.index(view.size())];
+        e.id = known.id;
+        if (fz.rng.bernoulli(0.6)) e.pos = known.pos;
+      }
+      extra.push_back(e);
+    }
+    // The receiver is usually a view member, as a gossip partner is.
+    const auto receiver = !view.empty() && fz.rng.bernoulli(0.8)
+                              ? view[fz.rng.index(view.size())].id
+                              : fz.id(fz.rng.index(pool));
+    const Point receiver_pos = fz.random_pos();
+    const std::size_t msg = fz.rng.index(12);
+
+    std::vector<Entry> cand = view;
+    cand.insert(cand.end(), extra.begin(), extra.end());
+    bool has_tie = false;
+    for (std::size_t a = 0; a < cand.size(); ++a)
+      for (std::size_t b = a + 1; b < cand.size(); ++b)
+        has_tie = has_tie ||
+                  (cand[a].id == cand[b].id &&
+                   fz.space.distance2(receiver_pos, cand[a].pos) ==
+                       fz.space.distance2(receiver_pos, cand[b].pos));
+    const auto want = reference_pick(cand, extra.size(), receiver,
+                                     receiver_pos, sender, fz.space, msg,
+                                     forward);
+    t.load(view);
+    const auto got = poly::tman::pick_closest(
+        t.view, std::span<const Entry>(extra), receiver, receiver_pos, sender,
+        fz.space, msg, scratch, forward);
+    if (has_tie) {
+      // Which copy of a tied pair the prefix keeps is the selection
+      // algorithm's choice, and the rule may reject one copy but not the
+      // other; check what holds for any choice.
+      EXPECT_LE(got.size() + 1, std::max<std::size_t>(msg, 1))
+          << "case " << round;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const Entry& g = cand[got[i]];
+        EXPECT_TRUE(g.id != receiver && g.id != sender && forward(g))
+            << "case " << round;
+        for (std::size_t j = 0; j < i; ++j) {
+          EXPECT_NE(cand[got[j]].id, g.id) << "case " << round;
+          EXPECT_FALSE(ranks_before(g, cand[got[j]], receiver_pos, fz.space))
+              << "case " << round;
+        }
+      }
+    } else {
+      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
+          << "case " << round;
+    }
+    if (::testing::Test::HasFailure()) return cov;
+    // A buffer left short while forwardable, untaken candidates remain:
+    // the rule applies after the prefix cut, as in the fleet.
+    std::size_t forwardable = 0;
+    for (std::size_t i = 0; i < cand.size(); ++i) {
+      const Entry& e = cand[i];
+      const bool seen =
+          std::any_of(cand.begin(), cand.begin() + i,
+                      [&](const Entry& o) { return o.id == e.id; });
+      forwardable += !seen && e.id != receiver && e.id != sender && forward(e);
+    }
+    cov.with_extra += !extra.empty();
+    cov.tied += has_tie;
+    cov.full += msg > 0 && got.size() + 1 == msg;
+    cov.short_of += got.size() + 1 < msg && got.size() < forwardable;
+    cov.rejected += static_cast<std::size_t>(
+        std::count_if(cand.begin(), cand.end(),
+                      [&](const Entry& e) { return !forward(e); }));
+  }
+  return cov;
+}
+
+TEST(TmanRankedView, PickMatchesFullSortReference) {
+  // Sync T-Man's and Vicinity's rule: every entry may be forwarded.
+  const auto all = fuzz_pick<std::vector<Descriptor>, Descriptor>(
+      2018, poly::tman::ForwardAll{});
+  EXPECT_GT(all.with_extra, 10000u);
+  EXPECT_GT(all.tied, 1000u);
+  EXPECT_GT(all.full, 2000u);
+  // A rule that rejects version-0 entries covers the 32-bit id width with
+  // a real filter too.
+  const auto filtered = fuzz_pick<std::vector<Descriptor>, Descriptor>(
+      2019, [](const Descriptor& d) { return d.version != 0; });
+  EXPECT_GT(filtered.rejected, 10000u);
+  EXPECT_GT(filtered.short_of, 1000u);
+}
+
+TEST(TmanRankedView, FleetForwardingRulePickMatchesFullSortReference) {
+  // The fleet's rule: no version-0 placeholders, nothing at or past the
+  // forwarding horizon.  64-bit ids, arena view.
+  const auto cov = fuzz_pick<poly::util::ArenaVec<TmanEntry>, TmanEntry>(
+      2020, [](const TmanEntry& e) { return e.version != 0 && e.age < 4; });
+  EXPECT_GT(cov.with_extra, 10000u);
+  EXPECT_GT(cov.rejected, 10000u);
+  EXPECT_GT(cov.full, 1000u);
+  EXPECT_GT(cov.short_of, 1000u);
 }
 
 TEST(Tman, ConfigValidation) {

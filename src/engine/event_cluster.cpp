@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "metrics/metrics.hpp"
 #include "traffic/workload.hpp"
 
 namespace poly::engine {
@@ -353,7 +354,7 @@ double EventCluster::reliability() const {
 }
 
 double EventCluster::proximity(std::size_t k) const {
-  return net::fleet_proximity(*space_, alive_states(), k);
+  return metrics::proximity(*space_, alive_positions(), k);
 }
 
 MemoryBreakdown EventCluster::memory_breakdown() const {

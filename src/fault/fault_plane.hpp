@@ -43,7 +43,8 @@ using engine::SimTime;
 
 /// Which directions of traffic a member-set rule matches, relative to the
 /// rule's member set: frames into the set, out of the set, or both.
-enum class Direction : std::uint8_t { kBoth, kInto, kOutOf };
+/// Enumerators follow the `degrade` verb's `in|out|both` alternatives.
+enum class Direction : std::uint8_t { kInto, kOutOf, kBoth };
 
 /// Cumulative per-fault counters, threaded into scenario::RoundMetrics.
 /// The plane increments the frame-level counters; the owning cluster

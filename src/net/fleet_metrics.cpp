@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "metrics/metrics.hpp"
 #include "space/spatial_index.hpp"
 
 namespace poly::net {
@@ -133,15 +132,6 @@ double fleet_reliability(const std::vector<space::DataPoint>& points,
     ok += hosted[i] ? 1 : 0;
   }
   return total ? static_cast<double>(ok) / static_cast<double>(total) : 1.0;
-}
-
-double fleet_proximity(const space::MetricSpace& space,
-                       const std::vector<FleetNodeState>& alive,
-                       std::size_t k) {
-  std::vector<space::Point> positions;
-  positions.reserve(alive.size());
-  for (const auto& node : alive) positions.push_back(node.pos);
-  return metrics::proximity(space, positions, k);
 }
 
 }  // namespace poly::net

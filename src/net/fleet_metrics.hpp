@@ -38,11 +38,4 @@ double fleet_homogeneity(const space::MetricSpace& space,
 double fleet_reliability(const std::vector<space::DataPoint>& points,
                          const std::vector<FleetNodeState>& alive);
 
-/// Geometric proximity of the alive fleet (metrics::proximity over the
-/// node positions, SpatialIndex-backed): mean distance from a node to its
-/// k nearest alive peers.
-double fleet_proximity(const space::MetricSpace& space,
-                       const std::vector<FleetNodeState>& alive,
-                       std::size_t k = 4);
-
 }  // namespace poly::net

@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "metrics/metrics.hpp"
 #include "net/fleet_metrics.hpp"
 #include "net/inproc_transport.hpp"
 #include "net/tcp_transport.hpp"
@@ -859,7 +860,7 @@ double LiveCluster::reliability() const {
 }
 
 double LiveCluster::proximity(std::size_t k) const {
-  return fleet_proximity(*space_, alive_states(), k);
+  return metrics::proximity(*space_, alive_positions(), k);
 }
 
 std::size_t LiveCluster::alive_count() const {

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "engine/event_cluster.hpp"
 #include "scenario/snapshot.hpp"
 #include "space/torus.hpp"
 
@@ -19,9 +20,17 @@ namespace poly::scenario {
 /// stages carry from one to the next.  Each verb's execution function
 /// works on it.
 struct Execution {
+  Execution(const ScenarioProgram& p, const shape::Shape& shape,
+            const ScenarioOptions& options)
+      : p(p),
+        shape(shape),
+        mode(options.engine),
+        cadence(std::max<std::size_t>(1, p.measure_every)),
+        rt_(make_cluster(shape, options)) {}
+
   const ScenarioProgram& p;
   const shape::Shape& shape;
-  std::unique_ptr<Runtime> rt;
+  const EngineMode mode;
   ProgramRun run{};
   std::size_t cadence = 1;
   std::size_t since_measure = 0;
@@ -35,13 +44,36 @@ struct Execution {
   double morph_w = -1.0;  // current morph-shape extent (lazily = base's)
   double morph_h = -1.0;
 
+  /// The cluster, to read.
+  const Runtime& cluster() const { return *rt_; }
+  /// The cluster, to change: every change goes through here (or through
+  /// sim() / fleet()), which drops the kept measurement.
+  Runtime& change() {
+    kept_.reset();
+    return *rt_;
+  }
+  /// The engine itself, for the rows only it runs (validate_for_mode has
+  /// matched the row's engines against the cluster's).  Like change(),
+  /// each drops the kept measurement.
+  Simulation& sim();
+  engine::EventCluster& fleet();
+  /// The cluster's metrics now, measured at most once between changes.
+  const RoundMetrics& measured() {
+    if (!kept_) kept_ = rt_->measure();
+    return *kept_;
+  }
+
   void note(const std::string& text) {
-    run.events.push_back({rt->rounds_run(), false, text, {}, {}, {}});
+    run.events.push_back({cluster().rounds_run(), false, text, {}, {}, {}});
   }
   void measure_now();
-  void check_expects(bool at_end) const;
+  void check_expects(bool at_end);
   void step();
   void record_crash(std::size_t n, const std::string& how);
+
+ private:
+  std::unique_ptr<Runtime> rt_;
+  std::optional<RoundMetrics> kept_;
 };
 
 namespace {
@@ -190,6 +222,9 @@ enum class Slot {
 
 constexpr std::string_view kDirections = "in|out|both";
 constexpr std::string_view kMixes = "get|put|mixed";
+/// The largest <ms>: one virtual day, so that converting it to
+/// engine::SimTime nanoseconds stays far inside int64.
+constexpr std::size_t kMaxJitterMs = 24 * 3600 * 1000;
 
 struct SlotType {
   std::string_view key;  ///< how a grammar writes the slot
@@ -240,6 +275,9 @@ void fill_slot(const Reader& in, Slot slot, std::span<const std::string> t,
       s.jitter_ms = in.real(t[0], verb + " jitter");
       if (s.jitter_ms < 0.0)
         in.fail(verb + " jitter " + t[0] + " must be >= 0 ms");
+      if (s.jitter_ms > static_cast<double>(kMaxJitterMs))
+        in.fail(verb + " jitter " + t[0] + " is above one virtual day (" +
+                std::to_string(kMaxJitterMs) + " ms)");
       return;
     case Slot::kZone:
       s.zone = {in.real(t[0], "zone x0"), in.real(t[1], "zone y0"),
@@ -271,11 +309,12 @@ void fill_slot(const Reader& in, Slot slot, std::span<const std::string> t,
       }
       return;
     case Slot::kDirection:
-      s.dir = static_cast<LinkDirection>(
+      s.dir = static_cast<fault::Direction>(
           in.choice(kDirections, t[0], verb + " direction"));
       return;
     case Slot::kMix:
-      s.mix = static_cast<TrafficMix>(in.choice(kMixes, t[0], verb + " mix"));
+      s.mix =
+          static_cast<traffic::Mix>(in.choice(kMixes, t[0], verb + " mix"));
       return;
   }
 }
@@ -326,13 +365,24 @@ std::size_t share(double frac, std::size_t n) {
   return static_cast<std::size_t>(frac * static_cast<double>(n));
 }
 
+/// The region predicate of a zone verb: original positions inside `z`.
+std::function<bool(const space::Point&)> in_zone(const Zone& z) {
+  return [&z](const space::Point& pt) { return z.contains(pt); };
+}
+
+/// A <ms> slot as engine time (the parser caps it at one virtual day).
+engine::SimTime sim_ms(double ms) {
+  return std::chrono::duration_cast<engine::SimTime>(
+      std::chrono::duration<double, std::milli>(ms));
+}
+
 void exec_run(Execution& x, const Stage& s) {
   for (std::size_t r = 0; r < s.rounds; ++r) x.step();
 }
 
 void grow(Execution& x, std::size_t want) {
   x.reshape_window = false;
-  const std::size_t n = x.rt->inject(want);
+  const std::size_t n = x.change().inject(want);
   x.run.injected += n;
   x.crashed_since_grow = 0;
   x.note("injected " + std::to_string(n) + " fresh nodes (parallel grid)");
@@ -343,19 +393,21 @@ void exec_grow_crashed(Execution& x, const Stage&) {
 }
 
 void exec_crash_half(Execution& x, const Stage&) {
-  x.record_crash(x.rt->crash_half(), "failure half");
+  const std::size_t n = x.change().crash_region(
+      [&](const space::Point& pt) { return x.shape.in_failure_half(pt); });
+  x.record_crash(n, "failure half");
 }
 void exec_crash_frac(Execution& x, const Stage& s) {
-  x.record_crash(x.rt->crash_random(share(s.frac, x.rt->alive_count())),
+  const std::size_t want = share(s.frac, x.cluster().alive_count());
+  x.record_crash(x.change().crash_random(want),
                  "random " + fmt_g(s.frac) + " of alive");
 }
 void exec_crash_zone(Execution& x, const Stage& s) {
-  const std::size_t n = x.rt->crash_region(
-      [&](const space::Point& pt) { return s.zone.contains(pt); });
-  x.record_crash(n, zone_text(s.zone));
+  x.record_crash(x.change().crash_region(in_zone(s.zone)),
+                 zone_text(s.zone));
 }
 void exec_crash_ids(Execution& x, const Stage& s) {
-  x.record_crash(x.rt->crash_ids(s.ids), "explicit ids");
+  x.record_crash(x.change().crash_ids(s.ids), "explicit ids");
 }
 
 void exec_churn(Execution& x, const Stage& s) {
@@ -364,11 +416,11 @@ void exec_churn(Execution& x, const Stage& s) {
          std::to_string(s.rounds) + " rounds");
   for (std::size_t r = 0; r < s.rounds; ++r) {
     const auto n = static_cast<std::size_t>(
-        static_cast<double>(x.rt->alive_count()) * s.frac / 100.0);
+        static_cast<double>(x.cluster().alive_count()) * s.frac / 100.0);
     if (n > 0) {
-      x.run.crashed += x.rt->crash_random(n);
+      x.run.crashed += x.change().crash_random(n);
       x.crashed_since_grow += n;
-      x.run.injected += x.rt->inject(n);
+      x.run.injected += x.change().inject(n);
     }
     x.step();
   }
@@ -381,7 +433,7 @@ void exec_flash_crowd(Execution& x, const Stage& s) {
   for (std::size_t r = 0; r < s.rounds; ++r) {
     const std::size_t n =
         s.count * (r + 1) / s.rounds - s.count * r / s.rounds;
-    if (n > 0) x.run.injected += x.rt->inject(n);
+    if (n > 0) x.run.injected += x.change().inject(n);
     x.step();
   }
 }
@@ -391,7 +443,7 @@ void morph_rounds(
     Execution& x, std::size_t rounds,
     const std::function<space::Point(const space::Point&)>& transform) {
   for (std::size_t r = 0; r < rounds; ++r) {
-    x.rt->morph(transform);
+    x.sim().morph_shape(transform);
     x.step();
   }
 }
@@ -440,23 +492,22 @@ void exec_migrate(Execution& x, const Stage& s) {
 
 void exec_snapshot(Execution& x, const Stage& s) {
   ProgramEvent ev;
-  ev.round = x.rt->rounds_run();
+  ev.round = x.cluster().rounds_run();
   ev.is_snapshot = true;
   ev.text = s.label.empty() ? "r" + std::to_string(ev.round) : s.label;
-  if (auto* sim = x.rt->sim()) {
-    ev.summary = summary_line(*sim);
+  if (x.mode == EngineMode::kSync) {
+    ev.summary = summary_line(x.sim());
   } else {
-    const auto m = x.rt->measure();
+    const RoundMetrics& m = x.measured();
     char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "round=%llu alive=%zu homogeneity=%.3f (H=%.3f) "
+                  "round=%zu alive=%zu homogeneity=%.3f (H=%.3f) "
                   "proximity=%.3f reliability=%.3f",
-                  static_cast<unsigned long long>(x.rt->rounds_run()),
-                  m.alive, m.homogeneity, m.reference_h, m.proximity,
-                  m.reliability);
+                  ev.round, m.alive, m.homogeneity, m.reference_h,
+                  m.proximity, m.reliability);
     ev.summary = buf;
   }
-  ev.positions = x.rt->alive_positions();
+  ev.positions = x.cluster().alive_positions();
   ev.map = ascii_density_map(x.shape.space(), ev.positions);
   x.run.events.push_back(std::move(ev));
 }
@@ -467,34 +518,32 @@ void exec_measure_every(Execution& x, const Stage& s) {
 }
 
 void exec_partition(Execution& x, const Stage& s) {
-  const std::size_t n = x.rt->partition_region(
-      [&](const space::Point& pt) { return s.zone.contains(pt); }, s.rounds);
+  const std::size_t n = x.fleet().partition_region(in_zone(s.zone), s.rounds);
   x.note("partitioned " + std::to_string(n) + " nodes (" + zone_text(s.zone) +
          heal_text(s.rounds) + ")");
 }
 
 void exec_degrade(Execution& x, const Stage& s) {
-  const std::size_t n = x.rt->degrade_region(
-      [&](const space::Point& pt) { return s.zone.contains(pt); }, s.dir,
-      s.drop, s.jitter_ms, s.rounds);
+  const std::size_t n = x.fleet().degrade_region(
+      in_zone(s.zone), s.dir, s.drop, sim_ms(s.jitter_ms), s.rounds);
   x.note("degraded links of " + std::to_string(n) + " nodes (" +
          choice_at(kDirections, s.dir) + ", drop " + fmt_g(s.drop) +
          ", jitter " + fmt_g(s.jitter_ms) + "ms" + heal_text(s.rounds) + ")");
 }
 
 void exec_corrupt(Execution& x, const Stage& s) {
-  x.rt->corrupt_frames(s.frac, s.rounds);
+  x.fleet().corrupt_frames(s.frac, s.rounds);
   x.note("corrupting frames (p " + fmt_g(s.frac) + heal_text(s.rounds) + ")");
 }
 
 void exec_duplicate(Execution& x, const Stage& s) {
-  x.rt->duplicate_frames(s.frac, s.rounds);
+  x.fleet().duplicate_frames(s.frac, s.rounds);
   x.note("duplicating frames (p " + fmt_g(s.frac) + heal_text(s.rounds) +
          ")");
 }
 
 void exec_reorder(Execution& x, const Stage& s) {
-  x.rt->reorder_frames(s.frac, s.jitter_ms, s.rounds);
+  x.fleet().reorder_frames(s.frac, sim_ms(s.jitter_ms), s.rounds);
   x.note("reordering frames (p " + fmt_g(s.frac) + ", jitter " +
          fmt_g(s.jitter_ms) + "ms" + heal_text(s.rounds) + ")");
 }
@@ -505,15 +554,12 @@ void stalled(Execution& x, const Stage& s, std::size_t n,
          std::to_string(s.rounds) + " rounds (" + how + ")");
 }
 void exec_stall_zone(Execution& x, const Stage& s) {
-  stalled(x, s,
-          x.rt->stall_region(
-              [&](const space::Point& pt) { return s.zone.contains(pt); },
-              s.rounds),
+  stalled(x, s, x.fleet().stall_region(in_zone(s.zone), s.rounds),
           zone_text(s.zone));
 }
 void exec_stall_frac(Execution& x, const Stage& s) {
-  stalled(x, s,
-          x.rt->stall_random(share(s.frac, x.rt->alive_count()), s.rounds),
+  const std::size_t want = share(s.frac, x.cluster().alive_count());
+  stalled(x, s, x.fleet().stall_random(want, s.rounds),
           "random " + fmt_g(s.frac) + " of alive");
 }
 
@@ -522,28 +568,32 @@ void recovered(Execution& x, std::size_t n, const std::string& how) {
   x.note("recovered " + std::to_string(n) + " nodes (" + how + ")");
 }
 void exec_recover_all(Execution& x, const Stage&) {
-  recovered(x, x.rt->recover_all(), "all crashed");
+  recovered(x, x.fleet().recover_all(), "all crashed");
 }
 void exec_recover_frac(Execution& x, const Stage& s) {
   const std::size_t candidates =
       x.run.crashed > x.run.recovered ? x.run.crashed - x.run.recovered : 0;
-  recovered(x, x.rt->recover_random(share(s.frac, candidates)),
+  recovered(x, x.fleet().recover_random(share(s.frac, candidates)),
             "random " + fmt_g(s.frac) + " of crashed");
 }
 void exec_recover_ids(Execution& x, const Stage& s) {
-  recovered(x, x.rt->recover_ids(s.ids), "explicit ids");
+  engine::EventCluster& fleet = x.fleet();
+  std::size_t n = 0;
+  for (std::size_t id : s.ids) n += fleet.recover_node(id) ? 1 : 0;
+  recovered(x, n, "explicit ids");
 }
 
 void exec_traffic(Execution& x, const Stage& s) {
-  x.rt->start_traffic(s.count, s.mix);
+  x.fleet().start_traffic({.rate_per_round = s.count, .mix = s.mix});
   x.note("traffic " + std::to_string(s.count) + "/round (" +
          choice_at(kMixes, s.mix) + ")");
 }
 
 void exec_drain(Execution& x, const Stage& s) {
-  x.rt->stop_traffic();
+  engine::EventCluster& fleet = x.fleet();
+  fleet.stop_traffic();
   std::size_t drained = 0;
-  while (x.rt->traffic_inflight() > 0) {
+  while (fleet.traffic_inflight() > 0) {
     if (++drained > 10000)
       throw ProgramError(x.p.file, s.line,
                          "drain ran 10000 rounds with traffic still in "
@@ -1059,22 +1109,44 @@ void validate_for_mode(const ScenarioProgram& p, EngineMode mode) {
   }
 }
 
+Simulation& Execution::sim() {
+  Simulation* sim = change().sim();
+  if (sim == nullptr)
+    throw std::logic_error(
+        std::string("morph/migrate stages need --engine sync; this cluster "
+                    "runs ") +
+        to_string(mode));
+  return *sim;
+}
+
+engine::EventCluster& Execution::fleet() {
+  engine::EventCluster* fleet = change().fleet();
+  if (fleet == nullptr)
+    throw std::logic_error(
+        std::string("fault, recover and traffic verbs need --engine events; "
+                    "this cluster runs ") +
+        to_string(mode));
+  return *fleet;
+}
+
 void Execution::measure_now() {
   since_measure = 0;
-  run.rounds.push_back(rt->measure());
+  run.rounds.push_back(measured());
   const auto& m = run.rounds.back();
   if (reshape_window && std::isnan(run.reshaping_rounds) &&
       m.homogeneity < run.reference_h_after_crash)
-    run.reshaping_rounds = static_cast<double>(rt->rounds_run() - crash_round);
+    run.reshaping_rounds =
+        static_cast<double>(cluster().rounds_run() - crash_round);
 }
 
-// Expect evaluation measures freshly at the trigger point so a sparse
-// measure cadence cannot shift what an assertion sees.
-void Execution::check_expects(bool at_end) const {
+// Expects read the cluster at their trigger point, so a sparse measure
+// cadence cannot shift what an assertion sees; all expects of one trigger
+// share one measurement.
+void Execution::check_expects(bool at_end) {
   for (const auto& e : p.expects) {
     if (e.at_end != at_end) continue;
-    if (!at_end && e.round != rt->rounds_run()) continue;
-    const double actual = find_metric(e.metric)->get(rt->measure());
+    if (!at_end && e.round != cluster().rounds_run()) continue;
+    const double actual = find_metric(e.metric)->get(measured());
     if (!holds(e.op, actual, e.value))
       throw ProgramError(
           p.file, e.line,
@@ -1086,7 +1158,7 @@ void Execution::check_expects(bool at_end) const {
 }
 
 void Execution::step() {
-  rt->run_round();
+  change().run_round();
   if (++since_measure >= cadence) measure_now();
   check_expects(false);
 }
@@ -1097,9 +1169,9 @@ void Execution::record_crash(std::size_t n, const std::string& how) {
   if (!crash_seen) {
     crash_seen = true;
     reshape_window = true;
-    crash_round = rt->rounds_run();
+    crash_round = cluster().rounds_run();
     run.reference_h_after_crash =
-        shape.reference_homogeneity(rt->alive_count());
+        shape.reference_homogeneity(cluster().alive_count());
   }
   note("crashed " + std::to_string(n) + " nodes (" + how + ")");
 }
@@ -1107,20 +1179,17 @@ void Execution::record_crash(std::size_t n, const std::string& how) {
 ProgramRun run_program_once(const shape::Shape& shape,
                             const ScenarioProgram& p,
                             const ScenarioOptions& options) {
-  Execution x{.p = p,
-              .shape = shape,
-              .rt = make_cluster(shape, options),
-              .cadence = std::max<std::size_t>(1, p.measure_every)};
+  Execution x(p, shape, options);
   for (const auto& s : p.timeline) s.verb->exec(x, s);
 
   // The last executed round is always measured, so "final" values exist
   // even at a sparse cadence.
-  if (x.rt->rounds_run() > 0 && x.since_measure != 0) x.measure_now();
+  if (x.cluster().rounds_run() > 0 && x.since_measure != 0) x.measure_now();
 
   x.check_expects(true);
 
-  x.run.reliability = x.rt->measure().reliability;
-  x.run.rounds_total = x.rt->rounds_run();
+  x.run.reliability = x.measured().reliability;
+  x.run.rounds_total = x.cluster().rounds_run();
   return std::move(x.run);
 }
 

@@ -40,7 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_plane.hpp"
 #include "scenario/runtime.hpp"
+#include "traffic/workload.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -85,7 +87,10 @@ struct Verb {
   /// e.g. "crash frac <fraction>".  The first word is the verb; rows that
   /// share it are told apart by their second word.
   const char* grammar;
-  unsigned engines;  ///< bit `1 << EngineMode` for each engine it runs under
+  /// Bit `1 << EngineMode` for each engine it runs under: the only record
+  /// of it.  validate_for_mode rejects any other engine before round 1,
+  /// so `exec` may call an engine-only API directly.
+  unsigned engines;
   bool timed;        ///< its <rounds> slot counts executed timeline rounds
   void (*exec)(Execution&, const Stage&);
   /// A parse-time rule beyond the slots' own checks, given the stages
@@ -110,9 +115,9 @@ struct Stage {
   double jitter_ms = 0.0;  ///< <ms>: jitter cap
   double dx = 0.0, dy = 0.0;  ///< <offset>: per round (drift) / total
   Zone zone;                  ///< <zone>
-  std::vector<std::size_t> ids;              ///< <ids>
-  LinkDirection dir = LinkDirection::kBoth;  ///< in|out|both
-  TrafficMix mix = TrafficMix::kMixed;       ///< get|put|mixed
+  std::vector<std::size_t> ids;                  ///< <ids>
+  fault::Direction dir = fault::Direction::kBoth;  ///< in|out|both
+  traffic::Mix mix = traffic::Mix::kMixed;         ///< get|put|mixed
   std::string shape_spec;  ///< <shape>: morph target
   std::string label;       ///< [label]: snapshot label
 

@@ -44,7 +44,8 @@ class EventCluster;
 
 namespace poly::traffic {
 
-/// Request-kind mix of the workload.
+/// Request-kind mix of the workload.  Enumerators follow the `traffic`
+/// verb's `get|put|mixed` alternatives.
 enum class Mix : std::uint8_t { kGet, kPut, kMixed };
 
 /// Workload shape.  `rate_per_round` requests arrive per virtual tick

@@ -25,7 +25,6 @@ using poly::scenario::ScenarioOptions;
 using poly::scenario::ScenarioProgram;
 using poly::scenario::Stage;
 using poly::scenario::Substrate;
-using poly::scenario::TrafficMix;
 using poly::scenario::load_program;
 using poly::scenario::make_cluster;
 using poly::scenario::parse_program;
@@ -33,6 +32,7 @@ using poly::scenario::run_program;
 using poly::scenario::serialize;
 using poly::scenario::validate_for_mode;
 using poly::scenario::verb_table;
+using poly::traffic::Mix;
 
 /// Expects `parse_program(text)` to throw with the given 1-based line and
 /// a message containing `needle`.
@@ -249,6 +249,18 @@ TEST(ProgramDiagnostics, FdFpRateOutOfRange) {
                      "out of [0, 1)");
 }
 
+TEST(ProgramDiagnostics, JitterAboveOneVirtualDay) {
+  // Past one virtual day, a <ms> slot would overflow engine::SimTime's
+  // int64 nanoseconds when the fault is installed.
+  const std::string hdr = "shape grid:8x8\nengine events\n";
+  expect_parse_error(hdr + "reorder 0.5 jitter 1e300 heal 5\n", 3,
+                     "reorder jitter 1e300 is above one virtual day");
+  expect_parse_error(
+      hdr + "degrade zone 0 0 8 8 both drop 0 jitter 1e300 heal 0\n", 3,
+      "degrade jitter 1e300 is above one virtual day");
+  EXPECT_NO_THROW(parse_program(hdr + "reorder 0.5 jitter 86400000 heal 5\n"));
+}
+
 TEST(ProgramDiagnostics, WhatIncludesFileAndLine) {
   try {
     parse_program("shape grid:4x4\nrun -3\n", "demo.poly");
@@ -289,7 +301,10 @@ TEST(ProgramValidate, ChurnRejectedUnderLiveOnly) {
 
 TEST(ProgramValidate, EveryVerbRowRunsUnderExactlyItsEngines) {
   // One sample line per row of the verb table, with the engines it runs
-  // under written out here rather than read from the table.
+  // under written out here rather than read from the table.  Each sample
+  // validates under exactly those engines and then executes under each of
+  // them: a row whose engine bits name an engine its execution function
+  // cannot call fails here, not in a user's run.
   struct Sample {
     const char* line;
     bool sync, events, live;
@@ -336,11 +351,15 @@ TEST(ProgramValidate, EveryVerbRowRunsUnderExactlyItsEngines) {
         {EngineMode::kLive, sample.live},
     };
     for (const auto& [mode, runs] : engines) {
-      if (runs)
-        EXPECT_NO_THROW(validate_for_mode(p, mode)) << to_string(mode);
-      else
+      if (!runs) {
         EXPECT_THROW(validate_for_mode(p, mode), ProgramError)
             << to_string(mode);
+        continue;
+      }
+      EXPECT_NO_THROW(validate_for_mode(p, mode)) << to_string(mode);
+      ScenarioProgram run = p;
+      run.options.engine = mode;
+      EXPECT_NO_THROW(run_program(run)) << to_string(mode);
     }
   }
   EXPECT_EQ(rows.size(), std::size(samples));  // one sample per row
@@ -781,9 +800,9 @@ TEST(TrafficProgram, ParseAndSerializeRoundTrip) {
   EXPECT_STREQ(p.timeline[1].verb->grammar,
                "traffic <rate> get|put|mixed");
   EXPECT_EQ(p.timeline[1].count, 500u);
-  EXPECT_EQ(p.timeline[1].mix, TrafficMix::kGet);
-  EXPECT_EQ(p.timeline[3].mix, TrafficMix::kPut);
-  EXPECT_EQ(p.timeline[5].mix, TrafficMix::kMixed);
+  EXPECT_EQ(p.timeline[1].mix, Mix::kGet);
+  EXPECT_EQ(p.timeline[3].mix, Mix::kPut);
+  EXPECT_EQ(p.timeline[5].mix, Mix::kMixed);
   EXPECT_STREQ(p.timeline[6].verb->grammar, "drain");
   // traffic/drain execute no scheduled rounds themselves (drain's rounds
   // are demand-driven); only the runs count.

@@ -1,7 +1,7 @@
 // Post-catastrophe fleet-metrics microbench — the hot path of the paper's
 // headline scenario ("kill 50% of the nodes, watch the shape survive").
 //
-// Right after a half-torus crash, fleet_homogeneity must resolve the
+// Right after a half-torus crash, metrics::homogeneity must resolve the
 // nearest alive node for every *lost* data point.  The old implementation
 // scanned all alive nodes per lost point — O(lost × alive), ~2.6G distance
 // evaluations at 102,400 nodes — exactly when the metric is sampled every
@@ -19,19 +19,25 @@
 #include <unordered_map>
 
 #include "common.hpp"
-#include "net/fleet_metrics.hpp"
+#include "metrics/metrics.hpp"
 #include "shape/grid_torus.hpp"
 
 namespace {
 
-/// The pre-SpatialIndex fleet_homogeneity, verbatim: one id-index pass
+/// One alive node of the snapshot: its position and its guests.
+struct Host {
+  poly::space::Point pos;
+  std::vector<poly::space::DataPoint> guests;
+};
+
+/// The pre-SpatialIndex fleet homogeneity, verbatim: one id-index pass
 /// over all guest sets, then a linear scan over *all alive nodes* for each
-/// lost point — the O(lost × alive) hot spot this PR removed.  Kept here
-/// as the bench's reference only.
+/// lost point — the O(lost × alive) hot spot the index removed.  Kept
+/// here as the bench's reference only.
 double homogeneity_linear_reference(
     const poly::space::MetricSpace& space,
     const std::vector<poly::space::DataPoint>& points,
-    const std::vector<poly::net::FleetNodeState>& alive) {
+    const std::vector<Host>& alive) {
   if (alive.empty()) return 0.0;
   std::unordered_map<poly::space::PointId, std::size_t> index;
   index.reserve(points.size());
@@ -80,20 +86,18 @@ int main(int argc, char** argv) {
     // Worst-case post-catastrophe state: the failure half is gone, every
     // survivor hosts exactly its own point — so half the points are lost
     // and take the nearest-alive fallback.
-    std::vector<net::FleetNodeState> alive;
-    for (const auto& dp : points) {
-      if (shape.in_failure_half(dp.pos)) continue;
-      net::FleetNodeState s;
-      s.pos = dp.pos;
-      s.guests.push_back(dp);
-      alive.push_back(std::move(s));
-    }
+    std::vector<Host> alive;
+    for (const auto& dp : points)
+      if (!shape.in_failure_half(dp.pos)) alive.push_back({dp.pos, {dp}});
+    const metrics::ForEachHost hosts = [&](const metrics::HostVisit& visit) {
+      for (const Host& h : alive) visit(h.pos, h.guests);
+    };
 
     double indexed = 0.0;
     double t_indexed = 0.0;
     for (std::size_t rep = 0; rep < opt.reps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      indexed = net::fleet_homogeneity(shape.space(), points, alive);
+      indexed = metrics::homogeneity(shape.space(), points, hosts);
       t_indexed += std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -109,7 +113,7 @@ int main(int argc, char** argv) {
                                 std::chrono::steady_clock::now() - t1)
                                 .count();
 
-    if (std::abs(indexed - linear) > 1e-12) {
+    if (indexed != linear) {
       std::fprintf(stderr,
                    "MISMATCH at %zu nodes: indexed=%.17g linear=%.17g\n", n,
                    indexed, linear);

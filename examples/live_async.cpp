@@ -15,7 +15,7 @@
 #include <cstring>
 #include <thread>
 
-#include "net/runtime.hpp"
+#include "net/live_cluster.hpp"
 #include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {

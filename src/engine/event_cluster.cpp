@@ -46,11 +46,9 @@ EventCluster::EventCluster(std::shared_ptr<const space::MetricSpace> space,
   // Bootstrap after all endpoints exist, so contact samples span the fleet.
   for (std::size_t i = 0; i < nodes_.size(); ++i) bootstrap_node(i);
   const SimTime period = tick_period(cfg_);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].start();
-    // Random phase offset: nodes tick desynchronized, as live fleets do.
+  // Random phase offset: nodes tick desynchronized, as live fleets do.
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
     schedule_tick(i, SimTime{rng_.uniform_i64(0, period.count() - 1)});
-  }
 }
 
 EventCluster::~EventCluster() = default;
@@ -63,12 +61,12 @@ std::size_t EventCluster::add_node(std::optional<space::DataPoint> initial) {
   // it out of the emplace leaves the per-node seed sequence unchanged.
   auto ep = hub_->make_endpoint("node-" + std::to_string(idx));
   plane_.map_endpoint(ep->endpoint_id(), static_cast<std::uint32_t>(idx));
-  net::AsyncNode& node = nodes_.emplace_back(
-      static_cast<net::LiveNodeId>(idx), space_, std::move(ep),
-      std::move(initial), cfg_.node, engine_.split_rng().next_u64(), &arena_,
-      &scratch_);
-  node.set_manual_drive([this] { return engine_.clock(); });
+  nodes_.emplace_back(static_cast<net::LiveNodeId>(idx), space_,
+                      std::move(ep), std::move(initial), cfg_.node,
+                      engine_.split_rng().next_u64(),
+                      [this] { return engine_.clock(); }, &arena_, &scratch_);
   crashed_.push_back(false);
+  tick_epoch_.push_back(0);
   stall_until_.push_back(SimTime::zero());
   pool_pos_.push_back(static_cast<std::uint32_t>(alive_pool_.size()));
   alive_pool_.push_back(static_cast<std::uint32_t>(idx));
@@ -111,8 +109,8 @@ void EventCluster::bootstrap_node(std::size_t idx) {
 }
 
 void EventCluster::schedule_tick(std::size_t idx, SimTime delay) {
-  engine_.schedule_after(delay, [this, idx] {
-    if (crashed_[idx]) return;  // stop rescheduling after a crash
+  engine_.schedule_after(delay, [this, idx, epoch = tick_epoch_[idx]] {
+    if (epoch != tick_epoch_[idx]) return;  // a crash ended this chain
     if (engine_.now() < stall_until_[idx]) {
       // Stalled (GC-pause model, docs/FAULTS.md): the tick is skipped but
       // the timer chain survives — message handlers keep running and the
@@ -121,7 +119,7 @@ void EventCluster::schedule_tick(std::size_t idx, SimTime delay) {
       schedule_tick(idx, tick_period(cfg_));
       return;
     }
-    nodes_[idx].drive_tick();
+    nodes_[idx].tick();
     schedule_tick(idx, tick_period(cfg_));
   });
 }
@@ -138,14 +136,19 @@ std::size_t EventCluster::alive_count() const {
   return alive_pool_.size();
 }
 
+void EventCluster::crash(std::size_t idx) {
+  nodes_[idx].crash();
+  crashed_[idx] = true;
+  ++tick_epoch_[idx];
+  pool_remove(idx);
+}
+
 std::size_t EventCluster::crash_region(
     const std::function<bool(const space::Point&)>& pred) {
   std::size_t crashed = 0;
   for (std::size_t i = 0; i < points_.size(); ++i) {
     if (!crashed_[i] && pred(points_[i].pos)) {
-      nodes_[i].crash();
-      crashed_[i] = true;
-      pool_remove(i);
+      crash(i);
       ++crashed;
     }
   }
@@ -160,21 +163,13 @@ std::size_t EventCluster::crash_random(std::size_t count) {
                            std::min(count, alive_pool_.size()),
                            sample_scratch_);
   for (std::size_t& slot : sample_scratch_) slot = alive_pool_[slot];
-  std::size_t crashed = 0;
-  for (std::size_t i : sample_scratch_) {
-    nodes_[i].crash();
-    crashed_[i] = true;
-    pool_remove(i);
-    ++crashed;
-  }
-  return crashed;
+  for (std::size_t i : sample_scratch_) crash(i);
+  return sample_scratch_.size();
 }
 
 bool EventCluster::crash_node(std::size_t idx) {
   if (idx >= nodes_.size() || crashed_[idx]) return false;
-  nodes_[idx].crash();
-  crashed_[idx] = true;
-  pool_remove(idx);
+  crash(idx);
   return true;
 }
 
@@ -190,7 +185,6 @@ std::size_t EventCluster::inject(const space::Point& pos) {
   const std::size_t idx = add_node(std::nullopt);
   points_.push_back({space::kInvalidPointId, pos});
   bootstrap_node(idx);
-  nodes_[idx].start();
   schedule_tick(idx, tick_period(cfg_) / 2);
   return idx;
 }
@@ -208,7 +202,6 @@ bool EventCluster::recover_node(std::size_t idx) {
   pool_pos_[idx] = static_cast<std::uint32_t>(alive_pool_.size());
   alive_pool_.push_back(static_cast<std::uint32_t>(idx));
   ++plane_.counters().recoveries;
-  nodes_[idx].start();
   // Fresh random phase, like any starting node.
   schedule_tick(idx,
                 SimTime{rng_.uniform_i64(0, tick_period(cfg_).count() - 1)});
@@ -335,22 +328,19 @@ std::uint64_t EventCluster::frames_rejected() const {
   return total;
 }
 
-std::vector<net::FleetNodeState> EventCluster::alive_states() const {
-  std::vector<net::FleetNodeState> alive;
-  alive.reserve(alive_pool_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (!crashed_[i])
-      alive.push_back(net::FleetNodeState{nodes_[i].position(),
-                                          nodes_[i].guests()});
-  return alive;
+metrics::ForEachHost EventCluster::hosts() const {
+  return [this](const metrics::HostVisit& visit) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+      if (!crashed_[i]) nodes_[i].visit_hosting(visit);
+  };
 }
 
 double EventCluster::homogeneity() const {
-  return net::fleet_homogeneity(*space_, points_, alive_states());
+  return metrics::homogeneity(*space_, points_, hosts());
 }
 
 double EventCluster::reliability() const {
-  return net::fleet_reliability(points_, alive_states());
+  return metrics::reliability(points_, hosts());
 }
 
 double EventCluster::proximity(std::size_t k) const {

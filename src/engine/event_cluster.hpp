@@ -1,7 +1,7 @@
 // Engine-driven fleet: the live AsyncNode protocol at simulation scale.
 //
 // EventCluster is LiveCluster's deterministic twin.  It runs the *same*
-// protocol code — AsyncNode's on_tick / on_message handlers, the same wire
+// protocol code — AsyncNode's tick / on_message handlers, the same wire
 // codecs — but over the discrete-event kernel instead of threads and
 // sockets: each node's tick is a self-rescheduling engine event, messages
 // travel through an EngineHub with a pluggable latency/drop model, and
@@ -28,7 +28,7 @@
 #include "engine/engine_transport.hpp"
 #include "engine/event_engine.hpp"
 #include "fault/fault_plane.hpp"
-#include "net/fleet_metrics.hpp"
+#include "metrics/metrics.hpp"
 #include "net/runtime.hpp"
 #include "space/metric_space.hpp"
 #include "space/point.hpp"
@@ -228,7 +228,7 @@ class EventCluster {
   /// quoted against.
   SimTime round_period() const;
 
-  // ---- metrics (fleet-level §IV-A) ---------------------------------------
+  // ---- metrics (§IV-A, metrics::homogeneity and ::reliability) ----------
 
   double homogeneity() const;
   double reliability() const;
@@ -246,10 +246,14 @@ class EventCluster {
  private:
   std::size_t add_node(std::optional<space::DataPoint> initial);
   void bootstrap_node(std::size_t idx);
+  /// Starts a tick chain for node `idx` in its current tick epoch.
   void schedule_tick(std::size_t idx, SimTime delay);
+  /// Crash-stops alive node `idx`: ends its tick chain and its transport.
+  void crash(std::size_t idx);
   /// Swap-removes node `idx` from the alive-id pool (no-op if absent).
   void pool_remove(std::size_t idx);
-  std::vector<net::FleetNodeState> alive_states() const;
+  /// Visits every alive node, in id order.
+  metrics::ForEachHost hosts() const;
   /// Node ids whose original data point satisfies `pred` (crashed
   /// included: membership is geometric, and a member may recover).
   std::vector<std::uint32_t> region_ids(
@@ -280,6 +284,11 @@ class EventCluster {
   /// storage instead of chasing one heap pointer per node.
   util::ObjectSlab<net::AsyncNode> nodes_;
   std::vector<bool> crashed_;
+  /// Per-node tick epoch, carried by each tick event and bumped by a
+  /// crash: a pending tick of an earlier life finds a newer epoch and
+  /// ends its chain, so a node recovered within one tick period still runs
+  /// exactly one chain.
+  std::vector<std::uint32_t> tick_epoch_;
   /// Per-node stall deadline: a tick firing before stall_until_[i] is
   /// skipped (and counted) instead of driven.  Zero = not stalled.
   std::vector<SimTime> stall_until_;

@@ -4,71 +4,118 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "space/spatial_index.hpp"
 
 namespace poly::metrics {
 
-double homogeneity(const sim::Network& net, const space::MetricSpace& space,
-                   std::span<const space::DataPoint> initial_points,
-                   const HostingView& view) {
-  if (initial_points.empty()) return 0.0;
+namespace {
 
-  // Pass 1: for every hosted initial point, the distance to its closest
-  // primary holder.  Initial point ids are dense (0..P-1 in scenario runs);
-  // a direct-indexed array keeps this linear.
-  space::PointId max_id = 0;
-  for (const auto& p : initial_points) max_id = std::max(max_id, p.id);
-  std::vector<double> best(max_id + 1,
-                           std::numeric_limits<double>::infinity());
-
-  const auto alive = net.alive_ids();
-  for (sim::NodeId n : alive) {
-    const space::Point& npos = view.position(n);
-    for (const auto& g : view.guests(n)) {
-      if (g.id > max_id) continue;  // non-initial point (not measured)
-      const double d = space.distance(g.pos, npos);
-      best[g.id] = std::min(best[g.id], d);
+/// id -> index into the original points, direct-mapped: shapes mint ids
+/// sequentially, so the id range is dense, and nothing hash-ordered is
+/// left for anyone to iterate (detlint: unordered-iter).  Injected
+/// sentinels (kInvalidPointId) are not indexed.
+class PointIndex {
+ public:
+  explicit PointIndex(std::span<const space::DataPoint> points) {
+    space::PointId hi = 0;
+    for (const auto& p : points) {
+      if (p.id == space::kInvalidPointId) continue;
+      base_ = std::min(base_, p.id);
+      hi = std::max(hi, p.id);
     }
+    if (base_ == space::kInvalidPointId) return;
+    slots_.assign(static_cast<std::size_t>(hi - base_) + 1, kNone);
+    for (std::size_t i = 0; i < points.size(); ++i)
+      if (points[i].id != space::kInvalidPointId)
+        slots_[static_cast<std::size_t>(points[i].id - base_)] = i;
   }
 
-  // Pass 2: lost points fall back to the nearest node in the whole network
-  // (the ĝuests⁻¹(x) = nodes case of §IV-A).  The index is built lazily —
-  // converged runs have no lost points and skip it entirely.
-  std::optional<space::SpatialIndex> index;
+  /// The index of `id` in the points, or kNone when no point carries it.
+  std::size_t find(space::PointId id) const {
+    if (id < base_ || id - base_ >= slots_.size()) return kNone;
+    return slots_[static_cast<std::size_t>(id - base_)];
+  }
+
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+ private:
+  space::PointId base_ = space::kInvalidPointId;
+  std::vector<std::size_t> slots_;
+};
+
+}  // namespace
+
+double homogeneity(const space::MetricSpace& space,
+                   std::span<const space::DataPoint> points,
+                   const ForEachHost& hosts) {
+  // Pass 1: for every hosted point, the distance from the original point
+  // to its closest holder.  A guest's own copy of the position is not
+  // read: a corrupted frame can alter it in flight.
+  const PointIndex index(points);
+  std::vector<double> best(points.size(),
+                           std::numeric_limits<double>::infinity());
+  std::size_t alive = 0;
+  hosts([&](const space::Point& pos,
+            std::span<const space::DataPoint> guests) {
+    ++alive;
+    for (const auto& g : guests) {
+      const std::size_t i = index.find(g.id);
+      if (i != PointIndex::kNone)
+        best[i] = std::min(best[i], space.distance(points[i].pos, pos));
+    }
+  });
+  if (alive == 0) return 0.0;
+
+  // Pass 2: lost points fall back to the nearest alive node (the
+  // ĝuests⁻¹(x) = nodes case of §IV-A).  Right after a catastrophe half
+  // the points are lost at once, so an index over the alive positions
+  // answers each fallback in ~O(1) expected instead of an O(alive) scan.
+  // It is built lazily: converged runs have no lost point and skip it.
+  std::optional<space::SpatialIndex> nearest;
   double sum = 0.0;
-  for (const auto& p : initial_points) {
-    double d = best[p.id];
+  std::size_t counted = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].id == space::kInvalidPointId) continue;
+    double d = best[i];
     if (!std::isfinite(d)) {
-      if (!index) {
+      if (!nearest) {
         std::vector<space::Point> positions;
-        positions.reserve(alive.size());
-        for (sim::NodeId n : alive) positions.push_back(view.position(n));
-        index.emplace(space, std::move(positions));
+        positions.reserve(alive);
+        hosts([&](const space::Point& pos, std::span<const space::DataPoint>) {
+          positions.push_back(pos);
+        });
+        nearest.emplace(space, std::move(positions));
       }
-      d = index->empty() ? 0.0 : index->nearest_distance(p.pos);
+      d = nearest->nearest_distance(points[i].pos);
     }
     sum += d;
+    ++counted;
   }
-  return sum / static_cast<double>(initial_points.size());
+  return counted ? sum / static_cast<double>(counted) : 0.0;
 }
 
-double reliability(const sim::Network& net,
-                   std::span<const space::DataPoint> initial_points,
-                   const HostingView& view) {
-  if (initial_points.empty()) return 1.0;
-  space::PointId max_id = 0;
-  for (const auto& p : initial_points) max_id = std::max(max_id, p.id);
-  std::vector<bool> hosted(max_id + 1, false);
-  for (sim::NodeId n : net.alive_ids())
-    for (const auto& g : view.guests(n))
-      if (g.id <= max_id) hosted[g.id] = true;
+double reliability(std::span<const space::DataPoint> points,
+                   const ForEachHost& hosts) {
+  const PointIndex index(points);
+  std::vector<bool> hosted(points.size(), false);
+  hosts([&](const space::Point&, std::span<const space::DataPoint> guests) {
+    for (const auto& g : guests) {
+      const std::size_t i = index.find(g.id);
+      if (i != PointIndex::kNone) hosted[i] = true;
+    }
+  });
+  std::size_t total = 0;
   std::size_t surviving = 0;
-  for (const auto& p : initial_points)
-    if (hosted[p.id]) ++surviving;
-  return static_cast<double>(surviving) /
-         static_cast<double>(initial_points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].id == space::kInvalidPointId) continue;
+    ++total;
+    if (hosted[i]) ++surviving;
+  }
+  return total ? static_cast<double>(surviving) / static_cast<double>(total)
+               : 1.0;
 }
 
 double proximity(const sim::Network& net, const space::MetricSpace& space,

@@ -12,9 +12,10 @@
 //  * data points per node — guests + ghosts (memory overhead).
 //  * message cost   — per node per round, from sim::TrafficMeter.
 //
-// The functions take callbacks for guest sets and positions so that the
-// same code measures Polystyrene runs (real guest sets) and bare T-Man runs
-// (each initial node implicitly hosts its own original point, §IV-A).
+// Homogeneity and reliability have one definition for every engine: each
+// takes the original points and a visitor over the alive nodes, which
+// Simulation, EventCluster and LiveCluster feed in place (bare T-Man runs
+// visit each initial node with its own original point, §IV-A).
 #pragma once
 
 #include <functional>
@@ -27,26 +28,29 @@
 
 namespace poly::metrics {
 
-/// Access to who hosts what and where nodes sit, independent of the stack
-/// being measured.
-struct HostingView {
-  /// Guest data points of an alive node (may be empty).
-  std::function<std::span<const space::DataPoint>(sim::NodeId)> guests;
-  /// Current virtual position of an alive node.
-  std::function<const space::Point&(sim::NodeId)> position;
-};
+/// One alive node as the hosting metrics see it: its current position and
+/// the data points it hosts (may be empty).
+using HostVisit = std::function<void(const space::Point& position,
+                                     std::span<const space::DataPoint> guests)>;
+/// Calls the visit once per alive node, in a fixed order.
+using ForEachHost = std::function<void(const HostVisit&)>;
 
-/// Homogeneity (lower is better).  `initial_points` are the original data
-/// points defining the shape; identity is matched by PointId.
-double homogeneity(const sim::Network& net, const space::MetricSpace& space,
-                   std::span<const space::DataPoint> initial_points,
-                   const HostingView& view);
+/// Homogeneity (lower is better): the mean, over the original `points`, of
+/// the distance to the closest alive node hosting the point, or to the
+/// nearest alive node if none does.  Identity is matched by PointId, over
+/// a map as long as the id range (shapes mint ids sequentially); guests
+/// with other ids are not measured, and injected sentinels
+/// (kInvalidPointId) are skipped.
+/// 0 when no point is counted or no node is alive.  Calls `hosts` a second
+/// time, for the positions alone, only when a point is lost.
+double homogeneity(const space::MetricSpace& space,
+                   std::span<const space::DataPoint> points,
+                   const ForEachHost& hosts);
 
-/// Fraction of initial data points hosted by at least one alive node
-/// (measured after recovery; Table II's "Reliability").
-double reliability(const sim::Network& net,
-                   std::span<const space::DataPoint> initial_points,
-                   const HostingView& view);
+/// Fraction of the original points hosted by at least one alive node
+/// (Table II's "Reliability"); 1 when no point is counted.
+double reliability(std::span<const space::DataPoint> points,
+                   const ForEachHost& hosts);
 
 /// Proximity (lower is better): mean over alive nodes of the mean distance
 /// to their k closest alive topology neighbours (nodes with empty

@@ -5,10 +5,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "metrics/metrics.hpp"
-#include "net/fleet_metrics.hpp"
-#include "net/inproc_transport.hpp"
-#include "net/tcp_transport.hpp"
 #include "space/medoid.hpp"
 #include "util/log.hpp"
 
@@ -69,13 +65,14 @@ AsyncNode::AsyncNode(LiveNodeId id,
                      std::shared_ptr<const space::MetricSpace> space,
                      std::unique_ptr<Transport> transport,
                      std::optional<space::DataPoint> initial,
-                     AsyncConfig config, std::uint64_t seed,
+                     AsyncConfig config, std::uint64_t seed, ClockFn clock,
                      util::Arena* arena, AsyncScratch* scratch)
     : id_(id),
       space_(std::move(space)),
       transport_(std::move(transport)),
       addr_(transport_->address()),
       cfg_(config),
+      clock_(std::move(clock)),
       rng_(seed),
       own_arena_(arena == nullptr
                      ? std::make_unique<util::Arena>(std::size_t{4} << 10)
@@ -103,10 +100,7 @@ AsyncNode::AsyncNode(LiveNodeId id,
   transport_->set_handler([this](Message& msg) { on_message(msg); });
 }
 
-AsyncNode::~AsyncNode() {
-  stop();
-  transport_->shutdown();
-}
+AsyncNode::~AsyncNode() { transport_->shutdown(); }
 
 void AsyncNode::bootstrap(const std::vector<Seed>& seeds) {
   util::MutexLock lk(state_mu_);
@@ -117,58 +111,13 @@ void AsyncNode::bootstrap(const std::vector<Seed>& seeds) {
   }
 }
 
-void AsyncNode::set_manual_drive(ClockFn clock) {
-  util::MutexLock lk(stop_mu_);
-  manual_ = true;
-  clock_ = std::move(clock);
-}
-
-void AsyncNode::drive_tick() {
-  {
-    util::MutexLock lk(stop_mu_);
-    if (!started_ || crashed_) return;
-  }
-  on_tick();
-}
-
-void AsyncNode::start() {
-  util::MutexLock lk(stop_mu_);
-  if (started_ || crashed_) return;
-  started_ = true;
-  stop_requested_ = false;
-  if (!manual_) ticker_ = std::thread([this] { tick_loop(); });
-}
-
-void AsyncNode::stop() {
-  {
-    util::MutexLock lk(stop_mu_);
-    if (!started_) return;
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  if (ticker_.joinable()) ticker_.join();
-  util::MutexLock lk(stop_mu_);
-  started_ = false;
-}
-
 void AsyncNode::crash() {
-  {
-    util::MutexLock lk(stop_mu_);
-    crashed_ = true;
-  }
-  // Kill the transport first: peers immediately see contact failures, and
-  // no further handler invocations can touch our state.
+  // Peers immediately see contact failures, and no further handler
+  // invocations can touch our state.
   transport_->shutdown();
-  stop();
 }
 
 void AsyncNode::recover(std::unique_ptr<Transport> transport) {
-  {
-    util::MutexLock lk(stop_mu_);
-    if (!crashed_) return;
-    crashed_ = false;
-    stop_requested_ = false;
-  }
   util::MutexLock lk(state_mu_);
   transport_ = std::move(transport);
   transport_->set_handler([this](Message& msg) { on_message(msg); });
@@ -186,27 +135,7 @@ std::uint64_t AsyncNode::frames_rejected() const {
   return frames_rejected_;
 }
 
-bool AsyncNode::running() const {
-  util::MutexLock lk(stop_mu_);
-  return started_ && !crashed_;
-}
-
-void AsyncNode::tick_loop() {
-  for (;;) {
-    {
-      util::MutexLock lk(stop_mu_);
-      if (stop_cv_.wait_for(stop_mu_, cfg_.tick, [this]() REQUIRES(stop_mu_) {
-            return stop_requested_;
-          }))
-        return;
-    }
-    // Tick outside stop_mu_: on_tick takes state_mu_, and stop() must be
-    // able to set stop_requested_ while a tick is in flight.
-    on_tick();
-  }
-}
-
-void AsyncNode::on_tick() {
+void AsyncNode::tick() {
   util::MutexLock lk(state_mu_);
   step_rps();
   step_tman();
@@ -573,12 +502,12 @@ void AsyncNode::handle_backup_push(const Header& h,
   GhostTable::Slot& slot = ghosts_.find_or_insert(h.sender);
   to_point_set_into(guests, slot.points);
   slot.addr.assign(h.sender_addr);
-  slot.last_push = clock_now();
+  slot.last_push = clock_();
 }
 
 void AsyncNode::step_recovery() {
   if (migrating_) return;  // guests frozen during an exchange
-  const auto now = clock_now();
+  const auto now = clock_();
   bool changed = false;
   for (std::size_t i = 0; i < ghosts_.size();) {
     if (now - ghosts_[i].last_push > cfg_.origin_timeout) {
@@ -739,134 +668,6 @@ std::size_t AsyncNode::backup_target_count() const {
 std::size_t AsyncNode::state_heap_bytes() const {
   util::MutexLock lk(state_mu_);
   return guests_.capacity() * sizeof(space::DataPoint) + ghosts_.heap_bytes();
-}
-
-// ---- LiveCluster ---------------------------------------------------------------------
-
-LiveCluster::LiveCluster(std::shared_ptr<const space::MetricSpace> space,
-                         const std::vector<space::DataPoint>& points,
-                         AsyncConfig config, std::uint64_t seed, bool use_tcp)
-    : space_(std::move(space)),
-      points_(points),
-      cfg_(config),
-      seed_(seed),
-      use_tcp_(use_tcp) {
-  if (!use_tcp_) hub_ = InProcHub::create();
-  util::Rng rng(seed);
-
-  auto make_transport = [&](std::size_t i) -> std::unique_ptr<Transport> {
-    if (use_tcp_) return std::make_unique<TcpTransport>();
-    return hub_->make_endpoint("node-" + std::to_string(i));
-  };
-
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    nodes_.push_back(std::make_unique<AsyncNode>(
-        static_cast<LiveNodeId>(i), space_, make_transport(i), points_[i],
-        cfg_, rng.split().next_u64()));
-    crashed_.push_back(false);
-  }
-  // Bootstrap: every node learns a random sample of contacts.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    std::vector<Seed> seeds;
-    for (std::size_t j :
-         rng.sample_indices(nodes_.size(),
-                            std::min(cfg_.rps_view, nodes_.size())))
-      if (j != i)
-        seeds.push_back(Seed{static_cast<LiveNodeId>(j),
-                             nodes_[j]->address()});
-    nodes_[i]->bootstrap(seeds);
-  }
-}
-
-LiveCluster::~LiveCluster() { stop(); }
-
-void LiveCluster::start() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (!crashed_[i]) nodes_[i]->start();
-}
-
-void LiveCluster::stop() {
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (!crashed_[i]) nodes_[i]->stop();
-}
-
-std::size_t LiveCluster::crash_region(
-    const std::function<bool(const space::Point&)>& pred) {
-  std::size_t crashed = 0;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (!crashed_[i] && pred(points_[i].pos)) {
-      nodes_[i]->crash();
-      crashed_[i] = true;
-      ++crashed;
-    }
-  }
-  return crashed;
-}
-
-bool LiveCluster::crash_node(std::size_t idx) {
-  if (idx >= nodes_.size() || crashed_[idx]) return false;
-  nodes_[idx]->crash();
-  crashed_[idx] = true;
-  return true;
-}
-
-std::vector<space::Point> LiveCluster::alive_positions() const {
-  std::vector<space::Point> out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (!crashed_[i]) out.push_back(nodes_[i]->position());
-  return out;
-}
-
-std::size_t LiveCluster::inject(const space::Point& pos) {
-  util::Rng rng(seed_ ^ (0x9e37u + nodes_.size()));
-  const auto idx = nodes_.size();
-  std::unique_ptr<Transport> transport =
-      use_tcp_ ? std::unique_ptr<Transport>(std::make_unique<TcpTransport>())
-               : std::unique_ptr<Transport>(
-                     hub_->make_endpoint("node-" + std::to_string(idx)));
-  auto node = std::make_unique<AsyncNode>(
-      static_cast<LiveNodeId>(idx), space_, std::move(transport),
-      std::nullopt, cfg_, rng.next_u64());
-  // A fresh node starts at its assigned position until migration hands it
-  // guests; seed it from the alive population.
-  std::vector<Seed> seeds;
-  for (std::size_t j = 0; j < nodes_.size() && seeds.size() < cfg_.rps_view;
-       ++j)
-    if (!crashed_[j])
-      seeds.push_back(Seed{static_cast<LiveNodeId>(j), nodes_[j]->address()});
-  node->bootstrap(seeds);
-  node->start();
-  nodes_.push_back(std::move(node));
-  crashed_.push_back(false);
-  points_.push_back({space::kInvalidPointId, pos});
-  return idx;
-}
-
-std::vector<FleetNodeState> LiveCluster::alive_states() const {
-  std::vector<FleetNodeState> alive;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (!crashed_[i])
-      alive.push_back(FleetNodeState{nodes_[i]->position(),
-                                     nodes_[i]->guests()});
-  return alive;
-}
-
-double LiveCluster::homogeneity() const {
-  return fleet_homogeneity(*space_, points_, alive_states());
-}
-
-double LiveCluster::reliability() const {
-  return fleet_reliability(points_, alive_states());
-}
-
-double LiveCluster::proximity(std::size_t k) const {
-  return metrics::proximity(*space_, alive_positions(), k);
-}
-
-std::size_t LiveCluster::alive_count() const {
-  std::size_t n = 0;
-  for (bool c : crashed_) n += c ? 0 : 1;
-  return n;
 }
 
 }  // namespace poly::net

@@ -1,13 +1,16 @@
-// The live Polystyrene runtime: the full protocol stack (RPS + T-Man +
-// Polystyrene) running on real threads and real transports, without the
-// round-based simulator.
+// The message-passing Polystyrene node: the full protocol stack (RPS +
+// T-Man + Polystyrene) over a Transport, without the round-based
+// simulator.
 //
 // The paper's system model (§III-A) assumes message-passing nodes over
 // reliable channels with a possibly-imperfect failure detector.  AsyncNode
-// realizes that model: each node owns a Transport endpoint and a ticker
-// thread; every tick it performs one asynchronous "round" — an RPS shuffle,
-// a T-Man exchange, backup pushes, a recovery check, and one migration
-// attempt.  Failure detection combines two signals: send failures (contact
+// realizes that model as a protocol state machine: each node owns a
+// Transport endpoint, and each tick() its driver calls performs one
+// asynchronous "round" — an RPS shuffle, a T-Man exchange, backup pushes,
+// a recovery check, and one migration attempt.  The drivers own time and
+// liveness: engine::EventCluster ticks nodes from engine events on a
+// virtual clock, net::LiveCluster from one thread per node on the wall
+// clock.  Failure detection combines two signals: send failures (contact
 // refused ⇒ peer gone) and backup-push staleness (an origin that has not
 // pushed within the timeout is considered dead and its ghosts reactivate).
 //
@@ -29,11 +32,10 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "core/point_set.hpp"
@@ -49,8 +51,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace poly::net {
-
-struct FleetNodeState;  // net/fleet_metrics.hpp
 
 /// Tunables of the live runtime (scaled-down defaults suit tests and the
 /// live_async example; semantics mirror the simulator's configs).
@@ -119,8 +119,8 @@ struct Seed {
 /// Externally synchronized: AsyncScratch itself carries no lock and no
 /// single-thread checker on purpose.  Which mutex covers it depends on the
 /// owner — a live node's scratch is covered by that node's state_mu_
-/// (both the ticker and the transport pump touch it, always under the
-/// lock), while an engine fleet's shared scratch is covered by the
+/// (both its ticker thread and the transport pump touch it, always under
+/// the lock), while an engine fleet's shared scratch is covered by the
 /// fleet's single-driver discipline.  Do not add a SingleThreadChecker
 /// here: the live two-thread case is legal.
 struct AsyncScratch {
@@ -137,11 +137,16 @@ struct AsyncScratch {
   void bind(util::Arena& arena, const AsyncConfig& cfg);
 };
 
-/// One live node.
+/// One message-passing node.
 class AsyncNode {
  public:
+  /// Source of "now" for timeout bookkeeping: the engine's virtual clock
+  /// in engine fleets, the wall clock in LiveCluster.
+  using ClockFn = std::function<std::chrono::steady_clock::time_point()>;
+
   /// `initial` is the node's original data point (nullopt for fresh nodes
-  /// joining after a catastrophe, as in the paper's Phase 3).
+  /// joining after a catastrophe, as in the paper's Phase 3).  `clock` is
+  /// the node's only source of time.
   ///
   /// `arena`/`scratch` place the node's view storage and working buffers:
   /// fleet owners pass a shared arena (and, when every node runs on one
@@ -151,42 +156,24 @@ class AsyncNode {
   AsyncNode(LiveNodeId id, std::shared_ptr<const space::MetricSpace> space,
             std::unique_ptr<Transport> transport,
             std::optional<space::DataPoint> initial, AsyncConfig config,
-            std::uint64_t seed, util::Arena* arena = nullptr,
+            std::uint64_t seed, ClockFn clock, util::Arena* arena = nullptr,
             AsyncScratch* scratch = nullptr);
   ~AsyncNode();
 
   AsyncNode(const AsyncNode&) = delete;
   AsyncNode& operator=(const AsyncNode&) = delete;
 
-  /// Introduces bootstrap contacts (call before start()).
+  /// Introduces bootstrap contacts (call before the first tick).
   void bootstrap(const std::vector<Seed>& seeds);
 
-  // ---- engine drive -----------------------------------------------------
+  /// One protocol round on the caller's thread: RPS shuffle, T-Man
+  /// exchange, recovery check, backup pushes, one migration attempt.  The
+  /// driver ticks alive nodes only.
+  void tick() EXCLUDES(state_mu_);
 
-  /// Source of "now" for timeout bookkeeping (virtual clocks in engine
-  /// runs; defaults to steady_clock).
-  using ClockFn = std::function<std::chrono::steady_clock::time_point()>;
-
-  /// Switches the node to engine-driven (manual) mode: start()/stop() no
-  /// longer manage a ticker thread, time is read from `clock`, and the
-  /// owner advances the protocol by calling drive_tick().  The protocol
-  /// logic — on_tick and the on_message handlers — is unchanged; only the
-  /// thread and the clock are replaced.  Call before start().
-  void set_manual_drive(ClockFn clock);
-
-  /// Executes one protocol tick on the caller's thread.  Manual mode only;
-  /// a no-op before start() and after stop()/crash().
-  void drive_tick();
-
-  /// Starts the node: spawns the ticker thread, or (manual mode) just arms
-  /// drive_tick().  Idempotent.
-  void start();
-
-  /// Graceful stop: finishes the current tick, keeps state inspectable.
-  void stop();
-
-  /// Crash-stop: kills the transport and the ticker immediately; peers see
-  /// contact failures and stale backups, exactly like a process kill.
+  /// Crash-stop: shuts the transport, so peers see contact failures and
+  /// stale backups, exactly like a process kill.  The driver stops
+  /// ticking the node first.
   void crash();
 
   /// Rejoins a crashed node under a fresh transport registered at the
@@ -195,9 +182,9 @@ class AsyncNode {
   /// endpoint and re-resolve by name).  All protocol state survives as-is:
   /// the node restarts with its pre-crash — now stale — views, guests and
   /// backups, like a process restarted from a warm checkpoint.  Any
-  /// half-open migration handshake is abandoned.  No-op unless crashed;
-  /// the caller start()s the node afterwards.
-  void recover(std::unique_ptr<Transport> transport);
+  /// half-open migration handshake is abandoned.  The driver resumes
+  /// ticking the node afterwards.
+  void recover(std::unique_ptr<Transport> transport) EXCLUDES(state_mu_);
 
   // ---- thread-safe inspection ------------------------------------------
 
@@ -229,6 +216,13 @@ class AsyncNode {
                                        std::uint64_t version),
                             void* ctx) const;
   core::PointSet guests() const;
+  /// Calls fn(position, guests) under one acquisition of the state lock,
+  /// reading the guest set in place: the hosting metrics' visit.
+  template <class Fn>
+  void visit_hosting(Fn&& fn) const EXCLUDES(state_mu_) {
+    util::MutexLock lk(state_mu_);
+    fn(pos_, std::span<const space::DataPoint>(guests_));
+  }
   std::size_t ghost_point_count() const;
   std::size_t tman_view_size() const;
   std::size_t rps_view_size() const;
@@ -247,13 +241,8 @@ class AsyncNode {
     util::MutexLock lk(state_mu_);
     return frames_overlong_;
   }
-  bool running() const;
 
  private:
-  // Ticker.
-  void tick_loop();
-  void on_tick();
-
   // Message handling (transport pump thread).  on_message takes state_mu_
   // and decodes into the scratch buffers; the handle_* methods run with
   // the lock held and read the decoded scratch.
@@ -313,27 +302,16 @@ class AsyncNode {
   Header header(MsgType type) const;
   const std::vector<WirePoint>& wire_guests() const REQUIRES(state_mu_);
 
-  /// Current time per the injected clock (manual mode) or steady_clock.
-  std::chrono::steady_clock::time_point clock_now() const {
-    // DETLINT-ALLOW(nondet-source): live-mode fallback only — every
-    // deterministic (engine) fleet injects a virtual clock via
-    // set_manual_drive, so fixed-seed runs never reach the real clock
-    return clock_ ? clock_() : std::chrono::steady_clock::now();
-  }
-
   const LiveNodeId id_;
   std::shared_ptr<const space::MetricSpace> space_;
   std::unique_ptr<Transport> transport_;
   Address addr_;  // cached transport_->address()
   AsyncConfig cfg_;
-  // Drive mode: written before start() (under stop_mu_), immutable once
-  // the node runs — clock_now() reads clock_ lock-free on that contract.
-  bool manual_ = false;
-  ClockFn clock_;
+  const ClockFn clock_;  // set at construction, read lock-free
 
   /// Guards all protocol state below (views, guests, ghosts, migration
   /// handshake, the scratch buffers, the endpoint cache) across the two
-  /// threads that touch it: the ticker (on_tick) and the transport pump
+  /// threads that may touch it: the driver (tick) and the transport pump
   /// (on_message).
   mutable util::Mutex state_mu_;
   util::Rng rng_ GUARDED_BY(state_mu_);
@@ -400,73 +378,6 @@ class AsyncNode {
   };
   static constexpr std::size_t kEpCacheSlots = 32;
   util::ArenaVec<EpCacheSlot> ep_cache_ GUARDED_BY(state_mu_);
-
-  // Lifecycle.
-  std::thread ticker_;
-  util::CondVar stop_cv_;
-  mutable util::Mutex stop_mu_;
-  bool stop_requested_ GUARDED_BY(stop_mu_) = false;
-  bool started_ GUARDED_BY(stop_mu_) = false;
-  bool crashed_ GUARDED_BY(stop_mu_) = false;
-};
-
-/// Convenience: builds, bootstraps (full mesh of seeds) and starts a fleet
-/// of in-process nodes over a shared hub.  Used by tests and the
-/// live_async example.
-class LiveCluster {
- public:
-  /// One node per data point; all nodes know `fanout` random seeds.
-  LiveCluster(std::shared_ptr<const space::MetricSpace> space,
-              const std::vector<space::DataPoint>& points,
-              AsyncConfig config, std::uint64_t seed, bool use_tcp = false);
-  ~LiveCluster();
-
-  void start();
-  void stop();
-
-  std::size_t size() const { return nodes_.size(); }
-  AsyncNode& node(std::size_t i) { return *nodes_[i]; }
-
-  /// Crash-stops every node whose *original* data point satisfies pred.
-  std::size_t crash_region(
-      const std::function<bool(const space::Point&)>& pred);
-
-  /// Crash-stops node `idx`; returns false when out of range or already
-  /// crashed (scenario programs crash explicit id lists).
-  bool crash_node(std::size_t idx);
-
-  /// Injects a fresh node (no data point) at `pos`, bootstrapped from the
-  /// alive nodes; returns its index.
-  std::size_t inject(const space::Point& pos);
-
-  /// Current advertised position of every alive node, in id order
-  /// (snapshot density maps).
-  std::vector<space::Point> alive_positions() const;
-
-  /// Mean distance from every original data point to the closest alive
-  /// node hosting it (homogeneity over the live fleet; lost points fall
-  /// back to the nearest alive node).
-  double homogeneity() const;
-
-  /// Fraction of original points hosted by at least one alive node.
-  double reliability() const;
-
-  /// Geometric proximity (SpatialIndex k-NN over alive node positions).
-  double proximity(std::size_t k = 4) const;
-
-  std::size_t alive_count() const;
-
- private:
-  std::vector<FleetNodeState> alive_states() const;
-
-  std::shared_ptr<const space::MetricSpace> space_;
-  std::vector<space::DataPoint> points_;
-  AsyncConfig cfg_;
-  std::uint64_t seed_;
-  bool use_tcp_;
-  std::shared_ptr<class InProcHub> hub_;
-  std::vector<std::unique_ptr<AsyncNode>> nodes_;
-  std::vector<bool> crashed_;
 };
 
 }  // namespace poly::net

@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "engine/event_cluster.hpp"
-#include "net/runtime.hpp"
+#include "net/live_cluster.hpp"
 #include "sim/traffic.hpp"
 #include "traffic/workload.hpp"
 

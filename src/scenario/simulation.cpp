@@ -134,30 +134,23 @@ void Simulation::morph_shape(
   }
 }
 
-metrics::HostingView Simulation::hosting_view() const {
-  metrics::HostingView view;
-  if (poly_) {
-    const auto* poly = poly_.get();
-    view.guests = [poly](sim::NodeId n) {
-      return std::span<const space::DataPoint>(poly->guests(n));
-    };
-  } else {
-    const auto* own = &own_point_;
-    view.guests = [own](sim::NodeId n) {
-      const auto& slot = (*own)[n];
-      return slot ? std::span<const space::DataPoint>(&*slot, 1)
-                  : std::span<const space::DataPoint>();
-    };
-  }
-  const auto* tp = topo_;
-  view.position = [tp](sim::NodeId n) -> const space::Point& {
-    return tp->position(n);
+metrics::ForEachHost Simulation::hosts() const {
+  return [this](const metrics::HostVisit& visit) {
+    for (sim::NodeId n : net_.alive_ids()) {
+      if (poly_) {
+        visit(topo_->position(n), poly_->guests(n));
+      } else {
+        const auto& own = own_point_[n];
+        visit(topo_->position(n),
+              own ? std::span<const space::DataPoint>(&*own, 1)
+                  : std::span<const space::DataPoint>());
+      }
+    }
   };
-  return view;
 }
 
 double Simulation::homogeneity() const {
-  return metrics::homogeneity(net_, space_, initial_points_, hosting_view());
+  return metrics::homogeneity(space_, initial_points_, hosts());
 }
 
 double Simulation::proximity(std::size_t k) const {
@@ -178,7 +171,7 @@ double Simulation::avg_points_per_node() const {
 }
 
 double Simulation::reliability() const {
-  return metrics::reliability(net_, initial_points_, hosting_view());
+  return metrics::reliability(initial_points_, hosts());
 }
 
 double Simulation::reference_homogeneity() const {

@@ -149,7 +149,8 @@ class Simulation {
   }
 
  private:
-  metrics::HostingView hosting_view() const;
+  /// Visits every alive node, in alive_ids() order.
+  metrics::ForEachHost hosts() const;
 
   const shape::Shape& shape_;
   SimulationConfig config_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -63,19 +62,6 @@ std::string ascii_density_map(const space::MetricSpace& space,
   }
   os << '+' << std::string(cols, '-') << "+\n";
   return os.str();
-}
-
-bool write_positions_csv(const Simulation& sim, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << "node_id,x,y,guests\n";
-  const auto* poly = sim.polystyrene();
-  for (sim::NodeId n : sim.network().alive_ids()) {
-    const auto& p = sim.position(n);
-    const std::size_t guests = poly ? poly->guests(n).size() : 1;
-    f << n << ',' << p.x() << ',' << p.y() << ',' << guests << '\n';
-  }
-  return static_cast<bool>(f);
 }
 
 std::string summary_line(const Simulation& sim) {

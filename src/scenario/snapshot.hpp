@@ -1,9 +1,10 @@
 // Snapshots of the overlay for the paper's visual figures (Figs. 1, 8, 9).
 //
-// We cannot draw the paper's scatter plots in a terminal, so snapshot output
-// comes in two forms: an ASCII density map (each cell shows how many nodes
-// currently project into it — a uniform map is a healthy shape, an empty
-// half is Fig. 1c) and a CSV of node positions for external plotting.
+// We cannot draw the paper's scatter plots in a terminal, so a snapshot is
+// an ASCII density map: each cell shows how many nodes currently project
+// into it — a uniform map is a healthy shape, an empty half is Fig. 1c.
+// (scenario::print_events writes snapshot positions as CSV for external
+// plotting.)
 #pragma once
 
 #include <span>
@@ -25,10 +26,6 @@ std::string ascii_density_map(const Simulation& sim, std::size_t cols = 40,
 std::string ascii_density_map(const space::MetricSpace& space,
                               std::span<const space::Point> positions,
                               std::size_t cols = 40, std::size_t rows = 20);
-
-/// Writes "node_id,x,y,guests" rows for every alive node.
-/// Returns false on I/O failure.
-bool write_positions_csv(const Simulation& sim, const std::string& path);
 
 /// Summary line: round, alive count, homogeneity vs reference, proximity.
 std::string summary_line(const Simulation& sim);

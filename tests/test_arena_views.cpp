@@ -160,9 +160,7 @@ struct HostileRig {
     auto points = shape.generate();
     node = std::make_unique<net::AsyncNode>(
         net::LiveNodeId{1}, shape.space_ptr(), hub.make_endpoint("node-1"),
-        points[0], cfg, /*seed=*/3);
-    node->set_manual_drive([this] { return engine.clock(); });
-    node->start();
+        points[0], cfg, /*seed=*/3, [this] { return engine.clock(); });
     attacker = hub.make_endpoint("attacker");
     attacker->set_handler([](net::Message&) {});
   }
@@ -256,7 +254,8 @@ TEST(CappedViews, OverlongOwnAddressIsRejectedAtConstruction) {
   auto points = rig.shape.generate();
   EXPECT_THROW(net::AsyncNode(net::LiveNodeId{2}, rig.shape.space_ptr(),
                               rig.hub.make_endpoint(std::string(30, 'n')),
-                              points[1], rig.cfg, /*seed=*/4),
+                              points[1], rig.cfg, /*seed=*/4,
+                              [&rig] { return rig.engine.clock(); }),
                std::invalid_argument);
 }
 
@@ -315,8 +314,8 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
     nodes.push_back(std::make_unique<net::AsyncNode>(
         static_cast<net::LiveNodeId>(i), shape.space_ptr(),
         hub.make_endpoint("node-" + std::to_string(i)), std::nullopt, cfg,
-        /*seed=*/1000 + i, &arena, &scratch));
-    nodes.back()->set_manual_drive([&engine] { return engine.clock(); });
+        /*seed=*/1000 + i, [&engine] { return engine.clock(); }, &arena,
+        &scratch));
   }
   util::Rng boot(99);
   for (std::size_t i = 0; i < kNodes; ++i) {
@@ -326,7 +325,6 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
         seeds.push_back(net::Seed{static_cast<net::LiveNodeId>(j),
                                   nodes[j]->address()});
     nodes[i]->bootstrap(seeds);
-    nodes[i]->start();
   }
 
   // Self-rescheduling engine ticks with random phase offsets, exactly as
@@ -344,7 +342,7 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
     TickCtx* ctx;
     std::size_t idx;
     void operator()() {
-      (*ctx->nodes)[idx]->drive_tick();
+      (*ctx->nodes)[idx]->tick();
       ctx->engine->schedule_after(ctx->period, Tick{ctx, idx});
     }
   };

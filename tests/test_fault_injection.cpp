@@ -162,9 +162,8 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
   auto ep = hub.make_endpoint("victim");
   auto attacker = hub.make_endpoint("attacker");
   poly::net::AsyncNode victim(0, shape.space_ptr(), std::move(ep),
-                              points.at(0), {}, /*seed=*/5);
-  victim.set_manual_drive([&] { return engine.clock(); });
-  victim.start();
+                              points.at(0), {}, /*seed=*/5,
+                              [&] { return engine.clock(); });
 
   // A valid frame, then mutations of it: truncated, type-mangled, and a
   // flipped length prefix.  The valid frame must be handled (rejects stay
@@ -195,7 +194,6 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
 
   EXPECT_NO_THROW(engine.run());
   EXPECT_EQ(victim.frames_rejected(), expect_rejects);
-  victim.stop();
 }
 
 TEST(CorruptionHardening, FleetSurvivesTotalCorruption) {
@@ -251,6 +249,22 @@ TEST(EventClusterFaults, RecoverRejoinsWithCountersAndAliveness) {
   fleet.run_rounds(30);
   EXPECT_EQ(fleet.alive_count(), 16u);
   EXPECT_GT(fleet.reliability(), 0.9);
+}
+
+TEST(EventClusterFaults, CrashAndRecoverInOnePeriodKeepsOneTickChain) {
+  // The crashed life's next tick is still pending when the recovery starts
+  // a new chain; it must end instead of ticking on beside the new one.
+  poly::shape::RingShape shape(1, 1.0);
+  EventCluster fleet(shape.space_ptr(), shape.generate(),
+                     EventClusterConfig{}, 3);
+  fleet.run_rounds(2);
+  ASSERT_TRUE(fleet.crash_node(0));
+  ASSERT_TRUE(fleet.recover_node(0));
+  fleet.run_rounds(1);  // the crashed life's pending tick comes due
+  const std::uint64_t before = fleet.engine().events_executed();
+  fleet.run_rounds(10);
+  // A lone node sends nothing: every event is one of its ticks.
+  EXPECT_EQ(fleet.engine().events_executed() - before, 10u);
 }
 
 // ---- whole-trajectory determinism with faults active ------------------------

@@ -12,7 +12,7 @@
 
 #include "net/inproc_transport.hpp"
 #include "net/messages.hpp"
-#include "net/runtime.hpp"
+#include "net/live_cluster.hpp"
 #include "net/tcp_transport.hpp"
 #include "shape/grid_torus.hpp"
 #include "shape/ring_shape.hpp"

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 
 #include "scenario/simulation.hpp"
 #include "scenario/snapshot.hpp"
@@ -136,20 +135,6 @@ TEST(Snapshot, RingDensityIsOneRow) {
   const std::string map = poly::scenario::ascii_density_map(sim, 16, 4);
   // Header + 1 histogram row + footer.
   EXPECT_EQ(std::count(map.begin(), map.end(), '\n'), 3);
-}
-
-TEST(Snapshot, PositionsCsvWrites) {
-  GridTorusShape shape(4, 4);
-  Simulation sim(shape, {});
-  const std::string path = ::testing::TempDir() + "/poly_positions.csv";
-  ASSERT_TRUE(poly::scenario::write_positions_csv(sim, path));
-  std::ifstream f(path);
-  std::string header;
-  std::getline(f, header);
-  EXPECT_EQ(header, "node_id,x,y,guests");
-  std::size_t lines = 0;
-  for (std::string line; std::getline(f, line);) ++lines;
-  EXPECT_EQ(lines, 16u);
 }
 
 TEST(Snapshot, SummaryLineContainsMetrics) {

@@ -59,6 +59,8 @@ def table_rows(text, cols):
         cells = [c.strip() for c in line.strip("|\n").split("|")]
         if len(cells) != len(header):
             break
+        if all(re.fullmatch(r"-+", c) for c in cells):
+            continue  # the markdown separator under the header
         rows.append(dict(zip(header, cells)))
     return rows
 

@@ -1,21 +1,25 @@
-// Live deployment: the full stack on real threads and real transports.
+// Live deployment: the full stack, paced by the wall clock.
 //
 // Everything in the other examples runs on the deterministic round-based
 // simulator (the paper's methodology).  This example runs the same
-// protocols — RPS, T-Man, Polystyrene — as a fleet of AsyncNode threads
+// protocols — RPS, T-Man, Polystyrene — as a fleet of AsyncNodes
 // exchanging framed messages, with heartbeat-timeout failure detection:
 // the paper's actual system model (§III-A, "message-passing nodes …
-// reliable channels (e.g. TCP)").
+// reliable channels (e.g. TCP)").  The fleet runs in real time: every node
+// ticks on one loop thread, which sleeps until the next event is due.
 //
-//   $ ./live_async          # in-process transport (fast)
-//   $ ./live_async --tcp    # real localhost TCP sockets
+//   $ ./live_async          # in-process hub, 96 nodes
+//   $ ./live_async --tcp    # real localhost TCP sockets, 16 nodes
 //
+// TCP mode adds threads: each node accepts on its own thread, and reads
+// every inbound connection on another (readers queue frames for the loop
+// thread).  Outgoing connections are cached, so n nodes can hold up to
+// n·(n−1) reader threads — hence the smaller fleet.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
-#include "net/live_cluster.hpp"
+#include "engine/event_cluster.hpp"
 #include "shape/grid_torus.hpp"
 
 int main(int argc, char** argv) {
@@ -24,22 +28,23 @@ int main(int argc, char** argv) {
 
   const bool use_tcp = argc > 1 && std::strcmp(argv[1], "--tcp") == 0;
 
-  // A small torus: 96 live nodes is plenty to watch the mechanism work in
-  // wall-clock time (each node is 2-3 real threads).
-  shape::GridTorusShape shape(12, 8);
+  // A small torus is plenty to watch the mechanism work in wall-clock
+  // time.
+  shape::GridTorusShape shape(use_tcp ? 4 : 12, use_tcp ? 4 : 8);
 
-  net::AsyncConfig config;
-  config.tick = std::chrono::milliseconds(15);
-  config.origin_timeout = std::chrono::milliseconds(250);
-  config.replication = 3;
+  engine::EventClusterConfig config;
+  config.node.tick = std::chrono::milliseconds(15);
+  config.node.origin_timeout = std::chrono::milliseconds(250);
+  config.node.replication = 3;
+  config.drive =
+      use_tcp ? engine::Drive::kWallClockTcp : engine::Drive::kWallClock;
 
   std::printf("Starting %zu live nodes over %s...\n", shape.size(),
-              use_tcp ? "localhost TCP" : "in-process transport");
-  net::LiveCluster cluster(shape.space_ptr(), shape.generate(), config, 42,
-                           use_tcp);
-  cluster.start();
+              use_tcp ? "localhost TCP" : "the in-process hub");
+  engine::EventCluster cluster(shape.space_ptr(), shape.generate(), config,
+                               42);
 
-  std::this_thread::sleep_for(600ms);
+  cluster.run_for(600ms);
   std::printf("converged:      homogeneity=%.3f reliability=%.1f%% "
               "(%zu nodes)\n",
               cluster.homogeneity(), cluster.reliability() * 100.0,
@@ -54,25 +59,22 @@ int main(int argc, char** argv) {
 
   // Watch the recovery in real time.
   for (int i = 1; i <= 6; ++i) {
-    std::this_thread::sleep_for(500ms);
+    cluster.run_for(500ms);
     std::printf("t+%.1fs:  homogeneity=%.3f  reliability=%.1f%%\n",
                 0.5 * i, cluster.homogeneity(),
                 cluster.reliability() * 100.0);
   }
 
-  std::puts("\nre-provisioning 12 fresh (stateless) nodes...");
-  std::size_t injected = 0;
-  for (const auto& pos : shape.reinjection_positions(12)) {
+  const std::size_t fresh = shape.size() / 8;
+  std::printf("\nre-provisioning %zu fresh (stateless) nodes...\n", fresh);
+  for (const auto& pos : shape.reinjection_positions(fresh))
     cluster.inject(pos);
-    ++injected;
-  }
-  std::this_thread::sleep_for(1500ms);
+  cluster.run_for(1500ms);
   std::printf("after re-provisioning (%zu nodes): homogeneity=%.3f "
               "reliability=%.1f%%\n",
               cluster.alive_count(), cluster.homogeneity(),
               cluster.reliability() * 100.0);
 
-  cluster.stop();
   const bool ok = cluster.reliability() > 0.85;
   std::printf("\n%s: the data shape %s the datacenter loss.\n",
               ok ? "SUCCESS" : "FAILURE",

@@ -1,11 +1,11 @@
 // Event-driven transport: net::Transport over the discrete-event kernel.
 //
-// EngineHub plays the role InProcHub plays for the threaded runtime — a
-// registry of named endpoints — except that delivery is an *event*: send()
-// draws a latency (and possibly a drop) from the hub's LinkModel and
-// schedules the receiver's handler at now + latency on the engine.  No
-// threads, no mailboxes: handlers run inline in the engine loop, in
-// deterministic timestamp order.
+// EngineHub is the fleet's in-process network — a registry of named
+// endpoints — whose delivery is an *event*: send() draws a latency (and
+// possibly a drop) from the hub's LinkModel and schedules the receiver's
+// handler at now + latency on the engine.  No threads, no mailboxes:
+// handlers run inline in the engine loop, in deterministic timestamp
+// order, on either of the fleet's clocks.
 //
 // The hub is built for the 100k-node steady state, where every protocol
 // message passes through it:

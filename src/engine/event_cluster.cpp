@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "metrics/metrics.hpp"
+#include "net/tcp_transport.hpp"
 #include "traffic/workload.hpp"
 
 namespace poly::engine {
@@ -14,6 +15,13 @@ namespace {
 SimTime tick_period(const EventClusterConfig& cfg) {
   const auto t = std::chrono::duration_cast<SimTime>(cfg.node.tick);
   return t > SimTime::zero() ? t : std::chrono::milliseconds(1);
+}
+
+std::chrono::steady_clock::time_point wall_clock() {
+  // DETLINT-ALLOW(nondet-source): the wall-clock drive paces the run by
+  // real time by design; it only decides when events run, never which
+  // ones or in what order (run_paced)
+  return std::chrono::steady_clock::now();
 }
 
 }  // namespace
@@ -55,22 +63,30 @@ EventCluster::~EventCluster() = default;
 
 std::size_t EventCluster::add_node(std::optional<space::DataPoint> initial) {
   const std::size_t idx = nodes_.size();
-  // The fault plane matches node ids, not endpoint ids (a recovered node
-  // keeps its id under a fresh endpoint): register the mapping for every
-  // endpoint ever made.  make_endpoint draws no randomness, so hoisting
-  // it out of the emplace leaves the per-node seed sequence unchanged.
-  auto ep = hub_->make_endpoint("node-" + std::to_string(idx));
-  plane_.map_endpoint(ep->endpoint_id(), static_cast<std::uint32_t>(idx));
+  // make_transport draws no randomness, so hoisting it out of the emplace
+  // leaves the per-node seed sequence unchanged.
+  auto transport = make_transport(idx);
   nodes_.emplace_back(static_cast<net::LiveNodeId>(idx), space_,
-                      std::move(ep), std::move(initial), cfg_.node,
+                      std::move(transport), std::move(initial), cfg_.node,
                       engine_.split_rng().next_u64(),
-                      [this] { return engine_.clock(); }, &arena_, &scratch_);
+                      [this] { return engine_.clock(); }, arena_, scratch_);
   crashed_.push_back(false);
   tick_epoch_.push_back(0);
   stall_until_.push_back(SimTime::zero());
   pool_pos_.push_back(static_cast<std::uint32_t>(alive_pool_.size()));
   alive_pool_.push_back(static_cast<std::uint32_t>(idx));
   return idx;
+}
+
+std::unique_ptr<net::Transport> EventCluster::make_transport(std::size_t idx) {
+  if (cfg_.drive == Drive::kWallClockTcp)
+    return std::make_unique<net::TcpTransport>(&inbox_);
+  // The fault plane matches node ids, not endpoint ids (a recovered node
+  // keeps its id under a fresh endpoint): register the mapping for every
+  // endpoint ever made.
+  auto ep = hub_->make_endpoint("node-" + std::to_string(idx));
+  plane_.map_endpoint(ep->endpoint_id(), static_cast<std::uint32_t>(idx));
+  return ep;
 }
 
 void EventCluster::pool_remove(std::size_t idx) {
@@ -125,7 +141,28 @@ void EventCluster::schedule_tick(std::size_t idx, SimTime delay) {
 }
 
 void EventCluster::run_for(SimTime dur) {
-  engine_.run_until(engine_.now() + dur);
+  if (cfg_.drive == Drive::kVirtual)
+    engine_.run_until(engine_.now() + dur);
+  else
+    run_paced(engine_.now() + dur);
+}
+
+void EventCluster::run_paced(SimTime end) {
+  // Engine time t falls due at wall time origin + t.  Each pass runs every
+  // event due by now — the events a virtual run_until(end) runs, split at
+  // wall-clock instants — and delivers the TCP frames queued meanwhile at
+  // the current engine time; then it sleeps until the next event is due
+  // or a frame arrives.  Re-anchored per call, so time spent between calls
+  // (measuring, stage changes) is not made up in a burst.
+  const auto origin = wall_clock() - engine_.now();
+  for (;;) {
+    const SimTime now = std::min(
+        end, std::chrono::duration_cast<SimTime>(wall_clock() - origin));
+    engine_.run_until(now);
+    inbox_.deliver();
+    if (now == end) return;
+    inbox_.wait_until(origin + engine_.next_due(end));
+  }
 }
 
 void EventCluster::run_rounds(std::size_t n) {
@@ -193,10 +230,9 @@ bool EventCluster::recover_node(std::size_t idx) {
   if (idx >= nodes_.size() || !crashed_[idx]) return false;
   // The old endpoint id died with the crash and is never reused; the old
   // *name* is free again, so the rejoined node is reachable by the same
-  // address its stale view entries on peers still advertise.
-  auto ep = hub_->make_endpoint("node-" + std::to_string(idx));
-  plane_.map_endpoint(ep->endpoint_id(), static_cast<std::uint32_t>(idx));
-  nodes_[idx].recover(std::move(ep));
+  // address its stale view entries on peers still advertise.  (A TCP node
+  // comes back on a new port; peers learn it from gossip.)
+  nodes_[idx].recover(make_transport(idx));
   crashed_[idx] = false;
   stall_until_[idx] = SimTime::zero();
   pool_pos_[idx] = static_cast<std::uint32_t>(alive_pool_.size());

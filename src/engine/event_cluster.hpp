@@ -1,14 +1,20 @@
-// Engine-driven fleet: the live AsyncNode protocol at simulation scale.
+// The fleet: AsyncNode's one driver, from unit tests to 10⁶ nodes.
 //
-// EventCluster is LiveCluster's deterministic twin.  It runs the *same*
-// protocol code — AsyncNode's tick / on_message handlers, the same wire
-// codecs — but over the discrete-event kernel instead of threads and
-// sockets: each node's tick is a self-rescheduling engine event, messages
-// travel through an EngineHub with a pluggable latency/drop model, and
-// "now" is the engine's virtual clock.  That removes the two scalability
-// walls of the threaded runtime (one thread per node, wall-clock ticks):
-// 100k-node churn and morph scenarios run in one process, reproducibly —
-// the same seed replays the same execution, bit for bit.
+// Each node's tick is a self-rescheduling engine event, messages travel
+// through an EngineHub with a pluggable latency/drop model, and "now" is
+// the engine's clock.  Every AsyncNode call — tick, frame handler,
+// inspection — runs on the thread that calls run_for, so nodes hold no
+// lock.  One fleet, two clocks (EventClusterConfig::drive):
+//
+//   * virtual (the default): run_for jumps from event to event, so 100k-node
+//     churn and chaos scenarios run in one process, reproducibly — the
+//     same seed replays the same execution, bit for bit;
+//   * wall: run_for sleeps until each event is due, so virtual time never
+//     gets ahead of the wall clock.  Over the hub it runs exactly the
+//     virtual run's events and replays it bit for bit; over localhost TCP
+//     (the paper's "reliable channels (e.g. TCP)", §III-A) the reader
+//     threads queue frames in an Inbox, and the loop delivers them on its
+//     own thread between events.
 //
 // Typical scenario:
 //
@@ -29,6 +35,7 @@
 #include "engine/event_engine.hpp"
 #include "fault/fault_plane.hpp"
 #include "metrics/metrics.hpp"
+#include "net/inbox.hpp"
 #include "net/runtime.hpp"
 #include "space/metric_space.hpp"
 #include "space/point.hpp"
@@ -43,9 +50,16 @@ struct TrafficConfig;
 
 namespace poly::engine {
 
+/// How a fleet passes time, and over which transport.
+enum class Drive : std::uint8_t {
+  kVirtual,       ///< virtual clock over the hub (deterministic)
+  kWallClock,     ///< the same run paced by the wall clock (live mode)
+  kWallClockTcp,  ///< paced, nodes talk over localhost TCP sockets
+};
+
 /// Fleet configuration: protocol tunables + link model parameters.
 struct EventClusterConfig {
-  /// Per-node protocol tunables; `node.tick` is the *virtual* tick period.
+  /// Per-node protocol tunables; `node.tick` is the tick period.
   net::AsyncConfig node{};
   /// Link latency, uniform in [latency_min, latency_max].  The default is a
   /// fixed 2 ms — no jitter, so per-pair FIFO needs no clamp state.
@@ -61,6 +75,10 @@ struct EventClusterConfig {
   /// window.  The default is one timer-wheel tick (~65.5 us, ~3% of the
   /// default 2 ms link latency); zero restores exact per-frame times.
   SimTime delivery_batch_window{EventEngine::tick_duration()};
+  /// The clock, and the transport under kWallClockTcp.  The link model,
+  /// the fault plane and the frame counters act on the hub; TCP frames
+  /// bypass all three.
+  Drive drive = Drive::kVirtual;
 };
 
 /// The fleet's state-memory audit, from exact byte counters (arena and
@@ -90,10 +108,13 @@ class EventCluster {
 
   // ---- execution ---------------------------------------------------------
 
-  /// Advances virtual time by `dur`, executing every due event.
+  /// Advances the engine clock by `dur`, executing every due event.  On
+  /// the wall clock this takes at least `dur` of wall time: it sleeps
+  /// until the next event is due or a TCP frame arrives, and delivers
+  /// queued frames between events.
   void run_for(SimTime dur);
 
-  /// Advances by `n` virtual tick periods (each node ticks ~n times).
+  /// Advances by `n` tick periods (each node ticks ~n times).
   void run_rounds(std::size_t n);
 
   EventEngine& engine() noexcept { return engine_; }
@@ -238,13 +259,18 @@ class EventCluster {
   // ---- memory audit ------------------------------------------------------
 
   /// Itemized fleet memory (see MemoryBreakdown).  O(n): sums the per-node
-  /// heap-backed state under each node's lock.
+  /// heap-backed state.
   MemoryBreakdown memory_breakdown() const;
   /// memory_breakdown().total() / size() — the bench/CI gating figure.
   std::size_t mem_bytes_per_node() const;
 
  private:
   std::size_t add_node(std::optional<space::DataPoint> initial);
+  /// A fresh transport for node `idx`: a hub endpoint named after the
+  /// node (mapped in the fault plane), or a TCP socket over inbox_.
+  std::unique_ptr<net::Transport> make_transport(std::size_t idx);
+  /// run_for on the wall clock, up to engine time `end`.
+  void run_paced(SimTime end);
   void bootstrap_node(std::size_t idx);
   /// Starts a tick chain for node `idx` in its current tick epoch.
   void schedule_tick(std::size_t idx, SimTime delay);
@@ -279,6 +305,10 @@ class EventCluster {
   /// arena) are destroyed first.
   util::Arena arena_{std::size_t{4} << 20};
   net::AsyncScratch scratch_;
+  /// Frames TCP readers received, for run_paced to deliver (and its sleep
+  /// otherwise).  Declared before nodes_: their transports discard their
+  /// queued frames here on shutdown.
+  net::Inbox inbox_;
   /// Nodes live in a chunked slab indexed by node id (== hub EndpointId
   /// creation order): the per-delivery random-node walk lands in packed
   /// storage instead of chasing one heap pointer per node.

@@ -242,6 +242,14 @@ std::size_t EventEngine::run() {
   return n;
 }
 
+SimTime EventEngine::next_due(SimTime limit) {
+  thread_check_.check("EventEngine::next_due");
+  if (limit <= now_) return limit;
+  // The same cursor clamp as run_until: peek never moves it backward.
+  const std::uint32_t idx = peek(std::max(tick_of(limit), cursor_));
+  return idx == kNil ? limit : std::min(node(idx).at, limit);
+}
+
 std::size_t EventEngine::run_until(SimTime t) {
   thread_check_.check("EventEngine::run_until");
   std::size_t n = 0;

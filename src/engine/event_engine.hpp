@@ -1,10 +1,10 @@
 // Deterministic discrete-event kernel.
 //
-// The repo has three ways to execute the protocol stack: the lock-step
-// round simulator (scenario/), the thread-per-node live runtime (net/), and
-// — built on this kernel — a single-threaded event-driven mode that runs
-// the *same* AsyncNode protocol logic over a virtual clock.  The kernel is
-// the scheduling core shared by all engine-driven modes:
+// The repo has two ways to execute the protocol stack: the lock-step round
+// simulator (scenario/), and — built on this kernel — the AsyncNode fleet
+// (engine::EventCluster), which runs on a virtual clock or paces the same
+// run by the wall clock (next_due tells it how long to sleep).  The kernel
+// is the scheduling core of the fleet:
 //
 //   * a virtual clock (nanoseconds since the engine epoch; no wall time),
 //   * a hierarchical timer wheel ordered by (time, insertion sequence) so
@@ -83,8 +83,8 @@ class EventEngine {
   SimTime now() const noexcept { return now_; }
 
   /// The virtual clock expressed as a steady_clock time point (epoch-based),
-  /// for components that consume wall-style time points (e.g. the live
-  /// runtime's backup-staleness timeouts).  Only differences are meaningful.
+  /// for components that consume wall-style time points (e.g. AsyncNode's
+  /// backup-staleness timeouts).  Only differences are meaningful.
   std::chrono::steady_clock::time_point clock() const noexcept {
     return std::chrono::steady_clock::time_point{} +
            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -134,6 +134,11 @@ class EventEngine {
   std::size_t run_until(SimTime t);
 
   // ---- introspection -----------------------------------------------------
+
+  /// When the next pending event is due, or `limit` when none is due at
+  /// or before it: what a wall-clock driver sleeps until.  Executes
+  /// nothing and leaves the clock where it is.
+  SimTime next_due(SimTime limit);
 
   /// Live (scheduled, not executed, not cancelled) events.
   std::size_t pending() const noexcept { return live_; }

@@ -14,7 +14,7 @@
 //
 // Homogeneity and reliability have one definition for every engine: each
 // takes the original points and a visitor over the alive nodes, which
-// Simulation, EventCluster and LiveCluster feed in place (bare T-Man runs
+// Simulation and EventCluster feed in place (bare T-Man runs
 // visit each initial node with its own original point, §IV-A).
 #pragma once
 
@@ -66,7 +66,7 @@ double proximity(const sim::Network& net, const space::MetricSpace& space,
 /// space::SpatialIndex::k_nearest pass — O(1) amortized per node instead
 /// of per-node-times-view recomputation.  This is the topology-independent
 /// lower bound of the view-based proximity (they coincide once gossip has
-/// converged); the live fleets use it as their snapshot-scale
+/// converged); the AsyncNode fleet uses it as its snapshot-scale
 /// neighbourhood-quality diagnostic, where no topology object exists.
 double proximity(const space::MetricSpace& space,
                  std::span<const space::Point> positions, std::size_t k = 4);

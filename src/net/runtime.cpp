@@ -66,7 +66,7 @@ AsyncNode::AsyncNode(LiveNodeId id,
                      std::unique_ptr<Transport> transport,
                      std::optional<space::DataPoint> initial,
                      AsyncConfig config, std::uint64_t seed, ClockFn clock,
-                     util::Arena* arena, AsyncScratch* scratch)
+                     util::Arena& arena, AsyncScratch& scratch)
     : id_(id),
       space_(std::move(space)),
       transport_(std::move(transport)),
@@ -74,24 +74,15 @@ AsyncNode::AsyncNode(LiveNodeId id,
       cfg_(config),
       clock_(std::move(clock)),
       rng_(seed),
-      own_arena_(arena == nullptr
-                     ? std::make_unique<util::Arena>(std::size_t{4} << 10)
-                     : nullptr),
-      arena_(arena != nullptr ? arena : own_arena_.get()),
-      scratch_(scratch) {
+      scratch_(&scratch) {
   if (addr_.size() > kMaxAddressLength)
     throw std::invalid_argument("AsyncNode: address '" + addr_ +
                                 "' is longer than kMaxAddressLength");
-  if (scratch_ == nullptr) {
-    own_scratch_ = std::make_unique<AsyncScratch>();
-    own_scratch_->bind(*arena_, cfg_);
-    scratch_ = own_scratch_.get();
-  }
-  rps_view_.bind(*arena_, static_cast<std::uint32_t>(cfg_.rps_view));
-  tman_view_.bind(*arena_, tman_phys_cap(cfg_));
-  backups_.bind(*arena_, static_cast<std::uint32_t>(cfg_.replication));
-  ghosts_.bind(*arena_, static_cast<std::uint32_t>(cfg_.replication + 2));
-  ep_cache_.bind(*arena_, kEpCacheSlots);
+  rps_view_.bind(arena, static_cast<std::uint32_t>(cfg_.rps_view));
+  tman_view_.bind(arena, tman_phys_cap(cfg_));
+  backups_.bind(arena, static_cast<std::uint32_t>(cfg_.replication));
+  ghosts_.bind(arena, static_cast<std::uint32_t>(cfg_.replication + 2));
+  ep_cache_.bind(arena, kEpCacheSlots);
   ep_cache_.resize(kEpCacheSlots);  // value-init: every slot invalid
   if (initial) {
     guests_.push_back(*initial);
@@ -103,7 +94,6 @@ AsyncNode::AsyncNode(LiveNodeId id,
 AsyncNode::~AsyncNode() { transport_->shutdown(); }
 
 void AsyncNode::bootstrap(const std::vector<Seed>& seeds) {
-  util::MutexLock lk(state_mu_);
   for (const auto& s : seeds) {
     if (s.id == id_) continue;
     if (rps_view_.size() < cfg_.rps_view)
@@ -118,8 +108,8 @@ void AsyncNode::crash() {
 }
 
 void AsyncNode::recover(std::unique_ptr<Transport> transport) {
-  util::MutexLock lk(state_mu_);
   transport_ = std::move(transport);
+  addr_ = transport_->address();  // a TCP node rejoins on a new port
   transport_->set_handler([this](Message& msg) { on_message(msg); });
   // The old life's interned endpoint ids are dead; drop them so the first
   // post-rejoin contacts re-resolve by name instead of eating one failed
@@ -130,13 +120,7 @@ void AsyncNode::recover(std::unique_ptr<Transport> transport) {
   migrating_ = false;
 }
 
-std::uint64_t AsyncNode::frames_rejected() const {
-  util::MutexLock lk(state_mu_);
-  return frames_rejected_;
-}
-
 void AsyncNode::tick() {
-  util::MutexLock lk(state_mu_);
   step_rps();
   step_tman();
   step_recovery();
@@ -203,9 +187,6 @@ void AsyncNode::peer_unreachable(LiveNodeId peer) {
 // ---- message dispatch --------------------------------------------------------
 
 void AsyncNode::on_message(Message& msg) {
-  // One lock for decode + dispatch: the scratch buffers are shared state,
-  // and the handlers run under the same acquisition (they do not lock).
-  util::MutexLock lk(state_mu_);
   reply_ep_ = msg.from_ep;
   reply_from_ = &msg.from;
   try {
@@ -606,15 +587,11 @@ void AsyncNode::reproject() {
 
 // ---- inspection --------------------------------------------------------------------
 
-space::Point AsyncNode::position() const {
-  util::MutexLock lk(state_mu_);
-  return pos_;
-}
+space::Point AsyncNode::position() const { return pos_; }
 
 AsyncNode::ViewHop AsyncNode::closest_view_member(
     const space::Point& target, bool (*accept)(void* ctx, LiveNodeId id),
     void* ctx) const {
-  util::MutexLock lk(state_mu_);
   ViewHop best;
   for (const TmanEntry& d : tman_view_) {
     if (accept != nullptr && !accept(ctx, d.id)) continue;
@@ -633,40 +610,25 @@ void AsyncNode::for_each_view_member(
     void (*fn)(void* ctx, LiveNodeId id, const space::Point& advertised,
                std::uint64_t version),
     void* ctx) const {
-  util::MutexLock lk(state_mu_);
   for (const TmanEntry& d : tman_view_) fn(ctx, d.id, d.pos, d.version);
 }
 
-core::PointSet AsyncNode::guests() const {
-  util::MutexLock lk(state_mu_);
-  return guests_;
-}
+core::PointSet AsyncNode::guests() const { return guests_; }
 
 std::size_t AsyncNode::ghost_point_count() const {
-  util::MutexLock lk(state_mu_);
   std::size_t n = 0;
   for (std::size_t i = 0; i < ghosts_.size(); ++i)
     n += ghosts_[i].points.size();
   return n;
 }
 
-std::size_t AsyncNode::tman_view_size() const {
-  util::MutexLock lk(state_mu_);
-  return tman_view_.size();
-}
+std::size_t AsyncNode::tman_view_size() const { return tman_view_.size(); }
 
-std::size_t AsyncNode::rps_view_size() const {
-  util::MutexLock lk(state_mu_);
-  return rps_view_.size();
-}
+std::size_t AsyncNode::rps_view_size() const { return rps_view_.size(); }
 
-std::size_t AsyncNode::backup_target_count() const {
-  util::MutexLock lk(state_mu_);
-  return backups_.size();
-}
+std::size_t AsyncNode::backup_target_count() const { return backups_.size(); }
 
 std::size_t AsyncNode::state_heap_bytes() const {
-  util::MutexLock lk(state_mu_);
   return guests_.capacity() * sizeof(space::DataPoint) + ghosts_.heap_bytes();
 }
 

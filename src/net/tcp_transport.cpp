@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "net/inbox.hpp"
 #include "util/log.hpp"
 
 namespace poly::net {
@@ -56,7 +57,7 @@ bool parse_address(const Address& addr, sockaddr_in& out) {
 
 }  // namespace
 
-TcpTransport::TcpTransport() {
+TcpTransport::TcpTransport(Inbox* inbox) : inbox_(inbox) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket failed");
   const int one = 1;
@@ -112,19 +113,24 @@ void TcpTransport::read_loop(int fd) {
     std::vector<std::uint8_t> payload(lengths[0]);
     if (!read_all(fd, payload.data(), payload.size())) break;
 
-    MessageHandler handler;
-    {
-      util::MutexLock lk(handler_mu_);
-      handler = handler_;
-    }
-    if (handler && !stopped_.load()) {
-      Message msg{std::move(from), std::move(payload)};
-      handler(msg);
-    }
+    Message msg{std::move(from), std::move(payload)};
+    if (inbox_ != nullptr)
+      inbox_->post(*this, std::move(msg));
+    else
+      dispatch(msg);
   }
   // The fd is closed by shutdown() after the join: closing it here could
   // race with shutdown()'s ::shutdown(fd) against a reused descriptor.
   ::shutdown(fd, SHUT_RDWR);
+}
+
+void TcpTransport::dispatch(Message& msg) {
+  MessageHandler handler;
+  {
+    util::MutexLock lk(handler_mu_);
+    handler = handler_;
+  }
+  if (handler && !stopped_.load()) handler(msg);
 }
 
 int TcpTransport::connection_to(const Address& to) {
@@ -207,6 +213,8 @@ void TcpTransport::shutdown() {
   for (auto& r : readers)
     if (r.thread.joinable()) r.thread.join();
   for (auto& r : readers) ::close(r.fd);
+  // Readers are joined: nothing more reaches the inbox for us.
+  if (inbox_ != nullptr) inbox_->discard(*this);
   {
     util::MutexLock lk(handler_mu_);
     handler_ = nullptr;

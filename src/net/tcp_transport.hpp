@@ -10,6 +10,11 @@
 // Send failures (connection refused / peer closed) return false, which the
 // async runtime uses as its contact-failure signal — the same signal the
 // simulator's failure detector abstracts.
+//
+// Threads: an accept thread, plus one reader thread per inbound
+// connection.  Over an Inbox (the fleet's TCP mode) readers only queue
+// frames, and the inbox owner's loop thread runs the handler; without one,
+// each reader runs the handler itself.
 #pragma once
 
 #include <atomic>
@@ -23,11 +28,15 @@
 
 namespace poly::net {
 
+class Inbox;
+
 class TcpTransport final : public Transport {
  public:
   /// Binds to 127.0.0.1 on an ephemeral port and starts the accept loop.
-  /// Throws std::runtime_error if the socket cannot be created/bound.
-  TcpTransport();
+  /// With an `inbox`, received frames are queued there for the inbox
+  /// owner to deliver; the inbox must outlive the transport.  Throws
+  /// std::runtime_error if the socket cannot be created/bound.
+  explicit TcpTransport(Inbox* inbox = nullptr);
   ~TcpTransport() override;
 
   Address address() const override { return address_; }
@@ -36,12 +45,17 @@ class TcpTransport final : public Transport {
   void shutdown() override;
 
  private:
+  friend class Inbox;
+
   void accept_loop();
   void read_loop(int fd);
+  /// Runs the handler on `msg` unless the transport has shut down.
+  void dispatch(Message& msg);
   /// Returns a connected socket to `to` (cached), or -1.
   int connection_to(const Address& to);
   void drop_connection(const Address& to);
 
+  Inbox* const inbox_;
   Address address_;
   int listen_fd_ = -1;
   std::thread accept_thread_;

@@ -1,18 +1,19 @@
-// Message transport abstraction for the live (non-simulated) runtime.
+// Message transport abstraction for the AsyncNode fleet.
 //
 // The paper assumes "message-passing nodes that communicate over reliable
 // channels (e.g. TCP)" (§III-A) but evaluates in a round-based simulator.
 // This module supplies the real substrate: an address-based transport with
 // reliable in-order delivery per sender-receiver pair.  Implementations:
 //
-//   * InProcTransport — thread-safe mailboxes inside one process; used by
-//     the async runtime tests and the live_async example.
+//   * EngineTransport — delivery as events of the discrete-event kernel
+//     (engine/engine_transport.hpp), on either of the fleet's clocks.
 //   * TcpTransport    — length-prefixed frames over localhost TCP sockets.
-//   * EngineTransport — deterministic virtual-time delivery over the
-//     discrete-event kernel (engine/engine_transport.hpp).
 //
-// Delivery is callback-based: the transport invokes the registered handler
-// on its own thread(s); handlers must be thread-safe.
+// Delivery is callback-based, and in a fleet every handler runs on the
+// fleet's loop thread: the hub delivers from engine events, and TCP reader
+// threads queue frames in the fleet's Inbox for the loop to deliver
+// (net/inbox.hpp).  So handlers need no lock.  A TcpTransport built
+// without an inbox runs the handler on its reader threads instead.
 //
 // Interned addressing (the engine hot path): string addresses are the
 // portable identity, but hashing one per send is measurable at 100k-node
@@ -30,7 +31,7 @@
 
 namespace poly::net {
 
-/// Opaque endpoint address.  For InProcTransport this is a registry key;
+/// Opaque endpoint address.  For EngineTransport this is a registry key;
 /// for TcpTransport a "host:port" string.
 using Address = std::string;
 
@@ -48,7 +49,7 @@ struct Message {
   EndpointId from_ep = kInvalidEndpointId;
 };
 
-/// Handler invoked on message arrival (on a transport thread).  The
+/// Handler invoked on message arrival (see above for the thread).  The
 /// transport retains ownership of the message: handlers read it in place
 /// and move from `payload` only if they need to keep the bytes.  This lets
 /// pooling transports recycle the payload buffer after the handler

@@ -99,8 +99,9 @@ constexpr unsigned bit(EngineMode mode) {
   return 1u << static_cast<unsigned>(mode);
 }
 constexpr unsigned kSync = bit(EngineMode::kSync);
-constexpr unsigned kEvents = bit(EngineMode::kEvents);
-constexpr unsigned kAll = kSync | kEvents | bit(EngineMode::kLive);
+/// The AsyncNode fleet, on either clock.
+constexpr unsigned kFleet = bit(EngineMode::kEvents) | bit(EngineMode::kLive);
+constexpr unsigned kAll = kSync | kFleet;
 
 /// The non-empty pieces of `text` between `sep`s.
 std::vector<std::string_view> split(std::string_view text, char sep) {
@@ -626,38 +627,37 @@ const char* reorder_jitter_positive(const Stage& s, std::span<const Stage>) {
   return s.jitter_ms > 0.0 ? nullptr : "reorder jitter must be > 0 ms";
 }
 
-// Fractional crashes and churn draw from the cluster RNG, which live mode
-// lacks; morph/migrate need the sync simulator; the fault and traffic
-// planes live in the event hub.
+// Morph/migrate need the sync simulator; the fault, stall, recovery and
+// traffic planes live in the AsyncNode fleet.
 const Verb kVerbs[] = {
     {"run <rounds>", kAll, true, exec_run},
     {"grow <nodes>", kAll, false, exec_grow},
     {"grow crashed", kAll, false, exec_grow_crashed, after_a_crash},
     {"crash half", kAll, false, exec_crash_half},
-    {"crash frac <fraction>", kSync | kEvents, false, exec_crash_frac},
+    {"crash frac <fraction>", kAll, false, exec_crash_frac},
     {"crash zone <zone>", kAll, false, exec_crash_zone},
     {"crash ids <ids>", kAll, false, exec_crash_ids},
-    {"churn <percent> <rounds>", kSync | kEvents, true, exec_churn},
+    {"churn <percent> <rounds>", kAll, true, exec_churn},
     {"flash-crowd <nodes> <rounds>", kAll, true, exec_flash_crowd},
     {"morph drift <offset> <rounds>", kSync, true, exec_morph_drift},
     {"morph shape <shape> <rounds>", kSync, true, exec_morph_shape},
     {"migrate <offset> <rounds>", kSync, true, exec_migrate},
     {"snapshot [label]", kAll, false, exec_snapshot},
     {"measure every <rounds>", kAll, false, exec_measure_every},
-    {"partition zone <zone> heal <heal>", kEvents, false, exec_partition},
+    {"partition zone <zone> heal <heal>", kFleet, false, exec_partition},
     {"degrade zone <zone> in|out|both drop <drop> jitter <ms> heal <heal>",
-     kEvents, false, exec_degrade, degrades_something},
-    {"corrupt <probability> heal <heal>", kEvents, false, exec_corrupt},
-    {"duplicate <probability> heal <heal>", kEvents, false, exec_duplicate},
-    {"reorder <probability> jitter <ms> heal <heal>", kEvents, false,
+     kFleet, false, exec_degrade, degrades_something},
+    {"corrupt <probability> heal <heal>", kFleet, false, exec_corrupt},
+    {"duplicate <probability> heal <heal>", kFleet, false, exec_duplicate},
+    {"reorder <probability> jitter <ms> heal <heal>", kFleet, false,
      exec_reorder, reorder_jitter_positive},
-    {"stall zone <zone> <rounds>", kEvents, false, exec_stall_zone},
-    {"stall frac <fraction> <rounds>", kEvents, false, exec_stall_frac},
-    {"recover all", kEvents, false, exec_recover_all},
-    {"recover frac <fraction>", kEvents, false, exec_recover_frac},
-    {"recover ids <ids>", kEvents, false, exec_recover_ids},
-    {"traffic <rate> get|put|mixed", kEvents, false, exec_traffic},
-    {"drain", kEvents, false, exec_drain},
+    {"stall zone <zone> <rounds>", kFleet, false, exec_stall_zone},
+    {"stall frac <fraction> <rounds>", kFleet, false, exec_stall_frac},
+    {"recover all", kFleet, false, exec_recover_all},
+    {"recover frac <fraction>", kFleet, false, exec_recover_frac},
+    {"recover ids <ids>", kFleet, false, exec_recover_ids},
+    {"traffic <rate> get|put|mixed", kFleet, false, exec_traffic},
+    {"drain", kFleet, false, exec_drain},
 };
 
 // ---- header directives ------------------------------------------------------
@@ -742,8 +742,7 @@ const Directive kDirectives[] = {
 // ---- expect metrics ---------------------------------------------------------
 
 /// One `expect` metric: its name, the engines that measure it, and its
-/// RoundMetrics field.  Live runs are not reproducible, so no metric can
-/// be expected under live.
+/// RoundMetrics field.
 struct Metric {
   const char* name;
   unsigned engines;
@@ -756,29 +755,29 @@ double field(const RoundMetrics& m) {
 }
 
 const Metric kMetrics[] = {
-    {"homogeneity", kSync | kEvents, field<&RoundMetrics::homogeneity>},
-    {"proximity", kSync | kEvents, field<&RoundMetrics::proximity>},
-    {"reliability", kSync | kEvents, field<&RoundMetrics::reliability>},
-    {"alive", kSync | kEvents, field<&RoundMetrics::alive>},
+    {"homogeneity", kAll, field<&RoundMetrics::homogeneity>},
+    {"proximity", kAll, field<&RoundMetrics::proximity>},
+    {"reliability", kAll, field<&RoundMetrics::reliability>},
+    {"alive", kAll, field<&RoundMetrics::alive>},
     {"points_per_node", kSync, field<&RoundMetrics::points_per_node>},
-    // Frame and fault-plane counters: the event hub's.
-    {"frames", kEvents, field<&RoundMetrics::frames>},
-    {"frames_rejected", kEvents, field<&RoundMetrics::frames_rejected>},
-    {"frames_blackholed", kEvents, field<&RoundMetrics::frames_blackholed>},
-    {"frames_duplicated", kEvents, field<&RoundMetrics::frames_duplicated>},
-    {"frames_corrupted", kEvents, field<&RoundMetrics::frames_corrupted>},
-    {"frames_reordered", kEvents, field<&RoundMetrics::frames_reordered>},
-    {"stall_rounds", kEvents, field<&RoundMetrics::stall_rounds>},
-    {"recoveries", kEvents, field<&RoundMetrics::recoveries>},
+    // Frame and fault-plane counters: the fleet hub's.
+    {"frames", kFleet, field<&RoundMetrics::frames>},
+    {"frames_rejected", kFleet, field<&RoundMetrics::frames_rejected>},
+    {"frames_blackholed", kFleet, field<&RoundMetrics::frames_blackholed>},
+    {"frames_duplicated", kFleet, field<&RoundMetrics::frames_duplicated>},
+    {"frames_corrupted", kFleet, field<&RoundMetrics::frames_corrupted>},
+    {"frames_reordered", kFleet, field<&RoundMetrics::frames_reordered>},
+    {"stall_rounds", kFleet, field<&RoundMetrics::stall_rounds>},
+    {"recoveries", kFleet, field<&RoundMetrics::recoveries>},
     // Traffic-plane metrics (docs/TRAFFIC.md): the workload runs on the
-    // event engine only.
-    {"requests", kEvents, field<&RoundMetrics::requests>},
-    {"requests_failed", kEvents, field<&RoundMetrics::requests_failed>},
-    {"success_rate", kEvents, field<&RoundMetrics::success_rate>},
-    {"p50_latency_ms", kEvents, field<&RoundMetrics::p50_latency_ms>},
-    {"p99_latency_ms", kEvents, field<&RoundMetrics::p99_latency_ms>},
-    {"p999_latency_ms", kEvents, field<&RoundMetrics::p999_latency_ms>},
-    {"mean_hops", kEvents, field<&RoundMetrics::mean_hops>},
+    // fleet only.
+    {"requests", kFleet, field<&RoundMetrics::requests>},
+    {"requests_failed", kFleet, field<&RoundMetrics::requests_failed>},
+    {"success_rate", kFleet, field<&RoundMetrics::success_rate>},
+    {"p50_latency_ms", kFleet, field<&RoundMetrics::p50_latency_ms>},
+    {"p99_latency_ms", kFleet, field<&RoundMetrics::p99_latency_ms>},
+    {"p999_latency_ms", kFleet, field<&RoundMetrics::p999_latency_ms>},
+    {"mean_hops", kFleet, field<&RoundMetrics::mean_hops>},
 };
 
 const Metric* find_metric(const std::string& name) {
@@ -1123,8 +1122,8 @@ engine::EventCluster& Execution::fleet() {
   engine::EventCluster* fleet = change().fleet();
   if (fleet == nullptr)
     throw std::logic_error(
-        std::string("fault, recover and traffic verbs need --engine events; "
-                    "this cluster runs ") +
+        std::string("fault, recover and traffic verbs need --engine events "
+                    "or live; this cluster runs ") +
         to_string(mode));
   return *fleet;
 }
@@ -1251,10 +1250,7 @@ ProgramResult run_program(const ScenarioProgram& p) {
     }
   };
 
-  // Live mode runs real threads per node — keep repetitions sequential.
-  std::size_t workers = p.options.engine == EngineMode::kLive
-                            ? 1
-                            : std::thread::hardware_concurrency();
+  std::size_t workers = std::thread::hardware_concurrency();
   if (workers == 0) workers = 1;
   workers = std::min(workers, reps);
   if (workers <= 1) {
@@ -1322,14 +1318,14 @@ util::Table series_table_for(const ProgramResult& r) {
     headers.push_back("msg/node");
   } else {
     headers.push_back("reliability");
-    if (mode == EngineMode::kEvents) headers.push_back("frames");
+    headers.push_back("frames");
   }
   // Traffic columns (cumulative since the first `traffic` verb) when the
   // workload ran: the series then shows the before/during/after service
   // arc directly.  Aggregated (reps > 1) tables keep the protocol-only
   // shape — per-rep traffic spreads belong to a later stats row.
   const bool traffic_cols =
-      mode == EngineMode::kEvents && !aggregated &&
+      mode != EngineMode::kSync && !aggregated &&
       std::any_of(first.rounds.begin(), first.rounds.end(),
                   [](const RoundMetrics& m) {
                     return m.requests + m.requests_failed > 0;
@@ -1366,8 +1362,7 @@ util::Table series_table_for(const ProgramResult& r) {
         row.push_back(msg.row(i).str(1));
       } else {
         row.push_back(reliability.row(i).str(3));
-        if (mode == EngineMode::kEvents)
-          row.push_back(std::to_string(m.frames));
+        row.push_back(std::to_string(m.frames));
       }
     } else {
       row.push_back(util::fmt(m.homogeneity, 3));
@@ -1378,8 +1373,7 @@ util::Table series_table_for(const ProgramResult& r) {
         row.push_back(util::fmt(m.msg_paper, 1));
       } else {
         row.push_back(util::fmt(m.reliability, 3));
-        if (mode == EngineMode::kEvents)
-          row.push_back(std::to_string(m.frames));
+        row.push_back(std::to_string(m.frames));
       }
     }
     if (traffic_cols) {

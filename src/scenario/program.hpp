@@ -29,7 +29,7 @@
 // repetitions.
 //
 // Determinism contract: a fixed (file, seed, engine) pair replays the same
-// trajectory bit for bit under sync and events modes.
+// trajectory bit for bit, and live replays events' trajectory.
 #pragma once
 
 #include <cstdint>
@@ -172,8 +172,8 @@ ScenarioProgram load_program(const std::string& path);
 std::string serialize(const ScenarioProgram& p);
 
 /// Checks the timeline is executable under `mode` (morph/migrate and the
-/// sync-only header knobs need sync; churn and fractional crashes need a
-/// cluster RNG, which live mode lacks).  Throws ProgramError.
+/// sync-only header knobs need sync; the fault, recovery and traffic verbs
+/// and the fleet's metrics need events or live).  Throws ProgramError.
 void validate_for_mode(const ScenarioProgram& p, EngineMode mode);
 
 /// A timeline event that fired during a run: a note (crash, grow, churn
@@ -235,9 +235,8 @@ struct ProgramResult {
 
 /// Builds the shape, validates the program for its engine mode and that
 /// shape (morph targets must fit the torus that actually runs), and runs
-/// `reps` repetitions (seed, seed+1, …) — in parallel threads under sync
-/// and events modes, sequentially under live.  Throws ProgramError on an
-/// invalid program.
+/// `reps` repetitions (seed, seed+1, …) in parallel threads.  Throws
+/// ProgramError on an invalid program.
 ProgramResult run_program(const ScenarioProgram& p);
 
 /// Prints repetition 0's timeline events to stdout — `## round N: …`

@@ -1,10 +1,8 @@
 #include "scenario/runtime.hpp"
 
 #include <stdexcept>
-#include <thread>
 
 #include "engine/event_cluster.hpp"
-#include "net/live_cluster.hpp"
 #include "sim/traffic.hpp"
 #include "traffic/workload.hpp"
 
@@ -89,25 +87,31 @@ class SyncRuntime final : public Runtime {
   Simulation sim_;
 };
 
-/// What the two AsyncNode fleets (engine::EventCluster, net::LiveCluster)
-/// expose under the same names: membership, crashes, injection and the
-/// fleet metrics.  Subclasses add how a round passes and what else they
-/// measure.
-template <class Cluster>
-class FleetRuntime : public Runtime {
+/// The AsyncNode fleet, under events (virtual clock) or live (the same
+/// run paced by the wall clock).
+class EventsRuntime final : public Runtime {
  public:
-  template <class Config>
-  FleetRuntime(const shape::Shape& shape, const Config& config,
-               std::uint64_t seed)
+  EventsRuntime(const shape::Shape& shape, const SimulationConfig& config,
+                engine::Drive drive)
       : shape_(shape),
-        cluster_(shape.space_ptr(), shape.generate(), config, seed) {}
+        cluster_(shape.space_ptr(), shape.generate(),
+                 engine::EventClusterConfig{.node = node_config(config),
+                                            .drive = drive},
+                 config.seed) {}
 
+  void run_round() override {
+    cluster_.run_rounds(1);
+    ++rounds_;
+  }
   std::size_t rounds_run() const noexcept override { return rounds_; }
   std::size_t alive_count() const override { return cluster_.alive_count(); }
 
   std::size_t crash_region(
       const std::function<bool(const space::Point&)>& pred) override {
     return cluster_.crash_region(pred);
+  }
+  std::size_t crash_random(std::size_t count) override {
+    return cluster_.crash_random(count);
   }
   std::size_t crash_ids(std::span<const std::size_t> ids) override {
     std::size_t crashed = 0;
@@ -128,35 +132,6 @@ class FleetRuntime : public Runtime {
     m.reference_h = shape_.reference_homogeneity(m.alive);
     m.proximity = cluster_.proximity();
     m.reliability = cluster_.reliability();
-    return m;
-  }
-  std::vector<space::Point> alive_positions() const override {
-    return cluster_.alive_positions();
-  }
-
- protected:
-  const shape::Shape& shape_;
-  Cluster cluster_;
-  std::size_t rounds_ = 0;
-};
-
-class EventsRuntime final : public FleetRuntime<engine::EventCluster> {
- public:
-  EventsRuntime(const shape::Shape& shape, const SimulationConfig& config)
-      : FleetRuntime(shape,
-                     engine::EventClusterConfig{.node = node_config(config)},
-                     config.seed) {}
-
-  void run_round() override {
-    cluster_.run_rounds(1);
-    ++rounds_;
-  }
-  std::size_t crash_random(std::size_t count) override {
-    return cluster_.crash_random(count);
-  }
-
-  RoundMetrics measure() const override {
-    RoundMetrics m = FleetRuntime::measure();
     m.frames = cluster_.hub().frames_sent();
     m.frames_rejected = cluster_.frames_rejected();
     const auto& fc = cluster_.fault_counters();
@@ -184,35 +159,17 @@ class EventsRuntime final : public FleetRuntime<engine::EventCluster> {
     }
     return m;
   }
+  std::vector<space::Point> alive_positions() const override {
+    return cluster_.alive_positions();
+  }
 
   engine::EventCluster* fleet() noexcept override { return &cluster_; }
-};
-
-class LiveRuntime final : public FleetRuntime<net::LiveCluster> {
- public:
-  LiveRuntime(const shape::Shape& shape, const SimulationConfig& config)
-      : FleetRuntime(shape, node_config(config), config.seed) {
-    cluster_.start();
-  }
-  ~LiveRuntime() override { cluster_.stop(); }
-
-  void run_round() override {
-    std::this_thread::sleep_for(kTick);  // one wall-clock "round"
-    ++rounds_;
-  }
-  std::size_t crash_random(std::size_t) override {
-    throw std::logic_error(
-        "crash frac: live mode has no deterministic cluster RNG; use "
-        "crash half/zone/ids or --engine sync|events");
-  }
 
  private:
-  /// node_config keeps the protocol's default tick.
-  static constexpr std::chrono::milliseconds kTick = net::AsyncConfig{}.tick;
+  const shape::Shape& shape_;
+  engine::EventCluster cluster_;
+  std::size_t rounds_ = 0;
 };
-
-/// Thread-per-node live fleets stop being practical past this size.
-constexpr std::size_t kLiveMaxNodes = 512;
 
 }  // namespace
 
@@ -254,15 +211,11 @@ std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
     case EngineMode::kSync:
       return std::make_unique<SyncRuntime>(shape, config);
     case EngineMode::kEvents:
-      return std::make_unique<EventsRuntime>(shape, config);
+      return std::make_unique<EventsRuntime>(shape, config,
+                                             engine::Drive::kVirtual);
     case EngineMode::kLive:
-      if (shape.size() > kLiveMaxNodes)
-        throw std::invalid_argument(
-            "engine live is thread-per-node; " +
-            std::to_string(shape.size()) +
-            " nodes is too many (use engine events, or a shape of <= " +
-            std::to_string(kLiveMaxNodes) + " nodes)");
-      return std::make_unique<LiveRuntime>(shape, config);
+      return std::make_unique<EventsRuntime>(shape, config,
+                                             engine::Drive::kWallClock);
   }
   throw std::invalid_argument("unknown engine mode");
 }

@@ -22,8 +22,8 @@
 //   });
 //
 // Determinism contract: a fixed (shape, options, call sequence) replays the
-// same trajectory bit for bit in sync and events modes (live mode runs real
-// threads and is not reproducible).
+// same trajectory bit for bit in every mode; live replays events' exactly,
+// at wall-clock speed.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +48,8 @@ namespace poly::scenario {
 /// "sync"/"events"/"live" dispatch.
 enum class EngineMode {
   kSync,    ///< lock-step round simulator (the paper's evaluation)
-  kEvents,  ///< live protocol on the deterministic event engine
-  kLive,    ///< live protocol on real threads (small shapes only)
+  kEvents,  ///< the AsyncNode fleet on the event engine's virtual clock
+  kLive,    ///< the same fleet paced by the wall clock
 };
 
 /// Parses "sync" / "events" / "live"; nullopt on anything else.
@@ -84,8 +84,8 @@ struct RoundMetrics {
   double msg_backup = kNaN;
   double msg_migration = kNaN;
   double msg_rps = kNaN;
-  std::uint64_t frames = 0;      ///< cumulative hub frames (events mode)
-  // Fault-plane counters (events mode; 0 elsewhere and on clean runs).
+  std::uint64_t frames = 0;      ///< cumulative hub frames (fleet modes)
+  // Fault-plane counters (fleet modes; 0 under sync and on clean runs).
   // All cumulative since construction — docs/FAULTS.md gives semantics.
   std::uint64_t frames_rejected = 0;    ///< decode-boundary rejects
   std::uint64_t frames_blackholed = 0;  ///< partition/blackhole/degrade loss
@@ -94,8 +94,8 @@ struct RoundMetrics {
   std::uint64_t frames_reordered = 0;
   std::uint64_t stall_rounds = 0;       ///< node-ticks frozen by stalls
   std::uint64_t recoveries = 0;         ///< crashed nodes rejoined
-  // Traffic-plane counters (events mode, cumulative since the first
-  // `traffic` verb; 0 / NaN before that and in other modes — see
+  // Traffic-plane counters (fleet modes, cumulative since the first
+  // `traffic` verb; 0 / NaN before that and under sync — see
   // docs/TRAFFIC.md for the workload model and histogram error bounds).
   std::uint64_t requests = 0;            ///< completed get/put requests
   std::uint64_t requests_failed = 0;     ///< failed (dead end / crash / hops)
@@ -141,15 +141,15 @@ class Runtime {
 
   /// The sync simulator (morph verbs); nullptr under the fleet engines.
   virtual Simulation* sim() noexcept { return nullptr; }
-  /// The event-engine fleet (fault, recovery and traffic verbs); nullptr
-  /// under sync and live.
+  /// The AsyncNode fleet (fault, recovery and traffic verbs); nullptr
+  /// under sync.
   virtual engine::EventCluster* fleet() noexcept { return nullptr; }
 };
 
 /// Builds a cluster of `options.engine` mode over `shape`.  Throws
 /// std::invalid_argument when the options are invalid for the mode (e.g.
-/// `substrate vicinity` under events, a >512-node shape under live).  The
-/// shape must outlive the runtime.
+/// `substrate vicinity` under events).  The shape must outlive the
+/// runtime.
 std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
                                       const ScenarioOptions& options);
 

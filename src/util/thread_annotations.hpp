@@ -1,8 +1,8 @@
 // Clang thread-safety capability annotations + annotated sync primitives.
 //
-// The repo's threaded seams — AsyncNode, the live transports, and the hub
-// registries — document their locking discipline in comments ("called with
-// state_mu_ held").  These macros turn those comments into machine-checked
+// The repo's threaded seams — the TCP transport and the inbox its reader
+// threads feed — document their locking discipline in comments ("guarded
+// by mu_").  These macros turn those comments into machine-checked
 // contracts under clang's `-Wthread-safety` analysis (enabled by the CMake
 // clang path; see POLY_THREAD_SAFETY in CMakeLists.txt).  Under gcc — which
 // has no equivalent analysis — every macro expands to nothing and the
@@ -14,8 +14,8 @@
 //
 //   util::Mutex      — a CAPABILITY("mutex") wrapper over std::mutex
 //   util::MutexLock  — a SCOPED_CAPABILITY RAII guard (lock_guard shape)
-//   util::CondVar    — condition_variable_any over util::Mutex; the wait
-//                      overloads REQUIRE the mutex they wait on
+//   util::CondVar    — condition_variable_any over util::Mutex; its wait
+//                      REQUIRES the mutex it waits on
 //
 // Single-threaded-by-contract classes (EventEngine, EngineHub, ObjectSlab)
 // have no mutex to annotate; they embed a SingleThreadChecker instead —
@@ -88,8 +88,8 @@ class SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// Condition variable over util::Mutex.  The wait overloads take the mutex
-/// explicitly and REQUIRE it held; they return with it held (the internal
+/// Condition variable over util::Mutex.  The wait takes the mutex
+/// explicitly and REQUIRES it held; it returns with it held (the internal
 /// release/reacquire is invisible to the analysis, which matches the
 /// caller-visible contract).  Predicates run with the lock held — annotate
 /// predicate lambdas with REQUIRES(mu) when they touch guarded state.
@@ -98,16 +98,12 @@ class CondVar {
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
-  template <typename Pred>
-  void wait(Mutex& mu, Pred pred) REQUIRES(mu) {
-    cv_.wait(mu, std::move(pred));
-  }
-
   /// Returns pred()'s value on exit (false = timed out with pred false).
-  template <typename Rep, typename Period, typename Pred>
-  bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& dur,
-                Pred pred) REQUIRES(mu) {
-    return cv_.wait_for(mu, dur, std::move(pred));
+  template <typename Clock, typename Duration, typename Pred>
+  bool wait_until(Mutex& mu,
+                  const std::chrono::time_point<Clock, Duration>& deadline,
+                  Pred pred) REQUIRES(mu) {
+    return cv_.wait_until(mu, deadline, std::move(pred));
   }
 
  private:

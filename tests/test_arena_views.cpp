@@ -153,14 +153,18 @@ struct HostileRig {
                                     std::chrono::duration_cast<engine::SimTime>(2ms))};
   shape::GridTorusShape shape{4, 4};
   net::AsyncConfig cfg;
+  util::Arena arena;
+  net::AsyncScratch scratch;
   std::unique_ptr<net::AsyncNode> node;
   std::unique_ptr<engine::EngineTransport> attacker;
 
   HostileRig() {
     auto points = shape.generate();
+    scratch.bind(arena, cfg);
     node = std::make_unique<net::AsyncNode>(
         net::LiveNodeId{1}, shape.space_ptr(), hub.make_endpoint("node-1"),
-        points[0], cfg, /*seed=*/3, [this] { return engine.clock(); });
+        points[0], cfg, /*seed=*/3, [this] { return engine.clock(); }, arena,
+        scratch);
     attacker = hub.make_endpoint("attacker");
     attacker->set_handler([](net::Message&) {});
   }
@@ -255,7 +259,8 @@ TEST(CappedViews, OverlongOwnAddressIsRejectedAtConstruction) {
   EXPECT_THROW(net::AsyncNode(net::LiveNodeId{2}, rig.shape.space_ptr(),
                               rig.hub.make_endpoint(std::string(30, 'n')),
                               points[1], rig.cfg, /*seed=*/4,
-                              [&rig] { return rig.engine.clock(); }),
+                              [&rig] { return rig.engine.clock(); },
+                              rig.arena, rig.scratch),
                std::invalid_argument);
 }
 
@@ -314,8 +319,8 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
     nodes.push_back(std::make_unique<net::AsyncNode>(
         static_cast<net::LiveNodeId>(i), shape.space_ptr(),
         hub.make_endpoint("node-" + std::to_string(i)), std::nullopt, cfg,
-        /*seed=*/1000 + i, [&engine] { return engine.clock(); }, &arena,
-        &scratch));
+        /*seed=*/1000 + i, [&engine] { return engine.clock(); }, arena,
+        scratch));
   }
   util::Rng boot(99);
   for (std::size_t i = 0; i < kNodes; ++i) {

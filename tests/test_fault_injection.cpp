@@ -161,9 +161,12 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
 
   auto ep = hub.make_endpoint("victim");
   auto attacker = hub.make_endpoint("attacker");
+  poly::util::Arena arena;
+  poly::net::AsyncScratch scratch;
+  scratch.bind(arena, {});
   poly::net::AsyncNode victim(0, shape.space_ptr(), std::move(ep),
                               points.at(0), {}, /*seed=*/5,
-                              [&] { return engine.clock(); });
+                              [&] { return engine.clock(); }, arena, scratch);
 
   // A valid frame, then mutations of it: truncated, type-mangled, and a
   // flipped length prefix.  The valid frame must be handled (rejects stay

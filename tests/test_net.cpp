@@ -1,30 +1,30 @@
-// Tests for the net/ substrate — message codecs, in-process and TCP
-// transports (delivery, ordering, failure semantics), and the live
-// AsyncNode runtime: convergence, crash recovery, and re-injection on real
-// threads without the simulator.
+// Tests for the net/ substrate — message codecs, the TCP transport
+// (delivery, ordering, failure semantics) and its inbox, and the live
+// fleet: the AsyncNode protocol paced by the wall clock, over the hub and
+// over TCP — convergence, crash recovery and re-injection without the
+// simulator.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 
-#include "net/inproc_transport.hpp"
+#include "engine/event_cluster.hpp"
+#include "net/inbox.hpp"
 #include "net/messages.hpp"
-#include "net/live_cluster.hpp"
 #include "net/tcp_transport.hpp"
-#include "shape/grid_torus.hpp"
 #include "shape/ring_shape.hpp"
+#include "util/arena.hpp"
 
 namespace {
 
 using namespace std::chrono_literals;
+using poly::engine::Drive;
+using poly::engine::EventCluster;
 using poly::net::Address;
 using poly::net::AsyncConfig;
 using poly::net::Header;
-using poly::net::InProcHub;
-using poly::net::LiveCluster;
 using poly::net::Message;
 using poly::net::MsgType;
 using poly::net::TcpTransport;
@@ -33,9 +33,9 @@ using poly::net::WirePeer;
 using poly::net::WirePoint;
 using poly::space::Point;
 
-// Sanitizer instrumentation slows every tick's processing 5-15x while the
-// live nodes keep ticking on the wall clock, so convergence takes
-// proportionally longer real time.  Scale the poll deadlines to match.
+// Sanitizer instrumentation slows every frame's processing 5-15x, so TCP
+// frames take proportionally longer real time to arrive.  Scale the wait
+// deadlines to match.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define POLY_TEST_SANITIZED 1
 #elif defined(__has_feature)
@@ -48,24 +48,6 @@ constexpr int kTimeScale = 6;
 #else
 constexpr int kTimeScale = 1;
 #endif
-
-/// Polls `pred` until true or the deadline expires.
-bool eventually(const std::function<bool()>& pred,
-                std::chrono::milliseconds deadline = 10s,
-                std::chrono::milliseconds poll = 20ms) {
-  deadline *= kTimeScale;
-  // DETLINT-ALLOW(nondet-source): test-harness poll deadline for the live
-  // (threaded, wall-clock) runtime; bounds how long we wait, never feeds
-  // simulation state
-  const auto until = std::chrono::steady_clock::now() + deadline;
-  // DETLINT-ALLOW(nondet-source): same poll loop — wall time only gates
-  // the retry, the asserted predicate is protocol state
-  while (std::chrono::steady_clock::now() < until) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(poll);
-  }
-  return pred();
-}
 
 /// Collects received messages with notification.
 struct Collector {
@@ -176,81 +158,6 @@ TEST(Messages, BadPointDimensionThrows) {
   EXPECT_THROW(poly::net::decode_point(r), poly::util::CodecError);
 }
 
-// ---- InProcTransport ------------------------------------------------------------
-
-TEST(InProc, DeliversWithSenderAddress) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  auto b = hub->make_endpoint("b");
-  Collector got;
-  b->set_handler(got.handler());
-  ASSERT_TRUE(a->send("b", bytes_of("hello")));
-  ASSERT_TRUE(got.wait_for_count(1));
-  EXPECT_EQ(got.messages[0].from, "a");
-  EXPECT_EQ(got.messages[0].payload, bytes_of("hello"));
-}
-
-TEST(InProc, PreservesOrderPerSender) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  auto b = hub->make_endpoint("b");
-  Collector got;
-  b->set_handler(got.handler());
-  for (int i = 0; i < 100; ++i)
-    ASSERT_TRUE(a->send("b", bytes_of(std::to_string(i))));
-  ASSERT_TRUE(got.wait_for_count(100));
-  for (int i = 0; i < 100; ++i)
-    EXPECT_EQ(got.messages[i].payload, bytes_of(std::to_string(i)));
-}
-
-TEST(InProc, SendToUnknownAddressFails) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  EXPECT_FALSE(a->send("nobody", bytes_of("x")));
-}
-
-TEST(InProc, SendAfterShutdownFails) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  auto b = hub->make_endpoint("b");
-  b->shutdown();
-  EXPECT_FALSE(a->send("b", bytes_of("x")));
-  EXPECT_FALSE(hub->reachable("b"));
-}
-
-TEST(InProc, DuplicateAddressThrows) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  EXPECT_THROW(hub->make_endpoint("a"), std::invalid_argument);
-}
-
-TEST(InProc, LoopbackDelivery) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  Collector got;
-  a->set_handler(got.handler());
-  ASSERT_TRUE(a->send("a", bytes_of("self")));
-  ASSERT_TRUE(got.wait_for_count(1));
-  EXPECT_EQ(got.messages[0].from, "a");
-}
-
-TEST(InProc, ConcurrentSendersAllDelivered) {
-  auto hub = InProcHub::create();
-  auto target = hub->make_endpoint("target");
-  Collector got;
-  target->set_handler(got.handler());
-  std::vector<std::unique_ptr<poly::net::InProcTransport>> senders;
-  for (int i = 0; i < 8; ++i)
-    senders.push_back(hub->make_endpoint("s" + std::to_string(i)));
-  std::vector<std::thread> threads;
-  for (auto& s : senders)
-    threads.emplace_back([&s] {
-      for (int i = 0; i < 50; ++i) s->send("target", bytes_of("m"));
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(got.wait_for_count(400));
-}
-
 // ---- TcpTransport ------------------------------------------------------------------
 
 TEST(Tcp, RoundTripOverLocalhost) {
@@ -318,7 +225,33 @@ TEST(Tcp, LargePayload) {
   EXPECT_EQ(got.messages[0].payload.size(), big.size());
 }
 
-// ---- AsyncNode / LiveCluster --------------------------------------------------------
+// ---- TcpTransport over an Inbox ---------------------------------------------------
+
+/// Waits until `inbox` holds `n` frames or the scaled 10 s deadline
+/// passes (TCP arrival is nondeterministic).
+bool wait_queued(const poly::net::Inbox& inbox, std::size_t n) {
+  for (int ms = 0; ms < 10000 * kTimeScale && inbox.queued() < n; ++ms)
+    std::this_thread::sleep_for(1ms);
+  return inbox.queued() >= n;
+}
+
+TEST(TcpInbox, ReadersQueueFramesForTheLoopThread) {
+  poly::net::Inbox inbox;
+  TcpTransport a;
+  TcpTransport b(&inbox);
+  Collector got;
+  b.set_handler(got.handler());
+  ASSERT_TRUE(a.send(b.address(), bytes_of("queued")));
+  ASSERT_TRUE(wait_queued(inbox, 1));
+  // The reader queued the frame; no handler ran on its thread.
+  EXPECT_TRUE(got.messages.empty());
+  EXPECT_EQ(inbox.deliver(), 1u);
+  ASSERT_EQ(got.messages.size(), 1u);
+  EXPECT_EQ(got.messages[0].from, a.address());
+  EXPECT_EQ(got.messages[0].payload, bytes_of("queued"));
+}
+
+// ---- the live fleet ----------------------------------------------------------------
 
 AsyncConfig fast_config() {
   AsyncConfig cfg;
@@ -328,51 +261,48 @@ AsyncConfig fast_config() {
   return cfg;
 }
 
+poly::engine::EventClusterConfig live_config(Drive drive = Drive::kWallClock) {
+  return {.node = fast_config(), .drive = drive};
+}
+
+std::size_t total_ghosts(EventCluster& fleet) {
+  std::size_t ghosts = 0;
+  for (std::size_t i = 0; i < fleet.size(); ++i)
+    ghosts += fleet.node(i).ghost_point_count();
+  return ghosts;
+}
+
+bool all_views_populated(EventCluster& fleet) {
+  for (std::size_t i = 0; i < fleet.size(); ++i)
+    if (!fleet.crashed(i) && fleet.node(i).tman_view_size() == 0) return false;
+  return true;
+}
+
 TEST(Live, ClusterConvergesOnRing) {
   poly::shape::RingShape shape(24, 1.0);
-  LiveCluster cluster(shape.space_ptr(), shape.generate(), fast_config(), 7);
-  // Initially every node hosts its own point: homogeneity 0.  Checked
-  // before start(): once the threads run, migration can raise it at any
-  // moment, so polling for the initial state after start() is a race.
+  EventCluster cluster(shape.space_ptr(), shape.generate(), live_config(), 7);
+  // Initially every node hosts its own point: homogeneity 0.
   EXPECT_LT(cluster.homogeneity(), 0.01);
-  cluster.start();
-  // Views populate.
-  EXPECT_TRUE(eventually([&] {
-    for (std::size_t i = 0; i < cluster.size(); ++i)
-      if (cluster.node(i).tman_view_size() == 0) return false;
-    return true;
-  }));
-  cluster.stop();
+  cluster.run_rounds(5);
+  EXPECT_TRUE(all_views_populated(cluster));
   // Clean links: nothing may have died at the decode boundary.
-  for (std::size_t i = 0; i < cluster.size(); ++i)
-    EXPECT_EQ(cluster.node(i).frames_rejected(), 0u);
+  EXPECT_EQ(cluster.frames_rejected(), 0u);
 }
 
 TEST(Live, BackupsReplicateGhosts) {
   poly::shape::RingShape shape(16, 1.0);
-  LiveCluster cluster(shape.space_ptr(), shape.generate(), fast_config(), 9);
-  cluster.start();
-  // Eventually ghost copies appear across the fleet (K per point).
-  EXPECT_TRUE(eventually([&] {
-    std::size_t ghosts = 0;
-    for (std::size_t i = 0; i < cluster.size(); ++i)
-      ghosts += cluster.node(i).ghost_point_count();
-    return ghosts >= 16 * 2;  // at least 2 copies per point on average
-  }));
-  cluster.stop();
+  EventCluster cluster(shape.space_ptr(), shape.generate(), live_config(), 9);
+  cluster.run_rounds(5);
+  // Ghost copies appear across the fleet (K per point).
+  EXPECT_GE(total_ghosts(cluster), 16u * 2);  // >= 2 copies per point
 }
 
 TEST(Live, RecoversDataPointsAfterRegionCrash) {
   poly::shape::RingShape shape(24, 1.0);
-  LiveCluster cluster(shape.space_ptr(), shape.generate(), fast_config(), 11);
-  cluster.start();
-  // Let backups propagate.
-  ASSERT_TRUE(eventually([&] {
-    std::size_t ghosts = 0;
-    for (std::size_t i = 0; i < cluster.size(); ++i)
-      ghosts += cluster.node(i).ghost_point_count();
-    return ghosts >= 24 * 2;
-  }));
+  EventCluster cluster(shape.space_ptr(), shape.generate(), live_config(),
+                       11);
+  cluster.run_rounds(10);  // let backups propagate
+  ASSERT_GE(total_ghosts(cluster), 24u * 2);
 
   const std::size_t crashed = cluster.crash_region(
       [&](const Point& p) { return shape.in_failure_half(p); });
@@ -381,45 +311,76 @@ TEST(Live, RecoversDataPointsAfterRegionCrash) {
 
   // Recovery: reliability returns to ~1 (K=3 on a 50% crash ⇒ ≥ 93%
   // analytic; on 24 points usually everything survives) and the shape
-  // re-homogenizes below the pre-crash-density bound.
-  EXPECT_TRUE(eventually([&] { return cluster.reliability() > 0.85; }, 15s));
-  EXPECT_TRUE(eventually([&] { return cluster.homogeneity() < 1.0; }, 15s));
-  cluster.stop();
+  // re-homogenizes below the pre-crash-density bound.  Ghosts reactivate
+  // after origin_timeout = 15 ticks.
+  cluster.run_rounds(30);
+  EXPECT_GT(cluster.reliability(), 0.85);
+  EXPECT_LT(cluster.homogeneity(), 1.0);
 }
 
 TEST(Live, InjectedNodeAcquiresGuests) {
   poly::shape::RingShape shape(12, 1.0);
-  LiveCluster cluster(shape.space_ptr(), shape.generate(), fast_config(), 13);
-  ASSERT_LT(cluster.homogeneity(), 0.01);  // pre-start: see ConvergesOnRing
-  cluster.start();
+  EventCluster cluster(shape.space_ptr(), shape.generate(), live_config(),
+                       13);
+  ASSERT_LT(cluster.homogeneity(), 0.01);
   const std::size_t idx = cluster.inject(Point(3.5));
-  EXPECT_TRUE(eventually(
-      [&] { return !cluster.node(idx).guests().empty(); }, 15s));
-  cluster.stop();
-}
-
-TEST(Live, GracefulStopKeepsStateInspectable) {
-  poly::shape::RingShape shape(8, 1.0);
-  LiveCluster cluster(shape.space_ptr(), shape.generate(), fast_config(), 15);
-  cluster.start();
-  ASSERT_TRUE(eventually([&] { return cluster.reliability() == 1.0; }));
-  cluster.stop();
-  // After stop, inspection still works and points are all hosted.
-  EXPECT_DOUBLE_EQ(cluster.reliability(), 1.0);
+  // Migration hands the fresh node guests, and may take them back: it
+  // must hold some within 20 rounds.
+  bool acquired = false;
+  for (int r = 0; r < 20 && !acquired; ++r) {
+    cluster.run_rounds(1);
+    acquired = !cluster.node(idx).guests().empty();
+  }
+  EXPECT_TRUE(acquired);
 }
 
 TEST(Live, WorksOverTcp) {
   poly::shape::RingShape shape(8, 1.0);
-  LiveCluster cluster(shape.space_ptr(), shape.generate(), fast_config(), 17,
-                      /*use_tcp=*/true);
-  cluster.start();
-  EXPECT_TRUE(eventually([&] {
-    for (std::size_t i = 0; i < cluster.size(); ++i)
-      if (cluster.node(i).tman_view_size() == 0) return false;
-    return true;
-  }, 15s));
+  EventCluster cluster(shape.space_ptr(), shape.generate(),
+                       live_config(Drive::kWallClockTcp), 17);
+  // TCP arrival is nondeterministic: allow up to 15 s of paced rounds.
+  const int max_rounds = 1500 * kTimeScale;
+  for (int r = 0; r < max_rounds && !all_views_populated(cluster); ++r)
+    cluster.run_rounds(1);
+  EXPECT_TRUE(all_views_populated(cluster));
   EXPECT_DOUBLE_EQ(cluster.reliability(), 1.0);
-  cluster.stop();
+}
+
+TEST(Live, CrashedTcpNodeRunsNoQueuedFrame) {
+  // A crash while frames for the node sit in the inbox: its transport
+  // discards them, so no handler runs on the node afterwards — the TCP
+  // twin of EngineTransport.InFlightFrameToCrashedEndpointIsDiscarded.
+  poly::shape::RingShape shape(8, 1.0);
+  const AsyncConfig cfg = fast_config();
+  poly::util::Arena arena;
+  poly::net::AsyncScratch scratch;
+  scratch.bind(arena, cfg);
+  poly::net::Inbox inbox;
+  poly::net::AsyncNode node(
+      0, shape.space_ptr(), std::make_unique<TcpTransport>(&inbox),
+      shape.generate()[0], cfg, /*seed=*/5,
+      [] { return std::chrono::steady_clock::time_point{}; }, arena,
+      scratch);
+  TcpTransport peer;
+  // An RPS response carrying one new peer grows the node's view by one.
+  auto rps_resp = [&](std::uint64_t id) {
+    return poly::net::encode_rps(
+        Header{MsgType::kRpsShuffleResp, 1, peer.address()},
+        {{id, "peer-" + std::to_string(id), 0, Point(0.0), 1}});
+  };
+  // Control: a queued frame to an alive node runs its handler.
+  ASSERT_TRUE(peer.send(node.address(), rps_resp(2)));
+  ASSERT_TRUE(wait_queued(inbox, 1));
+  EXPECT_EQ(inbox.deliver(), 1u);
+  EXPECT_EQ(node.rps_view_size(), 1u);
+
+  for (std::uint64_t id = 3; id < 6; ++id)
+    ASSERT_TRUE(peer.send(node.address(), rps_resp(id)));
+  ASSERT_TRUE(wait_queued(inbox, 3));
+  node.crash();
+  EXPECT_EQ(inbox.queued(), 0u);
+  EXPECT_EQ(inbox.deliver(), 0u);
+  EXPECT_EQ(node.rps_view_size(), 1u);
 }
 
 }  // namespace

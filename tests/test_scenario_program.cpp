@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <set>
@@ -292,11 +293,11 @@ TEST(ProgramValidate, TmanOnlyNeedsSync) {
   }
 }
 
-TEST(ProgramValidate, ChurnRejectedUnderLiveOnly) {
+TEST(ProgramValidate, ChurnRunsUnderEveryEngine) {
   auto p = parse_program("shape grid:8x8\nchurn 5 10\n");
   EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kSync));
   EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kEvents));
-  EXPECT_THROW(validate_for_mode(p, EngineMode::kLive), ProgramError);
+  EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kLive));
 }
 
 TEST(ProgramValidate, EveryVerbRowRunsUnderExactlyItsEngines) {
@@ -304,39 +305,39 @@ TEST(ProgramValidate, EveryVerbRowRunsUnderExactlyItsEngines) {
   // under written out here rather than read from the table.  Each sample
   // validates under exactly those engines and then executes under each of
   // them: a row whose engine bits name an engine its execution function
-  // cannot call fails here, not in a user's run.
+  // cannot call fails here, not in a user's run.  Live is the events fleet
+  // on the wall clock, so it runs exactly the rows events runs.
   struct Sample {
     const char* line;
-    bool sync, events, live;
+    bool sync, events;
   };
   const Sample samples[] = {
-      {"run 5", true, true, true},
-      {"grow 4", true, true, true},
-      {"grow crashed", true, true, true},
-      {"crash half", true, true, true},
-      {"crash frac 0.5", true, true, false},
-      {"crash zone 0 0 4 4", true, true, true},
-      {"crash ids 1,2", true, true, true},
-      {"churn 5 10", true, true, false},
-      {"flash-crowd 8 4", true, true, true},
-      {"morph drift 1 0 5", true, false, false},
-      {"morph shape grid:4x4 5", true, false, false},
-      {"migrate 4 2 10", true, false, false},
-      {"snapshot a label", true, true, true},
-      {"measure every 2", true, true, true},
-      {"partition zone 0 0 1 1 heal 0", false, true, false},
-      {"degrade zone 0 0 4 8 in drop 0.25 jitter 1.5 heal 0", false, true,
-       false},
-      {"corrupt 0.05 heal 8", false, true, false},
-      {"duplicate 0.1 heal 0", false, true, false},
-      {"reorder 0.2 jitter 3 heal 4", false, true, false},
-      {"stall zone 0 0 4 8 6", false, true, false},
-      {"stall frac 0.5 3", false, true, false},
-      {"recover all", false, true, false},
-      {"recover frac 0.5", false, true, false},
-      {"recover ids 1,2,3", false, true, false},
-      {"traffic 100 mixed", false, true, false},
-      {"drain", false, true, false},
+      {"run 5", true, true},
+      {"grow 4", true, true},
+      {"grow crashed", true, true},
+      {"crash half", true, true},
+      {"crash frac 0.5", true, true},
+      {"crash zone 0 0 4 4", true, true},
+      {"crash ids 1,2", true, true},
+      {"churn 5 10", true, true},
+      {"flash-crowd 8 4", true, true},
+      {"morph drift 1 0 5", true, false},
+      {"morph shape grid:4x4 5", true, false},
+      {"migrate 4 2 10", true, false},
+      {"snapshot a label", true, true},
+      {"measure every 2", true, true},
+      {"partition zone 0 0 1 1 heal 0", false, true},
+      {"degrade zone 0 0 4 8 in drop 0.25 jitter 1.5 heal 0", false, true},
+      {"corrupt 0.05 heal 8", false, true},
+      {"duplicate 0.1 heal 0", false, true},
+      {"reorder 0.2 jitter 3 heal 4", false, true},
+      {"stall zone 0 0 4 8 6", false, true},
+      {"stall frac 0.5 3", false, true},
+      {"recover all", false, true},
+      {"recover frac 0.5", false, true},
+      {"recover ids 1,2,3", false, true},
+      {"traffic 100 mixed", false, true},
+      {"drain", false, true},
   };
   std::set<std::string> rows;  // the grammars the samples parsed to
   for (const auto& sample : samples) {
@@ -348,7 +349,7 @@ TEST(ProgramValidate, EveryVerbRowRunsUnderExactlyItsEngines) {
     const std::pair<EngineMode, bool> engines[] = {
         {EngineMode::kSync, sample.sync},
         {EngineMode::kEvents, sample.events},
-        {EngineMode::kLive, sample.live},
+        {EngineMode::kLive, sample.events},
     };
     for (const auto& [mode, runs] : engines) {
       if (!runs) {
@@ -442,6 +443,70 @@ TEST(ProgramRun, SameSeedSameTrajectoryEvents) {
     EXPECT_EQ(a.rounds[i].alive, b.rounds[i].alive);
     EXPECT_EQ(a.rounds[i].frames, b.rounds[i].frames);
   }
+}
+
+TEST(ProgramRun, LiveReplaysEventsBitForBit) {
+  // The chaos, recovery and traffic planes under both clocks: live runs
+  // the events fleet paced by the wall clock, so every measured round
+  // matches, every field of it, bit for bit (NaN included).
+  auto p = parse_program(
+      "shape grid:8x8\nseed 5\nrun 6\ncrash frac 0.25\n"
+      "partition zone 0 0 4 8 heal 6\ntraffic 16 mixed\nrun 8\n"
+      "recover all\nrun 6\ndrain\n"
+      "expect recoveries == 16 @ end\n");
+  p.options.engine = EngineMode::kEvents;
+  const auto events = run_program(p).first();
+  p.options.engine = EngineMode::kLive;
+  // DETLINT-ALLOW(nondet-source): times the live run against its lower
+  // bound; the wall clock never feeds the compared trajectory
+  const auto start = std::chrono::steady_clock::now();
+  const auto live = run_program(p).first();
+  // DETLINT-ALLOW(nondet-source): end of the same wall-time measurement
+  const auto took = std::chrono::steady_clock::now() - start;
+
+  // Every RoundMetrics field, listed once: the size check fails when a
+  // field is added without being compared here.
+  constexpr double RoundMetrics::*reals[] = {
+      &RoundMetrics::homogeneity,     &RoundMetrics::reference_h,
+      &RoundMetrics::proximity,       &RoundMetrics::points_per_node,
+      &RoundMetrics::reliability,     &RoundMetrics::msg_paper,
+      &RoundMetrics::msg_tman,        &RoundMetrics::msg_backup,
+      &RoundMetrics::msg_migration,   &RoundMetrics::msg_rps,
+      &RoundMetrics::success_rate,    &RoundMetrics::p50_latency_ms,
+      &RoundMetrics::p99_latency_ms,  &RoundMetrics::p999_latency_ms,
+      &RoundMetrics::mean_hops};
+  constexpr std::size_t RoundMetrics::*sizes[] = {&RoundMetrics::round,
+                                                  &RoundMetrics::alive};
+  constexpr std::uint64_t RoundMetrics::*counts[] = {
+      &RoundMetrics::frames,           &RoundMetrics::frames_rejected,
+      &RoundMetrics::frames_blackholed, &RoundMetrics::frames_duplicated,
+      &RoundMetrics::frames_corrupted, &RoundMetrics::frames_reordered,
+      &RoundMetrics::stall_rounds,     &RoundMetrics::recoveries,
+      &RoundMetrics::requests,         &RoundMetrics::requests_failed,
+      &RoundMetrics::requests_inflight};
+  static_assert(sizeof(RoundMetrics) ==
+                sizeof(reals) / sizeof(reals[0]) * sizeof(double) +
+                    sizeof(sizes) / sizeof(sizes[0]) * sizeof(std::size_t) +
+                    sizeof(counts) / sizeof(counts[0]) *
+                        sizeof(std::uint64_t));
+
+  ASSERT_EQ(live.rounds.size(), events.rounds.size());
+  ASSERT_GE(events.rounds_total, 20u);
+  EXPECT_GT(events.rounds.back().requests, 0u);
+  for (std::size_t i = 0; i < events.rounds.size(); ++i) {
+    SCOPED_TRACE("measured round " + std::to_string(i));
+    const RoundMetrics& e = events.rounds[i];
+    const RoundMetrics& l = live.rounds[i];
+    for (auto f : reals)
+      EXPECT_TRUE(l.*f == e.*f || (std::isnan(l.*f) && std::isnan(e.*f)))
+          << l.*f << " != " << e.*f;
+    for (auto f : sizes) EXPECT_EQ(l.*f, e.*f);
+    for (auto f : counts) EXPECT_EQ(l.*f, e.*f);
+  }
+  EXPECT_EQ(live.reliability, events.reliability);
+  // One round is one 25 ms tick of wall time.
+  EXPECT_GE(took, std::chrono::milliseconds(25) *
+                      static_cast<int>(live.rounds_total));
 }
 
 TEST(ProgramRun, RepsAggregateIndependentSeeds) {
@@ -688,27 +753,28 @@ TEST(FaultProgram, Diagnostics) {
 }
 
 TEST(FaultProgram, ValidationRules) {
-  // Fault verbs are events-only.
+  // Fault verbs need the fleet: events or live.
   {
     auto p = parse_program(
         "shape grid:6x6\nengine events\nrun 2\ncorrupt 0.1 heal 0\n");
     EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kEvents));
+    EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kLive));
     EXPECT_THROW(validate_for_mode(p, EngineMode::kSync), ProgramError);
-    EXPECT_THROW(validate_for_mode(p, EngineMode::kLive), ProgramError);
   }
-  // Expects are rejected under live (not reproducible)…
+  // Expects run under every engine (live replays events' trajectory)…
   {
     auto p = parse_program(
         "shape grid:6x6\nrun 2\nexpect alive > 1 @ end\n");
     EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kSync));
-    EXPECT_THROW(validate_for_mode(p, EngineMode::kLive), ProgramError);
+    EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kLive));
   }
-  // …and per-metric: frame counters need events, points/node needs sync.
+  // …per metric: frame counters need the fleet, points/node needs sync.
   {
     auto p = parse_program(
         "shape grid:6x6\nrun 2\nexpect frames_rejected == 0 @ end\n");
     EXPECT_THROW(validate_for_mode(p, EngineMode::kSync), ProgramError);
     EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kEvents));
+    EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kLive));
   }
   {
     auto p = parse_program(
@@ -830,16 +896,16 @@ TEST(TrafficProgram, Diagnostics) {
   expect_parse_error(hdr + "drain now\n", 3, "wants no arguments");
 }
 
-TEST(TrafficProgram, TrafficVerbsNeedEventsEngine) {
+TEST(TrafficProgram, TrafficVerbsNeedAFleetEngine) {
   auto p = parse_program(
       "shape grid:6x6\nengine events\nrun 2\ntraffic 100 mixed\n"
       "run 2\ndrain\n");
   EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kEvents));
+  EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kLive));
   EXPECT_THROW(validate_for_mode(p, EngineMode::kSync), ProgramError);
-  EXPECT_THROW(validate_for_mode(p, EngineMode::kLive), ProgramError);
 }
 
-TEST(TrafficProgram, TrafficMetricsAreEventsOnly) {
+TEST(TrafficProgram, TrafficMetricsAreFleetOnly) {
   for (const char* metric :
        {"requests", "requests_failed", "success_rate", "p50_latency_ms",
         "p99_latency_ms", "p999_latency_ms", "mean_hops"}) {
@@ -848,6 +914,7 @@ TEST(TrafficProgram, TrafficMetricsAreEventsOnly) {
     EXPECT_THROW(validate_for_mode(p, EngineMode::kSync), ProgramError)
         << metric;
     EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kEvents)) << metric;
+    EXPECT_NO_THROW(validate_for_mode(p, EngineMode::kLive)) << metric;
   }
 }
 

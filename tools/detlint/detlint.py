@@ -377,7 +377,10 @@ def base_ident(expr: str) -> str | None:
 def check_unordered_iter(fs: FileScan, global_unordered: set):
     known = fs.unordered_vars | global_unordered
     out = []
-    for m in re.finditer(r"\bfor\s*\(([^;)]*?):([^;)]*)\)", fs.code):
+    # The range-for colon is a lone `:`; the `::` of a qualified name in a
+    # classic for-loop header (`for (std::size_t i = ...; ...)`) is not.
+    for m in re.finditer(r"\bfor\s*\(([^;)]*?)(?<!:):(?!:)([^;)]*)\)",
+                         fs.code):
         name = base_ident(m.group(2))
         if name in known:
             out.append(Finding(

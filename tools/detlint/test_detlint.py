@@ -69,6 +69,14 @@ class CheckFixtures(unittest.TestCase):
             "d1_unordered_iter.cpp", "unordered-iter",
             {("unordered-iter", 15), ("unordered-iter", 22)})
 
+    def test_d1_qualified_names_in_for_headers(self):
+        # Line 16's classic for loop calls rng.index(...) after a
+        # `std::size_t`, while declares_index.cpp declares an unordered
+        # `index`: the `::` is no range-for colon, so no finding.  Line 24's
+        # range-for over an unordered `m` still fires.
+        self.assert_fixture(
+            "d1_for_header", "unordered-iter", {("unordered-iter", 24)})
+
     def test_d2_pointer_order(self):
         # Pointer-keyed set/map/unordered_set, std::less over a pointer,
         # a comparator lambda ordering two pointer params, and a

@@ -1,9 +1,10 @@
 // Micro-benchmarks of the protocol's hot primitives (google-benchmark):
 // distance evaluation, medoid, diameter (exact vs sampled), the SPLIT
-// variants, and point-set merges.  These quantify the per-exchange cost the
-// DESIGN.md performance notes rely on.
+// variants, point-set merges and gossip-buffer selection.  These quantify
+// the per-exchange costs described in docs/ARCHITECTURE.md.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/point_set.hpp"
@@ -12,6 +13,7 @@
 #include "space/euclidean.hpp"
 #include "space/medoid.hpp"
 #include "space/torus.hpp"
+#include "tman/ranked_view.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -102,5 +104,52 @@ void BM_UnionById(benchmark::State& state) {
     benchmark::DoNotOptimize(poly::core::union_by_id(a, b));
 }
 BENCHMARK(BM_UnionById)->Arg(8)->Arg(64);
+
+// One converged sync T-Man buffer pick on the 80x40 torus (§IV-A): the
+// sender's ranked view holds its 100 closest nodes, the RPS adds 5 random
+// candidates, the receiver is one of the ψ = 5 closest view entries, and
+// m = 20.  Arg 1 passes the sender's position, so the view scan may stop
+// early; arg 0 keys the whole view.  `view_scanned` is the mean number of
+// view entries keyed per pick.
+void BM_PickClosest(benchmark::State& state) {
+  using poly::tman::Descriptor;
+  TorusSpace t(80.0, 40.0);
+  Rng rng(7);
+  auto node = [](std::uint32_t id) {
+    return Descriptor{id, Point(id % 80, id / 80), 1};
+  };
+  struct Case {
+    Descriptor sender, receiver;
+    std::vector<Descriptor> view, extra;
+  };
+  std::vector<Case> cases(64);
+  poly::tman::RankScratch<Descriptor> scratch;
+  for (Case& c : cases) {
+    c.sender = node(static_cast<std::uint32_t>(rng.index(3200)));
+    for (std::uint32_t id = 0; id < 3200; ++id)
+      if (id != c.sender.id) c.view.push_back(node(id));
+    poly::tman::rank_view(c.view, c.sender.pos, t, scratch);
+    c.view.resize(100);
+    c.receiver = c.view[rng.index(5)];
+    while (c.extra.size() < 5) {
+      const auto id = static_cast<std::uint32_t>(rng.index(3200));
+      if (id != c.sender.id && id != c.receiver.id) c.extra.push_back(node(id));
+    }
+  }
+  const bool ranked_around = state.range(0) != 0;
+  std::size_t picks = 0, scanned = 0;
+  for (auto _ : state) {
+    const Case& c = cases[picks++ % cases.size()];
+    benchmark::DoNotOptimize(
+        poly::tman::pick_closest(c.view, c.extra, c.receiver.id,
+                                 c.receiver.pos, c.sender.id, t, 20, scratch,
+                                 ranked_around ? &c.sender.pos : nullptr)
+            .size());
+    scanned += scratch.view_scanned;
+  }
+  state.counters["view_scanned"] =
+      static_cast<double>(scanned) / static_cast<double>(picks);
+}
+BENCHMARK(BM_PickClosest)->Arg(0)->Arg(1);
 
 }  // namespace

@@ -400,9 +400,12 @@ const std::vector<WireDescriptor>& AsyncNode::tman_buffer(
   auto& out = scratch_->out_descriptors;
   out.clear();
   out.push_back(WireDescriptor{id_, addr_, pos_, pos_version_});
+  // No early exit: the view is re-ranked lazily (tman_ranked_), so it may
+  // be in the order of an older position.
   for (std::uint32_t i :
        tman::pick_closest(tman_view_, {}, receiver, receiver_pos, id_, *space_,
-                          cfg_.tman_msg, scratch_->rank, forwardable)) {
+                          cfg_.tman_msg, scratch_->rank, nullptr,
+                          forwardable)) {
     const TmanEntry& e = tman_view_[i];
     out.push_back({e.id, e.addr.str(), e.pos, e.version});
   }

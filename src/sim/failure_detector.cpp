@@ -11,6 +11,12 @@ DelayedFailureDetector::DelayedFailureDetector(const Network& net,
       fp_rate_(false_positive_rate),
       salt_(salt) {}
 
+std::optional<std::uint64_t> DelayedFailureDetector::epoch() const {
+  if (fp_rate_ > 0.0) return std::nullopt;
+  // Both terms only grow, so their sum moves whenever either does.
+  return net_.num_crashed() + net_.round();
+}
+
 bool DelayedFailureDetector::suspects(NodeId observer, NodeId target) const {
   if (!net_.alive(target)) {
     // Heartbeat model: the crash becomes visible after `delay_` rounds.

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "sim/network.hpp"
 #include "sim/node_id.hpp"
@@ -23,6 +24,13 @@ class FailureDetector {
   /// True iff `observer` suspects `target` to have failed at the network's
   /// current round.  Implementations must be side-effect free.
   virtual bool suspects(NodeId observer, NodeId target) const = 0;
+
+  /// A value that changes whenever the set of suspected nodes can grow, so
+  /// a caller that pruned under one epoch need not prune again until it
+  /// moves.  A detector may report one only if its verdicts are the same
+  /// for every observer and never suspect an alive node; any other
+  /// returns nullopt and its callers ask every time.
+  virtual std::optional<std::uint64_t> epoch() const { return std::nullopt; }
 };
 
 /// Oracle detector: suspects exactly the crashed nodes, immediately.
@@ -31,6 +39,10 @@ class PerfectFailureDetector final : public FailureDetector {
   explicit PerfectFailureDetector(const Network& net) : net_(net) {}
   bool suspects(NodeId /*observer*/, NodeId target) const override {
     return !net_.alive(target);
+  }
+  /// Moves on every crash.
+  std::optional<std::uint64_t> epoch() const override {
+    return net_.num_crashed();
   }
 
  private:
@@ -51,6 +63,10 @@ class DelayedFailureDetector final : public FailureDetector {
                          std::uint64_t salt = 0x5bd1e995u);
 
   bool suspects(NodeId observer, NodeId target) const override;
+  /// Moves on every crash and every round (a crash becomes visible some
+  /// rounds later).  With false positives, verdicts depend on the
+  /// observer: nullopt.
+  std::optional<std::uint64_t> epoch() const override;
 
   std::uint64_t delay_rounds() const noexcept { return delay_; }
   double false_positive_rate() const noexcept { return fp_rate_; }

@@ -59,6 +59,10 @@ class Network {
 
   std::size_t num_total() const noexcept { return status_.size(); }
   std::size_t num_alive() const noexcept { return alive_count_; }
+  /// Crashes so far: nodes never recover, so this only grows.
+  std::size_t num_crashed() const noexcept {
+    return status_.size() - alive_count_;
+  }
   bool alive(NodeId id) const noexcept { return status_[id] == NodeStatus::kAlive; }
   bool exists(NodeId id) const noexcept { return id < status_.size(); }
   NodeStatus status(NodeId id) const noexcept { return status_[id]; }

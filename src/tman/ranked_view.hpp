@@ -19,9 +19,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <type_traits>
@@ -30,7 +30,6 @@
 #include "sim/node_id.hpp"
 #include "space/metric_space.hpp"
 #include "space/point.hpp"
-#include "util/topk.hpp"
 
 namespace poly::tman {
 
@@ -46,8 +45,10 @@ struct Descriptor {
 template <typename Entry>
 using IdOf = decltype(Entry::id);
 
-/// The rank of one entry: distance² to the ranking target, then id.
-/// `index` says where the entry is; it fills what would be padding.
+/// The rank of one entry: distance² to the ranking target, then id, then
+/// `index`, where the entry is.  Ids in a view are unique, so only a
+/// gossip buffer's candidates (a view and extras that may repeat its ids)
+/// ever reach the index.
 template <typename Id>
 struct RankKey {
   double key = 0.0;
@@ -56,7 +57,8 @@ struct RankKey {
 
   friend bool operator<(const RankKey& a, const RankKey& b) noexcept {
     if (a.key != b.key) return a.key < b.key;
-    return a.id < b.id;
+    if (a.id != b.id) return a.id < b.id;
+    return a.index < b.index;
   }
 };
 
@@ -68,6 +70,7 @@ struct RankScratch {
   std::vector<RankKey<IdOf<Entry>>> keys;
   std::vector<std::uint32_t> moved;   ///< view slots merge_ranked vacated
   std::vector<std::uint32_t> picked;  ///< pick_closest's result
+  std::size_t view_scanned = 0;  ///< view entries pick_closest last keyed
 };
 
 /// Age rule of an entry type without ages (sync T-Man).
@@ -244,43 +247,91 @@ inline std::size_t refresh_ranked(std::vector<Descriptor>& view,
 }
 
 /// Selects the gossip buffer `sender` sends to `receiver` (at
-/// `receiver_pos`): keys `view` ++ `extra` by distance² to the receiver,
-/// keeps the `msg + |extra|` smallest (util::keep_smallest_sorted) and
-/// walks them in order, skipping the receiver, ids already taken (the
-/// sender's own included) and entries `forward` rejects, until `msg − 1`
-/// are taken; each protocol puts its own descriptor first.  Returns their
-/// indices into view ++ extra, in rank order, valid until `scratch`'s
-/// next use.
+/// `receiver_pos`) from the candidates `view` ++ `extra`: keeps the
+/// `msg + |extra|` smallest under the strict order (distance² to the
+/// receiver, id, candidate index), so a view entry that `extra` repeats at
+/// the same distance ranks first, and walks them in order, skipping the
+/// receiver, ids already taken (the sender's own included) and entries
+/// `forward` rejects, until `msg − 1` are taken; each protocol puts its
+/// own descriptor first.  Returns their indices into view ++ extra, in rank
+/// order, valid until `scratch`'s next use.
 ///
-/// `extra` may repeat a view entry with the same key and id but another
-/// version, so this order is not strict: the candidate order (view first,
-/// then extra) and the selection algorithm fix which copy wins.
+/// `ranked_around`, if not null, is the position `view` is ranked around
+/// (ascending distance² to it, as `rank_view` leaves it).  It only lets the
+/// view scan stop early; the result is the same without it.  Once the
+/// prefix is full, an entry e with d(ranked_around, e) −
+/// d(ranked_around, receiver) above the prefix's largest distance cannot
+/// be kept, since d(receiver, e) is at least that difference (triangle
+/// inequality), and neither can any later view entry, which lies at least
+/// as far from `ranked_around`.  The scan tests this on each view entry
+/// the full prefix rejects and stops at the first that passes.  Pass null
+/// for a view that may be in a stale order.
 template <typename View, typename Entry, typename Forward = ForwardAll>
 std::span<const std::uint32_t> pick_closest(
     const View& view, std::type_identity_t<std::span<const Entry>> extra,
     IdOf<Entry> receiver, const space::Point& receiver_pos, IdOf<Entry> sender,
     const space::MetricSpace& space, std::size_t msg,
-    RankScratch<Entry>& scratch, Forward forward = {}) {
+    RankScratch<Entry>& scratch, const space::Point* ranked_around,
+    Forward forward = {}) {
   const std::size_t rest = view.size();
   auto entry = [&](std::uint32_t i) -> const Entry& {
     return i < rest ? view[i] : extra[i - rest];
   };
   auto& keys = scratch.keys;
-  keys.clear();
-  const std::size_t n = rest + extra.size();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Entry& e = entry(i);
-    keys.push_back({space.distance2(receiver_pos, e.pos), e.id, i});
-  }
-  util::keep_smallest_sorted(keys, std::min(msg + extra.size(), n),
-                             std::less<>());
   auto& picked = scratch.picked;
+  keys.clear();
   picked.clear();
+  scratch.view_scanned = 0;
+  if (msg <= 1) return picked;  // room for the sender's own descriptor only
+
+  // `keys` holds the `keep` smallest candidates offered so far, sorted.
+  // Returns true when the prefix is full and its last key changed.
+  const std::size_t keep = std::min(msg + extra.size(), rest + extra.size());
+  auto offer = [&](const Entry& e, std::uint32_t i) {
+    const RankKey<IdOf<Entry>> k{space.distance2(receiver_pos, e.pos), e.id, i};
+    std::size_t hole = keys.size();
+    if (hole < keep)
+      keys.emplace_back();
+    else if (k < keys.back())
+      --hole;
+    else
+      return false;
+    for (; hole > 0 && k < keys[hole - 1]; --hole) keys[hole] = keys[hole - 1];
+    keys[hole] = k;
+    return keys.size() == keep;
+  };
+
+  // The exit compares d²(ranked_around, e) with `exit_above`, the square
+  // of (largest kept distance + d(ranked_around, receiver)), widened by a
+  // relative and an absolute 1e-9 so that rounding cannot make it fire
+  // where the exact bound would not.
+  const double reach =
+      ranked_around ? std::sqrt(space.distance2(*ranked_around, receiver_pos))
+                    : 0.0;
+  double exit_above = std::numeric_limits<double>::infinity();
+  std::uint32_t i = 0;
+  while (i < rest) {
+    const Entry& e = view[i];
+    if (offer(e, i++)) {
+      if (ranked_around) {
+        const double bound =
+            (std::sqrt(keys.back().key) + reach) * (1.0 + 1e-9) + 1e-9;
+        exit_above = bound * bound;
+      }
+    } else if (ranked_around && keys.size() == keep &&
+               space.distance2(*ranked_around, e.pos) > exit_above) {
+      break;
+    }
+  }
+  scratch.view_scanned = i;
+  for (std::uint32_t j = 0; j < extra.size(); ++j)
+    offer(extra[j], static_cast<std::uint32_t>(rest + j));
+
   for (const auto& k : keys) {
     if (picked.size() + 1 >= msg) break;
     if (k.id == receiver || k.id == sender ||
         std::any_of(picked.begin(), picked.end(),
-                    [&](std::uint32_t i) { return entry(i).id == k.id; }) ||
+                    [&](std::uint32_t t) { return entry(t).id == k.id; }) ||
         !forward(entry(k.index)))
       continue;
     picked.push_back(k.index);

@@ -1,9 +1,16 @@
 #include "tman/tman.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace poly::tman {
+
+namespace {
+constexpr std::uint64_t kNeverPruned =
+    std::numeric_limits<std::uint64_t>::max();
+}  // namespace
 
 TmanProtocol::TmanProtocol(sim::Network& net, const space::MetricSpace& space,
                            rps::RpsProtocol& rps,
@@ -19,6 +26,7 @@ void TmanProtocol::on_node_added(sim::NodeId id, const space::Point& pos) {
   views_.emplace_back();
   pos_.push_back(pos);
   version_.push_back(1);
+  pruned_at_.push_back(kNeverPruned);
 }
 
 void TmanProtocol::bootstrap_node(sim::NodeId id) {
@@ -61,12 +69,21 @@ void TmanProtocol::refresh_all_views() {
 }
 
 void TmanProtocol::prune_suspected(sim::NodeId id) {
+  // Skipping the scan under the epoch of the view's last prune is exact.
+  // The suspected set has not grown since, and each descriptor that entered
+  // the view meanwhile is unsuspected: it came from a buffer built from a
+  // view pruned under the same epoch, from the alive-filtered RPS
+  // candidates, or is p's or q's own descriptor, and a detector with an
+  // epoch suspects no alive node.
+  const std::optional<std::uint64_t> epoch = fd_.epoch();
+  if (epoch && *epoch == pruned_at_[id]) return;
   auto& view = views_[id];
   view.erase(std::remove_if(view.begin(), view.end(),
                             [&](const Descriptor& d) {
                               return fd_.suspects(id, d.id);
                             }),
              view.end());
+  if (epoch) pruned_at_[id] = *epoch;
 }
 
 void TmanProtocol::sample_candidates(sim::NodeId p, std::size_t k,
@@ -92,8 +109,10 @@ void TmanProtocol::build_buffer(sim::NodeId p, sim::NodeId q,
   const auto& view = views_[p];
   buf.clear();
   buf.push_back(Descriptor{p, pos_[p], version_[p]});  // own, always first
+  // set_position re-ranks at once, so p's view is ranked around pos_[p]
+  // and the scan may stop early.
   for (std::uint32_t i : pick_closest(view, candidates_, q, pos_[q], p, space_,
-                                      cfg_.msg_size, rank_scratch_))
+                                      cfg_.msg_size, rank_scratch_, &pos_[p]))
     buf.push_back(i < view.size() ? view[i] : candidates_[i - view.size()]);
 }
 

@@ -114,7 +114,8 @@ class TmanProtocol final : public topo::TopologyConstruction {
   /// One active exchange initiated by p; returns false if no partner.
   bool exchange(sim::NodeId p);
 
-  /// Drops suspected-dead descriptors from a node's view.
+  /// Drops suspected-dead descriptors from a node's view, unless the
+  /// failure detector's epoch has not moved since its last prune.
   void prune_suspected(sim::NodeId id);
 
   /// Builds into `buf` the m-descriptor buffer p sends to q: own
@@ -137,6 +138,8 @@ class TmanProtocol final : public topo::TopologyConstruction {
   std::vector<std::vector<Descriptor>> views_;
   std::vector<space::Point> pos_;
   std::vector<std::uint64_t> version_;
+  /// Detector epoch of each view's last prune (kNeverPruned before one).
+  std::vector<std::uint64_t> pruned_at_;
 
   // Exchange scratch: with it an exchange, a refresh or a re-rank makes no
   // heap allocation once the views have grown (one protocol object per

@@ -93,9 +93,11 @@ void VicinityProtocol::build_buffer(sim::NodeId p, sim::NodeId q,
   const auto& view = views_[p];
   buf.clear();
   buf.push_back(VicinityEntry{p, pos_[p], version_[p], 0});
+  // No early exit: set_position does not re-rank, so the view may be in
+  // the order of p's previous position.
   for (std::uint32_t i :
        tman::pick_closest(view, candidates_, q, pos_[q], p, space_,
-                          cfg_.gossip_size, rank_scratch_))
+                          cfg_.gossip_size, rank_scratch_, nullptr))
     buf.push_back(i < view.size() ? view[i] : candidates_[i - view.size()]);
 }
 

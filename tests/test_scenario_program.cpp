@@ -589,8 +589,11 @@ TEST(ProgramRun, ThreePhaseTimelineIsPinnedBitForBit) {
   // scale, on both substrates.  The T-Man constants were captured from the
   // three-phase harness this runner replaced (run_three_phase,
   // run_experiment) before it was deleted: they prove the port changed no
-  // simulated number.  The Vicinity constants were captured before its
-  // ranking moved to the shared ranked-view core (tman/ranked_view.hpp).
+  // simulated number.  The Vicinity constants were re-pinned once when
+  // gossip-buffer selection (tman::pick_closest) took a strict order:
+  // Vicinity's RPS slice repeats view entries at the same distance with
+  // other ages, and such a tie now resolves view-first by rule, where the
+  // old nth_element-and-sort left it to the algorithm.
   struct Pin {
     double homogeneity, proximity, msg_paper, reshaping, reliability;
   };
@@ -604,8 +607,9 @@ TEST(ProgramRun, ThreePhaseTimelineIsPinnedBitForBit) {
         {0.061159586912079608, 0.9833087785330229, 125.90625, 4,
          0.953125}}},
       {"vicinity",
-       {{0.060211771728019906, 0.9963585621002935, 126.03125, 4, 0.9765625},
-        {0.073548543456039811, 0.99233762499870048, 126.1640625, 3,
+       {{0.068024271728019906, 0.99475713766074281, 125.9765625, 3,
+         0.9765625},
+        {0.050111043456039804, 0.98595026479394687, 125.71875, 3,
          0.953125}}},
   };
   for (const auto& sub : substrates) {

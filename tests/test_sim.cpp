@@ -227,6 +227,63 @@ TEST(PerfectFd, SuspectsExactlyCrashedNodes) {
   EXPECT_FALSE(fd.suspects(1, 0));
 }
 
+// The epoch contract (FailureDetector::epoch): it moves whenever the
+// suspected set can grow, and a detector whose verdicts depend on the
+// observer reports none.
+
+TEST(PerfectFd, EpochMovesOnACrashOnly) {
+  Network net(1);
+  net.add_node(Point(0, 0));
+  net.add_node(Point(1, 0));
+  PerfectFailureDetector fd(net);
+  const auto e0 = fd.epoch();
+  ASSERT_TRUE(e0.has_value());
+  net.advance_round();
+  net.add_node(Point(2, 0));
+  EXPECT_EQ(fd.epoch(), e0);
+  net.crash(1);
+  const auto e1 = fd.epoch();
+  EXPECT_NE(e1, e0);
+  net.crash(1);  // idempotent: nothing new to suspect
+  net.advance_round();
+  EXPECT_EQ(fd.epoch(), e1);
+  net.crash(2);
+  EXPECT_NE(fd.epoch(), e1);
+  EXPECT_NE(fd.epoch(), e0);
+}
+
+TEST(DelayedFd, EpochMovesOnACrashAndOnEveryRound) {
+  Network net(1);
+  net.add_node(Point(0, 0));
+  net.add_node(Point(1, 0));
+  DelayedFailureDetector fd(net, /*delay_rounds=*/2);
+  std::set<std::uint64_t> seen;
+  auto fresh = [&] {
+    const auto e = fd.epoch();
+    return e.has_value() && seen.insert(*e).second;
+  };
+  EXPECT_TRUE(fresh());
+  net.add_node(Point(2, 0));
+  EXPECT_FALSE(fresh());
+  net.crash(1);
+  EXPECT_TRUE(fresh());
+  for (int r = 0; r < 4; ++r) {
+    net.advance_round();
+    EXPECT_TRUE(fresh()) << "round " << r;
+  }
+  net.crash(2);
+  EXPECT_TRUE(fresh());
+}
+
+TEST(DelayedFd, FalsePositivesOptOutOfTheEpoch) {
+  Network net(1);
+  net.add_node(Point(0, 0));
+  DelayedFailureDetector fd(net, 0, /*false_positive_rate=*/0.01);
+  EXPECT_FALSE(fd.epoch().has_value());
+  net.advance_round();
+  EXPECT_FALSE(fd.epoch().has_value());
+}
+
 TEST(DelayedFd, DetectionWaitsForDelay) {
   Network net(1);
   net.add_node(Point(0, 0));

@@ -198,6 +198,51 @@ TEST(Tman, ViewInvariants) {
   EXPECT_GE(rounds_with_moves, round - 1);
 }
 
+TEST(Tman, NoAliveViewHoldsASuspectedIdAfterARound) {
+  // prune_suspected skips its scan while the detector's epoch stands
+  // still; that is exact only if every T-Man round leaves each alive view
+  // free of suspected ids.  Checked under perfect detection and under
+  // detection three rounds late, through a catastrophe and a re-injection.
+  for (const std::uint64_t delay : {0, 3}) {
+    GridTorusShape shape(16, 10);
+    poly::scenario::SimulationConfig cfg;
+    cfg.seed = 17;
+    cfg.fd_delay_rounds = delay;
+    poly::scenario::Simulation sim(shape, cfg);
+    const TmanProtocol& tman = sim.tman();
+    const poly::sim::FailureDetector& fd = sim.failure_detector();
+    const Network& net = sim.network();
+    std::size_t round = 0, dead_unsuspected = 0;
+    auto run = [&](std::size_t n) {
+      for (std::size_t r = 0; r < n; ++r, ++round) {
+        sim.rps().round();
+        sim.topology().round();
+        for (NodeId id = 0; id < net.num_total(); ++id) {
+          if (!net.alive(id)) continue;
+          for (const auto& d : tman.view(id)) {
+            ASSERT_FALSE(fd.suspects(id, d.id))
+                << "delay " << delay << ", round " << round << ": node "
+                << id << " holds suspected " << d.id;
+            dead_unsuspected += !net.alive(d.id);
+          }
+        }
+        sim.polystyrene()->round();
+        sim.network().advance_round();
+      }
+    };
+    ASSERT_NO_FATAL_FAILURE(run(10));
+    const std::size_t crashed = sim.crash_failure_half();
+    ASSERT_NO_FATAL_FAILURE(run(10));
+    sim.reinject(crashed);
+    ASSERT_NO_FATAL_FAILURE(run(10));
+    // Late detection leaves crashed nodes in views for a few rounds, and
+    // the check above holds through them.
+    if (delay > 0) {
+      EXPECT_GT(dead_unsuspected, 0u);
+    }
+  }
+}
+
 TEST(Tman, SetPositionBumpsVersionAndReRanks) {
   Stack s(8, 8, 17);
   s.run_rounds(10);
@@ -657,9 +702,10 @@ TEST(TmanRankedView, RefreshAndReRankMatchFullSortReference) {
 }
 
 /// The buffer as a plain full sort picks it: sort view ++ extra by
-/// (distance² to the receiver, id), keep the msg + |extra| first, walk
-/// them, skip the receiver, the sender, taken ids and rejected entries,
-/// stop at msg − 1.  Returns the taken candidates' indices.
+/// (distance² to the receiver, id, candidate index), keep the
+/// msg + |extra| first, walk them, skip the receiver, the sender, taken ids
+/// and rejected entries, stop at msg − 1.  Returns the taken candidates'
+/// indices.
 template <typename Entry, typename Forward>
 std::vector<std::uint32_t> reference_pick(const std::vector<Entry>& cand,
                                           std::size_t n_extra,
@@ -671,7 +717,9 @@ std::vector<std::uint32_t> reference_pick(const std::vector<Entry>& cand,
   std::vector<std::uint32_t> order(cand.size());
   for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return ranks_before(cand[a], cand[b], receiver_pos, space);
+    if (ranks_before(cand[a], cand[b], receiver_pos, space)) return true;
+    if (ranks_before(cand[b], cand[a], receiver_pos, space)) return false;
+    return a < b;
   });
   if (order.size() > msg + n_extra) order.resize(msg + n_extra);
   std::vector<std::uint32_t> taken;
@@ -688,14 +736,17 @@ std::vector<std::uint32_t> reference_pick(const std::vector<Entry>& cand,
 }
 
 struct PickCoverage {
-  std::size_t with_extra = 0, rejected = 0, tied = 0, full = 0, short_of = 0;
+  std::size_t with_extra = 0, rejected = 0, tied = 0, full = 0, short_of = 0,
+              exited = 0;
 };
 
 /// 20,000 seeded buffer picks from `View`s of `Entry` plus extra
 /// candidates, each against reference_pick.  An extra candidate may
 /// repeat a view entry's id at the same position (sync T-Man's RPS
-/// sample): such ties have no strict order, so where the case has one
-/// the check compares ids and keys; elsewhere it compares the entries.
+/// sample); the candidate index breaks such ties.  Half the cases pass the
+/// sender's position, around which the view is ranked, and draw the
+/// receiver near it, so the scan often stops early; those must pick the
+/// same as without the position.
 template <typename View, typename Entry, typename Forward>
 PickCoverage fuzz_pick(std::uint64_t seed, Forward forward) {
   ViewFuzzer<Entry> fz(seed);
@@ -706,8 +757,10 @@ PickCoverage fuzz_pick(std::uint64_t seed, Forward forward) {
     const std::size_t pool = 8 + fz.rng.index(40);
     const auto sender = fz.id(fz.rng.index(pool));
     const Point sender_pos = fz.random_pos();
-    const std::vector<Entry> view =
-        fz.ranked_view(sender, sender_pos, pool, fz.rng.index(30));
+    // Longer views where the scan may stop early give it room to.
+    const bool ranked_around = fz.rng.bernoulli(0.5);
+    const std::vector<Entry> view = fz.ranked_view(
+        sender, sender_pos, pool, fz.rng.index(ranked_around ? 60 : 30));
     std::vector<Entry> extra;
     const std::size_t n_extra = fz.rng.bernoulli(0.3) ? 0 : fz.rng.index(8);
     for (std::size_t i = 0; i < n_extra; ++i) {
@@ -724,7 +777,18 @@ PickCoverage fuzz_pick(std::uint64_t seed, Forward forward) {
     const auto receiver = !view.empty() && fz.rng.bernoulli(0.8)
                               ? view[fz.rng.index(view.size())].id
                               : fz.id(fz.rng.index(pool));
-    const Point receiver_pos = fz.random_pos();
+    Point receiver_pos = fz.random_pos();
+    if (ranked_around) {
+      // At the sender, one grid step away (grid entries in line with both
+      // then make the triangle inequality tight), or anywhere nearby.
+      receiver_pos = sender_pos;
+      const std::size_t near = fz.rng.index(3);
+      if (near == 1)
+        receiver_pos.c[fz.rng.index(2)] += fz.rng.bernoulli(0.5) ? 1.0 : -1.0;
+      for (int c = 0; near == 2 && c < 2; ++c)
+        receiver_pos.c[c] += fz.rng.uniform_real(-0.5, 0.5);
+      receiver_pos = fz.space.normalize(receiver_pos);
+    }
     const std::size_t msg = fz.rng.index(12);
 
     std::vector<Entry> cand = view;
@@ -740,13 +804,23 @@ PickCoverage fuzz_pick(std::uint64_t seed, Forward forward) {
                                      receiver_pos, sender, fz.space, msg,
                                      forward);
     t.load(view);
-    const auto got = poly::tman::pick_closest(
-        t.view, std::span<const Entry>(extra), receiver, receiver_pos, sender,
-        fz.space, msg, scratch, forward);
+    auto pick = [&](const Point* around) {
+      const auto picked = poly::tman::pick_closest(
+          t.view, std::span<const Entry>(extra), receiver, receiver_pos,
+          sender, fz.space, msg, scratch, around, forward);
+      return std::vector<std::uint32_t>(picked.begin(), picked.end());
+    };
+    const auto got = pick(ranked_around ? &sender_pos : nullptr);
+    if (ranked_around) {
+      cov.exited += scratch.view_scanned < view.size();
+      EXPECT_EQ(got, pick(nullptr)) << "case " << round;
+      EXPECT_EQ(scratch.view_scanned, msg > 1 ? view.size() : 0)
+          << "case " << round;
+    }
+    EXPECT_EQ(got, want) << "case " << round;
     if (has_tie) {
-      // Which copy of a tied pair the prefix keeps is the selection
-      // algorithm's choice, and the rule may reject one copy but not the
-      // other; check what holds for any choice.
+      // The rule may reject one copy of a tied pair but not the other;
+      // check what holds for any choice of copy, too.
       EXPECT_LE(got.size() + 1, std::max<std::size_t>(msg, 1))
           << "case " << round;
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -759,9 +833,6 @@ PickCoverage fuzz_pick(std::uint64_t seed, Forward forward) {
               << "case " << round;
         }
       }
-    } else {
-      EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), want)
-          << "case " << round;
     }
     if (::testing::Test::HasFailure()) return cov;
     // A buffer left short while forwardable, untaken candidates remain:
@@ -792,12 +863,14 @@ TEST(TmanRankedView, PickMatchesFullSortReference) {
   EXPECT_GT(all.with_extra, 10000u);
   EXPECT_GT(all.tied, 1000u);
   EXPECT_GT(all.full, 2000u);
+  EXPECT_GT(all.exited, 5000u);
   // A rule that rejects version-0 entries covers the 32-bit id width with
   // a real filter too.
   const auto filtered = fuzz_pick<std::vector<Descriptor>, Descriptor>(
       2019, [](const Descriptor& d) { return d.version != 0; });
   EXPECT_GT(filtered.rejected, 10000u);
   EXPECT_GT(filtered.short_of, 1000u);
+  EXPECT_GT(filtered.exited, 5000u);
 }
 
 TEST(TmanRankedView, FleetForwardingRulePickMatchesFullSortReference) {
@@ -809,6 +882,7 @@ TEST(TmanRankedView, FleetForwardingRulePickMatchesFullSortReference) {
   EXPECT_GT(cov.rejected, 10000u);
   EXPECT_GT(cov.full, 1000u);
   EXPECT_GT(cov.short_of, 1000u);
+  EXPECT_GT(cov.exited, 5000u);
 }
 
 TEST(Tman, ConfigValidation) {

@@ -223,6 +223,9 @@ UNORDERED_DECL_RE = re.compile(
     r"\bstd\s*::\s*unordered_(?:map|set|multimap|multiset)\s*<")
 ARENAVEC_RE = re.compile(r"\b(?:util\s*::\s*)?ArenaVec\s*<")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+# What may stand between a declaration's type and its name: references,
+# pointers and const (`std::unordered_map<K, V> const& m`, `... * p`).
+DECLARATOR_PREFIX_RE = re.compile(r"(?:\s*(?:&&?|\*|\bconst\b))*\s*")
 
 
 @dataclasses.dataclass
@@ -317,7 +320,8 @@ def scan_file(root: pathlib.Path, rel: str) -> FileScan:
     for m in UNORDERED_DECL_RE.finditer(code):
         end = balanced_angle(code, code.index("<", m.start()))
         tail = code[end:end + 160]
-        im = IDENT_RE.match(tail.lstrip())
+        tail = tail[DECLARATOR_PREFIX_RE.match(tail).end():]
+        im = IDENT_RE.match(tail)
         if im:
             unordered_vars.add(im.group(0))
 

@@ -77,6 +77,16 @@ class CheckFixtures(unittest.TestCase):
         self.assert_fixture(
             "d1_for_header", "unordered-iter", {("unordered-iter", 24)})
 
+    def test_d1_reference_and_pointer_declarations(self):
+        # Unordered containers declared as a const& parameter (line 12),
+        # a pointer iterated through `*table` (line 19), with a trailing
+        # `const&` (line 27) and as an rvalue reference (line 28): each
+        # range-for fires.  The membership lookup through a reference
+        # must not.
+        self.assert_fixture(
+            "d1_ref_ptr_decls.cpp", "unordered-iter",
+            {("unordered-iter", n) for n in (12, 19, 27, 28)})
+
     def test_d2_pointer_order(self):
         # Pointer-keyed set/map/unordered_set, std::less over a pointer,
         # a comparator lambda ordering two pointer params, and a

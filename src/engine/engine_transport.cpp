@@ -1,6 +1,7 @@
 #include "engine/engine_transport.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace poly::engine {
@@ -17,20 +18,14 @@ void EngineTransport::set_handler(net::MessageHandler handler) {
   handler_ = std::move(handler);
 }
 
-bool EngineTransport::send(const net::Address& to,
-                           std::vector<std::uint8_t> payload) {
-  if (stopped_) return false;
-  return hub_->send_from(id_, hub_->resolve(to), std::move(payload));
+net::EndpointId EngineTransport::resolve(net::LiveNodeId node) const {
+  return hub_->endpoint_of(node);
 }
 
 bool EngineTransport::send(net::EndpointId to,
                            std::vector<std::uint8_t> payload) {
   if (stopped_) return false;
   return hub_->send_from(id_, to, std::move(payload));
-}
-
-net::EndpointId EngineTransport::resolve(const net::Address& to) const {
-  return hub_->resolve(to);
 }
 
 std::vector<std::uint8_t> EngineTransport::acquire_buffer() {
@@ -70,9 +65,19 @@ EngineHub::EngineHub(EventEngine& engine, std::unique_ptr<LinkModel> link,
 
 std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
     const net::Address& address) {
+  return make_endpoint(address, transports_.size());
+}
+
+std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
+    const net::Address& address, net::LiveNodeId node) {
   thread_check_.check("EngineHub::make_endpoint");
   if (by_name_.count(address))
     throw std::invalid_argument("EngineHub: duplicate address " + address);
+  if (node >= net::kInvalidEndpointId)
+    throw std::invalid_argument("EngineHub: node id out of range");
+  if (endpoint_of(node) != net::kInvalidEndpointId)
+    throw std::invalid_argument("EngineHub: node " + std::to_string(node) +
+                                " already has a live endpoint");
   const auto id = static_cast<net::EndpointId>(transports_.size());
   auto ep = std::unique_ptr<EngineTransport>(
       new EngineTransport(this, address, id));
@@ -84,17 +89,22 @@ std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
   // its counting test) forbids.  Two entries cover concurrent open
   // instants under the in-tree latency models.
   batches_.emplace_back().reserve(2);
-  names_.push_back(address);
   clamp_keys_.emplace_back();
+  ep_node_.push_back(static_cast<std::uint32_t>(node));
+  if (node >= node_ep_.size())
+    node_ep_.resize(node + 1, net::kInvalidEndpointId);
+  node_ep_[node] = id;
   by_name_.emplace(address, id);
   return ep;
 }
 
 bool EngineHub::reachable(const net::Address& address) const {
+  ++by_name_lookups_;
   return by_name_.count(address) > 0;
 }
 
 net::EndpointId EngineHub::resolve(const net::Address& address) const {
+  ++by_name_lookups_;
   const auto it = by_name_.find(address);
   return it == by_name_.end() ? net::kInvalidEndpointId : it->second;
 }
@@ -116,13 +126,11 @@ std::size_t EngineHub::approx_bytes() const {
   std::size_t b = transports_.capacity() * sizeof(EngineTransport*) +
                   marks_.capacity() * sizeof(OpenMarks) +
                   batches_.capacity() * sizeof(std::vector<Batch>) +
-                  names_.capacity() * sizeof(net::Address) +
                   clamp_keys_.capacity() * sizeof(std::vector<std::uint64_t>) +
+                  ep_node_.capacity() * sizeof(std::uint32_t) +
+                  node_ep_.capacity() * sizeof(net::EndpointId) +
                   pool_.capacity() * sizeof(std::vector<std::uint8_t>) +
                   frame_pool_.capacity() * sizeof(std::vector<PendingFrame>);
-  for (const auto& name : names_)
-    if (name.capacity() > sizeof(net::Address))  // beyond SSO
-      b += name.capacity();
   for (const auto& batch_list : batches_) {
     b += batch_list.capacity() * sizeof(Batch);
     for (const auto& batch : batch_list)
@@ -144,8 +152,9 @@ std::size_t EngineHub::approx_bytes() const {
 
 void EngineHub::unregister(net::EndpointId id) {
   if (id >= transports_.size() || transports_[id] == nullptr) return;
+  by_name_.erase(transports_[id]->address_);
   transports_[id] = nullptr;
-  by_name_.erase(names_[id]);
+  node_ep_[ep_node_[id]] = net::kInvalidEndpointId;
   // Drop the dead endpoint's FIFO-clamp entries: it can never send or
   // receive again, and long churn scenarios would otherwise accumulate
   // clamp state for every node that ever lived.  The per-endpoint key
@@ -175,7 +184,8 @@ bool EngineHub::send_from(net::EndpointId from, net::EndpointId to,
   // RNG draws — trajectories are bit-identical to a plane-free hub.
   fault::FrameFate fate;
   if (plane_ != nullptr && plane_->active())
-    fate = plane_->fate(from, to, payload.size(), engine_.now());
+    fate = plane_->fate(ep_node_[from], ep_node_[to], payload.size(),
+                        engine_.now());
   if (fate.blackholed) {
     // Silent in-flight loss: the sender observes success, exactly like a
     // link-model drop — a partitioned peer looks slow/lossy, not dead.
@@ -306,7 +316,7 @@ void EngineHub::deliver_one(net::EndpointId from, net::EndpointId to,
   EngineTransport* ep = transports_[to];
   if (ep != nullptr) {
     ++delivered_;
-    net::Message msg{names_[from], std::move(payload), from};
+    net::Message msg{std::move(payload), from, ep_node_[from]};
     ep->dispatch(msg);
     payload = std::move(msg.payload);  // reclaim unless the handler kept it
   }

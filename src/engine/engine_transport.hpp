@@ -1,19 +1,20 @@
 // Event-driven transport: net::Transport over the discrete-event kernel.
 //
-// EngineHub is the fleet's in-process network — a registry of named
-// endpoints — whose delivery is an *event*: send() draws a latency (and
-// possibly a drop) from the hub's LinkModel and schedules the receiver's
-// handler at now + latency on the engine.  No threads, no mailboxes:
-// handlers run inline in the engine loop, in deterministic timestamp
-// order, on either of the fleet's clocks.
+// EngineHub is the fleet's in-process network — a registry of endpoints,
+// each registered for one node — whose delivery is an *event*: send()
+// draws a latency (and possibly a drop) from the hub's LinkModel and
+// schedules the receiver's handler at now + latency on the engine.  No
+// threads, no mailboxes: handlers run inline in the engine loop, in
+// deterministic timestamp order, on either of the fleet's clocks.
 //
 // The hub is built for the 100k-node steady state, where every protocol
 // message passes through it:
 //
-//   * addresses are interned at registration into dense EndpointIds; the
-//     endpoint table is flat and the per-send path does no string hashing
-//     or copying (protocol layers cache resolve()d ids);
-//   * each endpoint's hub-side state — transport pointer, name, FIFO-clamp
+//   * endpoints are dense EndpointIds, and one endpoint <-> node table
+//     maps each endpoint to its node and each node to its live endpoint;
+//     a send resolves a node id with one array read (protocol layers
+//     cache resolve()d ids), and neither send nor delivery touches a name;
+//   * each endpoint's hub-side state — transport pointer, node, FIFO-clamp
 //     keys, delivery-batching rendezvous — lives in type-segregated
 //     contiguous slabs indexed by EndpointId, split by access pattern so
 //     the per-send hot walk stays inside the two dense tables (transport
@@ -48,10 +49,14 @@
 //   * per sender→receiver FIFO is preserved even under jittered latency
 //     (delivery times are clamped monotone per pair).
 //
+// Names stay at the edge: an endpoint is registered under a unique (among
+// live endpoints) name, which tests and logs may look up; the fleet
+// itself never does.
+//
 // Lifetime: the hub must outlive the engine's pending delivery events (in
 // practice: destroy the engine first, or simply stop running it).
-// Endpoint ids are never reused; names of dead endpoints may be
-// re-registered (the name then maps to a fresh id).
+// Endpoint ids are never reused; a node whose endpoint died (and a dead
+// endpoint's name) may be registered again under a fresh endpoint id.
 #pragma once
 
 #include <cstdint>
@@ -78,14 +83,13 @@ class EngineTransport final : public net::Transport {
 
   net::Address address() const override { return address_; }
   void set_handler(net::MessageHandler handler) override;
-  bool send(const net::Address& to,
-            std::vector<std::uint8_t> payload) override;
+  /// The node's live endpoint on this hub (EngineHub::endpoint_of).
+  net::EndpointId resolve(net::LiveNodeId node) const override;
   bool send(net::EndpointId to, std::vector<std::uint8_t> payload) override;
-  net::EndpointId resolve(const net::Address& to) const override;
   std::vector<std::uint8_t> acquire_buffer() override;
   void shutdown() override;
 
-  /// This endpoint's interned id within its hub.
+  /// This endpoint's id within its hub.
   net::EndpointId endpoint_id() const noexcept { return id_; }
 
  private:
@@ -122,15 +126,31 @@ class EngineHub {
   EngineHub(const EngineHub&) = delete;
   EngineHub& operator=(const EngineHub&) = delete;
 
-  /// Creates and registers an endpoint with a unique (among live
-  /// endpoints) address, interned as the next dense EndpointId.
+  /// Creates the next dense EndpointId for node `node`, registered under
+  /// `address`.  Throws std::invalid_argument when a live endpoint already
+  /// has the address or the node, or when `node` does not fit the table.
+  std::unique_ptr<EngineTransport> make_endpoint(const net::Address& address,
+                                                 net::LiveNodeId node);
+  /// The same for the node whose id is the new endpoint's own id: the
+  /// identity mapping of a hub used without nodes (raw-hub tests).
   std::unique_ptr<EngineTransport> make_endpoint(const net::Address& address);
+
+  /// The live endpoint of `node`, or kInvalidEndpointId when it has none.
+  net::EndpointId endpoint_of(net::LiveNodeId node) const noexcept {
+    return node < node_ep_.size() ? node_ep_[node] : net::kInvalidEndpointId;
+  }
+
+  // ---- by name (the edge: tests, logs) -------------------------------------
 
   /// True if the address is currently registered (alive).
   bool reachable(const net::Address& address) const;
 
   /// The live endpoint id for an address (kInvalidEndpointId when absent).
   net::EndpointId resolve(const net::Address& address) const;
+
+  /// Calls to reachable() and resolve(const Address&) so far: the fleet
+  /// makes none, so the count stays still while it runs.
+  std::uint64_t by_name_lookups() const noexcept { return by_name_lookups_; }
 
   EventEngine& engine() noexcept { return engine_; }
 
@@ -161,8 +181,9 @@ class EngineHub {
   void release_buffer(std::vector<std::uint8_t> buf);
 
   /// Approximate heap bytes retained by the hub: the per-endpoint tables,
-  /// name strings, batching state, FIFO clamps and both buffer pools
-  /// (capacities, i.e. the retained footprint).  One line of the fleet
+  /// the endpoint <-> node table, batching state, FIFO clamps, the name
+  /// registry and both buffer pools (capacities, i.e. the retained
+  /// footprint).  One line of the fleet
   /// memory audit (EventCluster::memory_breakdown).
   std::size_t approx_bytes() const;
 
@@ -248,21 +269,28 @@ class EngineHub {
   /// per-endpoint record) keeps each path's working set dense: the
   /// per-send dead-endpoint check walks an 8-byte-stride table, the
   /// batching rendezvous a 32-byte-stride one, and the cold tables
-  /// (names, follower batches, clamp keys) are only pulled in by the
-  /// paths that need them.
+  /// (follower batches, clamp keys) are only pulled in by the paths that
+  /// need them.
   ///
-  /// transports_[id] == nullptr marks a dead endpoint; names_ keeps every
-  /// endpoint's address forever (frames in flight from a crashed sender
-  /// still carry its name); clamp_keys_[id] lists the FIFO-clamp entries
-  /// id participates in, so unregister erases exactly its own entries;
-  /// batches_[id] holds id's follower frames per open instant (a handful
-  /// of entries, scanned linearly).
+  /// transports_[id] == nullptr marks a dead endpoint; clamp_keys_[id]
+  /// lists the FIFO-clamp entries id participates in, so unregister erases
+  /// exactly its own entries; batches_[id] holds id's follower frames per
+  /// open instant (a handful of entries, scanned linearly).
   std::vector<EngineTransport*> transports_;
   std::vector<OpenMarks> marks_;
   std::vector<std::vector<Batch>> batches_;
-  std::vector<net::Address> names_;
   std::vector<std::vector<std::uint64_t>> clamp_keys_;
+
+  /// The endpoint <-> node table.  ep_node_[ep] is the node endpoint ep
+  /// was made for, kept after ep dies (a frame in flight from it still
+  /// belongs to its node, and the fault plane matches it by node);
+  /// node_ep_[node] is the node's live endpoint, kInvalidEndpointId when
+  /// it has none.
+  std::vector<std::uint32_t> ep_node_;
+  std::vector<net::EndpointId> node_ep_;
+
   std::unordered_map<net::Address, net::EndpointId> by_name_;  // live only
+  mutable std::uint64_t by_name_lookups_ = 0;
 
   /// Last scheduled (pre-rounding) delivery per (from, to) id pair;
   /// populated only when the link model can reorder (fixed-latency runs

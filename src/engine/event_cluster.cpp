@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "metrics/metrics.hpp"
-#include "net/tcp_transport.hpp"
 #include "traffic/workload.hpp"
 
 namespace poly::engine {
@@ -79,14 +78,13 @@ std::size_t EventCluster::add_node(std::optional<space::DataPoint> initial) {
 }
 
 std::unique_ptr<net::Transport> EventCluster::make_transport(std::size_t idx) {
-  if (cfg_.drive == Drive::kWallClockTcp)
-    return std::make_unique<net::TcpTransport>(&inbox_);
-  // The fault plane matches node ids, not endpoint ids (a recovered node
-  // keeps its id under a fresh endpoint): register the mapping for every
-  // endpoint ever made.
-  auto ep = hub_->make_endpoint("node-" + std::to_string(idx));
-  plane_.map_endpoint(ep->endpoint_id(), static_cast<std::uint32_t>(idx));
-  return ep;
+  if (cfg_.drive != Drive::kWallClockTcp)
+    return hub_->make_endpoint("node-" + std::to_string(idx), idx);
+  // A TCP node listens on a fresh port in every life: publish it.
+  auto tcp = std::make_unique<net::TcpTransport>(&inbox_, &directory_);
+  if (idx >= directory_.size()) directory_.resize(idx + 1);
+  directory_[idx] = tcp->address();
+  return tcp;
 }
 
 void EventCluster::pool_remove(std::size_t idx) {
@@ -116,11 +114,8 @@ void EventCluster::bootstrap_node(std::size_t idx) {
   rng_.sample_indices_into(others, std::min(cfg_.node.rps_view, others),
                            sample_scratch_);
   seed_scratch_.clear();
-  for (std::size_t slot : sample_scratch_) {
-    const std::uint32_t j = alive_pool_[slot];
-    seed_scratch_.push_back(net::Seed{static_cast<net::LiveNodeId>(j),
-                                      nodes_[j].address()});
-  }
+  for (std::size_t slot : sample_scratch_)
+    seed_scratch_.push_back(alive_pool_[slot]);
   nodes_[idx].bootstrap(seed_scratch_);
 }
 
@@ -228,10 +223,9 @@ std::size_t EventCluster::inject(const space::Point& pos) {
 
 bool EventCluster::recover_node(std::size_t idx) {
   if (idx >= nodes_.size() || !crashed_[idx]) return false;
-  // The old endpoint id died with the crash and is never reused; the old
-  // *name* is free again, so the rejoined node is reachable by the same
-  // address its stale view entries on peers still advertise.  (A TCP node
-  // comes back on a new port; peers learn it from gossip.)
+  // The old endpoint died with the crash and is never reused; the node id
+  // maps to the fresh one (a TCP node's directory entry to its new port),
+  // so peers that resolve the id reach the rejoined node.
   nodes_[idx].recover(make_transport(idx));
   crashed_[idx] = false;
   stall_until_[idx] = SimTime::zero();

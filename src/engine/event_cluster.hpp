@@ -37,6 +37,7 @@
 #include "metrics/metrics.hpp"
 #include "net/inbox.hpp"
 #include "net/runtime.hpp"
+#include "net/tcp_transport.hpp"
 #include "space/metric_space.hpp"
 #include "space/point.hpp"
 #include "util/arena.hpp"
@@ -148,7 +149,7 @@ class EventCluster {
 
   // ---- recovery -----------------------------------------------------------
   // Crash-recovery (docs/FAULTS.md): a crashed node rejoins under a fresh
-  // hub endpoint at its old address, keeping its pre-crash (stale) views —
+  // endpoint with its old node id, keeping its pre-crash (stale) views —
   // the protocol must absorb the ghost of its former self.
 
   /// Rejoins crashed node `idx`; false when out of range or not crashed.
@@ -266,8 +267,8 @@ class EventCluster {
 
  private:
   std::size_t add_node(std::optional<space::DataPoint> initial);
-  /// A fresh transport for node `idx`: a hub endpoint named after the
-  /// node (mapped in the fault plane), or a TCP socket over inbox_.
+  /// A fresh transport for node `idx`: a hub endpoint registered for the
+  /// node, or a TCP socket over inbox_ whose address goes in directory_.
   std::unique_ptr<net::Transport> make_transport(std::size_t idx);
   /// run_for on the wall clock, up to engine time `end`.
   void run_paced(SimTime end);
@@ -309,6 +310,10 @@ class EventCluster {
   /// otherwise).  Declared before nodes_: their transports discard their
   /// queued frames here on shutdown.
   net::Inbox inbox_;
+  /// Where each node listens under kWallClockTcp, by node id: written by
+  /// make_transport (at start and in recover_node), read by the nodes'
+  /// transports to connect by id.  Declared before nodes_, which use it.
+  net::TcpDirectory directory_;
   /// Nodes live in a chunked slab indexed by node id (== hub EndpointId
   /// creation order): the per-delivery random-node walk lands in packed
   /// storage instead of chasing one heap pointer per node.
@@ -332,7 +337,7 @@ class EventCluster {
   static constexpr std::uint32_t kNotInPool = 0xffffffffu;
   // Bootstrap/churn scratch: reused across calls, no steady allocation.
   std::vector<std::size_t> sample_scratch_;
-  std::vector<net::Seed> seed_scratch_;
+  std::vector<net::LiveNodeId> seed_scratch_;
   /// Lazily-created request workload (nullptr until start_traffic).
   std::unique_ptr<traffic::TrafficPlane> traffic_;
 };

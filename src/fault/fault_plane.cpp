@@ -16,22 +16,6 @@ std::vector<bool> make_member(const std::vector<std::uint32_t>& ids) {
 
 }  // namespace
 
-void FaultPlane::map_endpoint(std::uint32_t endpoint, std::uint32_t node) {
-  if (endpoint >= ep_to_node_.size()) {
-    // Identity fallback for the gap: endpoints nobody mapped (none today,
-    // but cheap insurance) resolve to their own id.
-    std::size_t old = ep_to_node_.size();
-    ep_to_node_.resize(endpoint + 1);
-    for (std::size_t i = old; i < ep_to_node_.size(); ++i)
-      ep_to_node_[i] = static_cast<std::uint32_t>(i);
-  }
-  ep_to_node_[endpoint] = node;
-}
-
-std::uint32_t FaultPlane::node_of(std::uint32_t ep) const noexcept {
-  return ep < ep_to_node_.size() ? ep_to_node_[ep] : ep;
-}
-
 RuleId FaultPlane::push_rule(Rule r) {
   RuleId id = static_cast<RuleId>(rules_.size());
   r.rng = stream(id);
@@ -109,11 +93,9 @@ void FaultPlane::heal(RuleId id, SimTime at) {
   if (id < rules_.size() && at < rules_[id].until) rules_[id].until = at;
 }
 
-FrameFate FaultPlane::fate(std::uint32_t from_ep, std::uint32_t to_ep,
+FrameFate FaultPlane::fate(std::uint32_t from, std::uint32_t to,
                            std::size_t /*bytes*/, SimTime now) {
   FrameFate f;
-  const std::uint32_t from = node_of(from_ep);
-  const std::uint32_t to = node_of(to_ep);
   for (Rule& r : rules_) {
     if (now < r.from || now >= r.until) continue;
     switch (r.kind) {

@@ -75,14 +75,6 @@ class FaultPlane {
   /// `seed` keys every rule stream; independent of the engine's RNG.
   explicit FaultPlane(std::uint64_t seed) noexcept : seed_(seed) {}
 
-  // ---- topology ----------------------------------------------------------
-  // Rules match *node ids* (cluster indices), not endpoint ids: a node
-  // that crashes and recovers gets a fresh endpoint but keeps its node id,
-  // and its partition membership must survive the rebirth.  The owning
-  // cluster registers every endpoint it creates.
-
-  void map_endpoint(std::uint32_t endpoint, std::uint32_t node);
-
   // ---- rule builders -----------------------------------------------------
   // All windows are [from, until) in engine time; pass SimTime::max() for
   // a fault that never heals.
@@ -131,10 +123,13 @@ class FaultPlane {
   /// engage its FIFO clamp even over fixed-latency links.
   bool may_jitter() const noexcept { return jitter_rules_ > 0; }
 
-  /// The fate of one frame (hub endpoint ids).  Draws only from the
-  /// private streams of the active rules that match.
-  FrameFate fate(std::uint32_t from_ep, std::uint32_t to_ep,
-                 std::size_t bytes, SimTime now);
+  /// The fate of one frame from node `from` to node `to`.  Rules match
+  /// node ids (cluster indices), not endpoints: a node that crashes and
+  /// recovers gets a fresh endpoint but keeps its id, and its partition
+  /// membership survives the rebirth (the hub maps endpoints to nodes).
+  /// Draws only from the private streams of the active rules that match.
+  FrameFate fate(std::uint32_t from, std::uint32_t to, std::size_t bytes,
+                 SimTime now);
 
   /// Applies a corrupt fate: XORs 1–4 payload bytes with nonzero masks
   /// (the frame is guaranteed to differ).  Uses the plane's dedicated
@@ -171,7 +166,6 @@ class FaultPlane {
   };
 
   RuleId push_rule(Rule r);
-  std::uint32_t node_of(std::uint32_t ep) const noexcept;
   /// The per-rule stream key: SplitMix-style mix of (seed, stream id), so
   /// neighboring rule ids land far apart in seed space.
   util::Rng stream(std::uint64_t stream_id) const noexcept {
@@ -180,7 +174,6 @@ class FaultPlane {
 
   std::uint64_t seed_;
   std::vector<Rule> rules_;
-  std::vector<std::uint32_t> ep_to_node_;  ///< identity when unmapped
   /// Corruption byte positions/masks draw from one dedicated stream (the
   /// per-rule streams decide *whether* a frame corrupts; this one decides
   /// *how*).  Stream id 2^32 cannot collide with a rule id.

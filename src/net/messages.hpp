@@ -9,6 +9,11 @@
 // Protocol summary (one message kind per protocol step):
 //   kRpsShuffleReq/Resp — Cyclon shuffle buffers (id, address, age)
 //   kTmanReq/Resp       — T-Man descriptor buffers (id, address, pos, ver)
+//
+// The header, peers and descriptors keep an address slot on the wire, but
+// nodes identify each other by id alone: AsyncNode sends every address
+// slot empty and never reads a received one.  Decoders still bound it
+// (kMaxAddressLength), so the work a frame costs stays bounded.
 //   kBackupPush         — origin's full guest set (doubles as a liveness
 //                         heartbeat from origin to backup holder)
 //   kMigrateReq         — initiator's guests + position (pull phase)
@@ -28,13 +33,8 @@
 
 namespace poly::net {
 
-/// Logical node identity in the live runtime (decoupled from transport
-/// addresses; a node is identified by id, reached via its address).
-using LiveNodeId = std::uint64_t;
-
-/// Longest transport address a frame may carry — the capacity of the
-/// inline names in AsyncNode's views (InlineAddr).  Decoders reject a
-/// header, peer or descriptor address longer than this with CodecError.
+/// Longest address slot a frame may carry.  Decoders reject a header,
+/// peer or descriptor address longer than this with CodecError.
 inline constexpr std::size_t kMaxAddressLength = 23;
 
 enum class MsgType : std::uint8_t {
@@ -103,8 +103,8 @@ void encode_rps(util::ByteWriter& w, const Header& h,
 std::vector<std::uint8_t> encode_rps(const Header& h,
                                      const std::vector<WirePeer>& peers);
 
-/// T-Man request/response: header + descriptor list (sender's own
-/// descriptor travels in the header's addr + the first list entry).
+/// T-Man request/response: header + descriptor list (the sender's own
+/// descriptor is the first list entry).
 void encode_tman(util::ByteWriter& w, const Header& h,
                  const std::vector<WireDescriptor>& descriptors);
 std::vector<std::uint8_t> encode_tman(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <stdexcept>
 
 #include "space/medoid.hpp"
 #include "util/log.hpp"
@@ -41,13 +40,12 @@ std::size_t oldest_index(const PeerList& view) {
 }
 
 PeerEntry to_entry(const WirePeer& p) {
-  PeerEntry e{p.id, p.age, p.pos, p.version, {}};
-  e.addr.assign(p.addr);
-  return e;
+  return PeerEntry{p.id, p.age, p.pos, p.version};
 }
 
+/// Address slots go out empty: peers know each other by id alone.
 WirePeer to_wire(const PeerEntry& e) {
-  return WirePeer{e.id, e.addr.str(), e.age, e.pos, e.version};
+  return WirePeer{e.id, {}, e.age, e.pos, e.version};
 }
 
 }  // namespace
@@ -70,14 +68,10 @@ AsyncNode::AsyncNode(LiveNodeId id,
     : id_(id),
       space_(std::move(space)),
       transport_(std::move(transport)),
-      addr_(transport_->address()),
       cfg_(config),
       clock_(std::move(clock)),
       rng_(seed),
       scratch_(&scratch) {
-  if (addr_.size() > kMaxAddressLength)
-    throw std::invalid_argument("AsyncNode: address '" + addr_ +
-                                "' is longer than kMaxAddressLength");
   rps_view_.bind(arena, static_cast<std::uint32_t>(cfg_.rps_view));
   tman_view_.bind(arena, tman_phys_cap(cfg_));
   backups_.bind(arena, static_cast<std::uint32_t>(cfg_.replication));
@@ -93,11 +87,11 @@ AsyncNode::AsyncNode(LiveNodeId id,
 
 AsyncNode::~AsyncNode() { transport_->shutdown(); }
 
-void AsyncNode::bootstrap(const std::vector<Seed>& seeds) {
-  for (const auto& s : seeds) {
-    if (s.id == id_) continue;
+void AsyncNode::bootstrap(std::span<const LiveNodeId> seeds) {
+  for (const LiveNodeId s : seeds) {
+    if (s == id_) continue;
     if (rps_view_.size() < cfg_.rps_view)
-      rps_view_.push_back(to_entry(WirePeer{s.id, s.addr, 0, {}, 0}));
+      rps_view_.push_back(PeerEntry{s, 0, {}, 0});
   }
 }
 
@@ -109,11 +103,11 @@ void AsyncNode::crash() {
 
 void AsyncNode::recover(std::unique_ptr<Transport> transport) {
   transport_ = std::move(transport);
-  addr_ = transport_->address();  // a TCP node rejoins on a new port
   transport_->set_handler([this](Message& msg) { on_message(msg); });
-  // The old life's interned endpoint ids are dead; drop them so the first
-  // post-rejoin contacts re-resolve by name instead of eating one failed
-  // send (and a spurious peer_unreachable purge) each.
+  // The old life's cached endpoints were resolved through the old
+  // transport; drop them so the first post-rejoin contacts re-resolve
+  // instead of eating one failed send (and a spurious peer_unreachable
+  // purge) each.
   for (std::size_t i = 0; i < kEpCacheSlots; ++i) ep_cache_[i] = EpCacheSlot{};
   // Any half-open migration handshake died with the old endpoint; the
   // partner timed out during the outage and kept its guests.
@@ -129,7 +123,7 @@ void AsyncNode::tick() {
 }
 
 Header AsyncNode::header(MsgType type) const {
-  return Header{type, id_, addr_};
+  return Header{type, id_, {}};
 }
 
 const std::vector<WirePoint>& AsyncNode::wire_guests() const {
@@ -138,34 +132,24 @@ const std::vector<WirePoint>& AsyncNode::wire_guests() const {
 }
 
 bool AsyncNode::send_reply(const Header& h, std::vector<std::uint8_t> frame) {
-  if (reply_ep_ != kInvalidEndpointId && reply_from_ != nullptr &&
-      *reply_from_ == h.sender_addr) {
-    if (transport_->send(reply_ep_, std::move(frame))) return true;
-    peer_unreachable(h.sender);
-    return false;
-  }
-  return send_to(h.sender, h.sender_addr, std::move(frame));
+  if (reply_ep_ == kInvalidEndpointId)
+    return send_to(h.sender, std::move(frame));
+  if (transport_->send(reply_ep_, std::move(frame))) return true;
+  peer_unreachable(h.sender);
+  return false;
 }
 
-bool AsyncNode::send_to(LiveNodeId peer, std::string_view addr,
-                        std::vector<std::uint8_t> frame) {
-  bool ok;
+bool AsyncNode::send_to(LiveNodeId peer, std::vector<std::uint8_t> frame) {
   EpCacheSlot& slot = ep_cache_[peer & (kEpCacheSlots - 1)];
-  if (slot.ep != kInvalidEndpointId && slot.id == peer) {
-    ok = transport_->send(slot.ep, std::move(frame));
-  } else {
-    // Miss (or collision eviction): resolve by name once and take the
-    // slot.  The Address string only materializes on this path.
-    const Address a(addr);
-    const EndpointId ep = transport_->resolve(a);
-    if (ep != kInvalidEndpointId) {
-      slot = EpCacheSlot{peer, ep};
-      ok = transport_->send(ep, std::move(frame));
-    } else {
-      ok = transport_->send(a, std::move(frame));
-    }
+  EndpointId ep = slot.ep;
+  if (ep == kInvalidEndpointId || slot.id != peer) {
+    // Miss (or collision eviction): resolve the id and take the slot.  A
+    // peer without a live endpoint stays uncached, and the send through
+    // kInvalidEndpointId fails (returning the buffer to the pool).
+    ep = transport_->resolve(peer);
+    if (ep != kInvalidEndpointId) slot = EpCacheSlot{peer, ep};
   }
-  if (!ok) {
+  if (!transport_->send(ep, std::move(frame))) {
     peer_unreachable(peer);
     return false;
   }
@@ -187,11 +171,10 @@ void AsyncNode::peer_unreachable(LiveNodeId peer) {
 // ---- message dispatch --------------------------------------------------------
 
 void AsyncNode::on_message(Message& msg) {
-  reply_ep_ = msg.from_ep;
-  reply_from_ = &msg.from;
   try {
     util::ByteReader r(msg.payload);
     const Header h = decode_header(r);
+    if (msg.from_node == h.sender) reply_ep_ = msg.from_ep;
     switch (h.type) {
       case MsgType::kRpsShuffleReq:
         decode_peers_into(r, scratch_->in_peers);
@@ -240,7 +223,6 @@ void AsyncNode::on_message(Message& msg) {
                      e.what());
   }
   reply_ep_ = kInvalidEndpointId;
-  reply_from_ = nullptr;
 }
 
 // ---- RPS --------------------------------------------------------------------
@@ -254,7 +236,7 @@ void AsyncNode::step_rps() {
 
   auto& out = scratch_->out_peers;
   out.clear();
-  out.push_back(WirePeer{id_, addr_, 0, pos_, pos_version_});
+  out.push_back(WirePeer{id_, {}, 0, pos_, pos_version_});
   rng_.sample_indices_into(rps_view_.size(),
                            std::min(cfg_.rps_shuffle - 1, rps_view_.size()),
                            scratch_->samples);
@@ -262,7 +244,7 @@ void AsyncNode::step_rps() {
 
   util::ByteWriter w = frame_writer();
   encode_rps(w, header(MsgType::kRpsShuffleReq), out);
-  send_to(target.id, target.addr.view(), w.take());
+  send_to(target.id, w.take());
 }
 
 void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
@@ -354,15 +336,14 @@ void AsyncNode::step_tman() {
       tman::rank_view(tman_view_, pos_, *space_, scratch_->rank);
       tman_view_.resize(cfg_.tman_view);
     }
-    tman_view_.push_back(
-        TmanEntry{p.id, p.version, p.pos, fwd_horizon, p.addr});
+    tman_view_.push_back(TmanEntry{p.id, p.version, p.pos, fwd_horizon});
     tman_ranked_ = false;
   }
   if (tman_view_.empty()) {
     // Cold start (no peer has a known position yet): seed the topology
     // view with placeholder descriptors so there is someone to contact.
     for (const PeerEntry& p : rps_view_)
-      tman_view_.push_back(TmanEntry{p.id, 0, pos_, 0, p.addr});
+      tman_view_.push_back(TmanEntry{p.id, 0, pos_, 0});
     if (tman_view_.empty()) return;
     tman_ranked_ = false;
   }
@@ -377,7 +358,7 @@ void AsyncNode::step_tman() {
   const TmanEntry target = tman_view_[rng_.index(horizon)];
   util::ByteWriter w = frame_writer();
   encode_tman(w, header(MsgType::kTmanReq), tman_buffer(target.id, target.pos));
-  send_to(target.id, target.addr.view(), w.take());
+  send_to(target.id, w.take());
 }
 
 const std::vector<WireDescriptor>& AsyncNode::tman_buffer(
@@ -399,7 +380,7 @@ const std::vector<WireDescriptor>& AsyncNode::tman_buffer(
   };
   auto& out = scratch_->out_descriptors;
   out.clear();
-  out.push_back(WireDescriptor{id_, addr_, pos_, pos_version_});
+  out.push_back(WireDescriptor{id_, {}, pos_, pos_version_});
   // No early exit: the view is re-ranked lazily (tman_ranked_), so it may
   // be in the order of an older position.
   for (std::uint32_t i :
@@ -407,7 +388,7 @@ const std::vector<WireDescriptor>& AsyncNode::tman_buffer(
                           cfg_.tman_msg, scratch_->rank, nullptr,
                           forwardable)) {
     const TmanEntry& e = tman_view_[i];
-    out.push_back({e.id, e.addr.str(), e.pos, e.version});
+    out.push_back({e.id, {}, e.pos, e.version});
   }
   return out;
 }
@@ -437,11 +418,9 @@ void AsyncNode::handle_tman(const Header& h,
   if (n < descriptors.size()) ++frames_overlong_;
   auto& in = scratch_->in_tman;
   in.clear();
-  for (const WireDescriptor& d : std::span(descriptors).first(n)) {
+  for (const WireDescriptor& d : std::span(descriptors).first(n))
     in.push_back(TmanEntry{d.id, d.version, d.pos,
-                           d.id == h.sender ? 0 : fwd_horizon, {}});
-    in.back().addr.assign(d.addr);
-  }
+                           d.id == h.sender ? 0 : fwd_horizon});
   // Merge the staged frame, then truncate to tman_view.
   if (!tman_ranked_) tman::rank_view(tman_view_, pos_, *space_, scratch_->rank);
   tman::merge_ranked(tman_view_, in, id_, pos_, *space_, cfg_.tman_view,
@@ -477,7 +456,7 @@ void AsyncNode::step_backup() {
   for (std::size_t i = 0; i < targets.size(); ++i) {
     util::ByteWriter w = frame_writer();
     w.bytes(scratch_->frame.data(), scratch_->frame.size());
-    send_to(targets[i].id, targets[i].addr.view(), w.take());
+    send_to(targets[i].id, w.take());
   }
 }
 
@@ -485,7 +464,6 @@ void AsyncNode::handle_backup_push(const Header& h,
                                    const std::vector<WirePoint>& guests) {
   GhostTable::Slot& slot = ghosts_.find_or_insert(h.sender);
   to_point_set_into(guests, slot.points);
-  slot.addr.assign(h.sender_addr);
   slot.last_push = clock_();
 }
 
@@ -518,7 +496,7 @@ void AsyncNode::step_migration() {
   candidates.clear();
   for (const TmanEntry& e : tman_view_) {
     if (candidates.size() >= cfg_.psi) break;
-    candidates.push_back({e.id, 0, e.pos, e.version, e.addr});
+    candidates.push_back({e.id, 0, e.pos, e.version});
   }
   if (!rps_view_.empty()) {
     const PeerEntry& r = rps_view_[rng_.index(rps_view_.size())];
@@ -535,7 +513,7 @@ void AsyncNode::step_migration() {
   migrate_ticks_left_ = 4;
   util::ByteWriter w = frame_writer();
   encode_migrate_req(w, header(MsgType::kMigrateReq), pos_, wire_guests());
-  if (!send_to(q.id, q.addr.view(), w.take())) {
+  if (!send_to(q.id, w.take())) {
     migrating_ = false;
   }
 }

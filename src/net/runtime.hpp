@@ -98,12 +98,6 @@ inline std::uint32_t tman_forward_age(const AsyncConfig& cfg) {
   return static_cast<std::uint32_t>(cfg.tman_ttl / 2);
 }
 
-/// A contactable peer: identity + transport address.
-struct Seed {
-  LiveNodeId id;
-  Address addr;
-};
-
 /// Call-scoped working buffers: decoded incoming lists, outgoing staging,
 /// rank/sample/frame scratch.  Nothing in here survives a protocol call,
 /// so a single instance serves every node driven from one thread — the
@@ -149,8 +143,8 @@ class AsyncNode {
   AsyncNode(const AsyncNode&) = delete;
   AsyncNode& operator=(const AsyncNode&) = delete;
 
-  /// Introduces bootstrap contacts (call before the first tick).
-  void bootstrap(const std::vector<Seed>& seeds);
+  /// Introduces bootstrap contacts by id (call before the first tick).
+  void bootstrap(std::span<const LiveNodeId> seeds);
 
   /// One protocol round: RPS shuffle, T-Man exchange, recovery check,
   /// backup pushes, one migration attempt.  The driver ticks alive nodes
@@ -162,10 +156,11 @@ class AsyncNode {
   /// ticking the node first.
   void crash();
 
-  /// Rejoins a crashed node under a fresh transport, on the hub at the
-  /// *same address* (endpoint ids are never reused, so the node comes back
-  /// under a new id; peers' cached ids for the old life fail like any dead
-  /// endpoint and re-resolve by name).  All protocol state survives as-is:
+  /// Rejoins a crashed node under a fresh transport, with the same node id
+  /// (hub endpoint ids are never reused, so the node comes back under a
+  /// new endpoint; peers' cached endpoints for the old life fail like any
+  /// dead endpoint, and their next send re-resolves the id).  All protocol
+  /// state survives as-is:
   /// the node restarts with its pre-crash — now stale — views, guests and
   /// backups, like a process restarted from a warm checkpoint.  Any
   /// half-open migration handshake is abandoned.  The driver resumes
@@ -255,21 +250,19 @@ class AsyncNode {
   void reproject();
 
   /// Marks a peer dead after a contact failure: purges it from views,
-  /// backups, the endpoint cache, and (if it was a ghost origin) triggers
-  /// recovery.
+  /// backups and the endpoint cache, and aborts a migration with it.
   void peer_unreachable(LiveNodeId peer);
 
-  /// Sends a frame; on failure marks the peer unreachable.  Prefers the
-  /// transport's interned-id fast path (a direct-mapped per-node cache, no
-  /// per-send string work); falls back to a by-name send on transports
-  /// without interning.
-  bool send_to(LiveNodeId peer, std::string_view addr,
-               std::vector<std::uint8_t> frame);
+  /// Sends a frame to node `peer`; on failure marks the peer unreachable.
+  /// The endpoint comes from the cache (ep_cache_), or on a miss from
+  /// transport_->resolve(peer), which takes the slot when the peer has a
+  /// live endpoint.  A peer with none fails the send like a crashed one.
+  bool send_to(LiveNodeId peer, std::vector<std::uint8_t> frame);
 
-  /// Sends a reply to the sender of the message currently being handled.
-  /// Uses the delivering transport's interned sender id when the header's
-  /// advertised address matches the transport-level source (always true
-  /// in-tree), avoiding a per-reply by-name lookup.
+  /// Sends a reply to the sender of the message currently being handled:
+  /// through the delivering endpoint when the transport registered it for
+  /// the header's sender (every hub frame of a clean link), otherwise
+  /// through send_to(h.sender).
   bool send_reply(const Header& h, std::vector<std::uint8_t> frame);
 
   /// A ByteWriter over a transport-pooled buffer (the frame-encode path).
@@ -281,7 +274,6 @@ class AsyncNode {
   const LiveNodeId id_;
   std::shared_ptr<const space::MetricSpace> space_;
   std::unique_ptr<Transport> transport_;
-  Address addr_;  // cached transport_->address()
   AsyncConfig cfg_;
   const ClockFn clock_;
   util::Rng rng_;
@@ -318,20 +310,20 @@ class AsyncNode {
   std::uint64_t frames_rejected_ = 0;
   std::uint64_t frames_overlong_ = 0;  ///< see accessor
 
-  // Reply fast path: the interned sender id and transport-level source
-  // address of the message currently in on_message (null outside it).
+  // Reply fast path: the delivering endpoint of the message currently in
+  // on_message, when the transport registered it for the header's sender
+  // (kInvalidEndpointId otherwise, and outside on_message).
   EndpointId reply_ep_ = kInvalidEndpointId;
-  const Address* reply_from_ = nullptr;
 
-  // Interned-endpoint cache, direct-mapped by peer id: peer -> transport
-  // endpoint id, filled on first send, invalidated when the peer becomes
-  // unreachable, evicted by collision.  A node's per-tick contacts are a
-  // handful of stable ids (tman target, K backups, migration partner)
-  // plus one churning RPS target, so 32 slots cover the stable set; a
-  // collision just re-resolves.  Peer ids are never reused by the
-  // clusters, so a cached id is never stale in the dangerous direction
-  // (it can only point at a dead endpoint, where send fails exactly like
-  // the by-name path would).
+  // Endpoint cache, direct-mapped by peer id: peer -> transport endpoint,
+  // filled on first send, invalidated when the peer becomes unreachable,
+  // evicted by collision.  A node's per-tick contacts are a handful of
+  // stable ids (tman target, K backups, migration partner) plus one
+  // churning RPS target, so 32 slots cover the stable set; a collision
+  // just re-resolves.  Hub endpoint ids are never reused, so a cached
+  // endpoint is never stale in the dangerous direction: after the peer
+  // crashes it points at a dead endpoint, and the send fails and purges
+  // the peer even when the peer has since recovered under a new one.
   struct EpCacheSlot {
     LiveNodeId id = 0;
     EndpointId ep = kInvalidEndpointId;

@@ -57,7 +57,8 @@ bool parse_address(const Address& addr, sockaddr_in& out) {
 
 }  // namespace
 
-TcpTransport::TcpTransport(Inbox* inbox) : inbox_(inbox) {
+TcpTransport::TcpTransport(Inbox* inbox, const TcpDirectory* directory)
+    : inbox_(inbox), directory_(directory) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket failed");
   const int one = 1;
@@ -102,18 +103,16 @@ void TcpTransport::accept_loop() {
 
 void TcpTransport::read_loop(int fd) {
   for (;;) {
-    std::uint32_t lengths[2];  // payload length, from-address length
-    if (!read_all(fd, lengths, sizeof lengths)) break;
-    if (lengths[0] > kMaxFrame || lengths[1] > 1024) {
+    std::uint32_t length = 0;
+    if (!read_all(fd, &length, sizeof length)) break;
+    if (length > kMaxFrame) {
       util::log_warn("TcpTransport: oversized frame dropped, closing");
       break;
     }
-    std::string from(lengths[1], '\0');
-    if (!read_all(fd, from.data(), from.size())) break;
-    std::vector<std::uint8_t> payload(lengths[0]);
+    std::vector<std::uint8_t> payload(length);
     if (!read_all(fd, payload.data(), payload.size())) break;
 
-    Message msg{std::move(from), std::move(payload)};
+    Message msg{std::move(payload)};
     if (inbox_ != nullptr)
       inbox_->post(*this, std::move(msg));
     else
@@ -158,13 +157,16 @@ int TcpTransport::connection_to(const Address& to) {
   return it->second;
 }
 
-void TcpTransport::drop_connection(const Address& to) {
-  util::MutexLock lk(conn_mu_);
-  auto it = outgoing_.find(to);
-  if (it != outgoing_.end()) {
-    ::close(it->second);
-    outgoing_.erase(it);
-  }
+EndpointId TcpTransport::resolve(LiveNodeId node) const {
+  if (directory_ == nullptr || node >= directory_->size() ||
+      (*directory_)[node].empty())
+    return kInvalidEndpointId;
+  return static_cast<EndpointId>(node);
+}
+
+bool TcpTransport::send(EndpointId to, std::vector<std::uint8_t> payload) {
+  if (directory_ == nullptr || to >= directory_->size()) return false;
+  return send((*directory_)[to], std::move(payload));
 }
 
 bool TcpTransport::send(const Address& to, std::vector<std::uint8_t> payload) {
@@ -172,15 +174,12 @@ bool TcpTransport::send(const Address& to, std::vector<std::uint8_t> payload) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     const int fd = connection_to(to);
     if (fd < 0) return false;
-    const std::uint32_t lengths[2] = {
-        static_cast<std::uint32_t>(payload.size()),
-        static_cast<std::uint32_t>(address_.size())};
+    const auto length = static_cast<std::uint32_t>(payload.size());
     util::MutexLock lk(conn_mu_);
     // Re-check the cached fd is still ours (shutdown/drop race).
     auto it = outgoing_.find(to);
     if (it == outgoing_.end() || it->second != fd) continue;
-    if (write_all(fd, lengths, sizeof lengths) &&
-        write_all(fd, address_.data(), address_.size()) &&
+    if (write_all(fd, &length, sizeof length) &&
         write_all(fd, payload.data(), payload.size()))
       return true;
     // Stale connection (peer restarted/crashed): drop and retry once.

@@ -2,8 +2,8 @@
 //
 // The paper assumes "message-passing nodes that communicate over reliable
 // channels (e.g. TCP)" (§III-A) but evaluates in a round-based simulator.
-// This module supplies the real substrate: an address-based transport with
-// reliable in-order delivery per sender-receiver pair.  Implementations:
+// This module supplies the real substrate: a transport with reliable
+// in-order delivery per sender-receiver pair.  Implementations:
 //
 //   * EngineTransport — delivery as events of the discrete-event kernel
 //     (engine/engine_transport.hpp), on either of the fleet's clocks.
@@ -15,13 +15,13 @@
 // (net/inbox.hpp).  So handlers need no lock.  A TcpTransport built
 // without an inbox runs the handler on its reader threads instead.
 //
-// Interned addressing (the engine hot path): string addresses are the
-// portable identity, but hashing one per send is measurable at 100k-node
-// scale, so a transport may intern addresses into dense `EndpointId`s.
-// `resolve()` maps an address to its id once; `send(EndpointId, ...)` then
-// skips the by-name lookup.  Ids are stable for the lifetime of the
-// network and never reused, so a cached id either reaches the same
-// endpoint or fails like any send to a crashed peer.
+// Identity by id: a node is its LiveNodeId, and that id is all a node
+// hands its transport.  `resolve(node)` maps the id to the endpoint that
+// reaches the node now, and `send(EndpointId, ...)` sends through it, so
+// no per-send path builds, hashes or copies a name.  Names (`Address`)
+// stay at the edges: endpoint registration, TCP connects, logs and tests.
+// Hub endpoint ids are never reused, so a cached id either reaches the
+// same endpoint or fails like any send to a crashed peer.
 #pragma once
 
 #include <cstdint>
@@ -31,22 +31,27 @@
 
 namespace poly::net {
 
-/// Opaque endpoint address.  For EngineTransport this is a registry key;
-/// for TcpTransport a "host:port" string.
+/// Logical node identity in the live runtime: what nodes gossip, address
+/// frames to and resolve into endpoints.
+using LiveNodeId = std::uint64_t;
+
+/// An endpoint's name.  For EngineTransport a registry key; for
+/// TcpTransport a "host:port" string.
 using Address = std::string;
 
-/// Dense interned form of an Address (transports that support it).
+/// Dense id of an endpoint on a transport.
 using EndpointId = std::uint32_t;
 inline constexpr EndpointId kInvalidEndpointId = 0xffffffffu;
 
 /// A received datagram-style message (framing is the transport's job).
 struct Message {
-  Address from;
   std::vector<std::uint8_t> payload;
-  /// Interned id of `from` on the receiving transport, when the transport
-  /// knows it (engine hub deliveries); kInvalidEndpointId otherwise.
-  /// Receivers can reply through it without a by-name lookup.
+  /// The endpoint that sent the frame, when the transport knows it (hub
+  /// deliveries); kInvalidEndpointId otherwise.  Receivers can reply
+  /// through it without resolving the sender.
   EndpointId from_ep = kInvalidEndpointId;
+  /// The node the transport registered `from_ep` for (unset without one).
+  LiveNodeId from_node = 0;
 };
 
 /// Handler invoked on message arrival (see above for the thread).  The
@@ -61,34 +66,21 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// The address peers can send to.
+  /// The name peers' transports know this endpoint by (logs, tests).
   virtual Address address() const = 0;
 
   /// Registers the receive callback.  Must be called before messages are
   /// expected; replacing the handler is allowed between quiescent points.
   virtual void set_handler(MessageHandler handler) = 0;
 
-  /// Sends `payload` to `to`.  Returns false if the destination is
-  /// unreachable (unknown address, connection refused, peer closed).
+  /// The endpoint that reaches `node` now, or kInvalidEndpointId when the
+  /// node has none.
+  virtual EndpointId resolve(LiveNodeId node) const = 0;
+
+  /// Sends `payload` to endpoint `to`.  Returns false if it is unreachable
+  /// (kInvalidEndpointId, crashed, connection refused, peer closed).
   /// Reliable transports never silently drop an accepted message.
-  virtual bool send(const Address& to, std::vector<std::uint8_t> payload) = 0;
-
-  /// Interns `to` into a dense endpoint id, when this transport supports
-  /// interned addressing and the address is currently registered.
-  /// Default: unsupported (kInvalidEndpointId) — callers fall back to
-  /// string sends.
-  virtual EndpointId resolve(const Address& to) const {
-    (void)to;
-    return kInvalidEndpointId;
-  }
-
-  /// Sends to an interned endpoint id previously returned by resolve().
-  /// Same semantics as the string overload; default: unsupported (false).
-  virtual bool send(EndpointId to, std::vector<std::uint8_t> payload) {
-    (void)to;
-    (void)payload;
-    return false;
-  }
+  virtual bool send(EndpointId to, std::vector<std::uint8_t> payload) = 0;
 
   /// A payload buffer to encode the next frame into — recycled from the
   /// transport's pool when it keeps one (empty, but typically with the

@@ -4,8 +4,9 @@
 // view (<= rps_view entries), the ranked T-Man view (<= tman_view +
 // tman_msg), the backup target list (<= K) and the ghost table (~K
 // entries).  Each view is one util::ArenaVec of trivially copyable
-// entries that carry the peer's transport name inline (InlineAddr), so
-// ranking, merging and the send path read one array (80 B per entry).
+// entries (56 B each).  An entry names its peer by id alone: the send path
+// resolves the id through the transport (net/transport.hpp), so no view
+// holds a transport name.
 //
 // The caps come from AsyncConfig, so the entire view footprint is known at
 // node construction and carved from the cluster's arena in one pass —
@@ -24,51 +25,27 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
-#include <string>
-#include <string_view>
 
 #include "core/point_set.hpp"
-#include "net/messages.hpp"
+#include "net/transport.hpp"
 #include "space/point.hpp"
 #include "util/arena.hpp"
 
 namespace poly::net {
 
-/// A transport address stored inline (no heap).  Its capacity is the
-/// codec's kMaxAddressLength: decoders reject longer addresses and the
-/// AsyncNode constructor rejects a longer own address, so every name that
-/// reaches a view fits.
-struct InlineAddr {
-  static constexpr std::size_t kCap = kMaxAddressLength;
-
-  std::uint8_t len = 0;
-  char buf[kCap] = {};
-
-  void assign(std::string_view s) {
-    len = static_cast<std::uint8_t>(s.size() < kCap ? s.size() : kCap);
-    std::memcpy(buf, s.data(), len);
-  }
-
-  std::string_view view() const noexcept { return {buf, len}; }
-  std::string str() const { return std::string(buf, len); }
-};
-static_assert(sizeof(InlineAddr) == 24, "InlineAddr layout drifted");
-
 /// An RPS view entry (and a backup target): the Cyclon (id, age) pair,
 /// the peer's last known topology descriptor (see WirePeer — `version ==
-/// 0` means the position is unknown) and its name.
+/// 0` means the position is unknown).
 struct PeerEntry {
   LiveNodeId id = 0;
   std::uint32_t age = 0;
   space::Point pos;
   std::uint64_t version = 0;
-  InlineAddr addr;
 };
-static_assert(sizeof(PeerEntry) == 80, "PeerEntry layout drifted");
+static_assert(sizeof(PeerEntry) == 56, "PeerEntry layout drifted");
 
-/// A T-Man view entry: what ranking and merge compare, and the name.
+/// A T-Man view entry: what ranking and merge compare.
 ///
 /// `age` is purely local state (never on the wire): ticks since the
 /// entry was last refreshed.  First-hand contact (the member itself
@@ -82,9 +59,8 @@ struct TmanEntry {
   std::uint64_t version = 0;
   space::Point pos;
   std::uint32_t age = 0;
-  InlineAddr addr;
 };
-static_assert(sizeof(TmanEntry) == 80, "TmanEntry layout drifted");
+static_assert(sizeof(TmanEntry) == 56, "TmanEntry layout drifted");
 
 using PeerList = util::ArenaVec<PeerEntry>;
 using TmanView = util::ArenaVec<TmanEntry>;
@@ -116,9 +92,9 @@ class GhostTable {
   struct Slot {
     LiveNodeId origin = 0;
     std::chrono::steady_clock::time_point last_push{};
-    InlineAddr addr;
     core::PointSet points;
   };
+  static_assert(sizeof(Slot) == 40, "GhostTable::Slot layout drifted");
 
   GhostTable() = default;
   GhostTable(const GhostTable&) = delete;
@@ -136,7 +112,7 @@ class GhostTable {
   const Slot& operator[](std::size_t i) const noexcept { return slots_[i]; }
 
   /// The slot for `origin`, inserted in sorted position if absent.  The
-  /// caller owns resetting points/addr/last_push on a fresh slot (a
+  /// caller owns resetting points/last_push on a fresh slot (a
   /// recycled slot may carry a retired origin's stale fields).
   Slot& find_or_insert(LiveNodeId origin) {
     const std::size_t pos = lower_bound(origin);

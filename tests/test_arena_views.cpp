@@ -9,13 +9,16 @@
 //      config caps and its arena stable;
 //   3. the headline property: a steady-state fleet performs *zero* heap
 //      allocations per round, proven by counting every operator new in
-//      this binary.
+//      this binary;
+//   4. identity by id: nodes send every name slot of a frame empty, and a
+//      fleet looks up no name through crash and recovery.
 //
 // The allocation counter overrides global operator new/delete, so this
 // test must stay in its own binary (one gtest binary per tests/*.cpp
 // file, which the build already guarantees).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -144,9 +147,11 @@ TEST(GhostTable, KeepsAscendingOrderAndRecyclesCapacity) {
 
 // ---- cap enforcement under hostile gossip -----------------------------------
 
-/// A one-node fixture over an EngineHub, plus a raw attacker endpoint that
-/// can deliver arbitrary crafted frames to the node.
+/// A one-node fixture over an EngineHub, plus a raw attacker endpoint
+/// (node kAttacker) that can deliver arbitrary crafted frames to the node.
 struct HostileRig {
+  static constexpr net::LiveNodeId kAttacker = 999;
+
   engine::EventEngine engine{7};
   engine::EngineHub hub{engine, std::make_unique<engine::UniformLatency>(
                                     std::chrono::duration_cast<engine::SimTime>(2ms),
@@ -162,15 +167,15 @@ struct HostileRig {
     auto points = shape.generate();
     scratch.bind(arena, cfg);
     node = std::make_unique<net::AsyncNode>(
-        net::LiveNodeId{1}, shape.space_ptr(), hub.make_endpoint("node-1"),
+        net::LiveNodeId{1}, shape.space_ptr(), hub.make_endpoint("node-1", 1),
         points[0], cfg, /*seed=*/3, [this] { return engine.clock(); }, arena,
         scratch);
-    attacker = hub.make_endpoint("attacker");
+    attacker = hub.make_endpoint("attacker", kAttacker);
     attacker->set_handler([](net::Message&) {});
   }
 
   void deliver(std::vector<std::uint8_t> frame) {
-    attacker->send(net::Address("node-1"), std::move(frame));
+    attacker->send(attacker->resolve(1), std::move(frame));
     engine.run_until(engine.now() +
                      std::chrono::duration_cast<engine::SimTime>(10ms));
   }
@@ -240,9 +245,9 @@ TEST(CappedViews, DuplicateIdFloodIsIdempotent) {
 }
 
 TEST(CappedViews, OverlongAddressIsRejectedAtDecode) {
-  // Views hold names inline (InlineAddr, kMaxAddressLength characters): a
-  // longer address must not reach them, truncated or otherwise.  The codec
-  // rejects the whole frame.
+  // Nodes ignore the wire's address slots, but the codec still bounds
+  // them (kMaxAddressLength characters), so a frame's decode work stays
+  // bounded: a longer address rejects the whole frame.
   HostileRig rig;
   const std::string overlong(30, 'x');
   ASSERT_GT(overlong.size(), net::kMaxAddressLength);
@@ -251,17 +256,6 @@ TEST(CappedViews, OverlongAddressIsRejectedAtDecode) {
       {{778, overlong, rig.shape.generate()[1].pos, 1}}));
   EXPECT_EQ(rig.node->tman_view_size(), 0u);
   EXPECT_EQ(rig.node->frames_rejected(), 1u);
-}
-
-TEST(CappedViews, OverlongOwnAddressIsRejectedAtConstruction) {
-  HostileRig rig;
-  auto points = rig.shape.generate();
-  EXPECT_THROW(net::AsyncNode(net::LiveNodeId{2}, rig.shape.space_ptr(),
-                              rig.hub.make_endpoint(std::string(30, 'n')),
-                              points[1], rig.cfg, /*seed=*/4,
-                              [&rig] { return rig.engine.clock(); },
-                              rig.arena, rig.scratch),
-               std::invalid_argument);
 }
 
 // ---- arena stability under churn --------------------------------------------
@@ -318,17 +312,15 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
   for (std::size_t i = 0; i < kNodes; ++i) {
     nodes.push_back(std::make_unique<net::AsyncNode>(
         static_cast<net::LiveNodeId>(i), shape.space_ptr(),
-        hub.make_endpoint("node-" + std::to_string(i)), std::nullopt, cfg,
+        hub.make_endpoint("node-" + std::to_string(i), i), std::nullopt, cfg,
         /*seed=*/1000 + i, [&engine] { return engine.clock(); }, arena,
         scratch));
   }
   util::Rng boot(99);
   for (std::size_t i = 0; i < kNodes; ++i) {
-    std::vector<net::Seed> seeds;
+    std::vector<net::LiveNodeId> seeds;
     for (std::size_t j : boot.sample_indices(kNodes, cfg.rps_view))
-      if (j != i)
-        seeds.push_back(net::Seed{static_cast<net::LiveNodeId>(j),
-                                  nodes[j]->address()});
+      if (j != i) seeds.push_back(j);
     nodes[i]->bootstrap(seeds);
   }
 
@@ -377,6 +369,79 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
   // Sanity: the fleet actually gossiped during the window.
   EXPECT_GT(hub.frames_sent(), kNodes * kWarmupRounds);
   for (auto& n : nodes) EXPECT_GT(n->rps_view_size(), 0u);
+}
+
+// ---- identity by id ---------------------------------------------------------
+
+TEST(Identity, NodesSendEveryNameSlotEmpty) {
+  // Named frames introduce the attacker and two third parties to the
+  // node; every frame the node then sends any of them — replies, and a
+  // tick's RPS, T-Man, backup and migration frames — carries empty names.
+  HostileRig rig;
+  const auto points = rig.shape.generate();
+  std::vector<net::MsgType> types;
+  std::size_t named = 0;
+  const net::MessageHandler inspect = [&](net::Message& m) {
+    util::ByteReader r(m.payload);
+    const net::Header h = net::decode_header(r);
+    types.push_back(h.type);
+    named += !h.sender_addr.empty();
+    if (h.type == net::MsgType::kRpsShuffleReq ||
+        h.type == net::MsgType::kRpsShuffleResp)
+      for (const net::WirePeer& p : net::decode_peers(r))
+        named += !p.addr.empty();
+    if (h.type == net::MsgType::kTmanReq || h.type == net::MsgType::kTmanResp)
+      for (const net::WireDescriptor& d : net::decode_descriptors(r))
+        named += !d.addr.empty();
+  };
+  rig.attacker->set_handler(inspect);
+  auto third_1000 = rig.hub.make_endpoint("node-1000", 1000);
+  auto third_1001 = rig.hub.make_endpoint("node-1001", 1001);
+  third_1000->set_handler(inspect);
+  third_1001->set_handler(inspect);
+  const net::LiveNodeId kAttacker = HostileRig::kAttacker;
+  rig.deliver(net::encode_rps(
+      net::Header{net::MsgType::kRpsShuffleReq, kAttacker, "attacker"},
+      {{kAttacker, "attacker", 0, points[1].pos, 1},
+       {1000, "node-1000", 0, points[2].pos, 1}}));
+  rig.deliver(net::encode_tman(
+      net::Header{net::MsgType::kTmanReq, kAttacker, "attacker"},
+      {{kAttacker, "attacker", points[1].pos, 1},
+       {1001, "node-1001", points[3].pos, 1}}));
+  rig.node->tick();
+  rig.engine.run_until(rig.engine.now() +
+                       std::chrono::duration_cast<engine::SimTime>(10ms));
+  for (const net::MsgType t :
+       {net::MsgType::kRpsShuffleResp, net::MsgType::kTmanResp,
+        net::MsgType::kRpsShuffleReq, net::MsgType::kTmanReq,
+        net::MsgType::kBackupPush, net::MsgType::kMigrateReq})
+    EXPECT_NE(std::find(types.begin(), types.end(), t), types.end())
+        << "no frame of type " << static_cast<int>(t);
+  EXPECT_EQ(named, 0u);
+}
+
+TEST(Identity, NoNameIsLookedUpThroughCrashAndRecovery) {
+  // Sends, replies and cache misses resolve node ids, and recovery
+  // registers each rejoining node by id: the hub's by-name lookup count
+  // stays still while a 16x16 fleet gossips through a half crash and
+  // recover_all.
+  shape::GridTorusShape shape(16, 16);
+  engine::EventCluster fleet(shape.space_ptr(), shape.generate(), {},
+                             /*seed=*/21);
+  fleet.run_rounds(20);
+  const engine::EngineHub& hub = fleet.hub();
+  const std::uint64_t lookups = hub.by_name_lookups();
+  const std::uint64_t sent = hub.frames_sent();
+  fleet.crash_region(
+      [&](const space::Point& p) { return shape.in_failure_half(p); });
+  fleet.run_rounds(20);
+  EXPECT_EQ(fleet.recover_all(), 128u);
+  fleet.run_rounds(20);
+  EXPECT_EQ(hub.by_name_lookups(), lookups);
+  EXPECT_GT(hub.frames_sent() - sent, 256u * 40 * 5);
+  // The count does count: a lookup by name moves it.
+  EXPECT_NE(hub.resolve("node-0"), net::kInvalidEndpointId);
+  EXPECT_EQ(hub.by_name_lookups(), lookups + 1);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine_transport.hpp"
@@ -157,9 +158,12 @@ TEST(EngineTransport, DeliversWithLatency) {
   b->set_handler([&](poly::net::Message m) {
     EXPECT_EQ(engine.now(), SimTime{3ms});
     got.emplace_back(m.payload.begin(), m.payload.end());
-    EXPECT_EQ(m.from, "a");
+    // The sender is known by endpoint and node: a hub used without nodes
+    // registers endpoint i for node i.
+    EXPECT_EQ(m.from_ep, a->endpoint_id());
+    EXPECT_EQ(m.from_node, 0u);
   });
-  ASSERT_TRUE(a->send("b", {'h', 'i'}));
+  ASSERT_TRUE(a->send(b->endpoint_id(), {'h', 'i'}));
   engine.run();
   EXPECT_EQ(got, std::vector<std::string>{"hi"});
 }
@@ -168,11 +172,44 @@ TEST(EngineTransport, SendToUnknownOrShutdownFails) {
   EventEngine engine(1);
   EngineHub hub(engine);
   auto a = hub.make_endpoint("a");
-  EXPECT_FALSE(a->send("nobody", {1}));
+  EXPECT_EQ(a->resolve(7), poly::net::kInvalidEndpointId);  // no such node
+  EXPECT_FALSE(a->send(a->resolve(7), {1}));
   auto b = hub.make_endpoint("b");
+  const auto b_ep = b->endpoint_id();
+  EXPECT_EQ(a->resolve(1), b_ep);
   b->shutdown();
-  EXPECT_FALSE(a->send("b", {1}));
+  EXPECT_FALSE(a->send(b_ep, {1}));
+  EXPECT_EQ(a->resolve(1), poly::net::kInvalidEndpointId);
   EXPECT_FALSE(hub.reachable("b"));
+}
+
+TEST(EngineTransport, NodeIdsResolveToTheirLiveEndpoint) {
+  // The endpoint <-> node table: a node reborn under a fresh endpoint
+  // resolves to the new one, while the dead endpoint keeps its node — a
+  // frame in flight from it still arrives as that node's.
+  EventEngine engine(1);
+  EngineHub hub(engine,
+                std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
+  auto peer = hub.make_endpoint("peer", 7);
+  std::vector<std::pair<poly::net::EndpointId, poly::net::LiveNodeId>> from;
+  peer->set_handler([&](poly::net::Message& m) {
+    from.emplace_back(m.from_ep, m.from_node);
+  });
+  auto first = hub.make_endpoint("n", 42);
+  EXPECT_EQ(peer->resolve(42), first->endpoint_id());
+  EXPECT_THROW(hub.make_endpoint("other", 42), std::invalid_argument);
+  const auto dead = first->endpoint_id();
+  ASSERT_TRUE(first->send(peer->endpoint_id(), {1}));
+  first->shutdown();  // crashes with its frame in flight
+  EXPECT_EQ(peer->resolve(42), poly::net::kInvalidEndpointId);
+  auto second = hub.make_endpoint("n", 42);
+  EXPECT_NE(second->endpoint_id(), dead);
+  EXPECT_EQ(peer->resolve(42), second->endpoint_id());
+  ASSERT_TRUE(second->send(peer->endpoint_id(), {2}));
+  engine.run();
+  const std::vector<std::pair<poly::net::EndpointId, poly::net::LiveNodeId>>
+      want{{dead, 42}, {second->endpoint_id(), 42}};
+  EXPECT_EQ(from, want);
 }
 
 TEST(EngineTransport, DuplicateAddressThrows) {
@@ -190,9 +227,9 @@ TEST(EngineTransport, LoopbackDeliversToSelf) {
   std::vector<std::string> got;
   a->set_handler([&](poly::net::Message m) {
     got.emplace_back(m.payload.begin(), m.payload.end());
-    EXPECT_EQ(m.from, "a");
+    EXPECT_EQ(m.from_ep, a->endpoint_id());
   });
-  ASSERT_TRUE(a->send("a", {'m', 'e'}));
+  ASSERT_TRUE(a->send(a->endpoint_id(), {'m', 'e'}));
   engine.run();
   EXPECT_EQ(got, std::vector<std::string>{"me"});
 }
@@ -205,7 +242,7 @@ TEST(EngineTransport, InFlightFrameToCrashedEndpointIsDiscarded) {
   auto b = hub.make_endpoint("b");
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
-  ASSERT_TRUE(a->send("b", {1}));  // accepted while b is alive
+  ASSERT_TRUE(a->send(b->endpoint_id(), {1}));  // accepted while b is alive
   b->shutdown();                   // crashes before delivery
   engine.run();
   EXPECT_EQ(delivered, 0);
@@ -221,7 +258,7 @@ TEST(EngineTransport, JitteredLatencyPreservesPerPairFifo) {
   std::vector<std::uint8_t> got;
   b->set_handler(
       [&](poly::net::Message m) { got.push_back(m.payload.at(0)); });
-  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(a->send("b", {i}));
+  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(a->send(b->endpoint_id(), {i}));
   engine.run();
   ASSERT_EQ(got.size(), 50u);
   for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
@@ -243,7 +280,7 @@ TEST(EngineTransport, SameInstantFramesCoalesceAndKeepSendOrder) {
     got.push_back(m.payload.at(0));
   });
   for (std::uint8_t i = 0; i < 6; ++i)
-    ASSERT_TRUE(senders[i]->send("d", {i}));
+    ASSERT_TRUE(senders[i]->send(d->endpoint_id(), {i}));
   engine.run();
   ASSERT_EQ(got.size(), 6u);
   for (std::uint8_t i = 0; i < 6; ++i) EXPECT_EQ(got[i], i);
@@ -265,7 +302,7 @@ TEST(EngineTransport, BatchWindowRoundsDeliveryUpToBoundary) {
     ++delivered;
     EXPECT_EQ(engine.now(), SimTime{3ms});  // 2.5 ms rounded up to 3 ms
   });
-  ASSERT_TRUE(a->send("b", {1}));
+  ASSERT_TRUE(a->send(b->endpoint_id(), {1}));
   engine.run();
   EXPECT_EQ(delivered, 1);
 }
@@ -288,8 +325,8 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
   // with a follower from a second sender.
   for (std::uint8_t i = 0; i < 6; ++i) {
     engine.schedule_at(SimTime{1ms} * i, [&, i] {
-      ASSERT_TRUE(s->send("d", {i}));
-      if (i == 5) ASSERT_TRUE(s2->send("d", {std::uint8_t{100}}));
+      ASSERT_TRUE(s->send(d->endpoint_id(), {i}));
+      if (i == 5) ASSERT_TRUE(s2->send(d->endpoint_id(), {std::uint8_t{100}}));
     });
   }
   engine.run();
@@ -307,7 +344,7 @@ TEST(EngineTransport, DropModelLosesFramesSilently) {
   auto b = hub.make_endpoint("b");
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
-  for (int i = 0; i < 200; ++i) ASSERT_TRUE(a->send("b", {1}));
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(a->send(b->endpoint_id(), {1}));
   engine.run();
   EXPECT_EQ(hub.frames_dropped() + hub.frames_delivered(), 200u);
   EXPECT_GT(hub.frames_dropped(), 50u);

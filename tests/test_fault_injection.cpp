@@ -70,14 +70,31 @@ TEST(FaultPlane, HealRebindsTheWindow) {
 }
 
 TEST(FaultPlane, RulesMatchNodeIdsAcrossEndpointRebirth) {
-  // A recovered node keeps its node id under a fresh endpoint; the rule
-  // must keep matching through the remap.
+  // A recovered node keeps its node id under a fresh endpoint.  The hub
+  // hands the plane node ids from its endpoint <-> node table, so the rule
+  // keeps matching through the rebirth — and endpoint 0, registered for
+  // node 3, is not node 0.
+  EventEngine engine(7);
+  EngineHub hub(engine);
   FaultPlane plane(7);
-  plane.map_endpoint(/*endpoint=*/5, /*node=*/0);
+  hub.set_fault_plane(&plane);
   plane.add_partition({0}, SimTime::zero(), kNever);
-  EXPECT_TRUE(plane.fate(5, 1, 64, SimTime{1ms}).blackholed);
-  plane.map_endpoint(/*endpoint=*/9, /*node=*/0);  // recovery: new endpoint
-  EXPECT_TRUE(plane.fate(9, 1, 64, SimTime{1ms}).blackholed);
+  auto other = hub.make_endpoint("other", 3);  // endpoint 0
+  auto peer = hub.make_endpoint("peer", 1);
+  auto node = hub.make_endpoint("node-0", 0);
+  int delivered = 0;
+  peer->set_handler([&](poly::net::Message&) { ++delivered; });
+  ASSERT_TRUE(node->send(peer->endpoint_id(), {1}));  // silently lost
+  EXPECT_EQ(plane.counters().frames_blackholed, 1u);
+  node->shutdown();
+  auto reborn = hub.make_endpoint("node-0", 0);  // recovery: new endpoint
+  ASSERT_NE(reborn->endpoint_id(), node->endpoint_id());
+  ASSERT_TRUE(reborn->send(peer->endpoint_id(), {1}));
+  EXPECT_EQ(plane.counters().frames_blackholed, 2u);
+  ASSERT_TRUE(other->send(peer->endpoint_id(), {1}));  // same side: arrives
+  engine.run();
+  EXPECT_EQ(plane.counters().frames_blackholed, 2u);
+  EXPECT_EQ(delivered, 1);
 }
 
 TEST(FaultPlane, DuplicateAndReorderFates) {
@@ -159,8 +176,9 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
   poly::shape::RingShape shape(8, 1.0);
   auto points = shape.generate();
 
-  auto ep = hub.make_endpoint("victim");
-  auto attacker = hub.make_endpoint("attacker");
+  auto ep = hub.make_endpoint("victim", 0);
+  const poly::net::EndpointId to = ep->endpoint_id();
+  auto attacker = hub.make_endpoint("attacker", 1);
   poly::util::Arena arena;
   poly::net::AsyncScratch scratch;
   scratch.bind(arena, {});
@@ -176,23 +194,22 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
       {{2, "addr-2", 3}});
   std::size_t expect_rejects = 0;
 
-  ASSERT_TRUE(attacker->send("victim", std::vector<std::uint8_t>(valid)));
+  ASSERT_TRUE(attacker->send(to, std::vector<std::uint8_t>(valid)));
 
   auto truncated = valid;
   truncated.resize(valid.size() / 2);
-  ASSERT_TRUE(attacker->send("victim", std::move(truncated)));
+  ASSERT_TRUE(attacker->send(to, std::move(truncated)));
   ++expect_rejects;
 
   auto mangled = valid;
   mangled[0] = 0xff;  // unknown message type
-  ASSERT_TRUE(attacker->send("victim", std::move(mangled)));
+  ASSERT_TRUE(attacker->send(to, std::move(mangled)));
   ++expect_rejects;
 
-  ASSERT_TRUE(attacker->send("victim", {0xff, 0x00, 0x01}));  // pure garbage
+  ASSERT_TRUE(attacker->send(to, {0xff, 0x00, 0x01}));  // pure garbage
   ++expect_rejects;
 
-  ASSERT_TRUE(
-      attacker->send("victim", std::vector<std::uint8_t>{}));  // empty
+  ASSERT_TRUE(attacker->send(to, std::vector<std::uint8_t>{}));  // empty
   ++expect_rejects;
 
   EXPECT_NO_THROW(engine.run());

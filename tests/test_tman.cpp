@@ -427,8 +427,8 @@ std::vector<Entry> reference_merge(std::vector<Entry> view,
   return view;
 }
 
-/// Bit-for-bit equality: ids, versions, ages, names, dims and coordinate
-/// bit patterns.
+/// Bit-for-bit equality: ids, versions, ages, dims and coordinate bit
+/// patterns.
 template <typename Entry>
 ::testing::AssertionResult same_bits(const std::vector<Entry>& got,
                                      const std::vector<Entry>& want) {
@@ -444,8 +444,6 @@ template <typename Entry>
       same = same && std::bit_cast<std::uint64_t>(g.pos.c[c]) ==
                          std::bit_cast<std::uint64_t>(w.pos.c[c]);
     if constexpr (kHasAge<Entry>) same = same && g.age == w.age;
-    if constexpr (requires { g.addr; })
-      same = same && g.addr.view() == w.addr.view();
     if (!same)
       return ::testing::AssertionFailure()
              << "entry " << i << ": id " << g.id << " v" << g.version << " "
@@ -486,9 +484,6 @@ struct ViewFuzzer {
     e.version = rng.index(5);
     if constexpr (kHasAge<Entry>)
       e.age = static_cast<std::uint32_t>(rng.index(8));
-    if constexpr (requires { e.addr; })
-      e.addr.assign("node-" + std::to_string(e.id) + "/" +
-                    std::to_string(e.version));
     return e;
   }
 

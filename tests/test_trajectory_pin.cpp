@@ -140,11 +140,11 @@ TEST(TrajectoryPin, ChaosPartitionStallRecover) {
   } else {
     // stall_rounds < 8*4: crash_random lands on some stalled nodes, and a
     // crashed node's frozen ticks stop counting.
-    EXPECT_EQ(fc.frames_blackholed, 2012ull);
-    EXPECT_EQ(fc.frames_corrupted, 1096ull);
+    EXPECT_EQ(fc.frames_blackholed, 1999ull);
+    EXPECT_EQ(fc.frames_corrupted, 1095ull);
     EXPECT_EQ(fc.stall_rounds, 20ull);
     EXPECT_EQ(fc.recoveries, 10ull);
-    EXPECT_EQ(fleet.frames_rejected(), 351ull);
+    EXPECT_EQ(fleet.frames_rejected(), 368ull);
   }
   // Re-pinned once when the fleet's T-Man merge moved to the shared
   // ranked-view core (merge all of a frame, then truncate, instead of
@@ -152,9 +152,15 @@ TEST(TrajectoryPin, ChaosPartitionStallRecover) {
   // reject addresses longer than kMaxAddressLength (corrupted names used to
   // enter views truncated).  Both reach only this pin: the clean-link pins
   // above and below kept their values.
+  //
+  // Re-pinned a second time when nodes began to send every address slot
+  // empty and to resolve peers by id: frames got shorter, and corruption
+  // draws its byte positions from the frame length, so different bytes
+  // flip (and a corrupted id or name now acts differently).  With the
+  // corrupt rule removed, this timeline runs the same as before.
   expect_traj(measure(fleet),
-              Trajectory{"0.96875", "0.19659459266225465",
-                         "0.95836828253156947", 30979, 38313},
+              Trajectory{"0.92708333333333337", "0.26004938135137007",
+                         "0.91661042202114518", 31164, 38483},
               "chaos/partition+stall+recover");
 }
 

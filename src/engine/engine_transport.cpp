@@ -8,11 +8,14 @@ namespace poly::engine {
 
 // ---- EngineTransport --------------------------------------------------------
 
-EngineTransport::EngineTransport(EngineHub* hub, net::Address address,
-                                 net::EndpointId id)
-    : hub_(hub), address_(std::move(address)), id_(id) {}
+EngineTransport::EngineTransport(EngineHub* hub, net::EndpointId id)
+    : hub_(hub), id_(id) {}
 
 EngineTransport::~EngineTransport() { shutdown(); }
+
+net::Address EngineTransport::address() const {
+  return "node-" + std::to_string(hub_->ep_node_[id_]);
+}
 
 void EngineTransport::set_handler(net::MessageHandler handler) {
   handler_ = std::move(handler);
@@ -64,23 +67,15 @@ EngineHub::EngineHub(EventEngine& engine, std::unique_ptr<LinkModel> link,
 }
 
 std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
-    const net::Address& address) {
-  return make_endpoint(address, transports_.size());
-}
-
-std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
-    const net::Address& address, net::LiveNodeId node) {
+    net::LiveNodeId node) {
   thread_check_.check("EngineHub::make_endpoint");
-  if (by_name_.count(address))
-    throw std::invalid_argument("EngineHub: duplicate address " + address);
   if (node >= net::kInvalidEndpointId)
     throw std::invalid_argument("EngineHub: node id out of range");
   if (endpoint_of(node) != net::kInvalidEndpointId)
     throw std::invalid_argument("EngineHub: node " + std::to_string(node) +
                                 " already has a live endpoint");
   const auto id = static_cast<net::EndpointId>(transports_.size());
-  auto ep = std::unique_ptr<EngineTransport>(
-      new EngineTransport(this, address, id));
+  auto ep = std::unique_ptr<EngineTransport>(new EngineTransport(this, id));
   transports_.push_back(ep.get());
   marks_.emplace_back();
   // Reserve the batching rendezvous up front: a destination's first
@@ -94,19 +89,7 @@ std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
   if (node >= node_ep_.size())
     node_ep_.resize(node + 1, net::kInvalidEndpointId);
   node_ep_[node] = id;
-  by_name_.emplace(address, id);
   return ep;
-}
-
-bool EngineHub::reachable(const net::Address& address) const {
-  ++by_name_lookups_;
-  return by_name_.count(address) > 0;
-}
-
-net::EndpointId EngineHub::resolve(const net::Address& address) const {
-  ++by_name_lookups_;
-  const auto it = by_name_.find(address);
-  return it == by_name_.end() ? net::kInvalidEndpointId : it->second;
 }
 
 std::vector<std::uint8_t> EngineHub::acquire_buffer() {
@@ -138,10 +121,8 @@ std::size_t EngineHub::approx_bytes() const {
   }
   for (const auto& keys : clamp_keys_)
     b += keys.capacity() * sizeof(std::uint64_t);
-  // Hash tables: node + bucket estimate per entry (implementation detail,
+  // Hash table: node + bucket estimate per entry (implementation detail,
   // but stable enough for an audit line).
-  b += by_name_.size() * (sizeof(net::Address) + sizeof(net::EndpointId) +
-                          3 * sizeof(void*));
   b += fifo_clamp_.size() * (sizeof(std::uint64_t) + sizeof(SimTime) +
                              3 * sizeof(void*));
   for (const auto& buf : pool_) b += buf.capacity();
@@ -152,7 +133,6 @@ std::size_t EngineHub::approx_bytes() const {
 
 void EngineHub::unregister(net::EndpointId id) {
   if (id >= transports_.size() || transports_[id] == nullptr) return;
-  by_name_.erase(transports_[id]->address_);
   transports_[id] = nullptr;
   node_ep_[ep_node_[id]] = net::kInvalidEndpointId;
   // Drop the dead endpoint's FIFO-clamp entries: it can never send or

@@ -49,14 +49,13 @@
 //   * per sender→receiver FIFO is preserved even under jittered latency
 //     (delivery times are clamped monotone per pair).
 //
-// Names stay at the edge: an endpoint is registered under a unique (among
-// live endpoints) name, which tests and logs may look up; the fleet
-// itself never does.
+// Endpoints have no names: address() spells the endpoint's node
+// ("node-<id>") from the table, for logs and codec probes.
 //
 // Lifetime: the hub must outlive the engine's pending delivery events (in
 // practice: destroy the engine first, or simply stop running it).
-// Endpoint ids are never reused; a node whose endpoint died (and a dead
-// endpoint's name) may be registered again under a fresh endpoint id.
+// Endpoint ids are never reused; a node whose endpoint died may be
+// registered again under a fresh endpoint id.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +80,8 @@ class EngineTransport final : public net::Transport {
  public:
   ~EngineTransport() override;
 
-  net::Address address() const override { return address_; }
+  /// "node-<id>" for the node this endpoint was made for.
+  net::Address address() const override;
   void set_handler(net::MessageHandler handler) override;
   /// The node's live endpoint on this hub (EngineHub::endpoint_of).
   net::EndpointId resolve(net::LiveNodeId node) const override;
@@ -94,12 +94,11 @@ class EngineTransport final : public net::Transport {
 
  private:
   friend class EngineHub;
-  EngineTransport(EngineHub* hub, net::Address address, net::EndpointId id);
+  EngineTransport(EngineHub* hub, net::EndpointId id);
 
   void dispatch(net::Message& msg);
 
   EngineHub* hub_;
-  net::Address address_;
   net::EndpointId id_;
   net::MessageHandler handler_;
   bool stopped_ = false;
@@ -126,31 +125,15 @@ class EngineHub {
   EngineHub(const EngineHub&) = delete;
   EngineHub& operator=(const EngineHub&) = delete;
 
-  /// Creates the next dense EndpointId for node `node`, registered under
-  /// `address`.  Throws std::invalid_argument when a live endpoint already
-  /// has the address or the node, or when `node` does not fit the table.
-  std::unique_ptr<EngineTransport> make_endpoint(const net::Address& address,
-                                                 net::LiveNodeId node);
-  /// The same for the node whose id is the new endpoint's own id: the
-  /// identity mapping of a hub used without nodes (raw-hub tests).
-  std::unique_ptr<EngineTransport> make_endpoint(const net::Address& address);
+  /// Creates the next dense EndpointId, for node `node`.  Throws
+  /// std::invalid_argument when the node already has a live endpoint, or
+  /// when `node` does not fit the table.
+  std::unique_ptr<EngineTransport> make_endpoint(net::LiveNodeId node);
 
   /// The live endpoint of `node`, or kInvalidEndpointId when it has none.
   net::EndpointId endpoint_of(net::LiveNodeId node) const noexcept {
     return node < node_ep_.size() ? node_ep_[node] : net::kInvalidEndpointId;
   }
-
-  // ---- by name (the edge: tests, logs) -------------------------------------
-
-  /// True if the address is currently registered (alive).
-  bool reachable(const net::Address& address) const;
-
-  /// The live endpoint id for an address (kInvalidEndpointId when absent).
-  net::EndpointId resolve(const net::Address& address) const;
-
-  /// Calls to reachable() and resolve(const Address&) so far: the fleet
-  /// makes none, so the count stays still while it runs.
-  std::uint64_t by_name_lookups() const noexcept { return by_name_lookups_; }
 
   EventEngine& engine() noexcept { return engine_; }
 
@@ -181,10 +164,9 @@ class EngineHub {
   void release_buffer(std::vector<std::uint8_t> buf);
 
   /// Approximate heap bytes retained by the hub: the per-endpoint tables,
-  /// the endpoint <-> node table, batching state, FIFO clamps, the name
-  /// registry and both buffer pools (capacities, i.e. the retained
-  /// footprint).  One line of the fleet
-  /// memory audit (EventCluster::memory_breakdown).
+  /// the endpoint <-> node table, batching state, FIFO clamps and both
+  /// buffer pools (capacities, i.e. the retained footprint).  One line of
+  /// the fleet memory audit (EventCluster::memory_breakdown).
   std::size_t approx_bytes() const;
 
  private:
@@ -288,9 +270,6 @@ class EngineHub {
   /// it has none.
   std::vector<std::uint32_t> ep_node_;
   std::vector<net::EndpointId> node_ep_;
-
-  std::unordered_map<net::Address, net::EndpointId> by_name_;  // live only
-  mutable std::uint64_t by_name_lookups_ = 0;
 
   /// Last scheduled (pre-rounding) delivery per (from, to) id pair;
   /// populated only when the link model can reorder (fixed-latency runs

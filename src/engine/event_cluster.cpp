@@ -1,7 +1,6 @@
 #include "engine/event_cluster.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "metrics/metrics.hpp"
@@ -78,13 +77,8 @@ std::size_t EventCluster::add_node(std::optional<space::DataPoint> initial) {
 }
 
 std::unique_ptr<net::Transport> EventCluster::make_transport(std::size_t idx) {
-  if (cfg_.drive != Drive::kWallClockTcp)
-    return hub_->make_endpoint("node-" + std::to_string(idx), idx);
-  // A TCP node listens on a fresh port in every life: publish it.
-  auto tcp = std::make_unique<net::TcpTransport>(&inbox_, &directory_);
-  if (idx >= directory_.size()) directory_.resize(idx + 1);
-  directory_[idx] = tcp->address();
-  return tcp;
+  if (cfg_.drive != Drive::kWallClockTcp) return hub_->make_endpoint(idx);
+  return tcp_.make_endpoint(idx);  // a fresh port in every life
 }
 
 void EventCluster::pool_remove(std::size_t idx) {
@@ -145,18 +139,19 @@ void EventCluster::run_for(SimTime dur) {
 void EventCluster::run_paced(SimTime end) {
   // Engine time t falls due at wall time origin + t.  Each pass runs every
   // event due by now — the events a virtual run_until(end) runs, split at
-  // wall-clock instants — and delivers the TCP frames queued meanwhile at
-  // the current engine time; then it sleeps until the next event is due
-  // or a frame arrives.  Re-anchored per call, so time spent between calls
-  // (measuring, stage changes) is not made up in a burst.
+  // wall-clock instants — and delivers the TCP frames that arrived
+  // meanwhile at the current engine time; then it sleeps until the next
+  // event is due or a socket is ready.  Re-anchored per call, so time
+  // spent between calls (measuring, stage changes) is not made up in a
+  // burst.
   const auto origin = wall_clock() - engine_.now();
   for (;;) {
     const SimTime now = std::min(
         end, std::chrono::duration_cast<SimTime>(wall_clock() - origin));
     engine_.run_until(now);
-    inbox_.deliver();
+    tcp_.deliver();
     if (now == end) return;
-    inbox_.wait_until(origin + engine_.next_due(end));
+    tcp_.wait(origin + engine_.next_due(end) - wall_clock());
   }
 }
 

@@ -12,9 +12,9 @@
 //   * wall: run_for sleeps until each event is due, so virtual time never
 //     gets ahead of the wall clock.  Over the hub it runs exactly the
 //     virtual run's events and replays it bit for bit; over localhost TCP
-//     (the paper's "reliable channels (e.g. TCP)", §III-A) the reader
-//     threads queue frames in an Inbox, and the loop delivers them on its
-//     own thread between events.
+//     (the paper's "reliable channels (e.g. TCP)", §III-A) its sleep is
+//     one poll over every node's sockets, and it delivers the frames read
+//     between events, on the same thread.
 //
 // Typical scenario:
 //
@@ -35,7 +35,6 @@
 #include "engine/event_engine.hpp"
 #include "fault/fault_plane.hpp"
 #include "metrics/metrics.hpp"
-#include "net/inbox.hpp"
 #include "net/runtime.hpp"
 #include "net/tcp_transport.hpp"
 #include "space/metric_space.hpp"
@@ -111,8 +110,8 @@ class EventCluster {
 
   /// Advances the engine clock by `dur`, executing every due event.  On
   /// the wall clock this takes at least `dur` of wall time: it sleeps
-  /// until the next event is due or a TCP frame arrives, and delivers
-  /// queued frames between events.
+  /// until the next event is due or a TCP socket is ready, and delivers
+  /// the frames it reads between events.
   void run_for(SimTime dur);
 
   /// Advances by `n` tick periods (each node ticks ~n times).
@@ -267,8 +266,8 @@ class EventCluster {
 
  private:
   std::size_t add_node(std::optional<space::DataPoint> initial);
-  /// A fresh transport for node `idx`: a hub endpoint registered for the
-  /// node, or a TCP socket over inbox_ whose address goes in directory_.
+  /// A fresh transport for node `idx`: an endpoint registered for the
+  /// node on hub_, or on tcp_ under kWallClockTcp.
   std::unique_ptr<net::Transport> make_transport(std::size_t idx);
   /// run_for on the wall clock, up to engine time `end`.
   void run_paced(SimTime end);
@@ -306,14 +305,10 @@ class EventCluster {
   /// arena) are destroyed first.
   util::Arena arena_{std::size_t{4} << 20};
   net::AsyncScratch scratch_;
-  /// Frames TCP readers received, for run_paced to deliver (and its sleep
-  /// otherwise).  Declared before nodes_: their transports discard their
-  /// queued frames here on shutdown.
-  net::Inbox inbox_;
-  /// Where each node listens under kWallClockTcp, by node id: written by
-  /// make_transport (at start and in recover_node), read by the nodes'
-  /// transports to connect by id.  Declared before nodes_, which use it.
-  net::TcpDirectory directory_;
+  /// The TCP fleet's network under kWallClockTcp, and run_paced's wait
+  /// under both wall-clock drives (with no endpoint it only sleeps).
+  /// Declared before nodes_, whose transports must not outlive it.
+  net::TcpHub tcp_;
   /// Nodes live in a chunked slab indexed by node id (== hub EndpointId
   /// creation order): the per-delivery random-node walk lands in packed
   /// storage instead of chasing one heap pointer per node.

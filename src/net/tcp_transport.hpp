@@ -1,101 +1,147 @@
-// TCP transport: length-prefixed frames over POSIX sockets.
+// TCP transport: length-prefixed frames over localhost sockets, all of a
+// fleet's sockets polled by one thread.
 //
 // The paper's system model is "message-passing nodes that communicate over
 // reliable channels (e.g. TCP)" (§III-A).  This transport provides exactly
-// that: each endpoint listens on 127.0.0.1:<ephemeral-port>; outgoing
-// connections are cached per destination; frames are
+// that: each endpoint listens on 127.0.0.1:<ephemeral-port>, keeps one
+// outgoing connection per peer it sends to, and frames are
 //
 //     u32 payload_length | payload
 //
-// Send failures (connection refused / peer closed) return false, which the
-// async runtime uses as its contact-failure signal — the same signal the
-// simulator's failure detector abstracts.
+// TcpHub is the TCP fleet's network, as EngineHub is the virtual one: it
+// knows each node's live endpoint (hence where the node listens) and owns
+// the one wait.  Every socket is non-blocking and no endpoint has a thread:
 //
-// Nodes reach each other by id through a TcpDirectory: the fleet writes
-// where each node listens, and a transport's endpoint for node i is the
-// directory's slot i, so a send connects to wherever node i listens now.
+//   * wait() polls every live endpoint's listen socket, its inbound
+//     connections, and its outgoing connections that hold unwritten bytes,
+//     until one is ready or the timeout passes;
+//   * deliver() serves only the descriptors that wait() reported ready: it
+//     accepts pending connects, writes queued bytes, and reads each ready
+//     inbound connection once, assembling frames across partial reads and
+//     running the handler of every complete one on the caller's thread.
 //
-// Threads: an accept thread, plus one reader thread per inbound
-// connection.  Over an Inbox (the fleet's TCP mode) readers only queue
-// frames, and the inbox owner's loop thread runs the handler; without one,
-// each reader runs the handler itself.
+// Send failures (no live endpoint for the node, connection refused or
+// reset) return false, which the async runtime uses as its contact-failure
+// signal — the same signal the simulator's failure detector abstracts.  An
+// endpoint that shuts down leaves the hub, and every peer closes its
+// connection to it, so sends to its node fail until the node binds a new
+// endpoint.
 #pragma once
 
-#include <atomic>
+#include <poll.h>
+
+#include <chrono>
 #include <cstdint>
-#include <thread>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "net/transport.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace poly::net {
 
-class Inbox;
+class TcpTransport;
 
-/// Where each node of a TCP fleet listens ("host:port"), indexed by node
-/// id; an empty entry is a node not yet bound.  Its owner writes a node's
-/// entry whenever the node binds a transport (at start and on recovery);
-/// the transports read it on send.  Both happen on the fleet's loop
-/// thread, so it holds no lock.
-using TcpDirectory = std::vector<Address>;
+/// A TCP fleet's endpoints, by node id, and the poll over their sockets.
+/// Single-threaded: every call, and every handler deliver() runs, is on
+/// one thread.  Endpoints must not outlive their hub.
+class TcpHub {
+ public:
+  TcpHub() = default;
+  TcpHub(const TcpHub&) = delete;
+  TcpHub& operator=(const TcpHub&) = delete;
 
+  /// Binds a fresh endpoint for `node` on 127.0.0.1, at a port the kernel
+  /// picks.  Throws std::invalid_argument when the node already has a live
+  /// endpoint, and std::runtime_error when the socket cannot be bound.
+  std::unique_ptr<TcpTransport> make_endpoint(LiveNodeId node);
+
+  /// Blocks until a socket of a live endpoint is ready or `timeout`
+  /// passes; returns how many are ready.  With no endpoint it only sleeps.
+  std::size_t wait(std::chrono::nanoseconds timeout);
+
+  /// Serves the sockets the last wait() reported ready; returns how many
+  /// frames it handed to handlers.  Handlers must not shut an endpoint
+  /// down.
+  std::size_t deliver();
+
+ private:
+  friend class TcpTransport;
+
+  /// What a polled descriptor is to its endpoint.
+  enum class Role : std::uint8_t { kListen, kInbound, kOutbound };
+  struct Polled {
+    TcpTransport* endpoint;
+    Role role;
+    /// kInbound: the endpoint's in_ index; kOutbound: the peer node id.
+    std::uint32_t slot;
+  };
+
+  /// The live endpoint of `node`, or nullptr.
+  const TcpTransport* endpoint_of(LiveNodeId node) const noexcept {
+    return node < endpoints_.size() ? endpoints_[node] : nullptr;
+  }
+  /// Removes `t` from the directory and closes every peer's connection to
+  /// it; drops the ready set, which may name its sockets.
+  void unbind(const TcpTransport& t);
+
+  std::vector<TcpTransport*> endpoints_;  ///< by node id; nullptr: none live
+  /// The last wait()'s poll set, and what each entry is (same index).
+  std::vector<pollfd> poll_set_;
+  std::vector<Polled> polled_;
+};
+
+/// One node's endpoint on a TcpHub.
 class TcpTransport final : public Transport {
  public:
-  /// Binds to 127.0.0.1 on an ephemeral port and starts the accept loop.
-  /// With an `inbox`, received frames are queued there for the inbox
-  /// owner to deliver; the inbox must outlive the transport.  With a
-  /// `directory` (which must outlive it too), the transport reaches nodes
-  /// by id.  Throws std::runtime_error if the socket cannot be
-  /// created/bound.
-  explicit TcpTransport(Inbox* inbox = nullptr,
-                        const TcpDirectory* directory = nullptr);
   ~TcpTransport() override;
+  TcpTransport(const TcpTransport&) = delete;
+  TcpTransport& operator=(const TcpTransport&) = delete;
 
+  /// "127.0.0.1:<port>", where this endpoint listens.
   Address address() const override { return address_; }
   void set_handler(MessageHandler handler) override;
-  /// `node` itself when the directory knows where it listens.
+  /// `node` itself while it has a live endpoint on the hub.
   EndpointId resolve(LiveNodeId node) const override;
-  /// Sends to the address in directory slot `to`.
+  /// Queues one frame for node `to`'s live endpoint and writes what the
+  /// socket takes now; the rest goes out when the hub's poll reports the
+  /// socket writable.
   bool send(EndpointId to, std::vector<std::uint8_t> payload) override;
-  /// Sends to the endpoint listening at `to` (the connect edge).
-  bool send(const Address& to, std::vector<std::uint8_t> payload);
+  /// Leaves the hub and closes every socket.
   void shutdown() override;
 
  private:
-  friend class Inbox;
+  friend class TcpHub;
 
-  void accept_loop();
-  void read_loop(int fd);
-  /// Runs the handler on `msg` unless the transport has shut down.
-  void dispatch(Message& msg);
-  /// Returns a connected socket to `to` (cached), or -1.
-  int connection_to(const Address& to);
+  /// One connection.  `buf` holds the bytes of frames not yet complete
+  /// (inbound) or not yet written (outbound).  fd -1 is a closed one: the
+  /// next wait() sweeps it from in_, and an out_ slot reconnects on the
+  /// next send.
+  struct Conn {
+    int fd = -1;
+    std::vector<std::uint8_t> buf;
+  };
 
-  Inbox* const inbox_;
-  const TcpDirectory* const directory_;
+  TcpTransport(TcpHub& hub, LiveNodeId node);
+
+  /// Accepts every connect waiting in the listen backlog.
+  void accept_pending();
+  /// Reads once from `c` and hands every frame it completes to the
+  /// handler; returns how many.  EOF, an error or an oversized length
+  /// prefix closes the connection, and a partial frame dies with it.
+  std::size_t read_frames(Conn& c);
+  /// Writes what `c` has queued until the socket would block; false on a
+  /// failed connection.
+  static bool flush(Conn& c);
+  static void close(Conn& c);
+
+  TcpHub* hub_;
+  LiveNodeId node_;
   Address address_;
   int listen_fd_ = -1;
-  std::thread accept_thread_;
-
-  util::Mutex handler_mu_;
-  MessageHandler handler_ GUARDED_BY(handler_mu_);
-
-  /// Guards the outgoing-connection cache; also serializes frame writes
-  /// (write_all under conn_mu_ keeps concurrent sends from interleaving
-  /// one frame inside another).
-  util::Mutex conn_mu_;
-  std::unordered_map<Address, int> outgoing_ GUARDED_BY(conn_mu_);
-
-  struct Reader {
-    int fd;
-    std::thread thread;
-  };
-  util::Mutex readers_mu_;
-  std::vector<Reader> readers_ GUARDED_BY(readers_mu_);
-
-  std::atomic<bool> stopped_{false};
+  MessageHandler handler_;
+  std::vector<Conn> in_;   ///< accepted connections
+  std::vector<Conn> out_;  ///< by peer node id
+  bool stopped_ = false;
 };
 
 }  // namespace poly::net

@@ -10,10 +10,9 @@
 //   * TcpTransport    — length-prefixed frames over localhost TCP sockets.
 //
 // Delivery is callback-based, and in a fleet every handler runs on the
-// fleet's loop thread: the hub delivers from engine events, and TCP reader
-// threads queue frames in the fleet's Inbox for the loop to deliver
-// (net/inbox.hpp).  So handlers need no lock.  A TcpTransport built
-// without an inbox runs the handler on its reader threads instead.
+// fleet's loop thread: the hub delivers from engine events, and a TcpHub
+// delivers the frames it reads from the sockets its one poll reported
+// ready (net/tcp_transport.hpp).  So handlers need no lock.
 //
 // Identity by id: a node is its LiveNodeId, and that id is all a node
 // hands its transport.  `resolve(node)` maps the id to the endpoint that
@@ -35,8 +34,8 @@ namespace poly::net {
 /// frames to and resolve into endpoints.
 using LiveNodeId = std::uint64_t;
 
-/// An endpoint's name.  For EngineTransport a registry key; for
-/// TcpTransport a "host:port" string.
+/// An endpoint's name, for logs and tests: "node-<id>" for
+/// EngineTransport, the "host:port" it listens on for TcpTransport.
 using Address = std::string;
 
 /// Dense id of an endpoint on a transport.

@@ -167,10 +167,10 @@ struct HostileRig {
     auto points = shape.generate();
     scratch.bind(arena, cfg);
     node = std::make_unique<net::AsyncNode>(
-        net::LiveNodeId{1}, shape.space_ptr(), hub.make_endpoint("node-1", 1),
+        net::LiveNodeId{1}, shape.space_ptr(), hub.make_endpoint(1),
         points[0], cfg, /*seed=*/3, [this] { return engine.clock(); }, arena,
         scratch);
-    attacker = hub.make_endpoint("attacker", kAttacker);
+    attacker = hub.make_endpoint(kAttacker);
     attacker->set_handler([](net::Message&) {});
   }
 
@@ -187,7 +187,7 @@ TEST(CappedViews, OversizedRpsFrameCannotGrowView) {
   std::vector<net::WirePeer> peers;
   for (std::uint64_t i = 0; i < 50 * rig.cfg.rps_view; ++i)
     peers.push_back({100 + i, "node-" + std::to_string(100 + i),
-                     static_cast<std::uint32_t>(i % 5)});
+                     static_cast<std::uint32_t>(i % 5), {}, 0});
   rig.deliver(net::encode_rps(
       net::Header{net::MsgType::kRpsShuffleResp, 999, "attacker"}, peers));
   EXPECT_LE(rig.node->rps_view_size(), rig.cfg.rps_view);
@@ -312,7 +312,7 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
   for (std::size_t i = 0; i < kNodes; ++i) {
     nodes.push_back(std::make_unique<net::AsyncNode>(
         static_cast<net::LiveNodeId>(i), shape.space_ptr(),
-        hub.make_endpoint("node-" + std::to_string(i), i), std::nullopt, cfg,
+        hub.make_endpoint(i), std::nullopt, cfg,
         /*seed=*/1000 + i, [&engine] { return engine.clock(); }, arena,
         scratch));
   }
@@ -395,8 +395,8 @@ TEST(Identity, NodesSendEveryNameSlotEmpty) {
         named += !d.addr.empty();
   };
   rig.attacker->set_handler(inspect);
-  auto third_1000 = rig.hub.make_endpoint("node-1000", 1000);
-  auto third_1001 = rig.hub.make_endpoint("node-1001", 1001);
+  auto third_1000 = rig.hub.make_endpoint(1000);
+  auto third_1001 = rig.hub.make_endpoint(1001);
   third_1000->set_handler(inspect);
   third_1001->set_handler(inspect);
   const net::LiveNodeId kAttacker = HostileRig::kAttacker;
@@ -418,30 +418,6 @@ TEST(Identity, NodesSendEveryNameSlotEmpty) {
     EXPECT_NE(std::find(types.begin(), types.end(), t), types.end())
         << "no frame of type " << static_cast<int>(t);
   EXPECT_EQ(named, 0u);
-}
-
-TEST(Identity, NoNameIsLookedUpThroughCrashAndRecovery) {
-  // Sends, replies and cache misses resolve node ids, and recovery
-  // registers each rejoining node by id: the hub's by-name lookup count
-  // stays still while a 16x16 fleet gossips through a half crash and
-  // recover_all.
-  shape::GridTorusShape shape(16, 16);
-  engine::EventCluster fleet(shape.space_ptr(), shape.generate(), {},
-                             /*seed=*/21);
-  fleet.run_rounds(20);
-  const engine::EngineHub& hub = fleet.hub();
-  const std::uint64_t lookups = hub.by_name_lookups();
-  const std::uint64_t sent = hub.frames_sent();
-  fleet.crash_region(
-      [&](const space::Point& p) { return shape.in_failure_half(p); });
-  fleet.run_rounds(20);
-  EXPECT_EQ(fleet.recover_all(), 128u);
-  fleet.run_rounds(20);
-  EXPECT_EQ(hub.by_name_lookups(), lookups);
-  EXPECT_GT(hub.frames_sent() - sent, 256u * 40 * 5);
-  // The count does count: a lookup by name moves it.
-  EXPECT_NE(hub.resolve("node-0"), net::kInvalidEndpointId);
-  EXPECT_EQ(hub.by_name_lookups(), lookups + 1);
 }
 
 }  // namespace

@@ -152,14 +152,13 @@ TEST(EngineTransport, DeliversWithLatency) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{3ms}));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   std::vector<std::string> got;
   b->set_handler([&](poly::net::Message m) {
     EXPECT_EQ(engine.now(), SimTime{3ms});
     got.emplace_back(m.payload.begin(), m.payload.end());
-    // The sender is known by endpoint and node: a hub used without nodes
-    // registers endpoint i for node i.
+    // The sender is known by endpoint and node.
     EXPECT_EQ(m.from_ep, a->endpoint_id());
     EXPECT_EQ(m.from_node, 0u);
   });
@@ -171,16 +170,16 @@ TEST(EngineTransport, DeliversWithLatency) {
 TEST(EngineTransport, SendToUnknownOrShutdownFails) {
   EventEngine engine(1);
   EngineHub hub(engine);
-  auto a = hub.make_endpoint("a");
+  auto a = hub.make_endpoint(0);
   EXPECT_EQ(a->resolve(7), poly::net::kInvalidEndpointId);  // no such node
   EXPECT_FALSE(a->send(a->resolve(7), {1}));
-  auto b = hub.make_endpoint("b");
+  auto b = hub.make_endpoint(1);
   const auto b_ep = b->endpoint_id();
   EXPECT_EQ(a->resolve(1), b_ep);
   b->shutdown();
   EXPECT_FALSE(a->send(b_ep, {1}));
   EXPECT_EQ(a->resolve(1), poly::net::kInvalidEndpointId);
-  EXPECT_FALSE(hub.reachable("b"));
+  EXPECT_EQ(hub.endpoint_of(1), poly::net::kInvalidEndpointId);
 }
 
 TEST(EngineTransport, NodeIdsResolveToTheirLiveEndpoint) {
@@ -190,19 +189,20 @@ TEST(EngineTransport, NodeIdsResolveToTheirLiveEndpoint) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
-  auto peer = hub.make_endpoint("peer", 7);
+  auto peer = hub.make_endpoint(7);
   std::vector<std::pair<poly::net::EndpointId, poly::net::LiveNodeId>> from;
   peer->set_handler([&](poly::net::Message& m) {
     from.emplace_back(m.from_ep, m.from_node);
   });
-  auto first = hub.make_endpoint("n", 42);
+  auto first = hub.make_endpoint(42);
+  EXPECT_EQ(first->address(), "node-42");  // spelt from the table
   EXPECT_EQ(peer->resolve(42), first->endpoint_id());
-  EXPECT_THROW(hub.make_endpoint("other", 42), std::invalid_argument);
+  EXPECT_THROW(hub.make_endpoint(42), std::invalid_argument);
   const auto dead = first->endpoint_id();
   ASSERT_TRUE(first->send(peer->endpoint_id(), {1}));
   first->shutdown();  // crashes with its frame in flight
   EXPECT_EQ(peer->resolve(42), poly::net::kInvalidEndpointId);
-  auto second = hub.make_endpoint("n", 42);
+  auto second = hub.make_endpoint(42);
   EXPECT_NE(second->endpoint_id(), dead);
   EXPECT_EQ(peer->resolve(42), second->endpoint_id());
   ASSERT_TRUE(second->send(peer->endpoint_id(), {2}));
@@ -212,18 +212,11 @@ TEST(EngineTransport, NodeIdsResolveToTheirLiveEndpoint) {
   EXPECT_EQ(from, want);
 }
 
-TEST(EngineTransport, DuplicateAddressThrows) {
-  EventEngine engine(1);
-  EngineHub hub(engine);
-  auto a = hub.make_endpoint("a");
-  EXPECT_THROW(hub.make_endpoint("a"), std::invalid_argument);
-}
-
 TEST(EngineTransport, LoopbackDeliversToSelf) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
-  auto a = hub.make_endpoint("a");
+  auto a = hub.make_endpoint(0);
   std::vector<std::string> got;
   a->set_handler([&](poly::net::Message m) {
     got.emplace_back(m.payload.begin(), m.payload.end());
@@ -238,8 +231,8 @@ TEST(EngineTransport, InFlightFrameToCrashedEndpointIsDiscarded) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{5ms}));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
   ASSERT_TRUE(a->send(b->endpoint_id(), {1}));  // accepted while b is alive
@@ -253,8 +246,8 @@ TEST(EngineTransport, JitteredLatencyPreservesPerPairFifo) {
   EventEngine engine(7);
   EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
                                                          SimTime{50ms}));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   std::vector<std::uint8_t> got;
   b->set_handler(
       [&](poly::net::Message m) { got.push_back(m.payload.at(0)); });
@@ -270,10 +263,10 @@ TEST(EngineTransport, SameInstantFramesCoalesceAndKeepSendOrder) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
-  auto d = hub.make_endpoint("d");
+  auto d = hub.make_endpoint(0);
   std::vector<std::unique_ptr<poly::engine::EngineTransport>> senders;
   for (int i = 0; i < 6; ++i)
-    senders.push_back(hub.make_endpoint("s" + std::to_string(i)));
+    senders.push_back(hub.make_endpoint(1 + i));
   std::vector<std::uint8_t> got;
   d->set_handler([&](poly::net::Message m) {
     EXPECT_EQ(engine.now(), SimTime{2ms});  // one instant for all six
@@ -295,8 +288,8 @@ TEST(EngineTransport, BatchWindowRoundsDeliveryUpToBoundary) {
                 std::make_unique<poly::engine::FixedLatency>(
                     SimTime{std::chrono::microseconds(2500)}),
                 /*batch_window=*/SimTime{1ms});
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) {
     ++delivered;
@@ -315,9 +308,9 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{20ms}));
-  auto d = hub.make_endpoint("d");
-  auto s = hub.make_endpoint("s");
-  auto s2 = hub.make_endpoint("s2");
+  auto d = hub.make_endpoint(0);
+  auto s = hub.make_endpoint(1);
+  auto s2 = hub.make_endpoint(2);
   std::vector<std::uint8_t> got;
   d->set_handler(
       [&](poly::net::Message m) { got.push_back(m.payload.at(0)); });
@@ -326,7 +319,9 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
   for (std::uint8_t i = 0; i < 6; ++i) {
     engine.schedule_at(SimTime{1ms} * i, [&, i] {
       ASSERT_TRUE(s->send(d->endpoint_id(), {i}));
-      if (i == 5) ASSERT_TRUE(s2->send(d->endpoint_id(), {std::uint8_t{100}}));
+      if (i == 5) {
+        ASSERT_TRUE(s2->send(d->endpoint_id(), {std::uint8_t{100}}));
+      }
     });
   }
   engine.run();
@@ -340,8 +335,8 @@ TEST(EngineTransport, DropModelLosesFramesSilently) {
   EventEngine engine(3);
   EngineHub hub(engine, std::make_unique<UniformLatency>(
                             SimTime{1ms}, SimTime{1ms}, /*drop_rate=*/0.5));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
   for (int i = 0; i < 200; ++i) ASSERT_TRUE(a->send(b->endpoint_id(), {1}));

@@ -79,15 +79,15 @@ TEST(FaultPlane, RulesMatchNodeIdsAcrossEndpointRebirth) {
   FaultPlane plane(7);
   hub.set_fault_plane(&plane);
   plane.add_partition({0}, SimTime::zero(), kNever);
-  auto other = hub.make_endpoint("other", 3);  // endpoint 0
-  auto peer = hub.make_endpoint("peer", 1);
-  auto node = hub.make_endpoint("node-0", 0);
+  auto other = hub.make_endpoint(3);  // endpoint 0
+  auto peer = hub.make_endpoint(1);
+  auto node = hub.make_endpoint(0);
   int delivered = 0;
   peer->set_handler([&](poly::net::Message&) { ++delivered; });
   ASSERT_TRUE(node->send(peer->endpoint_id(), {1}));  // silently lost
   EXPECT_EQ(plane.counters().frames_blackholed, 1u);
   node->shutdown();
-  auto reborn = hub.make_endpoint("node-0", 0);  // recovery: new endpoint
+  auto reborn = hub.make_endpoint(0);  // recovery: new endpoint
   ASSERT_NE(reborn->endpoint_id(), node->endpoint_id());
   ASSERT_TRUE(reborn->send(peer->endpoint_id(), {1}));
   EXPECT_EQ(plane.counters().frames_blackholed, 2u);
@@ -176,9 +176,9 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
   poly::shape::RingShape shape(8, 1.0);
   auto points = shape.generate();
 
-  auto ep = hub.make_endpoint("victim", 0);
+  auto ep = hub.make_endpoint(0);
   const poly::net::EndpointId to = ep->endpoint_id();
-  auto attacker = hub.make_endpoint("attacker", 1);
+  auto attacker = hub.make_endpoint(1);
   poly::util::Arena arena;
   poly::net::AsyncScratch scratch;
   scratch.bind(arena, {});
@@ -191,7 +191,7 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
   // at the mutation count), the rest must all be rejected.
   const auto valid = poly::net::encode_rps(
       poly::net::Header{poly::net::MsgType::kRpsShuffleResp, 1, "attacker"},
-      {{2, "addr-2", 3}});
+      {{2, "addr-2", 3, {}, 0}});
   std::size_t expect_rejects = 0;
 
   ASSERT_TRUE(attacker->send(to, std::vector<std::uint8_t>(valid)));

@@ -65,8 +65,9 @@ TEST(LatencyHistogram, BucketEdgesAreConsistent) {
     // The inclusive upper edge maps to its own bucket; the next value
     // starts the next bucket.
     ASSERT_EQ(LatencyHistogram::bucket_index(edge), idx);
-    if (edge != ~0ull)
+    if (edge != ~0ull) {
       ASSERT_EQ(LatencyHistogram::bucket_index(edge + 1), idx + 1);
+    }
     // The documented error: bucket width is at most lower_edge / 32.
     if (v >= LatencyHistogram::kSubBuckets) {
       const std::uint64_t lower =

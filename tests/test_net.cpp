@@ -1,17 +1,24 @@
-// Tests for the net/ substrate — message codecs, the TCP transport
-// (delivery, ordering, failure semantics) and its inbox, and the live
-// fleet: the AsyncNode protocol paced by the wall clock, over the hub and
-// over TCP — convergence, crash recovery and re-injection without the
-// simulator.
+// Tests for the net/ substrate — message codecs, the TCP transport and
+// its hub (delivery, ordering, framing, failure semantics, one thread),
+// and the live fleet: the AsyncNode protocol paced by the wall clock, over
+// the hub and over TCP — convergence, crash recovery and re-injection
+// without the simulator.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "engine/event_cluster.hpp"
-#include "net/inbox.hpp"
 #include "net/messages.hpp"
 #include "net/tcp_transport.hpp"
 #include "shape/ring_shape.hpp"
@@ -27,6 +34,7 @@ using poly::net::AsyncConfig;
 using poly::net::Header;
 using poly::net::Message;
 using poly::net::MsgType;
+using poly::net::TcpHub;
 using poly::net::TcpTransport;
 using poly::net::WireDescriptor;
 using poly::net::WirePeer;
@@ -49,24 +57,13 @@ constexpr int kTimeScale = 6;
 constexpr int kTimeScale = 1;
 #endif
 
-/// Collects received messages with notification.
+/// Collects received messages (handlers run on the thread that calls
+/// TcpHub::deliver).
 struct Collector {
-  std::mutex mu;
-  std::condition_variable cv;
   std::vector<Message> messages;
 
   poly::net::MessageHandler handler() {
-    return [this](Message m) {
-      std::lock_guard<std::mutex> lk(mu);
-      messages.push_back(std::move(m));
-      cv.notify_all();
-    };
-  }
-
-  bool wait_for_count(std::size_t n, std::chrono::milliseconds timeout = 5s) {
-    std::unique_lock<std::mutex> lk(mu);
-    return cv.wait_for(lk, timeout * kTimeScale,
-                       [&] { return messages.size() >= n; });
+    return [this](Message& m) { messages.push_back(std::move(m)); };
   }
 };
 
@@ -90,7 +87,7 @@ TEST(Messages, HeaderRoundTrip) {
 TEST(Messages, RpsRoundTrip) {
   const auto frame = poly::net::encode_rps(
       Header{MsgType::kRpsShuffleReq, 1, "a"},
-      {{2, "addr-2", 3}, {5, "addr-5", 0}});
+      {{2, "addr-2", 3, {}, 0}, {5, "addr-5", 0, {}, 0}});
   poly::util::ByteReader r(frame);
   const Header h = poly::net::decode_header(r);
   EXPECT_EQ(h.type, MsgType::kRpsShuffleReq);
@@ -158,95 +155,250 @@ TEST(Messages, BadPointDimensionThrows) {
   EXPECT_THROW(poly::net::decode_point(r), poly::util::CodecError);
 }
 
-// ---- TcpTransport ------------------------------------------------------------------
+// ---- TcpTransport over a TcpHub ----------------------------------------------
+
+/// Runs the hub's wait/deliver passes until `done()` holds or the scaled
+/// 10 s budget runs out (TCP arrival is nondeterministic).
+template <typename Done>
+bool pump(TcpHub& hub, Done done) {
+  for (int pass = 0; pass < 10000 * kTimeScale && !done(); ++pass) {
+    hub.wait(1ms);
+    hub.deliver();
+  }
+  return done();
+}
+
+/// Two endpoints, for nodes 0 and 1, on one hub.
+struct TcpPair {
+  TcpHub hub;
+  std::unique_ptr<TcpTransport> a = hub.make_endpoint(0);
+  std::unique_ptr<TcpTransport> b = hub.make_endpoint(1);
+};
 
 TEST(Tcp, RoundTripOverLocalhost) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair p;
   Collector got;
-  b.set_handler(got.handler());
-  ASSERT_TRUE(a.send(b.address(), bytes_of("over tcp")));
-  ASSERT_TRUE(got.wait_for_count(1));
+  p.b->set_handler(got.handler());
+  ASSERT_EQ(p.a->resolve(1), 1u);
+  ASSERT_TRUE(p.a->send(1, bytes_of("over tcp")));
+  ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() == 1; }));
   EXPECT_EQ(got.messages[0].payload, bytes_of("over tcp"));
 }
 
 TEST(Tcp, OrderPreservedOnOneConnection) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair p;
   Collector got;
-  b.set_handler(got.handler());
+  p.b->set_handler(got.handler());
   for (int i = 0; i < 200; ++i)
-    ASSERT_TRUE(a.send(b.address(), bytes_of(std::to_string(i))));
-  ASSERT_TRUE(got.wait_for_count(200));
+    ASSERT_TRUE(p.a->send(1, bytes_of(std::to_string(i))));
+  ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() >= 200; }));
+  ASSERT_EQ(got.messages.size(), 200u);
   for (int i = 0; i < 200; ++i)
     EXPECT_EQ(got.messages[i].payload, bytes_of(std::to_string(i)));
 }
 
 TEST(Tcp, BidirectionalTraffic) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair p;
   Collector got_a;
   Collector got_b;
-  a.set_handler(got_a.handler());
-  b.set_handler(got_b.handler());
-  ASSERT_TRUE(a.send(b.address(), bytes_of("ping")));
-  ASSERT_TRUE(got_b.wait_for_count(1));
-  ASSERT_TRUE(b.send(a.address(), bytes_of("pong")));
-  ASSERT_TRUE(got_a.wait_for_count(1));
+  p.a->set_handler(got_a.handler());
+  p.b->set_handler(got_b.handler());
+  ASSERT_TRUE(p.a->send(1, bytes_of("ping")));
+  ASSERT_TRUE(pump(p.hub, [&] { return got_b.messages.size() == 1; }));
+  ASSERT_TRUE(p.b->send(0, bytes_of("pong")));
+  ASSERT_TRUE(pump(p.hub, [&] { return got_a.messages.size() == 1; }));
   EXPECT_EQ(got_a.messages[0].payload, bytes_of("pong"));
 }
 
 TEST(Tcp, SendToClosedEndpointFails) {
-  TcpTransport a;
-  Address dead;
-  {
-    TcpTransport b;
-    dead = b.address();
-    b.shutdown();
-  }
-  EXPECT_FALSE(a.send(dead, bytes_of("x")));
+  TcpPair p;
+  Collector got;
+  p.b->set_handler(got.handler());
+  // An established connection dies with its peer's endpoint.
+  ASSERT_TRUE(p.a->send(1, bytes_of("x")));
+  ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() == 1; }));
+  p.b->shutdown();
+  EXPECT_EQ(p.a->resolve(1), poly::net::kInvalidEndpointId);
+  EXPECT_FALSE(p.a->send(1, bytes_of("y")));
+  EXPECT_FALSE(p.b->send(0, bytes_of("z")));  // nor does a closed one send
 }
 
-TEST(Tcp, SendToGarbageAddressFails) {
-  TcpTransport a;
-  EXPECT_FALSE(a.send("not-an-address", bytes_of("x")));
-  EXPECT_FALSE(a.send("127.0.0.1:0", bytes_of("x")));
+TEST(Tcp, SendToUnboundNodeFails) {
+  TcpPair p;
+  EXPECT_EQ(p.a->resolve(7), poly::net::kInvalidEndpointId);
+  EXPECT_FALSE(p.a->send(7, bytes_of("x")));
+}
+
+TEST(Tcp, RecoveredNodeIsReachedAtItsNewEndpoint) {
+  TcpPair p;
+  ASSERT_TRUE(p.a->send(1, bytes_of("first life")));
+  p.b.reset();  // crash: the endpoint shuts down
+  EXPECT_THROW(p.hub.make_endpoint(0), std::invalid_argument);  // 0 is live
+  p.b = p.hub.make_endpoint(1);
+  Collector got;
+  p.b->set_handler(got.handler());
+  ASSERT_TRUE(p.a->send(1, bytes_of("second life")));
+  ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() == 1; }));
+  EXPECT_EQ(got.messages[0].payload, bytes_of("second life"));
 }
 
 TEST(Tcp, LargePayload) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair p;
   Collector got;
-  b.set_handler(got.handler());
+  p.b->set_handler(got.handler());
   std::vector<std::uint8_t> big(1 << 20, 0xab);  // 1 MiB
-  ASSERT_TRUE(a.send(b.address(), big));
-  ASSERT_TRUE(got.wait_for_count(1));
-  EXPECT_EQ(got.messages[0].payload.size(), big.size());
+  ASSERT_TRUE(p.a->send(1, big));
+  ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() == 1; }));
+  EXPECT_EQ(got.messages[0].payload, big);
 }
 
-// ---- TcpTransport over an Inbox ---------------------------------------------------
-
-/// Waits until `inbox` holds `n` frames or the scaled 10 s deadline
-/// passes (TCP arrival is nondeterministic).
-bool wait_queued(const poly::net::Inbox& inbox, std::size_t n) {
-  for (int ms = 0; ms < 10000 * kTimeScale && inbox.queued() < n; ++ms)
-    std::this_thread::sleep_for(1ms);
-  return inbox.queued() >= n;
+TEST(TcpHub, HandlersRunOnlyInsideDeliver) {
+  TcpPair p;
+  std::vector<std::thread::id> ran_on;
+  p.b->set_handler(
+      [&](Message&) { ran_on.push_back(std::this_thread::get_id()); });
+  ASSERT_TRUE(p.a->send(1, bytes_of("polled")));
+  for (int pass = 0; pass < 10000 * kTimeScale && ran_on.empty(); ++pass) {
+    p.hub.wait(1ms);
+    EXPECT_TRUE(ran_on.empty());  // a ready socket alone runs nothing
+    p.hub.deliver();
+  }
+  ASSERT_EQ(ran_on.size(), 1u);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
 }
 
-TEST(TcpInbox, ReadersQueueFramesForTheLoopThread) {
-  poly::net::Inbox inbox;
-  TcpTransport a;
-  TcpTransport b(&inbox);
+// ---- TCP framing, from a raw socket -------------------------------------------
+
+/// The frame `payload` travels as: u32 length (host order) | payload.
+std::vector<std::uint8_t> frame_of(const std::vector<std::uint8_t>& payload,
+                                   std::uint32_t length) {
+  std::vector<std::uint8_t> f(sizeof length + payload.size());
+  std::memcpy(f.data(), &length, sizeof length);
+  std::copy(payload.begin(), payload.end(), f.begin() + sizeof length);
+  return f;
+}
+std::vector<std::uint8_t> frame_of(const std::vector<std::uint8_t>& payload) {
+  return frame_of(payload, static_cast<std::uint32_t>(payload.size()));
+}
+
+/// A plain blocking client socket connected to an endpoint's address: the
+/// far side of the framing tests, writing whatever bytes a test gives it.
+class RawClient {
+ public:
+  explicit RawClient(const Address& to) {
+    const int port = std::stoi(to.substr(to.rfind(':') + 1));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    connected_ =
+        fd_ >= 0 &&
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+  }
+  ~RawClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  bool connected() const { return connected_; }
+  bool write(const std::vector<std::uint8_t>& bytes) {
+    return ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+  /// True once the far end has closed the connection (EOF or reset).
+  bool closed_by_peer() {
+    pollfd p{fd_, POLLIN, 0};
+    std::uint8_t byte = 0;
+    return ::poll(&p, 1, 0) == 1 && ::recv(fd_, &byte, 1, MSG_DONTWAIT) <= 0;
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+};
+
+TEST(TcpFraming, ByteAtATimeArrivesOnceAndWhole) {
+  TcpPair p;
   Collector got;
-  b.set_handler(got.handler());
-  ASSERT_TRUE(a.send(b.address(), bytes_of("queued")));
-  ASSERT_TRUE(wait_queued(inbox, 1));
-  // The reader queued the frame; no handler ran on its thread.
+  p.b->set_handler(got.handler());
+  RawClient client(p.b->address());
+  ASSERT_TRUE(client.connected());
+  ASSERT_GE(p.hub.wait(10s), 1u);  // the listen socket holds the connect
+  p.hub.deliver();
+  const auto frame = frame_of(bytes_of("one byte at a time"));
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    ASSERT_TRUE(client.write({frame[i]}));
+    ASSERT_EQ(p.hub.wait(10s), 1u);  // readable: one more byte
+    p.hub.deliver();
+    ASSERT_EQ(got.messages.size(), i + 1 < frame.size() ? 0u : 1u) << i;
+  }
+  EXPECT_EQ(got.messages[0].payload, bytes_of("one byte at a time"));
+  EXPECT_EQ(p.hub.wait(10ms), 0u);  // and nothing more
+}
+
+TEST(TcpFraming, SeveralFramesInOneWriteArriveInOrder) {
+  TcpPair p;
+  Collector got;
+  p.b->set_handler(got.handler());
+  RawClient client(p.b->address());
+  ASSERT_TRUE(client.connected());
+  std::vector<std::uint8_t> burst;
+  for (const char* s : {"first", "", "third"}) {
+    const auto f = frame_of(bytes_of(s));
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  ASSERT_TRUE(client.write(burst));
+  ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() >= 3; }));
+  ASSERT_EQ(got.messages.size(), 3u);
+  EXPECT_EQ(got.messages[0].payload, bytes_of("first"));
+  EXPECT_TRUE(got.messages[1].payload.empty());
+  EXPECT_EQ(got.messages[2].payload, bytes_of("third"));
+}
+
+TEST(TcpFraming, OversizedPrefixClosesOnlyItsConnection) {
+  TcpPair p;
+  Collector got;
+  p.b->set_handler(got.handler());
+  RawClient hostile(p.b->address());
+  RawClient honest(p.b->address());
+  ASSERT_TRUE(hostile.connected());
+  ASSERT_TRUE(honest.connected());
+  // One byte over the 16 MiB bound, with a little of its "payload".
+  ASSERT_TRUE(hostile.write(frame_of(bytes_of("junk"), (16u << 20) + 1)));
+  ASSERT_TRUE(honest.write(frame_of(bytes_of("ok"))));
+  ASSERT_TRUE(pump(p.hub, [&] {
+    return got.messages.size() == 1 && hostile.closed_by_peer();
+  }));
+  ASSERT_TRUE(honest.write(frame_of(bytes_of("still ok"))));
+  ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() == 2; }));
+  EXPECT_EQ(got.messages[0].payload, bytes_of("ok"));
+  EXPECT_EQ(got.messages[1].payload, bytes_of("still ok"));
+}
+
+TEST(TcpFraming, PeerClosingMidFrameRunsNoHandler) {
+  TcpPair p;
+  Collector got;
+  p.b->set_handler(got.handler());
+  {
+    RawClient quitter(p.b->address());
+    ASSERT_TRUE(quitter.connected());
+    auto half = frame_of(std::vector<std::uint8_t>(100, 7));
+    half.resize(half.size() / 2);
+    ASSERT_TRUE(quitter.write(half));
+  }  // closes mid-frame
+  for (int pass = 0; pass < 20; ++pass) {
+    p.hub.wait(5ms);
+    p.hub.deliver();
+  }
   EXPECT_TRUE(got.messages.empty());
-  EXPECT_EQ(inbox.deliver(), 1u);
+  RawClient next(p.b->address());
+  ASSERT_TRUE(next.connected());
+  ASSERT_TRUE(next.write(frame_of(bytes_of("whole"))));
+  ASSERT_TRUE(pump(p.hub, [&] { return !got.messages.empty(); }));
   ASSERT_EQ(got.messages.size(), 1u);
-  EXPECT_EQ(got.messages[0].payload, bytes_of("queued"));
+  EXPECT_EQ(got.messages[0].payload, bytes_of("whole"));
 }
 
 // ---- the live fleet ----------------------------------------------------------------
@@ -363,41 +515,90 @@ TEST(Live, WorksOverTcp) {
   EXPECT_DOUBLE_EQ(cluster.reliability(), 1.0);
 }
 
-TEST(Live, CrashedTcpNodeRunsNoQueuedFrame) {
-  // A crash while frames for the node sit in the inbox: its transport
-  // discards them, so no handler runs on the node afterwards — the TCP
-  // twin of EngineTransport.InFlightFrameToCrashedEndpointIsDiscarded.
+TEST(Live, CrashedTcpNodeRunsNoReadableFrame) {
+  // A crash while frames for the node are readable on its socket: its
+  // transport closes the socket unread, so no handler runs on the node
+  // afterwards — the TCP twin of
+  // EngineTransport.InFlightFrameToCrashedEndpointIsDiscarded.
   poly::shape::RingShape shape(8, 1.0);
   const AsyncConfig cfg = fast_config();
   poly::util::Arena arena;
   poly::net::AsyncScratch scratch;
   scratch.bind(arena, cfg);
-  poly::net::Inbox inbox;
+  TcpHub hub;
   poly::net::AsyncNode node(
-      0, shape.space_ptr(), std::make_unique<TcpTransport>(&inbox),
-      shape.generate()[0], cfg, /*seed=*/5,
-      [] { return std::chrono::steady_clock::time_point{}; }, arena,
-      scratch);
-  TcpTransport peer;
+      0, shape.space_ptr(), hub.make_endpoint(0), shape.generate()[0], cfg,
+      /*seed=*/5, [] { return std::chrono::steady_clock::time_point{}; },
+      arena, scratch);
+  auto peer = hub.make_endpoint(1);
   // An RPS response carrying one new peer grows the node's view by one.
-  auto rps_resp = [&](std::uint64_t id) {
-    return poly::net::encode_rps(
-        Header{MsgType::kRpsShuffleResp, 1, peer.address()},
-        {{id, "peer-" + std::to_string(id), 0, Point(0.0), 1}});
+  auto rps_resp = [](std::uint64_t id) {
+    return poly::net::encode_rps(Header{MsgType::kRpsShuffleResp, 1, {}},
+                                 {{id, {}, 0, Point(0.0), 1}});
   };
-  // Control: a queued frame to an alive node runs its handler.
-  ASSERT_TRUE(peer.send(node.address(), rps_resp(2)));
-  ASSERT_TRUE(wait_queued(inbox, 1));
-  EXPECT_EQ(inbox.deliver(), 1u);
-  EXPECT_EQ(node.rps_view_size(), 1u);
+  // Control: a frame to an alive node runs its handler.
+  ASSERT_TRUE(peer->send(0, rps_resp(2)));
+  ASSERT_TRUE(pump(hub, [&] { return node.rps_view_size() == 1; }));
 
   for (std::uint64_t id = 3; id < 6; ++id)
-    ASSERT_TRUE(peer.send(node.address(), rps_resp(id)));
-  ASSERT_TRUE(wait_queued(inbox, 3));
+    ASSERT_TRUE(peer->send(0, rps_resp(id)));
+  // The only socket with anything to report: the node's connection from
+  // the peer, holding the three frames.
+  ASSERT_EQ(hub.wait(10s), 1u);
   node.crash();
-  EXPECT_EQ(inbox.queued(), 0u);
-  EXPECT_EQ(inbox.deliver(), 0u);
+  EXPECT_EQ(hub.deliver(), 0u);
+  EXPECT_EQ(hub.wait(10ms), 0u);
   EXPECT_EQ(node.rps_view_size(), 1u);
+}
+
+/// The process's thread count, from /proc/self/status.
+int threads_now() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+/// The process's open descriptors, from /proc/self/fd.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
+}
+
+TEST(Live, TcpFleetRunsOnOneThread) {
+  const int before = threads_now();
+  ASSERT_GT(before, 0);
+  for (const std::size_t n : {8u, 24u}) {
+    poly::shape::RingShape shape(n, 1.0);
+    EventCluster fleet(shape.space_ptr(), shape.generate(),
+                       live_config(Drive::kWallClockTcp), 19);
+    for (int r = 0; r < 1500 * kTimeScale && !all_views_learned(fleet); ++r)
+      fleet.run_rounds(1);
+    ASSERT_TRUE(all_views_learned(fleet)) << n << " nodes";
+    EXPECT_EQ(threads_now(), before) << n << " nodes";
+  }
+}
+
+TEST(Live, TcpFleetReleasesEveryDescriptor) {
+  const std::size_t before = open_fds();
+  {
+    poly::shape::RingShape shape(16, 1.0);
+    EventCluster fleet(shape.space_ptr(), shape.generate(),
+                       live_config(Drive::kWallClockTcp), 23);
+    fleet.run_rounds(10);
+    EXPECT_GT(open_fds(), before + 16);  // listen sockets and connections
+    EXPECT_EQ(fleet.crash_region(
+                  [&](const Point& p) { return shape.in_failure_half(p); }),
+              8u);
+    fleet.run_rounds(10);
+    EXPECT_EQ(fleet.recover_all(), 8u);
+    fleet.run_rounds(10);
+  }
+  EXPECT_EQ(open_fds(), before);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 
 int main(int argc, char** argv) {
   using namespace poly;
-  using scenario::RoundMetrics;
   const auto opt = bench::BenchOptions::parse(argc, argv, /*reps=*/3);
   std::printf("Ablation: sustained churn (80x40 torus, K=4, 100 churn "
               "rounds, %zu reps)\n\n",
@@ -37,12 +36,9 @@ int main(int argc, char** argv) {
     constexpr std::size_t kChurned = 119;
     table.add_row(
         {util::fmt(churn_pct, 1),
-         util::fmt(r.series(&RoundMetrics::homogeneity).row(kChurned).mean,
-                   3),
-         util::fmt(r.first().rounds[kChurned].reference_h, 3),
-         util::fmt(
-             r.series(&RoundMetrics::reliability).row(kChurned).mean * 100.0,
-             2),
+         util::fmt(r.series("homogeneity").row(kChurned).mean, 3),
+         util::fmt(r.first().rounds[kChurned]["reference_h"], 3),
+         util::fmt(r.series("reliability").row(kChurned).mean * 100.0, 2),
          util::fmt(r.reliability_ci().mean * 100.0, 2)});
   }
 

@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
     program.options.config.fd_false_positive_rate = fp;
 
     const auto result = scenario::run_program(program);
-    const auto points =
-        result.series(&scenario::RoundMetrics::points_per_node);
+    const auto points = result.series("points_per_node");
     double peak = 0.0;
     for (std::size_t round = 0; round < points.rounds(); ++round)
       peak = std::max(peak, points.row(round).mean);

@@ -22,7 +22,6 @@
 
 int main(int argc, char** argv) {
   using namespace poly;
-  using scenario::RoundMetrics;
   const auto opt = bench::BenchOptions::parse(argc, argv, /*reps=*/3);
   std::printf("Ablation: evolving target shape (80x40 torus, K=4, rigid "
               "drift, %zu reps)\n\n",
@@ -41,8 +40,8 @@ int main(int argc, char** argv) {
     constexpr std::size_t kTracked = 79;
     table.add_row(
         {util::fmt(drift, 2),
-         util::fmt(r.series(&RoundMetrics::homogeneity).row(kTracked).mean, 3),
-         util::fmt(r.first().rounds[kTracked].reference_h, 3),
+         util::fmt(r.series("homogeneity").row(kTracked).mean, 3),
+         util::fmt(r.first().rounds[kTracked]["reference_h"], 3),
          bench::reshaping_mean_cell(r, "DNF>40")});
   }
 

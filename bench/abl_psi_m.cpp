@@ -26,11 +26,10 @@ int main(int argc, char** argv) {
     program.options.config.tman.msg_size = m;
 
     const auto result = scenario::run_program(program);
-    using scenario::RoundMetrics;
     table.add_row(
         {std::to_string(psi), std::to_string(m), bench::reshaping_cell(result),
-         util::fmt(result.series(&RoundMetrics::homogeneity).row(45).mean, 3),
-         util::fmt(result.series(&RoundMetrics::msg_paper).row(45).mean, 1)});
+         util::fmt(result.series("homogeneity").row(45).mean, 3),
+         util::fmt(result.series("msg_paper").row(45).mean, 1)});
   };
 
   for (std::size_t psi : {1ul, 2ul, 5ul, 10ul}) run_case(psi, 20);

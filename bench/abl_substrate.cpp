@@ -25,12 +25,11 @@ int main(int argc, char** argv) {
     program.options.config.substrate = substrate;
 
     const auto result = scenario::run_program(program);
-    using scenario::RoundMetrics;
     table.add_row(
         {substrate == scenario::Substrate::kTman ? "T-Man" : "Vicinity",
          bench::reshaping_cell(result), bench::reliability_pct_cell(result),
-         util::fmt(result.series(&RoundMetrics::homogeneity).row(45).mean, 3),
-         util::fmt(result.series(&RoundMetrics::proximity).row(45).mean, 3)});
+         util::fmt(result.series("homogeneity").row(45).mean, 3),
+         util::fmt(result.series("proximity").row(45).mean, 3)});
   }
 
   bench::emit(table, opt, "abl_substrate");

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -149,7 +150,7 @@ struct PaperScenarioResults {
 
   /// The per-round series table the paper's figures plot: one row per
   /// round, one "mean ± ci" column per configuration.
-  util::Table series_table(double scenario::RoundMetrics::*metric) const {
+  util::Table series_table(std::string_view metric) const {
     const std::pair<const char*, const scenario::ProgramResult*> columns[] = {
         {"Polystyrene_K8", &poly_k8},
         {"Polystyrene_K4", &poly_k4},

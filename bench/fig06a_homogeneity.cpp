@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
               opt.reps, static_cast<unsigned long long>(opt.seed));
 
   const auto r = bench::run_paper_scenario(opt);
-  bench::emit(r.series_table(&scenario::RoundMetrics::homogeneity), opt,
-              "fig06a");
+  bench::emit(r.series_table("homogeneity"), opt, "fig06a");
 
   std::puts("\nKey paper values: K4 homogeneity ≈ 0.61 at round 28; TMan "
             "plateau ≈ 5.25 after the crash; K4 ≈ 0.035 vs TMan ≈ 0.35 at "

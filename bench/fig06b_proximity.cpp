@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
               opt.reps, static_cast<unsigned long long>(opt.seed));
 
   const auto r = bench::run_paper_scenario(opt);
-  bench::emit(r.series_table(&scenario::RoundMetrics::proximity), opt,
-              "fig06b");
+  bench::emit(r.series_table("proximity"), opt, "fig06b");
 
   std::puts("\nKey paper values: K4 ≈ 1.50 vs TMan ≈ 1.005 at round 28; "
             "K4 ≈ 1.02 vs TMan ≈ 0.97 after re-injection (round 125).");

@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
               opt.reps, static_cast<unsigned long long>(opt.seed));
 
   const auto r = bench::run_paper_scenario(opt);
-  bench::emit(r.series_table(&scenario::RoundMetrics::points_per_node), opt,
-              "fig07a");
+  bench::emit(r.series_table("points_per_node"), opt, "fig07a");
 
   std::puts("\nKey paper values: K+1 pre-crash; spike at r=20; ≈ 17.73 for "
             "K8 at round 40; TMan flat at 1.");

@@ -19,14 +19,12 @@ int main(int argc, char** argv) {
               opt.reps, static_cast<unsigned long long>(opt.seed));
 
   const auto r = bench::run_paper_scenario(opt);
-  bench::emit(r.series_table(&scenario::RoundMetrics::msg_paper), opt,
-              "fig07b");
+  bench::emit(r.series_table("msg_paper"), opt, "fig07b");
 
   // Breakdown for the 93.6% claim: T-Man share of the K = 8 total over the
   // post-failure steady state (rounds 40..99).
-  using scenario::RoundMetrics;
-  const auto k8_tman = r.poly_k8.series(&RoundMetrics::msg_tman);
-  const auto k8_paper = r.poly_k8.series(&RoundMetrics::msg_paper);
+  const auto k8_tman = r.poly_k8.series("msg_tman");
+  const auto k8_paper = r.poly_k8.series("msg_paper");
   double tman_units = 0.0;
   double total_units = 0.0;
   for (std::size_t round = 40; round < 100 && round < k8_paper.rounds();
@@ -40,7 +38,7 @@ int main(int argc, char** argv) {
                 100.0 * tman_units / total_units);
 
   util::Table breakdown({"channel", "K8 units/node/round (rounds 40-99)"});
-  auto mean_over = [&](double RoundMetrics::*channel) {
+  auto mean_over = [&](const char* channel) {
     const auto s = r.poly_k8.series(channel);
     double sum = 0.0;
     std::size_t n = 0;
@@ -50,14 +48,11 @@ int main(int argc, char** argv) {
     }
     return n ? sum / static_cast<double>(n) : 0.0;
   };
-  breakdown.add_row(
-      {"tman", util::fmt(mean_over(&RoundMetrics::msg_tman), 2)});
-  breakdown.add_row(
-      {"backup", util::fmt(mean_over(&RoundMetrics::msg_backup), 2)});
-  breakdown.add_row(
-      {"migration", util::fmt(mean_over(&RoundMetrics::msg_migration), 2)});
+  breakdown.add_row({"tman", util::fmt(mean_over("msg_tman"), 2)});
+  breakdown.add_row({"backup", util::fmt(mean_over("msg_backup"), 2)});
+  breakdown.add_row({"migration", util::fmt(mean_over("msg_migration"), 2)});
   breakdown.add_row({"rps (not in paper's figure)",
-                     util::fmt(mean_over(&RoundMetrics::msg_rps), 2)});
+                     util::fmt(mean_over("msg_rps"), 2)});
   bench::emit(breakdown, opt, "fig07b_breakdown");
   return 0;
 }

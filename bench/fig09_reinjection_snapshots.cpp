@@ -16,7 +16,7 @@
 
 namespace {
 
-const poly::scenario::RoundMetrics& at_round(
+const poly::scenario::Measurement& at_round(
     const poly::scenario::ProgramResult& result, std::size_t round) {
   for (const auto& m : result.first().rounds)
     if (m.round == round) return m;
@@ -42,9 +42,9 @@ void run_config(const char* name, const char* file,
   // ends at round 199 (id 198).
   const auto& r125 = at_round(result, 124);
   const auto& r199 = at_round(result, 198);
-  table.add_row({name, util::fmt(r125.homogeneity, 3),
-                 util::fmt(r199.homogeneity, 3),
-                 util::fmt(r199.proximity, 3)});
+  table.add_row({name, util::fmt(r125["homogeneity"], 3),
+                 util::fmt(r199["homogeneity"], 3),
+                 util::fmt(r199["proximity"], 3)});
 }
 
 }  // namespace

@@ -47,10 +47,10 @@ void EngineTransport::dispatch(net::Message& msg) {
 
 // ---- EngineHub --------------------------------------------------------------
 
-EngineHub::EngineHub(EventEngine& engine, std::unique_ptr<LinkModel> link,
+EngineHub::EngineHub(EventEngine& engine, LinkModel link,
                      SimTime batch_window)
     : engine_(engine),
-      link_(link ? std::move(link) : std::make_unique<ZeroLatency>()),
+      link_(link),
       rng_(engine.split_rng()),
       batch_window_(batch_window) {
   // Seed the follower-frame pool: multi-frame instants are rare enough
@@ -153,7 +153,7 @@ bool EngineHub::send_from(net::EndpointId from, net::EndpointId to,
     return false;  // contact failure
   }
   ++sent_;
-  if (link_->drop(rng_)) {
+  if (link_.drop(rng_)) {
     ++dropped_;
     release_buffer(std::move(payload));
     return true;  // accepted, lost in flight
@@ -172,15 +172,14 @@ bool EngineHub::send_from(net::EndpointId from, net::EndpointId to,
     release_buffer(std::move(payload));
     return true;
   }
-  SimTime at = engine_.now() + link_->latency(payload.size(), rng_) +
-               fate.extra_latency;
+  SimTime at = engine_.now() + link_.latency(rng_) + fate.extra_latency;
   // Guard against a link model drawing a negative latency: the batching
   // rendezvous identifies an instant by the head event's execution time,
   // and schedule_at clamps past timestamps to now — a marker recorded
   // under a past `at` would never be found again (leaking its slot and
   // any parked followers).  Clamp here so marker and event always agree.
   if (at < engine_.now()) at = engine_.now();
-  if (link_->may_reorder() ||
+  if (link_.may_reorder() ||
       (plane_ != nullptr && plane_->may_jitter())) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(from) << 32) | to;

@@ -108,7 +108,7 @@ class EngineTransport final : public net::Transport {
 /// network; endpoints must not outlive the hub.
 class EngineHub {
  public:
-  /// `link` defaults to ZeroLatency.
+  /// `link` defaults to the zero link.
   ///
   /// `batch_window > 0` turns on windowed delivery batching: every
   /// delivery time is rounded *up* to the next multiple of the window, so
@@ -119,7 +119,7 @@ class EngineHub {
   /// times are exact and only frames with *identical* due times coalesce
   /// (e.g. zero-latency hubs), which preserves the precise latency the
   /// link model drew.
-  EngineHub(EventEngine& engine, std::unique_ptr<LinkModel> link = nullptr,
+  EngineHub(EventEngine& engine, LinkModel link = {},
             SimTime batch_window = SimTime::zero());
 
   EngineHub(const EngineHub&) = delete;
@@ -241,7 +241,7 @@ class EngineHub {
   void unregister(net::EndpointId id);
 
   EventEngine& engine_;
-  std::unique_ptr<LinkModel> link_;
+  LinkModel link_;
   util::Rng rng_;  // link randomness, split off the engine stream
   SimTime batch_window_;
   fault::FaultPlane* plane_ = nullptr;  // optional, not owned

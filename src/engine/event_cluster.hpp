@@ -67,14 +67,6 @@ struct EventClusterConfig {
   SimTime latency_max{std::chrono::milliseconds(2)};
   /// Per-frame loss rate (degraded-network scenarios; 0 = reliable links).
   double drop_rate = 0.0;
-  /// Same-destination delivery batching window (see EngineHub): deliveries
-  /// due within one window coalesce into a single engine event, keeping
-  /// the destination node's state hot while its frames drain.  Delivery
-  /// times round *up* to window boundaries (a monotone map, so per-pair
-  /// FIFO is preserved) — the observed latency stretches by at most one
-  /// window.  The default is one timer-wheel tick (~65.5 us, ~3% of the
-  /// default 2 ms link latency); zero restores exact per-frame times.
-  SimTime delivery_batch_window{EventEngine::tick_duration()};
   /// The clock, and the transport under kWallClockTcp.  The link model,
   /// the fault plane and the frame counters act on the hub; TCP frames
   /// bypass all three.

@@ -1,76 +1,60 @@
-// Pluggable link models for the event-driven transport.
+// The link model of the event-driven transport.
 //
 // A LinkModel decides, per frame, how long delivery takes and whether the
-// frame is lost in flight.  Latency draws come from the engine's RNG, so a
-// model's behaviour is deterministic given the engine seed.  The Transport
-// contract promises per-pair FIFO; EngineHub enforces it by clamping
-// delivery times whenever the model admits reordering (may_reorder()).
+// frame is lost in flight: latency uniform in [lo, hi], and an independent
+// per-frame drop rate.  Draws come from the hub's RNG, split off the
+// engine seed, so a link's behaviour is deterministic given that seed.  A
+// link with lo == hi and no drop rate draws nothing: the default {0, 0, 0}
+// delivers at the sending instant, and {d, d, 0} after a fixed d.  The
+// Transport contract promises per-pair FIFO; EngineHub enforces it by
+// clamping delivery times whenever the link admits reordering
+// (may_reorder()).
 #pragma once
 
-#include <cstddef>
+#include <stdexcept>
 
 #include "engine/event_engine.hpp"
 #include "util/rng.hpp"
 
 namespace poly::engine {
 
-/// Per-frame latency / loss policy of an EngineHub.
+/// Per-frame latency / loss of an EngineHub.
 class LinkModel {
  public:
-  virtual ~LinkModel() = default;
+  /// The zero link: every frame delivered at the current instant (events
+  /// still fire after already-queued same-timestamp events, FIFO).
+  LinkModel() = default;
 
-  /// Delivery latency for one frame of `bytes` payload bytes.
-  virtual SimTime latency(std::size_t bytes, util::Rng& rng) = 0;
+  /// Latency uniform in [lo, hi]; each frame lost with `drop_rate`.
+  LinkModel(SimTime lo, SimTime hi, double drop_rate = 0.0)
+      : lo_(lo), hi_(hi), drop_rate_(drop_rate) {
+    if (lo_ > hi_) throw std::invalid_argument("LinkModel: lo > hi");
+    if (drop_rate_ < 0.0 || drop_rate_ >= 1.0)
+      throw std::invalid_argument("LinkModel: drop rate outside [0, 1)");
+  }
+
+  /// One frame's delivery latency.
+  SimTime latency(util::Rng& rng) const {
+    if (lo_ == hi_) return lo_;
+    return SimTime{rng.uniform_i64(lo_.count(), hi_.count())};
+  }
 
   /// True to lose the frame in flight.  The live protocol tolerates loss
   /// (a lost exchange at worst duplicates points, which migration dedups),
-  /// but a lossy model does break the Transport reliability promise — use
+  /// but a lossy link does break the Transport reliability promise — use
   /// it deliberately, for degraded-network scenarios.
-  virtual bool drop(util::Rng& rng) {
-    (void)rng;
-    return false;
+  bool drop(util::Rng& rng) const {
+    return drop_rate_ > 0.0 && rng.bernoulli(drop_rate_);
   }
 
   /// True when two frames on the same sender→receiver pair can be drawn
   /// latencies that would invert their order (random jitter).
-  virtual bool may_reorder() const noexcept { return false; }
-};
-
-/// Everything delivered at the current instant — the degenerate schedule
-/// (events still fire after already-queued same-timestamp events, FIFO).
-class ZeroLatency final : public LinkModel {
- public:
-  SimTime latency(std::size_t, util::Rng&) override { return SimTime::zero(); }
-};
-
-/// Constant propagation delay, optionally plus a per-KiB serialization cost.
-class FixedLatency final : public LinkModel {
- public:
-  explicit FixedLatency(SimTime delay, SimTime per_kib = SimTime::zero())
-      : delay_(delay), per_kib_(per_kib) {}
-
-  SimTime latency(std::size_t bytes, util::Rng&) override {
-    return delay_ + per_kib_ * static_cast<std::int64_t>(bytes / 1024);
-  }
+  bool may_reorder() const noexcept { return lo_ != hi_; }
 
  private:
-  SimTime delay_;
-  SimTime per_kib_;
-};
-
-/// Latency uniform in [lo, hi], with an independent per-frame drop rate.
-class UniformLatency final : public LinkModel {
- public:
-  UniformLatency(SimTime lo, SimTime hi, double drop_rate = 0.0);
-
-  SimTime latency(std::size_t bytes, util::Rng& rng) override;
-  bool drop(util::Rng& rng) override;
-  bool may_reorder() const noexcept override { return lo_ != hi_; }
-
- private:
-  SimTime lo_;
-  SimTime hi_;
-  double drop_rate_;
+  SimTime lo_{};
+  SimTime hi_{};
+  double drop_rate_ = 0.0;
 };
 
 }  // namespace poly::engine

@@ -9,9 +9,9 @@
 // duplicated or reordered in flight, payload bytes corrupted by a bad NIC.
 // FaultPlane composes such faults as *rules* layered between EngineHub and
 // the LinkModel: the hub consults the plane once per frame (after the
-// dead-destination check, before the link model draws) and applies the
-// returned FrameFate — blackhole, extra latency, duplication, corruption,
-// reorder jitter.
+// dead-destination check and the link's drop draw, before its latency
+// draw) and applies the returned FrameFate — blackhole, extra latency,
+// duplication, corruption, reorder jitter.
 //
 // Determinism contract (docs/FAULTS.md, docs/DETERMINISM.md): every rule
 // owns a private util::Rng stream derived from (plane seed, rule id), so
@@ -46,7 +46,7 @@ using engine::SimTime;
 /// Enumerators follow the `degrade` verb's `in|out|both` alternatives.
 enum class Direction : std::uint8_t { kInto, kOutOf, kBoth };
 
-/// Cumulative per-fault counters, threaded into scenario::RoundMetrics.
+/// Cumulative per-fault counters, read by the scenario metric table.
 /// The plane increments the frame-level counters; the owning cluster
 /// increments stall_rounds (ticks frozen by a stall) and recoveries
 /// (crashed nodes that rejoined).

@@ -58,8 +58,8 @@ struct Execution {
   Simulation& sim();
   engine::EventCluster& fleet();
   /// The cluster's metrics now, measured at most once between changes.
-  const RoundMetrics& measured() {
-    if (!kept_) kept_ = rt_->measure();
+  const Measurement& measured() {
+    if (!kept_) kept_ = measure(*rt_, shape);
     return *kept_;
   }
 
@@ -73,7 +73,7 @@ struct Execution {
 
  private:
   std::unique_ptr<Runtime> rt_;
-  std::optional<RoundMetrics> kept_;
+  std::optional<Measurement> kept_;
 };
 
 namespace {
@@ -499,13 +499,13 @@ void exec_snapshot(Execution& x, const Stage& s) {
   if (x.mode == EngineMode::kSync) {
     ev.summary = summary_line(x.sim());
   } else {
-    const RoundMetrics& m = x.measured();
+    const Measurement& m = x.measured();
     char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "round=%zu alive=%zu homogeneity=%.3f (H=%.3f) "
+                  "round=%zu alive=%.0f homogeneity=%.3f (H=%.3f) "
                   "proximity=%.3f reliability=%.3f",
-                  ev.round, m.alive, m.homogeneity, m.reference_h,
-                  m.proximity, m.reliability);
+                  ev.round, m["alive"], m["homogeneity"], m["reference_h"],
+                  m["proximity"], m["reliability"]);
     ev.summary = buf;
   }
   ev.positions = x.cluster().alive_positions();
@@ -739,52 +739,7 @@ const Directive kDirectives[] = {
      }},
 };
 
-// ---- expect metrics ---------------------------------------------------------
-
-/// One `expect` metric: its name, the engines that measure it, and its
-/// RoundMetrics field.
-struct Metric {
-  const char* name;
-  unsigned engines;
-  double (*get)(const RoundMetrics&);
-};
-
-template <auto Field>
-double field(const RoundMetrics& m) {
-  return static_cast<double>(m.*Field);
-}
-
-const Metric kMetrics[] = {
-    {"homogeneity", kAll, field<&RoundMetrics::homogeneity>},
-    {"proximity", kAll, field<&RoundMetrics::proximity>},
-    {"reliability", kAll, field<&RoundMetrics::reliability>},
-    {"alive", kAll, field<&RoundMetrics::alive>},
-    {"points_per_node", kSync, field<&RoundMetrics::points_per_node>},
-    // Frame and fault-plane counters: the fleet hub's.
-    {"frames", kFleet, field<&RoundMetrics::frames>},
-    {"frames_rejected", kFleet, field<&RoundMetrics::frames_rejected>},
-    {"frames_blackholed", kFleet, field<&RoundMetrics::frames_blackholed>},
-    {"frames_duplicated", kFleet, field<&RoundMetrics::frames_duplicated>},
-    {"frames_corrupted", kFleet, field<&RoundMetrics::frames_corrupted>},
-    {"frames_reordered", kFleet, field<&RoundMetrics::frames_reordered>},
-    {"stall_rounds", kFleet, field<&RoundMetrics::stall_rounds>},
-    {"recoveries", kFleet, field<&RoundMetrics::recoveries>},
-    // Traffic-plane metrics (docs/TRAFFIC.md): the workload runs on the
-    // fleet only.
-    {"requests", kFleet, field<&RoundMetrics::requests>},
-    {"requests_failed", kFleet, field<&RoundMetrics::requests_failed>},
-    {"success_rate", kFleet, field<&RoundMetrics::success_rate>},
-    {"p50_latency_ms", kFleet, field<&RoundMetrics::p50_latency_ms>},
-    {"p99_latency_ms", kFleet, field<&RoundMetrics::p99_latency_ms>},
-    {"p999_latency_ms", kFleet, field<&RoundMetrics::p999_latency_ms>},
-    {"mean_hops", kFleet, field<&RoundMetrics::mean_hops>},
-};
-
-const Metric* find_metric(const std::string& name) {
-  for (const auto& m : kMetrics)
-    if (name == m.name) return &m;
-  return nullptr;
-}
+// ---- expect -----------------------------------------------------------------
 
 /// `expect` comparisons, in Expect::Op order.
 constexpr std::string_view kOps = "<|<=|>|>=|==|!=";
@@ -973,7 +928,7 @@ class Parser : Reader {
     e.metric = tok[1];
     if (find_metric(e.metric) == nullptr) {
       std::string names;
-      for (const auto& m : kMetrics)
+      for (const Metric& m : metric_table())
         names += (names.empty() ? "" : ", ") + std::string(m.name);
       fail("unknown expect metric '" + tok[1] + "' (want one of " + names +
            ")");
@@ -1090,10 +1045,10 @@ void validate_for_mode(const ScenarioProgram& p, EngineMode mode) {
     if (metric == nullptr)
       throw ProgramError(p.file, e.line,
                          "unknown expect metric '" + e.metric + "'");
-    if ((metric->engines & bit(mode)) == 0)
+    if (!metric->measures(mode))
       throw ProgramError(p.file, e.line,
                          "metric '" + e.metric + "' needs engine " +
-                             engine_list(metric->engines) + ", not " + m);
+                             engine_list(metric->engines()) + ", not " + m);
   }
 
   if (mode == EngineMode::kSync) return;
@@ -1131,9 +1086,8 @@ engine::EventCluster& Execution::fleet() {
 void Execution::measure_now() {
   since_measure = 0;
   run.rounds.push_back(measured());
-  const auto& m = run.rounds.back();
   if (reshape_window && std::isnan(run.reshaping_rounds) &&
-      m.homogeneity < run.reference_h_after_crash)
+      run.rounds.back()["homogeneity"] < run.reference_h_after_crash)
     run.reshaping_rounds =
         static_cast<double>(cluster().rounds_run() - crash_round);
 }
@@ -1145,7 +1099,7 @@ void Execution::check_expects(bool at_end) {
   for (const auto& e : p.expects) {
     if (e.at_end != at_end) continue;
     if (!at_end && e.round != cluster().rounds_run()) continue;
-    const double actual = find_metric(e.metric)->get(measured());
+    const double actual = measured()[e.metric];
     if (!holds(e.op, actual, e.value))
       throw ProgramError(
           p.file, e.line,
@@ -1187,18 +1141,17 @@ ProgramRun run_program_once(const shape::Shape& shape,
 
   x.check_expects(true);
 
-  x.run.reliability = x.measured().reliability;
+  x.run.reliability = x.measured()["reliability"];
   x.run.rounds_total = x.cluster().rounds_run();
   return std::move(x.run);
 }
 
-util::SeriesAggregator ProgramResult::series(
-    double RoundMetrics::*metric) const {
+util::SeriesAggregator ProgramResult::series(std::string_view metric) const {
   util::SeriesAggregator out;
   for (const auto& run : runs) {
     std::vector<double> values;
     values.reserve(run.rounds.size());
-    for (const auto& m : run.rounds) values.push_back(m.*metric);
+    for (const auto& m : run.rounds) values.push_back(m[metric]);
     out.add_run(values);
   }
   return out;
@@ -1307,87 +1260,24 @@ void print_events(const ProgramResult& result,
 }
 
 util::Table series_table_for(const ProgramResult& r) {
-  const EngineMode mode = r.program.options.engine;
-  const bool aggregated = r.runs.size() > 1;
-  const ProgramRun& first = r.first();
-
-  std::vector<std::string> headers{"round", "alive", "homogeneity", "H",
-                                   "proximity"};
-  if (mode == EngineMode::kSync) {
-    headers.push_back("points/node");
-    headers.push_back("msg/node");
-  } else {
-    headers.push_back("reliability");
-    headers.push_back("frames");
+  std::vector<const Metric*> cols;
+  std::vector<std::string> headers{"round"};
+  for (const Metric& row : metric_table()) {
+    if (!row.measures(r.program.options.engine)) continue;
+    cols.push_back(&row);
+    headers.emplace_back(row.name);
   }
-  // Traffic columns (cumulative since the first `traffic` verb) when the
-  // workload ran: the series then shows the before/during/after service
-  // arc directly.  Aggregated (reps > 1) tables keep the protocol-only
-  // shape — per-rep traffic spreads belong to a later stats row.
-  const bool traffic_cols =
-      mode != EngineMode::kSync && !aggregated &&
-      std::any_of(first.rounds.begin(), first.rounds.end(),
-                  [](const RoundMetrics& m) {
-                    return m.requests + m.requests_failed > 0;
-                  });
-  if (traffic_cols)
-    for (const char* h : {"requests", "success", "p50_ms", "p99_ms",
-                          "p999_ms", "hops"})
-      headers.push_back(h);
-
-  // Aggregated tables print mean ± ci95 across repetitions per cell.
-  util::SeriesAggregator homogeneity, proximity, points, msg, reliability;
-  if (aggregated) {
-    homogeneity = r.series(&RoundMetrics::homogeneity);
-    proximity = r.series(&RoundMetrics::proximity);
-    if (mode == EngineMode::kSync) {
-      points = r.series(&RoundMetrics::points_per_node);
-      msg = r.series(&RoundMetrics::msg_paper);
-    } else {
-      reliability = r.series(&RoundMetrics::reliability);
-    }
-  }
+  std::vector<util::SeriesAggregator> spread;
+  if (r.runs.size() > 1)
+    for (const Metric* col : cols) spread.push_back(r.series(col->name));
 
   util::Table table(std::move(headers));
+  const ProgramRun& first = r.first();
   for (std::size_t i = 0; i < first.rounds.size(); ++i) {
-    const auto& m = first.rounds[i];
-    std::vector<std::string> row{std::to_string(m.round),
-                                 std::to_string(m.alive)};
-    if (aggregated) {
-      row.push_back(homogeneity.row(i).str(3));
-      row.push_back(util::fmt(m.reference_h, 3));
-      row.push_back(proximity.row(i).str(3));
-      if (mode == EngineMode::kSync) {
-        row.push_back(points.row(i).str(2));
-        row.push_back(msg.row(i).str(1));
-      } else {
-        row.push_back(reliability.row(i).str(3));
-        row.push_back(std::to_string(m.frames));
-      }
-    } else {
-      row.push_back(util::fmt(m.homogeneity, 3));
-      row.push_back(util::fmt(m.reference_h, 3));
-      row.push_back(util::fmt(m.proximity, 3));
-      if (mode == EngineMode::kSync) {
-        row.push_back(util::fmt(m.points_per_node, 2));
-        row.push_back(util::fmt(m.msg_paper, 1));
-      } else {
-        row.push_back(util::fmt(m.reliability, 3));
-        row.push_back(std::to_string(m.frames));
-      }
-    }
-    if (traffic_cols) {
-      if (m.requests + m.requests_failed == 0) {
-        for (int c = 0; c < 6; ++c) row.push_back("-");
-      } else {
-        row.push_back(std::to_string(m.requests));
-        row.push_back(util::fmt(m.success_rate, 4));
-        row.push_back(util::fmt(m.p50_latency_ms, 2));
-        row.push_back(util::fmt(m.p99_latency_ms, 2));
-        row.push_back(util::fmt(m.p999_latency_ms, 2));
-        row.push_back(util::fmt(m.mean_hops, 1));
-      }
-    }
+    std::vector<std::string> row{std::to_string(first.rounds[i].round)};
+    for (std::size_t c = 0; c < cols.size(); ++c)
+      row.push_back(spread.empty() ? cols[c]->cell(first.rounds[i][*cols[c]])
+                                   : cols[c]->cell(spread[c].row(i)));
     table.add_row(std::move(row));
   }
   return table;

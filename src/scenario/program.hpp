@@ -16,10 +16,11 @@
 //   snapshot catastrophe
 //   run 10
 //
-// The language is three tables in program.cpp — timeline verbs (one row
-// per verb form, `verb_table()`), header directives and `expect` metrics —
-// and parsing, serializing, per-engine validation, round accounting and
-// execution all read their rows.  `parse_program` compiles the text into a
+// The language is two tables in program.cpp — timeline verbs (one row per
+// verb form, `verb_table()`) and header directives — plus the metric table
+// (`metric_table()`, runtime.hpp) that `expect` names; parsing,
+// serializing, per-engine validation, round accounting and execution all
+// read their rows.  `parse_program` compiles the text into a
 // `ScenarioProgram`, rejecting malformed input with file:line diagnostics
 // (unknown stage, crash fraction out of (0,1], morph to a shape that does
 // not fit the torus, …) — never silently defaulting.  `run_program`
@@ -38,6 +39,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault_plane.hpp"
@@ -189,7 +191,7 @@ struct ProgramEvent {
 
 /// Outcome of one repetition.
 struct ProgramRun {
-  std::vector<RoundMetrics> rounds;  ///< measured rounds, in order
+  std::vector<Measurement> rounds;  ///< measured rounds, in order
   std::vector<ProgramEvent> events;
   /// Rounds from the first crash until homogeneity < the post-crash
   /// reference H (the crash round counts as round 1); NaN when never
@@ -221,10 +223,10 @@ struct ProgramResult {
   /// Repetition 0: its events, snapshots and series are what drivers print.
   const ProgramRun& first() const { return runs.front(); }
 
-  /// One RoundMetrics field across repetitions, e.g.
-  /// `series(&RoundMetrics::msg_tman)`; row r is mean ± ci95 of the r-th
-  /// measured round.
-  util::SeriesAggregator series(double RoundMetrics::*metric) const;
+  /// One metric across repetitions, e.g. `series("msg_tman")`; row r is
+  /// mean ± ci95 of the r-th measured round.  Throws std::invalid_argument
+  /// on an unknown name.
+  util::SeriesAggregator series(std::string_view metric) const;
 
   /// Mean ± 95% CI of the reshaping time over repetitions that reshaped.
   util::MeanCi reshaping_ci() const;
@@ -246,10 +248,10 @@ ProgramResult run_program(const ScenarioProgram& p);
 void print_events(const ProgramResult& result,
                   const std::optional<std::string>& csv_dir = {});
 
-/// The per-round series table for a result: engine-appropriate columns
-/// (sync: homogeneity/H/proximity/points-node/msg-node; fleet engines:
-/// homogeneity/H/proximity/reliability[/frames]).  One row per measured
-/// round; cells are plain values for one repetition, `mean ± ci` beyond.
+/// The per-round series table for a result: after `round`, one column per
+/// metric-table row the engine measures, headed by the row's name.  One
+/// row per measured round of repetition 0; beyond one repetition every
+/// cell is `mean ± ci95` across them.
 util::Table series_table_for(const ProgramResult& r);
 
 }  // namespace poly::scenario

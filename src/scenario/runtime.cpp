@@ -1,10 +1,14 @@
 #include "scenario/runtime.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "engine/event_cluster.hpp"
 #include "sim/traffic.hpp"
 #include "traffic/workload.hpp"
+#include "util/table.hpp"
 
 namespace poly::scenario {
 
@@ -54,26 +58,6 @@ class SyncRuntime final : public Runtime {
     return sim_.reinject(count).size();
   }
 
-  RoundMetrics measure() const override {
-    RoundMetrics m;
-    const auto& net = sim_.network();
-    m.round = net.round() > 0 ? net.round() - 1 : 0;  // last completed
-    m.alive = net.num_alive();
-    m.homogeneity = sim_.homogeneity();
-    m.reference_h = sim_.reference_homogeneity();
-    m.proximity = sim_.proximity();
-    m.points_per_node = sim_.avg_points_per_node();
-    m.reliability = sim_.reliability();
-    if (net.round() > 0) {
-      const auto& traffic = net.traffic();
-      m.msg_tman = traffic.per_node(m.round, sim::Channel::kTman);
-      m.msg_backup = traffic.per_node(m.round, sim::Channel::kBackup);
-      m.msg_migration = traffic.per_node(m.round, sim::Channel::kMigration);
-      m.msg_rps = traffic.per_node(m.round, sim::Channel::kRps);
-      m.msg_paper = m.msg_tman + m.msg_backup + m.msg_migration;
-    }
-    return m;
-  }
   std::vector<space::Point> alive_positions() const override {
     std::vector<space::Point> out;
     for (sim::NodeId n : sim_.network().alive_ids())
@@ -124,41 +108,6 @@ class EventsRuntime final : public Runtime {
     return positions.size();
   }
 
-  RoundMetrics measure() const override {
-    RoundMetrics m;
-    m.round = rounds_ > 0 ? rounds_ - 1 : 0;
-    m.alive = cluster_.alive_count();
-    m.homogeneity = cluster_.homogeneity();
-    m.reference_h = shape_.reference_homogeneity(m.alive);
-    m.proximity = cluster_.proximity();
-    m.reliability = cluster_.reliability();
-    m.frames = cluster_.hub().frames_sent();
-    m.frames_rejected = cluster_.frames_rejected();
-    const auto& fc = cluster_.fault_counters();
-    m.frames_blackholed = fc.frames_blackholed;
-    m.frames_duplicated = fc.frames_duplicated;
-    m.frames_corrupted = fc.frames_corrupted;
-    m.frames_reordered = fc.frames_reordered;
-    m.stall_rounds = fc.stall_rounds;
-    m.recoveries = fc.recoveries;
-    if (const traffic::TrafficPlane* tp = cluster_.traffic_plane()) {
-      const traffic::TrafficCounters& t = tp->totals();
-      m.requests = t.completed;
-      m.requests_failed = t.failed;
-      m.requests_inflight = tp->in_flight();
-      const std::uint64_t settled = t.completed + t.failed;
-      if (settled != 0)
-        m.success_rate = static_cast<double>(t.completed) /
-                         static_cast<double>(settled);
-      m.p50_latency_ms = t.latency.quantile_ms(0.5);
-      m.p99_latency_ms = t.latency.quantile_ms(0.99);
-      m.p999_latency_ms = t.latency.quantile_ms(0.999);
-      if (t.completed != 0)
-        m.mean_hops = static_cast<double>(t.hops_total) /
-                      static_cast<double>(t.completed);
-    }
-    return m;
-  }
   std::vector<space::Point> alive_positions() const override {
     return cluster_.alive_positions();
   }
@@ -171,7 +120,144 @@ class EventsRuntime final : public Runtime {
   std::size_t rounds_ = 0;
 };
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+using sim::Channel;
+
+double count(std::uint64_t n) { return static_cast<double>(n); }
+
+/// num / den; NaN while den is 0.
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den != 0 ? count(num) / count(den) : kNaN;
+}
+
+/// The last completed round's per-node message cost on `channel`, in the
+/// paper's units (§IV-A); NaN before the first round.
+double per_node(const Simulation& s, Channel channel) {
+  const sim::Network& net = s.network();
+  return net.round() > 0 ? net.traffic().per_node(net.round() - 1, channel)
+                         : kNaN;
+}
+
+// The metric table: name, printed digits, then the sync, fleet and
+// traffic-plane readers (nullptr: not measured there).  docs/SCENARIOS.md
+// says what each row measures.
+const Metric kMetrics[] = {
+    {"alive", 0, [](auto& s) { return count(s.network().num_alive()); },
+     [](auto& f, auto&) { return count(f.alive_count()); }},
+    {"homogeneity", 3, [](auto& s) { return s.homogeneity(); },
+     [](auto& f, auto&) { return f.homogeneity(); }},
+    {"reference_h", 3, [](auto& s) { return s.reference_homogeneity(); },
+     [](auto& f, auto& shape) {
+       return shape.reference_homogeneity(f.alive_count());
+     }},
+    {"proximity", 3, [](auto& s) { return s.proximity(); },
+     [](auto& f, auto&) { return f.proximity(); }},
+    {"reliability", 3, [](auto& s) { return s.reliability(); },
+     [](auto& f, auto&) { return f.reliability(); }},
+    {"points_per_node", 2, [](auto& s) { return s.avg_points_per_node(); }},
+    {"msg_paper", 1,
+     [](auto& s) {
+       return per_node(s, Channel::kTman) + per_node(s, Channel::kBackup) +
+              per_node(s, Channel::kMigration);
+     }},
+    {"msg_tman", 1, [](auto& s) { return per_node(s, Channel::kTman); }},
+    {"msg_backup", 1, [](auto& s) { return per_node(s, Channel::kBackup); }},
+    {"msg_migration", 1,
+     [](auto& s) { return per_node(s, Channel::kMigration); }},
+    {"msg_rps", 1, [](auto& s) { return per_node(s, Channel::kRps); }},
+    {"frames", 0, nullptr,
+     [](auto& f, auto&) { return count(f.hub().frames_sent()); }},
+    {"frames_rejected", 0, nullptr,
+     [](auto& f, auto&) { return count(f.frames_rejected()); }},
+    {"frames_blackholed", 0, nullptr,
+     [](auto& f, auto&) {
+       return count(f.fault_counters().frames_blackholed);
+     }},
+    {"frames_duplicated", 0, nullptr,
+     [](auto& f, auto&) {
+       return count(f.fault_counters().frames_duplicated);
+     }},
+    {"frames_corrupted", 0, nullptr,
+     [](auto& f, auto&) { return count(f.fault_counters().frames_corrupted); }},
+    {"frames_reordered", 0, nullptr,
+     [](auto& f, auto&) { return count(f.fault_counters().frames_reordered); }},
+    {"stall_rounds", 0, nullptr,
+     [](auto& f, auto&) { return count(f.fault_counters().stall_rounds); }},
+    {"recoveries", 0, nullptr,
+     [](auto& f, auto&) { return count(f.fault_counters().recoveries); }},
+    {"requests", 0, nullptr, nullptr,
+     [](auto& t) { return count(t.totals().completed); }},
+    {"requests_get", 0, nullptr, nullptr,
+     [](auto& t) { return count(t.totals().gets); }},
+    {"requests_put", 0, nullptr, nullptr,
+     [](auto& t) { return count(t.totals().puts); }},
+    {"requests_failed", 0, nullptr, nullptr,
+     [](auto& t) { return count(t.totals().failed); }},
+    {"requests_inflight", 0, nullptr, nullptr,
+     [](auto& t) { return count(t.in_flight()); }},
+    {"success_rate", 4, nullptr, nullptr,
+     [](auto& t) {
+       const auto& n = t.totals();
+       return ratio(n.completed, n.completed + n.failed);
+     }},
+    {"p50_latency_ms", 2, nullptr, nullptr,
+     [](auto& t) { return t.totals().latency.quantile_ms(0.5); }},
+    {"p99_latency_ms", 2, nullptr, nullptr,
+     [](auto& t) { return t.totals().latency.quantile_ms(0.99); }},
+    {"p999_latency_ms", 2, nullptr, nullptr,
+     [](auto& t) { return t.totals().latency.quantile_ms(0.999); }},
+    {"mean_hops", 1, nullptr, nullptr,
+     [](auto& t) {
+       return ratio(t.totals().hops_total, t.totals().completed);
+     }},
+};
+
 }  // namespace
+
+unsigned Metric::engines() const noexcept {
+  const auto bit = [](EngineMode m) { return 1u << static_cast<unsigned>(m); };
+  return (sync != nullptr ? bit(EngineMode::kSync) : 0u) |
+         (fleet != nullptr || traffic != nullptr
+              ? bit(EngineMode::kEvents) | bit(EngineMode::kLive)
+              : 0u);
+}
+
+std::string Metric::cell(double value) const {
+  return std::isnan(value) ? "-" : util::fmt(value, precision);
+}
+
+std::string Metric::cell(const util::MeanCi& value) const {
+  return std::isnan(value.mean) ? "-" : value.str(precision);
+}
+
+std::span<const Metric> metric_table() noexcept { return kMetrics; }
+
+const Metric* find_metric(std::string_view name) noexcept {
+  for (const Metric& row : kMetrics)
+    if (name == row.name) return &row;
+  return nullptr;
+}
+
+double Measurement::operator[](std::string_view name) const {
+  const Metric* row = find_metric(name);
+  if (row == nullptr)
+    throw std::invalid_argument("unknown metric '" + std::string(name) + "'");
+  return (*this)[*row];
+}
+
+Measurement measure(Runtime& rt, const shape::Shape& shape) {
+  const Simulation* sim = rt.sim();
+  const engine::EventCluster* fleet = rt.fleet();
+  const traffic::TrafficPlane* plane =
+      fleet != nullptr ? fleet->traffic_plane() : nullptr;
+  Measurement m{rt.rounds_run() > 0 ? rt.rounds_run() - 1 : 0, {}};
+  for (const Metric& row : kMetrics)
+    m.values.push_back(sim && row.sync         ? row.sync(*sim)
+                       : fleet && row.fleet     ? row.fleet(*fleet, shape)
+                       : plane && row.traffic   ? row.traffic(*plane)
+                                                : kNaN);
+  return m;
+}
 
 std::optional<EngineMode> engine_mode_from_string(std::string_view s) {
   if (s == "sync") return EngineMode::kSync;

@@ -5,9 +5,10 @@
 // engines run the full Polystyrene-on-T-Man stack; substrate/fd/baseline
 // and the deeper protocol knobs are sync-only), and returns a `Runtime`.
 // The runtime carries the scenario verbs every engine implements — run a
-// round, crash (region / random / explicit ids), inject, measure — and
-// hands out the engine itself for the rest: `sim()` for the morph verbs,
-// `fleet()` for the fault, recovery and traffic planes.  Which verb runs
+// round, crash (region / random / explicit ids), inject — and hands out
+// the engine itself for the rest: `sim()` for the morph verbs, `fleet()`
+// for the fault, recovery and traffic planes, and both to the readers of
+// the metric table (`measure`).  Which verb runs
 // under which engine is decided by the scenario compiler's tables
 // (`scenario/program.hpp`), not here.
 //
@@ -26,21 +27,25 @@
 // at wall-clock speed.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "scenario/simulation.hpp"
 #include "shape/shape.hpp"
+#include "util/stats.hpp"
 
 namespace poly::engine {
 class EventCluster;
 }  // namespace poly::engine
+
+namespace poly::traffic {
+class TrafficPlane;
+}  // namespace poly::traffic
 
 namespace poly::scenario {
 
@@ -66,45 +71,49 @@ struct ScenarioOptions {
   SimulationConfig config;
 };
 
-/// Metrics measured after a completed round.  Fields an engine mode cannot
-/// measure keep their defaults: NaN, or 0 for the event hub's counters;
-/// `round` counts completed rounds, starting at 0 for the first.
-struct RoundMetrics {
-  static constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+/// One scenario metric: a row of the metric table (runtime.cpp).  `expect`,
+/// the series table, its CSV and BENCH JSON record and poly_scenario's
+/// closing line all iterate the table, so a metric has one name in each
+/// and is added by adding one row.
+struct Metric {
+  const char* name;
+  int precision;  ///< digits printed after the point; 0 prints a count
+  // How each engine reads the metric; nullptr where it does not.  A reader
+  // only reads: it draws no randomness and changes no engine state.
+  double (*sync)(const Simulation&) = nullptr;
+  double (*fleet)(const engine::EventCluster&, const shape::Shape&) = nullptr;
+  /// The fleet's traffic plane, which the first `traffic` verb creates:
+  /// the metric reads as not produced (NaN) before it.
+  double (*traffic)(const traffic::TrafficPlane&) = nullptr;
 
-  std::size_t round = 0;
-  std::size_t alive = 0;
-  double homogeneity = 0.0;
-  double reference_h = 0.0;    ///< H for the current alive count
-  double proximity = 0.0;
-  double points_per_node = kNaN;  ///< sync only
-  double reliability = 0.0;       ///< original data points still hosted
-  double msg_paper = kNaN;        ///< T-Man+backup+migration; sync only
-  double msg_tman = kNaN;
-  double msg_backup = kNaN;
-  double msg_migration = kNaN;
-  double msg_rps = kNaN;
-  std::uint64_t frames = 0;      ///< cumulative hub frames (fleet modes)
-  // Fault-plane counters (fleet modes; 0 under sync and on clean runs).
-  // All cumulative since construction — docs/FAULTS.md gives semantics.
-  std::uint64_t frames_rejected = 0;    ///< decode-boundary rejects
-  std::uint64_t frames_blackholed = 0;  ///< partition/blackhole/degrade loss
-  std::uint64_t frames_duplicated = 0;
-  std::uint64_t frames_corrupted = 0;
-  std::uint64_t frames_reordered = 0;
-  std::uint64_t stall_rounds = 0;       ///< node-ticks frozen by stalls
-  std::uint64_t recoveries = 0;         ///< crashed nodes rejoined
-  // Traffic-plane counters (fleet modes, cumulative since the first
-  // `traffic` verb; 0 / NaN before that and under sync — see
-  // docs/TRAFFIC.md for the workload model and histogram error bounds).
-  std::uint64_t requests = 0;            ///< completed get/put requests
-  std::uint64_t requests_failed = 0;     ///< failed (dead end / crash / hops)
-  std::uint64_t requests_inflight = 0;   ///< currently routing
-  double success_rate = kNaN;            ///< completed / (completed+failed)
-  double p50_latency_ms = kNaN;          ///< request-latency percentiles …
-  double p99_latency_ms = kNaN;          ///< … (log-bucketed, ≤3.125% high)
-  double p999_latency_ms = kNaN;
-  double mean_hops = kNaN;               ///< over completed requests
+  /// Bit `1 << EngineMode` for each engine that measures it.
+  unsigned engines() const noexcept;
+  bool measures(EngineMode mode) const noexcept {
+    return (engines() >> static_cast<unsigned>(mode) & 1u) != 0;
+  }
+  /// The print rule: `precision` digits, `mean ± ci95` across
+  /// repetitions, and `-` for a value the engine has not produced (NaN).
+  std::string cell(double value) const;
+  std::string cell(const util::MeanCi& value) const;
+};
+
+/// Every metric, one row each, in the order outputs print them.
+std::span<const Metric> metric_table() noexcept;
+/// The row named `name`, or nullptr.
+const Metric* find_metric(std::string_view name) noexcept;
+
+/// One measured round: every row's value, in metric-table order; NaN
+/// where the engine does not measure the row or has not produced it yet.
+struct Measurement {
+  std::size_t round = 0;  ///< completed-round id: 0 for the first round
+  std::vector<double> values;
+
+  /// `row` is an element of metric_table(), not a copy.
+  double operator[](const Metric& row) const {
+    return values[static_cast<std::size_t>(&row - metric_table().data())];
+  }
+  /// Throws std::invalid_argument when no row is named `name`.
+  double operator[](std::string_view name) const;
 };
 
 /// A running cluster under one engine mode: the verbs every engine
@@ -135,7 +144,6 @@ class Runtime {
   /// reinjection grid.  Returns the number injected.
   virtual std::size_t inject(std::size_t count) = 0;
 
-  virtual RoundMetrics measure() const = 0;
   /// Current advertised position of every alive node (density maps).
   virtual std::vector<space::Point> alive_positions() const = 0;
 
@@ -152,5 +160,9 @@ class Runtime {
 /// runtime.
 std::unique_ptr<Runtime> make_cluster(const shape::Shape& shape,
                                       const ScenarioOptions& options);
+
+/// Reads every metric row under the runtime's engine, now.  `shape` is
+/// the one the runtime was made for.
+Measurement measure(Runtime& rt, const shape::Shape& shape);
 
 }  // namespace poly::scenario

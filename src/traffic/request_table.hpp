@@ -22,8 +22,8 @@
 namespace poly::traffic {
 
 /// What a request asks the reached node for.  Get and put route
-/// identically (greedy to the key's position); the kind is carried for
-/// workload realism and per-kind accounting.
+/// identically (greedy to the key's position); a completed request counts
+/// under its kind (TrafficCounters::gets / puts).
 enum class RequestKind : std::uint8_t { kGet, kPut };
 
 /// One in-flight request: where it is, where it is going, what it has

@@ -130,6 +130,13 @@ void TrafficPlane::finish(std::uint32_t slot, bool ok) {
   if (ok) {
     ++totals_.completed;
     ++interval_.completed;
+    if (r.kind == RequestKind::kPut) {
+      ++totals_.puts;
+      ++interval_.puts;
+    } else {
+      ++totals_.gets;
+      ++interval_.gets;
+    }
     totals_.hops_total += r.hops;
     interval_.hops_total += r.hops;
     const auto elapsed = fleet_.engine().now() - r.start;

@@ -70,16 +70,19 @@ struct TrafficConfig {
 };
 
 /// Monotone workload counters plus the latency distribution.  `hops_total`
-/// sums over completed requests only (mean hops = hops_total / completed).
+/// sums over completed requests only (mean hops = hops_total / completed);
+/// `gets` and `puts` split the completed requests by kind.
 struct TrafficCounters {
   std::uint64_t launched = 0;
   std::uint64_t completed = 0;
+  std::uint64_t gets = 0;
+  std::uint64_t puts = 0;
   std::uint64_t failed = 0;
   std::uint64_t hops_total = 0;
   util::LatencyHistogram latency;
 
   void clear() noexcept {
-    launched = completed = failed = hops_total = 0;
+    launched = completed = gets = puts = failed = hops_total = 0;
     latency.clear();
   }
 };

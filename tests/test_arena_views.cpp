@@ -153,9 +153,8 @@ struct HostileRig {
   static constexpr net::LiveNodeId kAttacker = 999;
 
   engine::EventEngine engine{7};
-  engine::EngineHub hub{engine, std::make_unique<engine::UniformLatency>(
-                                    std::chrono::duration_cast<engine::SimTime>(2ms),
-                                    std::chrono::duration_cast<engine::SimTime>(2ms))};
+  engine::EngineHub hub{engine, engine::LinkModel(engine::SimTime{2ms},
+                                                  engine::SimTime{2ms})};
   shape::GridTorusShape shape{4, 4};
   net::AsyncConfig cfg;
   util::Arena arena;
@@ -298,9 +297,7 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
   engine::EventEngine engine(5);
   engine::EngineHub hub(
       engine,
-      std::make_unique<engine::UniformLatency>(
-          std::chrono::duration_cast<engine::SimTime>(2ms),
-          std::chrono::duration_cast<engine::SimTime>(2ms)),
+      engine::LinkModel(engine::SimTime{2ms}, engine::SimTime{2ms}),
       engine::EventEngine::tick_duration());
   shape::GridTorusShape shape(8, 6);
   util::Arena arena(std::size_t{1} << 20);

@@ -22,9 +22,8 @@ using poly::engine::EngineHub;
 using poly::engine::EventCluster;
 using poly::engine::EventClusterConfig;
 using poly::engine::EventEngine;
+using poly::engine::LinkModel;
 using poly::engine::SimTime;
-using poly::engine::UniformLatency;
-using poly::engine::ZeroLatency;
 
 // ---- kernel -----------------------------------------------------------------
 
@@ -150,8 +149,7 @@ TEST(EventEngine, NextDueIsTheNextEventOrTheLimit) {
 
 TEST(EngineTransport, DeliversWithLatency) {
   EventEngine engine(1);
-  EngineHub hub(engine,
-                std::make_unique<poly::engine::FixedLatency>(SimTime{3ms}));
+  EngineHub hub(engine, LinkModel(SimTime{3ms}, SimTime{3ms}));
   auto a = hub.make_endpoint(0);
   auto b = hub.make_endpoint(1);
   std::vector<std::string> got;
@@ -187,8 +185,7 @@ TEST(EngineTransport, NodeIdsResolveToTheirLiveEndpoint) {
   // resolves to the new one, while the dead endpoint keeps its node — a
   // frame in flight from it still arrives as that node's.
   EventEngine engine(1);
-  EngineHub hub(engine,
-                std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
+  EngineHub hub(engine, LinkModel(SimTime{2ms}, SimTime{2ms}));
   auto peer = hub.make_endpoint(7);
   std::vector<std::pair<poly::net::EndpointId, poly::net::LiveNodeId>> from;
   peer->set_handler([&](poly::net::Message& m) {
@@ -214,8 +211,7 @@ TEST(EngineTransport, NodeIdsResolveToTheirLiveEndpoint) {
 
 TEST(EngineTransport, LoopbackDeliversToSelf) {
   EventEngine engine(1);
-  EngineHub hub(engine,
-                std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
+  EngineHub hub(engine, LinkModel(SimTime{2ms}, SimTime{2ms}));
   auto a = hub.make_endpoint(0);
   std::vector<std::string> got;
   a->set_handler([&](poly::net::Message m) {
@@ -229,8 +225,7 @@ TEST(EngineTransport, LoopbackDeliversToSelf) {
 
 TEST(EngineTransport, InFlightFrameToCrashedEndpointIsDiscarded) {
   EventEngine engine(1);
-  EngineHub hub(engine,
-                std::make_unique<poly::engine::FixedLatency>(SimTime{5ms}));
+  EngineHub hub(engine, LinkModel(SimTime{5ms}, SimTime{5ms}));
   auto a = hub.make_endpoint(0);
   auto b = hub.make_endpoint(1);
   int delivered = 0;
@@ -244,8 +239,7 @@ TEST(EngineTransport, InFlightFrameToCrashedEndpointIsDiscarded) {
 
 TEST(EngineTransport, JitteredLatencyPreservesPerPairFifo) {
   EventEngine engine(7);
-  EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
-                                                         SimTime{50ms}));
+  EngineHub hub(engine, LinkModel(SimTime{1ms}, SimTime{50ms}));
   auto a = hub.make_endpoint(0);
   auto b = hub.make_endpoint(1);
   std::vector<std::uint8_t> got;
@@ -261,8 +255,7 @@ TEST(EngineTransport, SameInstantFramesCoalesceAndKeepSendOrder) {
   // Several senders hit one destination at the same instant: the first
   // frame's head event drains the followers, in global send order.
   EventEngine engine(1);
-  EngineHub hub(engine,
-                std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
+  EngineHub hub(engine, LinkModel(SimTime{2ms}, SimTime{2ms}));
   auto d = hub.make_endpoint(0);
   std::vector<std::unique_ptr<poly::engine::EngineTransport>> senders;
   for (int i = 0; i < 6; ++i)
@@ -284,9 +277,8 @@ TEST(EngineTransport, BatchWindowRoundsDeliveryUpToBoundary) {
   EventEngine engine(1);
   // 2.5 ms latency, 1 ms batch window: delivery rounds up to the next
   // window boundary (3 ms), not the raw latency instant.
-  EngineHub hub(engine,
-                std::make_unique<poly::engine::FixedLatency>(
-                    SimTime{std::chrono::microseconds(2500)}),
+  const SimTime latency{std::chrono::microseconds(2500)};
+  EngineHub hub(engine, LinkModel(latency, latency),
                 /*batch_window=*/SimTime{1ms});
   auto a = hub.make_endpoint(0);
   auto b = hub.make_endpoint(1);
@@ -306,8 +298,7 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
   // still arrives exactly once, in timestamp order, with followers on an
   // overflowed instant drained by its head.
   EventEngine engine(1);
-  EngineHub hub(engine,
-                std::make_unique<poly::engine::FixedLatency>(SimTime{20ms}));
+  EngineHub hub(engine, LinkModel(SimTime{20ms}, SimTime{20ms}));
   auto d = hub.make_endpoint(0);
   auto s = hub.make_endpoint(1);
   auto s2 = hub.make_endpoint(2);
@@ -333,8 +324,8 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
 
 TEST(EngineTransport, DropModelLosesFramesSilently) {
   EventEngine engine(3);
-  EngineHub hub(engine, std::make_unique<UniformLatency>(
-                            SimTime{1ms}, SimTime{1ms}, /*drop_rate=*/0.5));
+  EngineHub hub(engine,
+                LinkModel(SimTime{1ms}, SimTime{1ms}, /*drop_rate=*/0.5));
   auto a = hub.make_endpoint(0);
   auto b = hub.make_endpoint(1);
   int delivered = 0;
@@ -344,6 +335,33 @@ TEST(EngineTransport, DropModelLosesFramesSilently) {
   EXPECT_EQ(hub.frames_dropped() + hub.frames_delivered(), 200u);
   EXPECT_GT(hub.frames_dropped(), 50u);
   EXPECT_GT(delivered, 50);
+}
+
+TEST(LinkModel, ChecksItsBoundsAndDrawsOnlyForJitterOrLoss) {
+  EXPECT_THROW(LinkModel(SimTime{2ms}, SimTime{1ms}), std::invalid_argument);
+  EXPECT_THROW(LinkModel(SimTime{1ms}, SimTime{1ms}, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(LinkModel(SimTime{1ms}, SimTime{1ms}, -0.1),
+               std::invalid_argument);
+  // The zero and fixed links draw nothing, so a trajectory over either
+  // consumes no link randomness; jitter and loss draw.
+  const auto draws = [](const LinkModel& link, SimTime want) {
+    poly::util::Rng rng(5), untouched(5);
+    const SimTime latency = link.latency(rng);
+    EXPECT_FALSE(link.drop(rng));
+    if (want != SimTime{-1}) {
+      EXPECT_EQ(latency, want);
+    }
+    return rng.next_u64() != untouched.next_u64();
+  };
+  EXPECT_FALSE(draws(LinkModel{}, SimTime{0}));
+  EXPECT_FALSE(draws(LinkModel(SimTime{3ms}, SimTime{3ms}), SimTime{3ms}));
+  EXPECT_TRUE(draws(LinkModel(SimTime{1ms}, SimTime{3ms}), SimTime{-1}));
+  EXPECT_FALSE(LinkModel(SimTime{3ms}, SimTime{3ms}).may_reorder());
+  EXPECT_TRUE(LinkModel(SimTime{1ms}, SimTime{3ms}).may_reorder());
+  poly::util::Rng rng(5), untouched(5);
+  LinkModel(SimTime{1ms}, SimTime{1ms}, 0.001).drop(rng);
+  EXPECT_NE(rng.next_u64(), untouched.next_u64());
 }
 
 // ---- event-cluster determinism ----------------------------------------------

@@ -9,25 +9,33 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "engine/event_cluster.hpp"
 #include "scenario/program.hpp"
+#include "util/bench_io.hpp"
 
 namespace {
 
 using poly::scenario::EngineMode;
+using poly::scenario::Measurement;
+using poly::scenario::Metric;
 using poly::scenario::ProgramError;
-using poly::scenario::RoundMetrics;
 using poly::scenario::ScenarioOptions;
 using poly::scenario::ScenarioProgram;
 using poly::scenario::Stage;
 using poly::scenario::Substrate;
+using poly::scenario::find_metric;
 using poly::scenario::load_program;
 using poly::scenario::make_cluster;
+using poly::scenario::measure;
+using poly::scenario::metric_table;
 using poly::scenario::parse_program;
 using poly::scenario::run_program;
 using poly::scenario::serialize;
@@ -47,6 +55,20 @@ void expect_parse_error(const std::string& text, int line,
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message '" << e.what() << "' lacks '" << needle << "'";
     EXPECT_EQ(e.file(), "bad.poly");
+  }
+}
+
+/// Every row of two measured rounds is equal, bit for bit (NaN matches
+/// NaN): the determinism contract.
+void expect_same(const Measurement& a, const Measurement& b) {
+  EXPECT_EQ(a.round, b.round);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t i = 0; i < a.values.size(); ++i) {
+    const double x = a.values[i];
+    const double y = b.values[i];
+    EXPECT_TRUE(x == y || (std::isnan(x) && std::isnan(y)))
+        << "round " << a.round << " " << metric_table()[i].name << ": " << x
+        << " != " << y;
   }
 }
 
@@ -384,7 +406,7 @@ TEST(ProgramRun, CrashAndGrowAccounting) {
   EXPECT_EQ(r.first().injected, 42u);
   EXPECT_EQ(r.first().rounds_total, 16u);
   ASSERT_FALSE(r.first().rounds.empty());
-  EXPECT_EQ(r.first().rounds.back().alive, 74u);
+  EXPECT_EQ(r.first().rounds.back()["alive"], 74.0);
   EXPECT_FALSE(std::isnan(r.first().reference_h_after_crash));
   const auto rel = r.reliability_ci();
   EXPECT_GE(rel.mean, 0.0);
@@ -423,11 +445,8 @@ TEST(ProgramRun, SameSeedSameTrajectorySync) {
   const auto a = run_program(p).first();
   const auto b = run_program(p).first();
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].homogeneity, b.rounds[i].homogeneity);
-    EXPECT_EQ(a.rounds[i].proximity, b.rounds[i].proximity);
-    EXPECT_EQ(a.rounds[i].alive, b.rounds[i].alive);
-  }
+  for (std::size_t i = 0; i < a.rounds.size(); ++i)
+    expect_same(a.rounds[i], b.rounds[i]);
   EXPECT_EQ(a.crashed, b.crashed);
 }
 
@@ -438,17 +457,14 @@ TEST(ProgramRun, SameSeedSameTrajectoryEvents) {
   const auto a = run_program(p).first();
   const auto b = run_program(p).first();
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].homogeneity, b.rounds[i].homogeneity);
-    EXPECT_EQ(a.rounds[i].alive, b.rounds[i].alive);
-    EXPECT_EQ(a.rounds[i].frames, b.rounds[i].frames);
-  }
+  for (std::size_t i = 0; i < a.rounds.size(); ++i)
+    expect_same(a.rounds[i], b.rounds[i]);
 }
 
 TEST(ProgramRun, LiveReplaysEventsBitForBit) {
   // The chaos, recovery and traffic planes under both clocks: live runs
   // the events fleet paced by the wall clock, so every measured round
-  // matches, every field of it, bit for bit (NaN included).
+  // matches, every metric of it, bit for bit (NaN included).
   auto p = parse_program(
       "shape grid:8x8\nseed 5\nrun 6\ncrash frac 0.25\n"
       "partition zone 0 0 4 8 heal 6\ntraffic 16 mixed\nrun 8\n"
@@ -464,45 +480,11 @@ TEST(ProgramRun, LiveReplaysEventsBitForBit) {
   // DETLINT-ALLOW(nondet-source): end of the same wall-time measurement
   const auto took = std::chrono::steady_clock::now() - start;
 
-  // Every RoundMetrics field, listed once: the size check fails when a
-  // field is added without being compared here.
-  constexpr double RoundMetrics::*reals[] = {
-      &RoundMetrics::homogeneity,     &RoundMetrics::reference_h,
-      &RoundMetrics::proximity,       &RoundMetrics::points_per_node,
-      &RoundMetrics::reliability,     &RoundMetrics::msg_paper,
-      &RoundMetrics::msg_tman,        &RoundMetrics::msg_backup,
-      &RoundMetrics::msg_migration,   &RoundMetrics::msg_rps,
-      &RoundMetrics::success_rate,    &RoundMetrics::p50_latency_ms,
-      &RoundMetrics::p99_latency_ms,  &RoundMetrics::p999_latency_ms,
-      &RoundMetrics::mean_hops};
-  constexpr std::size_t RoundMetrics::*sizes[] = {&RoundMetrics::round,
-                                                  &RoundMetrics::alive};
-  constexpr std::uint64_t RoundMetrics::*counts[] = {
-      &RoundMetrics::frames,           &RoundMetrics::frames_rejected,
-      &RoundMetrics::frames_blackholed, &RoundMetrics::frames_duplicated,
-      &RoundMetrics::frames_corrupted, &RoundMetrics::frames_reordered,
-      &RoundMetrics::stall_rounds,     &RoundMetrics::recoveries,
-      &RoundMetrics::requests,         &RoundMetrics::requests_failed,
-      &RoundMetrics::requests_inflight};
-  static_assert(sizeof(RoundMetrics) ==
-                sizeof(reals) / sizeof(reals[0]) * sizeof(double) +
-                    sizeof(sizes) / sizeof(sizes[0]) * sizeof(std::size_t) +
-                    sizeof(counts) / sizeof(counts[0]) *
-                        sizeof(std::uint64_t));
-
   ASSERT_EQ(live.rounds.size(), events.rounds.size());
   ASSERT_GE(events.rounds_total, 20u);
-  EXPECT_GT(events.rounds.back().requests, 0u);
-  for (std::size_t i = 0; i < events.rounds.size(); ++i) {
-    SCOPED_TRACE("measured round " + std::to_string(i));
-    const RoundMetrics& e = events.rounds[i];
-    const RoundMetrics& l = live.rounds[i];
-    for (auto f : reals)
-      EXPECT_TRUE(l.*f == e.*f || (std::isnan(l.*f) && std::isnan(e.*f)))
-          << l.*f << " != " << e.*f;
-    for (auto f : sizes) EXPECT_EQ(l.*f, e.*f);
-    for (auto f : counts) EXPECT_EQ(l.*f, e.*f);
-  }
+  EXPECT_GT(events.rounds.back()["requests"], 0.0);
+  for (std::size_t i = 0; i < events.rounds.size(); ++i)
+    expect_same(live.rounds[i], events.rounds[i]);
   EXPECT_EQ(live.reliability, events.reliability);
   // One round is one 25 ms tick of wall time.
   EXPECT_GE(took, std::chrono::milliseconds(25) *
@@ -515,7 +497,7 @@ TEST(ProgramRun, RepsAggregateIndependentSeeds) {
   const auto r = run_program(p);
   EXPECT_EQ(r.runs.size(), 3u);
   EXPECT_EQ(r.reliability_ci().n, 3u);
-  const auto homogeneity = r.series(&RoundMetrics::homogeneity);
+  const auto homogeneity = r.series("homogeneity");
   ASSERT_EQ(homogeneity.rounds(), 15u);
   EXPECT_EQ(homogeneity.row(0).n, 3u);
 }
@@ -534,11 +516,8 @@ TEST(ProgramRun, RepsEqualSingleRunsAtConsecutiveSeeds) {
     const auto once = poly::scenario::run_program_once(*shape, p, options);
     const auto& rep = r.runs[i];
     ASSERT_EQ(rep.rounds.size(), once.rounds.size()) << "rep " << i;
-    for (std::size_t j = 0; j < once.rounds.size(); ++j) {
-      EXPECT_EQ(rep.rounds[j].homogeneity, once.rounds[j].homogeneity);
-      EXPECT_EQ(rep.rounds[j].proximity, once.rounds[j].proximity);
-      EXPECT_EQ(rep.rounds[j].msg_paper, once.rounds[j].msg_paper);
-    }
+    for (std::size_t j = 0; j < once.rounds.size(); ++j)
+      expect_same(rep.rounds[j], once.rounds[j]);
     EXPECT_EQ(std::isnan(rep.reshaping_rounds),
               std::isnan(once.reshaping_rounds));
     if (!std::isnan(once.reshaping_rounds)) {
@@ -558,9 +537,9 @@ TEST(ProgramRun, ReshapingTimeNamesTheFirstRoundBelowH) {
   // The crash round counts as round 1 of the repair: round id 10 + t - 1
   // is the first measured below the post-crash reference H.
   const auto named = static_cast<std::size_t>(10 + r.reshaping_rounds - 1);
-  EXPECT_LT(r.rounds[named].homogeneity, r.reference_h_after_crash);
+  EXPECT_LT(r.rounds[named]["homogeneity"], r.reference_h_after_crash);
   for (std::size_t i = 10; i < named; ++i)
-    EXPECT_GE(r.rounds[i].homogeneity, r.reference_h_after_crash);
+    EXPECT_GE(r.rounds[i]["homogeneity"], r.reference_h_after_crash);
 }
 
 TEST(ProgramRun, NoCrashMeansFullReliabilityAndNoReshaping) {
@@ -622,9 +601,10 @@ TEST(ProgramRun, ThreePhaseTimelineIsPinnedBitForBit) {
       const Pin& pin = sub.pins[i];
       ASSERT_EQ(run.rounds.size(), 50u) << sub.name;
       const auto& last = run.rounds.back();
-      EXPECT_EQ(last.homogeneity, pin.homogeneity) << sub.name << " rep " << i;
-      EXPECT_EQ(last.proximity, pin.proximity) << sub.name << " rep " << i;
-      EXPECT_EQ(last.msg_paper, pin.msg_paper) << sub.name << " rep " << i;
+      SCOPED_TRACE(std::string(sub.name) + " rep " + std::to_string(i));
+      EXPECT_EQ(last["homogeneity"], pin.homogeneity);
+      EXPECT_EQ(last["proximity"], pin.proximity);
+      EXPECT_EQ(last["msg_paper"], pin.msg_paper);
       EXPECT_EQ(run.reshaping_rounds, pin.reshaping)
           << sub.name << " rep " << i;
       EXPECT_EQ(run.reliability, pin.reliability) << sub.name << " rep " << i;
@@ -633,15 +613,15 @@ TEST(ProgramRun, ThreePhaseTimelineIsPinnedBitForBit) {
 }
 
 TEST(ProgramRun, SyncMeasuresReliabilityEveryRound) {
-  // Like the fleet engines, sync fills RoundMetrics::reliability each
-  // round, so the last row agrees with the run's end-of-run scalar.
+  // Like the fleet engines, sync measures reliability each round, so the
+  // last row agrees with the run's end-of-run scalar.
   const auto r = run_program(parse_program(
                                  "shape grid:8x8\nseed 3\nrun 5\ncrash half\n"
                                  "run 5\n"))
                      .first();
   ASSERT_EQ(r.rounds.size(), 10u);
-  EXPECT_EQ(r.rounds.front().reliability, 1.0);
-  EXPECT_EQ(r.rounds.back().reliability, r.reliability);
+  EXPECT_EQ(r.rounds.front()["reliability"], 1.0);
+  EXPECT_EQ(r.rounds.back()["reliability"], r.reliability);
 }
 
 TEST(ProgramRun, MorphTargetIsCheckedAgainstTheShapeThatRuns) {
@@ -831,20 +811,11 @@ TEST(FaultProgram, ChaosScenarioRunsDeterministically) {
   const auto a = run_program(p).first();
   const auto b = run_program(p).first();
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].homogeneity, b.rounds[i].homogeneity);
-    EXPECT_EQ(a.rounds[i].frames, b.rounds[i].frames);
-    EXPECT_EQ(a.rounds[i].frames_blackholed,
-              b.rounds[i].frames_blackholed);
-    EXPECT_EQ(a.rounds[i].frames_corrupted,
-              b.rounds[i].frames_corrupted);
-    EXPECT_EQ(a.rounds[i].frames_rejected,
-              b.rounds[i].frames_rejected);
-    EXPECT_EQ(a.rounds[i].stall_rounds, b.rounds[i].stall_rounds);
-  }
+  for (std::size_t i = 0; i < a.rounds.size(); ++i)
+    expect_same(a.rounds[i], b.rounds[i]);
   EXPECT_EQ(a.recovered, b.recovered);
-  EXPECT_GT(a.rounds.back().frames_blackholed, 0u);
-  EXPECT_GT(a.rounds.back().stall_rounds, 0u);
+  EXPECT_GT(a.rounds.back()["frames_blackholed"], 0.0);
+  EXPECT_GT(a.rounds.back()["stall_rounds"], 0.0);
   EXPECT_EQ(a.recovered, a.crashed);
 }
 
@@ -935,12 +906,12 @@ TEST(TrafficProgram, EndToEndServesAndDrains) {
   const auto r = run_program(p);
   ASSERT_FALSE(r.first().rounds.empty());
   const auto& last = r.first().rounds.back();
-  EXPECT_GT(last.requests, 500u);
-  EXPECT_EQ(last.requests_inflight, 0u);
-  EXPECT_GE(last.success_rate, 0.8);
-  EXPECT_GT(last.p50_latency_ms, 0.0);
-  EXPECT_GE(last.p999_latency_ms, last.p99_latency_ms);
-  EXPECT_GE(last.p99_latency_ms, last.p50_latency_ms);
+  EXPECT_GT(last["requests"], 500.0);
+  EXPECT_EQ(last["requests_inflight"], 0.0);
+  EXPECT_GE(last["success_rate"], 0.8);
+  EXPECT_GT(last["p50_latency_ms"], 0.0);
+  EXPECT_GE(last["p999_latency_ms"], last["p99_latency_ms"]);
+  EXPECT_GE(last["p99_latency_ms"], last["p50_latency_ms"]);
 }
 
 TEST(TrafficProgram, SameSeedSameTraffic) {
@@ -949,23 +920,249 @@ TEST(TrafficProgram, SameSeedSameTraffic) {
       "traffic 40 mixed\nrun 15\ncrash frac 0.25\nrun 10\ndrain\n");
   const auto a = run_program(p).first();
   const auto b = run_program(p).first();
-  // Rounds measured before the traffic verb report NaN latency metrics;
-  // bit-equality (NaN matches NaN) is the determinism contract.
-  const auto same = [](double x, double y) {
-    return (std::isnan(x) && std::isnan(y)) || x == y;
-  };
+  // Rounds measured before the traffic verb read the traffic metrics as
+  // not produced (NaN); bit-equality (NaN matches NaN) is the contract.
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].requests, b.rounds[i].requests);
-    EXPECT_EQ(a.rounds[i].requests_failed,
-              b.rounds[i].requests_failed);
-    EXPECT_PRED2(same, a.rounds[i].success_rate,
-                 b.rounds[i].success_rate);
-    EXPECT_PRED2(same, a.rounds[i].p99_latency_ms,
-                 b.rounds[i].p99_latency_ms);
-    EXPECT_PRED2(same, a.rounds[i].mean_hops,
-                 b.rounds[i].mean_hops);
+  for (std::size_t i = 0; i < a.rounds.size(); ++i)
+    expect_same(a.rounds[i], b.rounds[i]);
+  EXPECT_TRUE(std::isnan(a.rounds.front()["requests"]));
+  EXPECT_GT(a.rounds.back()["requests"], 0.0);
+}
+
+// ---- the metric table -------------------------------------------------------
+
+constexpr EngineMode kModes[] = {EngineMode::kSync, EngineMode::kEvents,
+                                 EngineMode::kLive};
+
+/// The traffic scenario's smoke cut, as `poly_scenario --smoke --shape
+/// grid:16x16` runs it: a fleet through traffic, crash, recovery and drain.
+ScenarioProgram traffic_smoke() {
+  auto p = load_program(std::string(POLY_SCENARIO_DIR) +
+                        "/traffic_through_catastrophe.poly");
+  p.shape_spec = "grid:16x16";
+  p.reps = 1;
+  for (auto& s : p.timeline)
+    if (s.verb->timed) s.rounds = std::min<std::size_t>(s.rounds, 10);
+  p.expects.clear();
+  return p;
+}
+
+/// "round", then the name of every row `mode` measures, in table order.
+std::vector<std::string> measured_columns(EngineMode mode) {
+  std::vector<std::string> names{"round"};
+  for (const Metric& row : metric_table())
+    if (row.measures(mode)) names.emplace_back(row.name);
+  return names;
+}
+
+TEST(MetricTable, SeriesAndJsonCarryExactlyTheMeasuredRows) {
+  const std::string path = ::testing::TempDir() + "BENCH_metric_table.json";
+  const ScenarioProgram programs[] = {
+      parse_program("shape grid:8x8\nrun 3\ncrash half\nrun 2\n"),
+      traffic_smoke()};
+  for (const auto& p : programs) {
+    SCOPED_TRACE(to_string(p.options.engine));
+    const auto table = poly::scenario::series_table_for(run_program(p));
+    const auto want = measured_columns(p.options.engine);
+    EXPECT_EQ(table.headers(), want);
+
+    ASSERT_TRUE(poly::bench::write_bench_json(table, {}, "table", path));
+    std::ifstream f(path);
+    std::stringstream text;
+    text << f.rdbuf();
+    const std::string json = text.str();
+    const auto open = json.find("\"headers\": [");
+    ASSERT_NE(open, std::string::npos);
+    const auto close = json.find(']', open);
+    std::vector<std::string> headers;
+    std::istringstream list(json.substr(open + 12, close - open - 12));
+    for (std::string cell; std::getline(list, cell, ',');) {
+      const auto q0 = cell.find('"');
+      headers.push_back(cell.substr(q0 + 1, cell.rfind('"') - q0 - 1));
+    }
+    EXPECT_EQ(headers, want);
   }
+  std::filesystem::remove(path);
+}
+
+TEST(MetricTable, ExpectOnAnUnmeasuredRowFailsBeforeRoundOne) {
+  for (const Metric& row : metric_table()) {
+    for (const EngineMode mode : kModes) {
+      SCOPED_TRACE(std::string(row.name) + " under " + to_string(mode));
+      // A thousand live rounds would take 25 s of wall time: the check
+      // must come before the first of them.
+      auto p = parse_program("shape grid:4x4\nrun 1000\nexpect " +
+                                 std::string(row.name) + " >= 0 @ end\n",
+                             "unmeasured.poly");
+      p.options.engine = mode;
+      if (row.measures(mode)) {
+        EXPECT_NO_THROW(validate_for_mode(p, mode));
+        continue;
+      }
+      try {
+        run_program(p);
+        ADD_FAILURE() << "expected ProgramError";
+      } catch (const ProgramError& e) {
+        EXPECT_EQ(e.line(), 3);
+        EXPECT_NE(std::string(e.what()).find("needs engine"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(MetricTable, NamesReadTheEnginesOwnAccessors) {
+  const auto shape = poly::shape::make_shape("grid:8x8");
+  {
+    auto rt = make_cluster(*shape, ScenarioOptions{});
+    for (int r = 0; r < 6; ++r) rt->run_round();
+    rt->crash_random(20);
+    rt->run_round();
+    const Measurement m = measure(*rt, *shape);
+    const poly::scenario::Simulation& sim = *rt->sim();
+    const std::size_t last = sim.network().round() - 1;
+    const std::pair<const char*, double> want[] = {
+        {"alive", static_cast<double>(sim.network().num_alive())},
+        {"homogeneity", sim.homogeneity()},
+        {"reference_h", sim.reference_homogeneity()},
+        {"proximity", sim.proximity()},
+        {"reliability", sim.reliability()},
+        {"points_per_node", sim.avg_points_per_node()},
+        {"msg_paper", sim.message_cost_per_node(last)},
+        {"msg_tman", sim.network().traffic().per_node(
+                         last, poly::sim::Channel::kTman)},
+        {"msg_rps", sim.network().traffic().per_node(
+                        last, poly::sim::Channel::kRps)},
+    };
+    EXPECT_EQ(m.round, last);
+    for (const auto& [name, value] : want) EXPECT_EQ(m[name], value) << name;
+    EXPECT_EQ(m["alive"], 44.0);
+  }
+  ScenarioOptions options;
+  options.engine = EngineMode::kEvents;
+  const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+  {
+    // Corruption runs without traffic here: a corrupted view entry can
+    // name a node id the fleet does not have, and the traffic plane's
+    // routing does not bounds-check the ids it hops to.
+    auto rt = make_cluster(*shape, options);
+    rt->fleet()->corrupt_frames(0.05, 6);
+    for (int r = 0; r < 6; ++r) rt->run_round();
+    const Measurement m = measure(*rt, *shape);
+    const auto& fleet = *rt->fleet();
+    EXPECT_EQ(m["frames_corrupted"],
+              count(fleet.fault_counters().frames_corrupted));
+    EXPECT_EQ(m["frames_rejected"], count(fleet.frames_rejected()));
+    EXPECT_GT(m["frames_rejected"], 0.0);
+  }
+  auto rt = make_cluster(*shape, options);
+  poly::engine::EventCluster& fleet = *rt->fleet();
+  for (int r = 0; r < 5; ++r) rt->run_round();
+  EXPECT_TRUE(std::isnan(measure(*rt, *shape)["requests"]));
+  fleet.start_traffic({.rate_per_round = 30, .mix = Mix::kMixed});
+  fleet.partition_region(
+      [](const poly::space::Point& p) { return p.x() < 2.0; }, 4);
+  fleet.duplicate_frames(0.05, 6);
+  fleet.reorder_frames(0.05, std::chrono::milliseconds(3), 6);
+  fleet.stall_random(4, 2);
+  for (int r = 0; r < 4; ++r) rt->run_round();
+  rt->crash_random(8);
+  for (int r = 0; r < 3; ++r) rt->run_round();
+  fleet.recover_random(4);
+  for (int r = 0; r < 3; ++r) rt->run_round();
+
+  const Measurement m = measure(*rt, *shape);
+  const auto& faults = fleet.fault_counters();
+  const auto& t = fleet.traffic_plane()->totals();
+  const std::pair<const char*, double> want[] = {
+      {"alive", count(fleet.alive_count())},
+      {"homogeneity", fleet.homogeneity()},
+      {"reference_h", shape->reference_homogeneity(fleet.alive_count())},
+      {"proximity", fleet.proximity()},
+      {"reliability", fleet.reliability()},
+      {"frames", count(fleet.hub().frames_sent())},
+      {"frames_blackholed", count(faults.frames_blackholed)},
+      {"frames_duplicated", count(faults.frames_duplicated)},
+      {"frames_reordered", count(faults.frames_reordered)},
+      {"stall_rounds", count(faults.stall_rounds)},
+      {"recoveries", count(faults.recoveries)},
+      {"requests", count(t.completed)},
+      {"requests_get", count(t.gets)},
+      {"requests_put", count(t.puts)},
+      {"requests_failed", count(t.failed)},
+      {"requests_inflight", count(fleet.traffic_inflight())},
+      {"success_rate", count(t.completed) / count(t.completed + t.failed)},
+      {"p50_latency_ms", t.latency.quantile_ms(0.5)},
+      {"p99_latency_ms", t.latency.quantile_ms(0.99)},
+      {"p999_latency_ms", t.latency.quantile_ms(0.999)},
+      {"mean_hops", count(t.hops_total) / count(t.completed)},
+  };
+  EXPECT_EQ(m.round, 14u);
+  for (const auto& [name, value] : want) {
+    EXPECT_EQ(m[name], value) << name;
+    EXPECT_GT(value, 0.0) << name << " should be exercised";
+  }
+  EXPECT_EQ(m["requests_get"] + m["requests_put"], m["requests"]);
+  // Rows the fleet does not measure read as not produced.
+  EXPECT_TRUE(std::isnan(m["points_per_node"]));
+  EXPECT_TRUE(std::isnan(m["msg_paper"]));
+  EXPECT_THROW(m["no_such_metric"], std::invalid_argument);
+}
+
+TEST(MetricTable, RepsTableAggregatesEveryColumn) {
+  auto p = traffic_smoke();
+  p.reps = 2;
+  const auto table = poly::scenario::series_table_for(run_program(p));
+  ASSERT_EQ(table.headers(), measured_columns(EngineMode::kEvents));
+  ASSERT_GE(table.rows(), 3u);
+  const auto& rows = table.data();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t c = 1; c < rows[r].size(); ++c) {
+      const std::string& cell = rows[r][c];
+      const bool traffic_before_verb =
+          r == 0 && find_metric(table.headers()[c])->traffic != nullptr;
+      // Traffic before the first `traffic` verb is not produced in any
+      // repetition; every other cell is mean ± ci95 across them.
+      const std::string want = traffic_before_verb ? "-" : " ± ";
+      EXPECT_NE(cell.find(want), std::string::npos)
+          << table.headers()[c] << " row " << r << ": " << cell;
+    }
+  }
+}
+
+TEST(MetricTable, ScenariosDocListsExactlyTheTable) {
+  // docs/SCENARIOS.md promises its metric table mirrors the code one for
+  // one: every row's name and engines, in table order.
+  std::ifstream doc(std::string(POLY_SCENARIO_DIR) + "/../docs/SCENARIOS.md");
+  ASSERT_TRUE(doc.good());
+  std::vector<std::string> listed;
+  bool inside = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.starts_with("| metric | engines")) {
+      inside = true;
+      continue;
+    }
+    if (!inside || line.starts_with("|---")) continue;
+    if (!line.starts_with("| `")) break;
+    const auto name_end = line.find('`', 3);
+    const auto cell_end = line.find('|', name_end);
+    const auto engines_end = line.find('|', cell_end + 1);
+    std::string engines = line.substr(cell_end + 1, engines_end - cell_end - 1);
+    engines.erase(0, engines.find_first_not_of(' '));
+    engines.erase(engines.find_last_not_of(' ') + 1);
+    listed.push_back(line.substr(3, name_end - 3) + " " + engines);
+  }
+  std::vector<std::string> want;
+  for (const Metric& row : metric_table())
+    want.push_back(std::string(row.name) + " " +
+                   (row.measures(EngineMode::kSync) ? "S" : "") +
+                   (row.measures(EngineMode::kSync) &&
+                            row.measures(EngineMode::kEvents)
+                        ? " "
+                        : "") +
+                   (row.measures(EngineMode::kEvents) ? "E L" : ""));
+  EXPECT_EQ(listed, want);
 }
 
 }  // namespace

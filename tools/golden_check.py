@@ -12,7 +12,7 @@ driver uses completed-round ids (20..29); the metric *values* must match
 byte for byte.
 
 Usage:
-  golden_check.py --canon OUT.txt --rows 10 --cols homogeneity,H,...
+  golden_check.py --canon OUT.txt --rows 10 --cols homogeneity,reference_h,...
       print the canonical form of a captured output (golden capture)
   golden_check.py --golden FILE --rows 10 --cols ... -- CMD ARGS...
       run CMD, canonicalize its stdout, diff against FILE; exit 1 on
@@ -87,7 +87,7 @@ def main():
                     help="golden canonical file to compare against")
     ap.add_argument("--rows", type=int, default=0,
                     help="compare only the last N metric rows (0 = all)")
-    ap.add_argument("--cols", default="homogeneity,H,proximity,points/node",
+    ap.add_argument("--cols", required=True,
                     help="comma-separated metric columns to compare")
     ap.add_argument("cmd", nargs="*", help="command to run (after --)")
     args = ap.parse_args()

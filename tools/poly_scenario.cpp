@@ -160,17 +160,11 @@ int main(int argc, char** argv) {
 
   if (!first.rounds.empty()) {
     const auto& last = first.rounds.back();
-    std::printf("final: round=%zu alive=%zu homogeneity=%.3f (H=%.3f)\n",
-                last.round, last.alive, last.homogeneity, last.reference_h);
-    if (last.requests + last.requests_failed > 0) {
-      std::printf(
-          "traffic: requests=%llu failed=%llu success_rate=%.4f "
-          "p50=%.2fms p99=%.2fms p999=%.2fms mean_hops=%.1f\n",
-          static_cast<unsigned long long>(last.requests),
-          static_cast<unsigned long long>(last.requests_failed),
-          last.success_rate, last.p50_latency_ms, last.p99_latency_ms,
-          last.p999_latency_ms, last.mean_hops);
-    }
+    std::printf("final: round=%zu", last.round);
+    for (const auto& row : scenario::metric_table())
+      if (row.measures(p.options.engine))
+        std::printf(" %s=%s", row.name, row.cell(last[row]).c_str());
+    std::puts("");
   }
   return 0;
 }

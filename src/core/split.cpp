@@ -67,18 +67,15 @@ bool pd_partition(std::span<const space::DataPoint> pool,
 /// so that the nodes move as little as possible.  Returns true when
 /// (cluster_a → p, cluster_b → q) is the better orientation.  With an rng
 /// the cluster medoids are threshold-routed (exact up to
-/// cfg.medoid_exact_threshold points, sampled/grid-assisted beyond);
+/// space::kMedoidExactThreshold points, sampled/grid-assisted beyond);
 /// without one they are exact.
 bool md_orientation(const PointSet& cluster_a, const PointSet& cluster_b,
                     const space::Point& pos_p, const space::Point& pos_q,
-                    const space::MetricSpace& space, util::Rng* rng,
-                    const SplitConfig& cfg) {
-  const space::Point ma =
-      rng ? space::medoid(cluster_a, space, *rng, cfg.medoid_exact_threshold)
-          : space::medoid(cluster_a, space);
-  const space::Point mb =
-      rng ? space::medoid(cluster_b, space, *rng, cfg.medoid_exact_threshold)
-          : space::medoid(cluster_b, space);
+                    const space::MetricSpace& space, util::Rng* rng) {
+  const space::Point ma = rng ? space::medoid(cluster_a, space, *rng)
+                              : space::medoid(cluster_a, space);
+  const space::Point mb = rng ? space::medoid(cluster_b, space, *rng)
+                              : space::medoid(cluster_b, space);
   const double d_ab =
       space.distance(ma, pos_p) + space.distance(mb, pos_q);
   const double d_ba =
@@ -98,7 +95,7 @@ SplitResult split_advanced(std::span<const space::DataPoint> pool,
   PointSet side_v;
   if (!pd_partition(pool, space, rng, cfg, side_u, side_v))
     return split_basic(pool, pos_p, pos_q, space);
-  if (md_orientation(side_u, side_v, pos_p, pos_q, space, &rng, cfg))
+  if (md_orientation(side_u, side_v, pos_p, pos_q, space, &rng))
     return SplitResult{std::move(side_u), std::move(side_v)};
   return SplitResult{std::move(side_v), std::move(side_u)};
 }
@@ -121,12 +118,10 @@ namespace {
 SplitResult split_md_impl(std::span<const space::DataPoint> pool,
                           const space::Point& pos_p,
                           const space::Point& pos_q,
-                          const space::MetricSpace& space, util::Rng* rng,
-                          const SplitConfig& cfg) {
+                          const space::MetricSpace& space, util::Rng* rng) {
   SplitResult basic = split_basic(pool, pos_p, pos_q, space);
   if (basic.for_p.empty() || basic.for_q.empty()) return basic;
-  if (md_orientation(basic.for_p, basic.for_q, pos_p, pos_q, space, rng,
-                     cfg))
+  if (md_orientation(basic.for_p, basic.for_q, pos_p, pos_q, space, rng))
     return basic;
   return SplitResult{std::move(basic.for_q), std::move(basic.for_p)};
 }
@@ -136,14 +131,13 @@ SplitResult split_md_impl(std::span<const space::DataPoint> pool,
 SplitResult split_md(std::span<const space::DataPoint> pool,
                      const space::Point& pos_p, const space::Point& pos_q,
                      const space::MetricSpace& space) {
-  return split_md_impl(pool, pos_p, pos_q, space, nullptr, {});
+  return split_md_impl(pool, pos_p, pos_q, space, nullptr);
 }
 
 SplitResult split_md(std::span<const space::DataPoint> pool,
                      const space::Point& pos_p, const space::Point& pos_q,
-                     const space::MetricSpace& space, util::Rng& rng,
-                     const SplitConfig& cfg) {
-  return split_md_impl(pool, pos_p, pos_q, space, &rng, cfg);
+                     const space::MetricSpace& space, util::Rng& rng) {
+  return split_md_impl(pool, pos_p, pos_q, space, &rng);
 }
 
 SplitResult split(SplitKind kind, std::span<const space::DataPoint> pool,
@@ -154,7 +148,7 @@ SplitResult split(SplitKind kind, std::span<const space::DataPoint> pool,
     case SplitKind::kBasic: return split_basic(pool, pos_p, pos_q, space);
     case SplitKind::kPd: return split_pd(pool, pos_p, pos_q, space, rng, cfg);
     case SplitKind::kMd:
-      return split_md(pool, pos_p, pos_q, space, rng, cfg);
+      return split_md(pool, pos_p, pos_q, space, rng);
     case SplitKind::kAdvanced:
       return split_advanced(pool, pos_p, pos_q, space, rng, cfg);
   }

@@ -57,12 +57,6 @@ struct SplitConfig {
   /// Pools up to this size use the exact O(n²) diameter; larger pools use
   /// the sampled approximation (paper suggests ~30).
   std::size_t diameter_exact_threshold = 30;
-  /// Clusters up to this size use the exact O(n²) medoid in the MD
-  /// orientation; larger ones use the sampled / SpatialIndex-assisted
-  /// approximation (space::sampled_medoid_index).  Steady-state guest sets
-  /// stay well below the default, so the sampled path (and its Rng draws)
-  /// only engages on oversized post-catastrophe pools.
-  std::size_t medoid_exact_threshold = space::kMedoidExactThreshold;
 
   bool operator==(const SplitConfig&) const = default;
 };
@@ -98,13 +92,12 @@ SplitResult split_md(std::span<const space::DataPoint> pool,
                      const space::MetricSpace& space);
 
 /// MD heuristic with threshold-routed medoids: clusters beyond
-/// `cfg.medoid_exact_threshold` points use the sampled / grid-assisted
+/// space::kMedoidExactThreshold points use the sampled / grid-assisted
 /// medoid (`rng` powers the sampling), matching what the `split()`
 /// dispatcher does for kMd.
 SplitResult split_md(std::span<const space::DataPoint> pool,
                      const space::Point& pos_p, const space::Point& pos_q,
-                     const space::MetricSpace& space, util::Rng& rng,
-                     const SplitConfig& cfg = {});
+                     const space::MetricSpace& space, util::Rng& rng);
 
 /// Dispatch on `kind`.
 SplitResult split(SplitKind kind, std::span<const space::DataPoint> pool,

@@ -292,18 +292,14 @@ void AsyncNode::step_tman() {
   // longer circulates its descriptors here, in which case its advertised
   // position is a lie that would rank as "nearby" forever.  The erase
   // keeps the order, so an already-ranked view stays ranked.
-  if (cfg_.tman_ttl > 0 && !tman_view_.empty()) {
-    const auto ttl = static_cast<std::uint32_t>(cfg_.tman_ttl);
-    bool expired = false;
-    for (TmanEntry& e : tman_view_) {
-      if (e.age <= ttl) ++e.age;  // saturating: no wraparound
-      expired = expired || e.age > ttl;
-    }
-    if (expired)
-      erase_where(tman_view_,
-                  [ttl](const TmanEntry& e) { return e.age > ttl; });
+  bool expired = false;
+  for (TmanEntry& e : tman_view_) {
+    if (e.age <= kTmanTtl) ++e.age;  // saturating: no wraparound
+    expired = expired || e.age > kTmanTtl;
   }
-  const std::uint32_t fwd_horizon = tman_forward_age(cfg_);
+  if (expired)
+    erase_where(tman_view_,
+                [](const TmanEntry& e) { return e.age > kTmanTtl; });
   // Random-candidate injection — the role the RPS layer plays in the
   // T-Man paper: every tick, offer the view the random sample's known
   // descriptors.  Almost all are far away and rejected by the cheap
@@ -322,7 +318,7 @@ void AsyncNode::step_tman() {
         e->version = p.version;
         tman_ranked_ = false;
       }
-      e->age = std::min(e->age, fwd_horizon);
+      e->age = std::min(e->age, kTmanForwardAge);
       continue;
     }
     if (tman_ranked_ && tman_view_.size() >= cfg_.tman_view) {
@@ -336,7 +332,7 @@ void AsyncNode::step_tman() {
       tman::rank_view(tman_view_, pos_, *space_, scratch_->rank);
       tman_view_.resize(cfg_.tman_view);
     }
-    tman_view_.push_back(TmanEntry{p.id, p.version, p.pos, fwd_horizon});
+    tman_view_.push_back(TmanEntry{p.id, p.version, p.pos, kTmanForwardAge});
     tman_ranked_ = false;
   }
   if (tman_view_.empty()) {
@@ -371,12 +367,11 @@ const std::vector<WireDescriptor>& AsyncNode::tman_buffer(
   // entries are bootstrap placeholders carrying our *own* position as a
   // stand-in for the member's — forwarded, such a guess would rank as
   // nearby in third-party views and never heal.  And only first-hand-fresh
-  // entries are forwarded (see tman_forward_age): second-hand copies
+  // entries are forwarded (see kTmanForwardAge): second-hand copies
   // arrive exactly at the horizon and are never re-forwarded, so rumors
   // about dead or moved members cannot outlive their last confirmation.
-  const std::uint32_t horizon = tman_forward_age(cfg_);
-  auto forwardable = [&](const TmanEntry& e) {
-    return e.version != 0 && (cfg_.tman_ttl == 0 || e.age < horizon);
+  auto forwardable = [](const TmanEntry& e) {
+    return e.version != 0 && e.age < kTmanForwardAge;
   };
   auto& out = scratch_->out_descriptors;
   out.clear();
@@ -409,7 +404,6 @@ void AsyncNode::handle_tman(const Header& h,
   // alive *now*: age 0.  A forwarded copy only proves someone heard from
   // it within the forwarding horizon, so it arrives that old and can
   // lower — never raise — the age we already track.
-  const std::uint32_t fwd_horizon = tman_forward_age(cfg_);
   // Merging m ids costs O(m · (view + m)), so a frame longer than the
   // view's physical cap (an in-spec one carries at most tman_msg) is
   // counted and cut to it.
@@ -420,7 +414,7 @@ void AsyncNode::handle_tman(const Header& h,
   in.clear();
   for (const WireDescriptor& d : std::span(descriptors).first(n))
     in.push_back(TmanEntry{d.id, d.version, d.pos,
-                           d.id == h.sender ? 0 : fwd_horizon});
+                           d.id == h.sender ? 0 : kTmanForwardAge});
   // Merge the staged frame, then truncate to tman_view.
   if (!tman_ranked_) tman::rank_view(tman_view_, pos_, *space_, scratch_->rank);
   tman::merge_ranked(tman_view_, in, id_, pos_, *space_, cfg_.tman_view,
@@ -532,10 +526,8 @@ void AsyncNode::handle_migrate_req(const Header& h,
   // Pool and split: we keep for_q, the initiator gets for_p back.
   const core::PointSet pool =
       core::union_by_id(to_point_set(guests), guests_);
-  core::SplitConfig split_cfg;
-  split_cfg.medoid_exact_threshold = cfg_.medoid_exact_threshold;
   auto result = core::split(cfg_.split_kind, pool, initiator_pos, pos_,
-                            *space_, rng_, split_cfg);
+                            *space_, rng_);
   guests_ = std::move(result.for_q);
   reproject();
   to_wire_into(result.for_p, scratch_->out_points);
@@ -558,8 +550,7 @@ void AsyncNode::reproject() {
   if (guests_.empty()) return;
   // Threshold-routed: exact medoid at steady-state guest-set sizes, the
   // sampled/grid-assisted variant on oversized post-catastrophe pools.
-  const space::Point m =
-      space::medoid(guests_, *space_, rng_, cfg_.medoid_exact_threshold);
+  const space::Point m = space::medoid(guests_, *space_, rng_);
   if (m == pos_) return;
   pos_ = m;
   ++pos_version_;

@@ -43,7 +43,6 @@
 #include "net/messages.hpp"
 #include "net/transport.hpp"
 #include "net/view_storage.hpp"
-#include "space/medoid.hpp"
 #include "space/metric_space.hpp"
 #include "tman/ranked_view.hpp"
 #include "util/arena.hpp"
@@ -62,21 +61,17 @@ struct AsyncConfig {
   std::size_t psi = 3;
   std::size_t replication = 2;                 ///< K
   core::SplitKind split_kind = core::SplitKind::kAdvanced;
-  /// Guest sets up to this size reproject through the exact O(n²) medoid;
-  /// larger ones (post-catastrophe pools) use the sampled /
-  /// SpatialIndex-assisted variant.  Mirrors SplitConfig's threshold.
-  std::size_t medoid_exact_threshold = space::kMedoidExactThreshold;
   /// An origin that has not pushed a backup within this window is presumed
   /// dead (heartbeat timeout of the §III-A failure detector).
   std::chrono::milliseconds origin_timeout{400};
-  /// T-Man view entries unrefreshed for this many ticks are evicted.
-  /// Bounds view staleness: without it, a member that crashed — or moved
-  /// far away while its old descriptor still advertises a nearby
-  /// position — occupies a view slot forever, because T-Man gossip only
-  /// circulates a member's fresh descriptors near its *current*
-  /// vicinity.  0 disables aging (and the forwarding horizon with it).
-  std::size_t tman_ttl = 48;
 };
+
+/// T-Man view entries unrefreshed for this many ticks are evicted.
+/// Bounds view staleness: without it, a member that crashed — or moved
+/// far away while its old descriptor still advertises a nearby position —
+/// occupies a view slot forever, because T-Man gossip only circulates a
+/// member's fresh descriptors near its *current* vicinity.
+inline constexpr std::uint32_t kTmanTtl = 48;
 
 /// Physical capacity of the T-Man view storage: tman_view plus tman_msg
 /// slots for step_tman's RPS injection, which may hold entries past
@@ -93,10 +88,8 @@ inline std::uint32_t tman_phys_cap(const AsyncConfig& cfg) {
 /// forwarded copy arrives exactly this old — so second-hand information
 /// is never re-forwarded and a rumor dies one hop from its last
 /// first-hand confirmation.  A member that crashes (or whose descriptor
-/// goes stale) vanishes from every view within tman_ttl ticks.
-inline std::uint32_t tman_forward_age(const AsyncConfig& cfg) {
-  return static_cast<std::uint32_t>(cfg.tman_ttl / 2);
-}
+/// goes stale) vanishes from every view within kTmanTtl ticks.
+inline constexpr std::uint32_t kTmanForwardAge = kTmanTtl / 2;
 
 /// Call-scoped working buffers: decoded incoming lists, outgoing staging,
 /// rank/sample/frame scratch.  Nothing in here survives a protocol call,

@@ -50,8 +50,8 @@ static_assert(sizeof(PeerEntry) == 56, "PeerEntry layout drifted");
 /// `age` is purely local state (never on the wire): ticks since the
 /// entry was last refreshed.  First-hand contact (the member itself
 /// sent us a message) resets it to 0; a forwarded third-party copy can
-/// only lower it to the forwarding horizon (tman_forward_age).  Entries
-/// older than AsyncConfig::tman_ttl are evicted each tick — the view's
+/// only lower it to the forwarding horizon (kTmanForwardAge).  Entries
+/// older than kTmanTtl ticks are evicted each tick — the view's
 /// only defence against members that crashed or moved far away, whose
 /// stale descriptors would otherwise rank as "nearby" forever.
 struct TmanEntry {

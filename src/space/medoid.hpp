@@ -46,11 +46,10 @@ std::size_t medoid_index(std::span<const DataPoint> points,
 /// Medoid position of a set of data points.  Precondition: !points.empty().
 Point medoid(std::span<const DataPoint> points, const MetricSpace& space);
 
-/// Default size threshold of the exact/sampled medoid dispatchers.  The
-/// split-cell callers (core::SplitConfig, net::AsyncConfig) initialize
-/// their thresholds from this one constant so retuning it cannot leave
-/// the callers routing at different sizes.  Steady-state guest sets stay
-/// well below it; only oversized post-catastrophe pools go sampled.
+/// Default size threshold of the exact/sampled medoid dispatchers, and
+/// the one the split-cell callers (core::split's MD orientation,
+/// AsyncNode::reproject) route at.  Steady-state guest sets stay well
+/// below it; only oversized post-catastrophe pools go sampled.
 inline constexpr std::size_t kMedoidExactThreshold = 64;
 
 /// Tunables of the sampled / grid-assisted approximation.

@@ -116,7 +116,11 @@ class EventCluster {
 
   std::size_t size() const noexcept { return nodes_.size(); }
   net::AsyncNode& node(std::size_t i) { return nodes_[i]; }
-  bool crashed(std::size_t i) const noexcept { return crashed_[i]; }
+  /// True for a crashed node, and for any id outside the fleet: view
+  /// entries are gossip, and a corrupted frame can plant any id in them.
+  bool crashed(std::size_t i) const noexcept {
+    return i >= crashed_.size() || crashed_[i];
+  }
   std::size_t alive_count() const;
 
   /// Crash-stops every node whose *original* data point satisfies pred.

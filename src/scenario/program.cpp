@@ -1146,14 +1146,23 @@ ProgramRun run_program_once(const shape::Shape& shape,
   return std::move(x.run);
 }
 
+std::vector<std::size_t> ProgramResult::measured_rounds() const {
+  std::vector<std::size_t> rounds;
+  for (const auto& run : runs)
+    for (const auto& m : run.rounds) rounds.push_back(m.round);
+  std::sort(rounds.begin(), rounds.end());
+  rounds.erase(std::unique(rounds.begin(), rounds.end()), rounds.end());
+  return rounds;
+}
+
 util::SeriesAggregator ProgramResult::series(std::string_view metric) const {
+  const std::vector<std::size_t> rounds = measured_rounds();
   util::SeriesAggregator out;
-  for (const auto& run : runs) {
-    std::vector<double> values;
-    values.reserve(run.rounds.size());
-    for (const auto& m : run.rounds) values.push_back(m[metric]);
-    out.add_run(values);
-  }
+  for (const auto& run : runs)
+    for (const auto& m : run.rounds) {
+      const auto row = std::lower_bound(rounds.begin(), rounds.end(), m.round);
+      out.add(static_cast<std::size_t>(row - rounds.begin()), m[metric]);
+    }
   return out;
 }
 
@@ -1272,9 +1281,11 @@ util::Table series_table_for(const ProgramResult& r) {
     for (const Metric* col : cols) spread.push_back(r.series(col->name));
 
   util::Table table(std::move(headers));
+  // With one repetition, row i is its i-th measurement.
   const ProgramRun& first = r.first();
-  for (std::size_t i = 0; i < first.rounds.size(); ++i) {
-    std::vector<std::string> row{std::to_string(first.rounds[i].round)};
+  const std::vector<std::size_t> rounds = r.measured_rounds();
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    std::vector<std::string> row{std::to_string(rounds[i])};
     for (std::size_t c = 0; c < cols.size(); ++c)
       row.push_back(spread.empty() ? cols[c]->cell(first.rounds[i][*cols[c]])
                                    : cols[c]->cell(spread[c].row(i)));

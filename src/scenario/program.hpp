@@ -223,9 +223,14 @@ struct ProgramResult {
   /// Repetition 0: its events, snapshots and series are what drivers print.
   const ProgramRun& first() const { return runs.front(); }
 
+  /// Every round some repetition measured, ascending.  Repetitions that
+  /// end on `drain` stop at different rounds, so this can outgrow any one
+  /// repetition's measurements.
+  std::vector<std::size_t> measured_rounds() const;
+
   /// One metric across repetitions, e.g. `series("msg_tman")`; row r is
-  /// mean ± ci95 of the r-th measured round.  Throws std::invalid_argument
-  /// on an unknown name.
+  /// mean ± ci95 at round measured_rounds()[r], over the repetitions that
+  /// measured that round.  Throws std::invalid_argument on an unknown name.
   util::SeriesAggregator series(std::string_view metric) const;
 
   /// Mean ± 95% CI of the reshaping time over repetitions that reshaped.
@@ -250,8 +255,8 @@ void print_events(const ProgramResult& result,
 
 /// The per-round series table for a result: after `round`, one column per
 /// metric-table row the engine measures, headed by the row's name.  One
-/// row per measured round of repetition 0; beyond one repetition every
-/// cell is `mean ± ci95` across them.
+/// row per round of measured_rounds(); beyond one repetition every cell is
+/// `mean ± ci95` over the repetitions that measured its round.
 util::Table series_table_for(const ProgramResult& r);
 
 }  // namespace poly::scenario

@@ -73,9 +73,12 @@ MeanCi mean_ci(const std::vector<double>& xs) noexcept {
 }
 
 void SeriesAggregator::add_run(const std::vector<double>& series) {
-  if (series.size() > per_round_.size()) per_round_.resize(series.size());
-  for (std::size_t r = 0; r < series.size(); ++r)
-    per_round_[r].push_back(series[r]);
+  for (std::size_t r = 0; r < series.size(); ++r) add(r, series[r]);
+}
+
+void SeriesAggregator::add(std::size_t row, double value) {
+  if (row >= per_round_.size()) per_round_.resize(row + 1);
+  per_round_[row].push_back(value);
 }
 
 MeanCi SeriesAggregator::row(std::size_t round) const {

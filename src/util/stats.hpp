@@ -62,11 +62,13 @@ MeanCi mean_ci(const std::vector<double>& xs) noexcept;
 /// Aggregates per-round metric series across experiment repetitions.
 ///
 /// Usage: every repetition produces one value per round; `add_run` appends a
-/// full series; `row(r)` then yields mean ± CI across repetitions at round r.
-/// Series of unequal length are aggregated up to their own length.
+/// full series, `add` one value at a row; `row(r)` then yields mean ± CI
+/// over the values added at row r.  Series of unequal length are
+/// aggregated up to their own length.
 class SeriesAggregator {
  public:
   void add_run(const std::vector<double>& series);
+  void add(std::size_t row, double value);
 
   /// Number of rounds covered by at least one run.
   std::size_t rounds() const noexcept { return per_round_.size(); }

@@ -287,6 +287,17 @@ TEST(EventClusterFaults, CrashAndRecoverInOnePeriodKeepsOneTickChain) {
   EXPECT_EQ(fleet.engine().events_executed() - before, 10u);
 }
 
+TEST(EventClusterFaults, IdsOutsideTheFleetReadAsCrashed) {
+  // The traffic plane's routing filter asks about view-entry ids, and a
+  // corrupted frame can plant one past the fleet: it must read as dead.
+  poly::shape::RingShape shape(4, 1.0);
+  EventCluster fleet(shape.space_ptr(), shape.generate(),
+                     EventClusterConfig{}, 3);
+  EXPECT_FALSE(fleet.crashed(fleet.size() - 1));
+  EXPECT_TRUE(fleet.crashed(fleet.size()));
+  EXPECT_TRUE(fleet.crashed(std::size_t{1} << 40));
+}
+
 // ---- whole-trajectory determinism with faults active ------------------------
 
 TEST(EventClusterFaults, ChaosTrajectoryReplaysBitForBit) {

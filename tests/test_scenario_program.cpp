@@ -1131,6 +1131,40 @@ TEST(MetricTable, RepsTableAggregatesEveryColumn) {
   }
 }
 
+TEST(MetricTable, RepsAggregateByRoundNotRowIndex) {
+  // After `drain`, repetitions end at different rounds.  Each table row is
+  // one round, and each cell aggregates exactly the repetitions that
+  // measured that round.
+  auto p = traffic_smoke();
+  p.reps = 4;
+  const auto result = run_program(p);
+  std::set<std::size_t> all, last;
+  for (const auto& run : result.runs) {
+    for (const Measurement& m : run.rounds) all.insert(m.round);
+    last.insert(run.rounds.back().round);
+  }
+  ASSERT_GT(last.size(), 1u) << "the repetitions all ended at one round";
+  const std::vector<std::size_t> rounds(all.begin(), all.end());
+  EXPECT_EQ(result.measured_rounds(), rounds);
+
+  const auto table = poly::scenario::series_table_for(result);
+  ASSERT_EQ(table.rows(), rounds.size());
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const auto& row = table.data()[r];
+    EXPECT_EQ(row[0], std::to_string(rounds[r]));
+    for (std::size_t c = 1; c < row.size(); ++c) {
+      const Metric& metric = *find_metric(table.headers()[c]);
+      std::vector<double> values;
+      for (const auto& run : result.runs)
+        for (const Measurement& m : run.rounds)
+          if (m.round == rounds[r]) values.push_back(m[metric]);
+      ASSERT_FALSE(values.empty());
+      EXPECT_EQ(row[c], metric.cell(poly::util::mean_ci(values)))
+          << metric.name << " at round " << rounds[r];
+    }
+  }
+}
+
 TEST(MetricTable, ScenariosDocListsExactlyTheTable) {
   // docs/SCENARIOS.md promises its metric table mirrors the code one for
   // one: every row's name and engines, in table order.

@@ -31,14 +31,9 @@ EventCluster::EventCluster(std::shared_ptr<const space::MetricSpace> space,
       cfg_(config),
       seed_(seed),
       engine_(seed),
-      // Deliveries due within one timer-wheel tick (~65.5 us, ~3% of the
-      // default 2 ms link latency) coalesce into one engine event, keeping
-      // the destination node's state hot while its frames drain; each
-      // frame's latency stretches by at most that tick (see EngineHub).
       hub_(std::make_unique<EngineHub>(
           engine_,
-          LinkModel(cfg_.latency_min, cfg_.latency_max, cfg_.drop_rate),
-          EventEngine::tick_duration())),
+          LinkModel(cfg_.latency_min, cfg_.latency_max, cfg_.drop_rate))),
       rng_(engine_.split_rng()),
       // Keyed off the cluster seed directly (not an engine split): the
       // plane exists whether or not faults are used, and consuming a
@@ -223,7 +218,7 @@ bool EventCluster::recover_node(std::size_t idx) {
   if (idx >= nodes_.size() || !crashed_[idx]) return false;
   // The old endpoint died with the crash and is never reused; the node id
   // maps to the fresh one (a TCP node's directory entry to its new port),
-  // so peers that resolve the id reach the rejoined node.
+  // so peers' sends to the id reach the rejoined node.
   nodes_[idx].recover(make_transport(idx));
   crashed_[idx] = false;
   stall_until_[idx] = SimTime::zero();

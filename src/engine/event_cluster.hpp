@@ -81,7 +81,7 @@ struct MemoryBreakdown {
   std::size_t arena_reserved = 0;  ///< arena chunk footprint (exact)
   std::size_t node_objects = 0;    ///< AsyncNode slab chunks (exact)
   std::size_t state_heap = 0;      ///< guest sets + ghost PointSets
-  std::size_t hub_bytes = 0;       ///< EngineHub tables, pools, batches
+  std::size_t hub_bytes = 0;       ///< EngineHub tables and buffer pool
   std::size_t total() const noexcept {
     return arena_reserved + node_objects + state_heap + hub_bytes;
   }
@@ -305,9 +305,9 @@ class EventCluster {
   /// under both wall-clock drives (with no endpoint it only sleeps).
   /// Declared before nodes_, whose transports must not outlive it.
   net::TcpHub tcp_;
-  /// Nodes live in a chunked slab indexed by node id (== hub EndpointId
-  /// creation order): the per-delivery random-node walk lands in packed
-  /// storage instead of chasing one heap pointer per node.
+  /// Nodes live in a chunked slab indexed by node id: the per-delivery
+  /// random-node walk lands in packed storage instead of chasing one heap
+  /// pointer per node.
   util::ObjectSlab<net::AsyncNode> nodes_;
   std::vector<bool> crashed_;
   /// Per-node tick epoch, carried by each tick event and bumped by a

@@ -66,14 +66,6 @@ class EventEngine {
  public:
   explicit EventEngine(std::uint64_t seed);
 
-  /// Duration of one timer-wheel tick (the scheduler's bucketing quantum,
-  /// 2^16 ns ~ 65.5 us).  Consumers that want to align with the wheel —
-  /// e.g. EngineHub's delivery batch window — should derive from this
-  /// instead of hardcoding the geometry.
-  static constexpr SimTime tick_duration() noexcept {
-    return SimTime{1ll << kTickBits};
-  }
-
   EventEngine(const EventEngine&) = delete;
   EventEngine& operator=(const EventEngine&) = delete;
 

@@ -1,7 +1,7 @@
 // Small-buffer-optimized callback for scheduled events.
 //
 // Every scheduled event used to carry a std::function<void()>; the
-// delivery closures of the engine transport (hub pointer + endpoint ids +
+// delivery closures of the engine transport (hub pointer + endpoint id +
 // payload vector) exceed std::function's small-object buffer, so the
 // steady-state loop paid one heap allocation and one free per message.
 // EventFn is the minimal replacement: move-only, with enough inline
@@ -27,11 +27,11 @@ namespace poly::engine {
 /// relocates the capture); anything else goes to the heap.
 class EventFn {
  public:
-  /// Inline capacity: sized exactly for the engine transport's delivery
-  /// closure (hub pointer + two endpoint ids + a std::vector payload, 40
-  /// bytes) — the hot-path callable.  Bigger captures fall back to the
-  /// heap; keeping the slab node small is worth more than inlining rare
-  /// large closures.
+  /// Inline capacity: sized for the engine transport's delivery closure
+  /// (hub pointer + a 4-byte endpoint id + a std::vector payload, 40
+  /// bytes with padding) — the hot-path callable.  Bigger captures fall
+  /// back to the heap; keeping the slab node small is worth more than
+  /// inlining rare large closures.
   static constexpr std::size_t kInlineSize = 40;
 
   EventFn() noexcept = default;

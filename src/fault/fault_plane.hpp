@@ -126,7 +126,7 @@ class FaultPlane {
   /// The fate of one frame from node `from` to node `to`.  Rules match
   /// node ids (cluster indices), not endpoints: a node that crashes and
   /// recovers gets a fresh endpoint but keeps its id, and its partition
-  /// membership survives the rebirth (the hub maps endpoints to nodes).
+  /// membership survives the rebirth (the hub passes node ids).
   /// Draws only from the private streams of the active rules that match.
   FrameFate fate(std::uint32_t from, std::uint32_t to, std::size_t bytes,
                  SimTime now);

@@ -76,8 +76,6 @@ AsyncNode::AsyncNode(LiveNodeId id,
   tman_view_.bind(arena, tman_phys_cap(cfg_));
   backups_.bind(arena, static_cast<std::uint32_t>(cfg_.replication));
   ghosts_.bind(arena, static_cast<std::uint32_t>(cfg_.replication + 2));
-  ep_cache_.bind(arena, kEpCacheSlots);
-  ep_cache_.resize(kEpCacheSlots);  // value-init: every slot invalid
   if (initial) {
     guests_.push_back(*initial);
     pos_ = initial->pos;
@@ -104,11 +102,6 @@ void AsyncNode::crash() {
 void AsyncNode::recover(std::unique_ptr<Transport> transport) {
   transport_ = std::move(transport);
   transport_->set_handler([this](Message& msg) { on_message(msg); });
-  // The old life's cached endpoints were resolved through the old
-  // transport; drop them so the first post-rejoin contacts re-resolve
-  // instead of eating one failed send (and a spurious peer_unreachable
-  // purge) each.
-  for (std::size_t i = 0; i < kEpCacheSlots; ++i) ep_cache_[i] = EpCacheSlot{};
   // Any half-open migration handshake died with the old endpoint; the
   // partner timed out during the outage and kept its guests.
   migrating_ = false;
@@ -131,34 +124,13 @@ const std::vector<WirePoint>& AsyncNode::wire_guests() const {
   return scratch_->wire_guests;
 }
 
-bool AsyncNode::send_reply(const Header& h, std::vector<std::uint8_t> frame) {
-  if (reply_ep_ == kInvalidEndpointId)
-    return send_to(h.sender, std::move(frame));
-  if (transport_->send(reply_ep_, std::move(frame))) return true;
-  peer_unreachable(h.sender);
+bool AsyncNode::send_to(LiveNodeId peer, std::vector<std::uint8_t> frame) {
+  if (transport_->send(peer, std::move(frame))) return true;
+  peer_unreachable(peer);
   return false;
 }
 
-bool AsyncNode::send_to(LiveNodeId peer, std::vector<std::uint8_t> frame) {
-  EpCacheSlot& slot = ep_cache_[peer & (kEpCacheSlots - 1)];
-  EndpointId ep = slot.ep;
-  if (ep == kInvalidEndpointId || slot.id != peer) {
-    // Miss (or collision eviction): resolve the id and take the slot.  A
-    // peer without a live endpoint stays uncached, and the send through
-    // kInvalidEndpointId fails (returning the buffer to the pool).
-    ep = transport_->resolve(peer);
-    if (ep != kInvalidEndpointId) slot = EpCacheSlot{peer, ep};
-  }
-  if (!transport_->send(ep, std::move(frame))) {
-    peer_unreachable(peer);
-    return false;
-  }
-  return true;
-}
-
 void AsyncNode::peer_unreachable(LiveNodeId peer) {
-  EpCacheSlot& slot = ep_cache_[peer & (kEpCacheSlots - 1)];
-  if (slot.id == peer) slot.ep = kInvalidEndpointId;
   const auto is_peer = [peer](const auto& e) { return e.id == peer; };
   erase_where(rps_view_, is_peer);
   erase_where(tman_view_, is_peer);
@@ -174,7 +146,6 @@ void AsyncNode::on_message(Message& msg) {
   try {
     util::ByteReader r(msg.payload);
     const Header h = decode_header(r);
-    if (msg.from_node == h.sender) reply_ep_ = msg.from_ep;
     switch (h.type) {
       case MsgType::kRpsShuffleReq:
         decode_peers_into(r, scratch_->in_peers);
@@ -222,7 +193,6 @@ void AsyncNode::on_message(Message& msg) {
       util::log_warn(std::string("AsyncNode: dropping malformed frame: ") +
                      e.what());
   }
-  reply_ep_ = kInvalidEndpointId;
 }
 
 // ---- RPS --------------------------------------------------------------------
@@ -260,7 +230,7 @@ void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
       out.push_back(to_wire(rps_view_[i]));
     util::ByteWriter w = frame_writer();
     encode_rps(w, header(MsgType::kRpsShuffleResp), out);
-    send_reply(h, w.take());
+    send_to(h.sender, w.take());
   }
   // Merge: drop self/duplicates, cap by replacing the oldest entries.
   // The view never exceeds cfg_.rps_view, whatever the frame carried.
@@ -398,7 +368,7 @@ void AsyncNode::handle_tman(const Header& h,
     util::ByteWriter w = frame_writer();
     encode_tman(w, header(MsgType::kTmanResp),
                 tman_buffer(h.sender, sender_pos));
-    send_reply(h, w.take());
+    send_to(h.sender, w.take());
   }
   // First-hand contact (the member itself is talking to us) proves it
   // alive *now*: age 0.  A forwarded copy only proves someone heard from
@@ -520,7 +490,7 @@ void AsyncNode::handle_migrate_req(const Header& h,
     util::ByteWriter w = frame_writer();
     encode_migrate_resp(w, header(MsgType::kMigrateResp),
                         /*accepted=*/false, {});
-    send_reply(h, w.take());
+    send_to(h.sender, w.take());
     return;
   }
   // Pool and split: we keep for_q, the initiator gets for_p back.
@@ -534,7 +504,7 @@ void AsyncNode::handle_migrate_req(const Header& h,
   util::ByteWriter w = frame_writer();
   encode_migrate_resp(w, header(MsgType::kMigrateResp),
                       /*accepted=*/true, scratch_->out_points);
-  send_reply(h, w.take());
+  send_to(h.sender, w.take());
 }
 
 void AsyncNode::handle_migrate_resp(const Header& h, bool accepted,

@@ -24,9 +24,9 @@
 // removes anyway.
 //
 // Memory layout (see docs/ARCHITECTURE.md, "Per-node memory layout"): a
-// node's protocol state — RPS/T-Man views, backup targets, ghost table,
-// endpoint cache — lives in util::Arena storage with caps derived from
-// AsyncConfig, one array per view (net/view_storage.hpp).  The call-scoped
+// node's protocol state — RPS/T-Man views, backup targets, ghost table —
+// lives in util::Arena storage with caps derived from AsyncConfig, one
+// array per view (net/view_storage.hpp).  The call-scoped
 // working buffers live in an AsyncScratch that the fleet shares across
 // every node, so the steady state holds zero per-node heap vectors.
 #pragma once
@@ -149,15 +149,13 @@ class AsyncNode {
   /// ticking the node first.
   void crash();
 
-  /// Rejoins a crashed node under a fresh transport, with the same node id
-  /// (hub endpoint ids are never reused, so the node comes back under a
-  /// new endpoint; peers' cached endpoints for the old life fail like any
-  /// dead endpoint, and their next send re-resolves the id).  All protocol
-  /// state survives as-is:
-  /// the node restarts with its pre-crash — now stale — views, guests and
-  /// backups, like a process restarted from a warm checkpoint.  Any
-  /// half-open migration handshake is abandoned.  The driver resumes
-  /// ticking the node afterwards.
+  /// Rejoins a crashed node under a fresh transport, with the same node id:
+  /// peers' sends to the id reach the new life, and frames in flight to
+  /// the old one die with it.  All protocol state survives as-is: the node
+  /// restarts with its pre-crash — now stale — views, guests and backups,
+  /// like a process restarted from a warm checkpoint.  Any half-open
+  /// migration handshake is abandoned.  The driver resumes ticking the
+  /// node afterwards.
   void recover(std::unique_ptr<Transport> transport);
 
   // ---- inspection ---------------------------------------------------------
@@ -202,7 +200,7 @@ class AsyncNode {
   std::size_t backup_target_count() const;
   /// Heap bytes owned by this node's state outside the arena: the guest
   /// set plus the ghost tables' PointSets (the data plane; the control
-  /// plane — views, targets, cache — is all arena memory).
+  /// plane — views and targets — is all arena memory).
   std::size_t state_heap_bytes() const;
   /// Frames dropped at the decode boundary (util::CodecError): malformed,
   /// truncated or corrupted input that never reached a handler.  Zero on
@@ -242,21 +240,13 @@ class AsyncNode {
   void step_migration();
   void reproject();
 
-  /// Marks a peer dead after a contact failure: purges it from views,
-  /// backups and the endpoint cache, and aborts a migration with it.
+  /// Marks a peer dead after a contact failure: purges it from views and
+  /// backups, and aborts a migration with it.
   void peer_unreachable(LiveNodeId peer);
 
-  /// Sends a frame to node `peer`; on failure marks the peer unreachable.
-  /// The endpoint comes from the cache (ep_cache_), or on a miss from
-  /// transport_->resolve(peer), which takes the slot when the peer has a
-  /// live endpoint.  A peer with none fails the send like a crashed one.
+  /// Sends a frame to node `peer` (a reply goes to the header's sender);
+  /// on failure marks the peer unreachable.
   bool send_to(LiveNodeId peer, std::vector<std::uint8_t> frame);
-
-  /// Sends a reply to the sender of the message currently being handled:
-  /// through the delivering endpoint when the transport registered it for
-  /// the header's sender (every hub frame of a clean link), otherwise
-  /// through send_to(h.sender).
-  bool send_reply(const Header& h, std::vector<std::uint8_t> frame);
 
   /// A ByteWriter over a transport-pooled buffer (the frame-encode path).
   util::ByteWriter frame_writer() { return util::ByteWriter(transport_->acquire_buffer()); }
@@ -302,27 +292,6 @@ class AsyncNode {
   /// Frames rejected at the decode boundary (see the accessor).
   std::uint64_t frames_rejected_ = 0;
   std::uint64_t frames_overlong_ = 0;  ///< see accessor
-
-  // Reply fast path: the delivering endpoint of the message currently in
-  // on_message, when the transport registered it for the header's sender
-  // (kInvalidEndpointId otherwise, and outside on_message).
-  EndpointId reply_ep_ = kInvalidEndpointId;
-
-  // Endpoint cache, direct-mapped by peer id: peer -> transport endpoint,
-  // filled on first send, invalidated when the peer becomes unreachable,
-  // evicted by collision.  A node's per-tick contacts are a handful of
-  // stable ids (tman target, K backups, migration partner) plus one
-  // churning RPS target, so 32 slots cover the stable set; a collision
-  // just re-resolves.  Hub endpoint ids are never reused, so a cached
-  // endpoint is never stale in the dangerous direction: after the peer
-  // crashes it points at a dead endpoint, and the send fails and purges
-  // the peer even when the peer has since recovered under a new one.
-  struct EpCacheSlot {
-    LiveNodeId id = 0;
-    EndpointId ep = kInvalidEndpointId;
-  };
-  static constexpr std::size_t kEpCacheSlots = 32;
-  util::ArenaVec<EpCacheSlot> ep_cache_;
 };
 
 }  // namespace poly::net

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -44,7 +45,8 @@ bool would_block() { return errno == EAGAIN || errno == EWOULDBLOCK; }
 // ---- TcpHub -----------------------------------------------------------------
 
 std::unique_ptr<TcpTransport> TcpHub::make_endpoint(LiveNodeId node) {
-  if (node >= kInvalidEndpointId)
+  // Polled::slot holds a peer's node id in 32 bits.
+  if (node >= std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("TcpHub: node id out of range");
   if (endpoint_of(node) != nullptr)
     throw std::invalid_argument("TcpHub: node " + std::to_string(node) +
@@ -150,12 +152,7 @@ void TcpTransport::set_handler(MessageHandler handler) {
   handler_ = std::move(handler);
 }
 
-EndpointId TcpTransport::resolve(LiveNodeId node) const {
-  return hub_->endpoint_of(node) != nullptr ? static_cast<EndpointId>(node)
-                                            : kInvalidEndpointId;
-}
-
-bool TcpTransport::send(EndpointId to, std::vector<std::uint8_t> payload) {
+bool TcpTransport::send(LiveNodeId to, std::vector<std::uint8_t> payload) {
   const TcpTransport* peer = stopped_ ? nullptr : hub_->endpoint_of(to);
   if (peer == nullptr) return false;
   if (to >= out_.size()) out_.resize(to + 1);

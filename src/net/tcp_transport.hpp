@@ -100,12 +100,10 @@ class TcpTransport final : public Transport {
   /// "127.0.0.1:<port>", where this endpoint listens.
   Address address() const override { return address_; }
   void set_handler(MessageHandler handler) override;
-  /// `node` itself while it has a live endpoint on the hub.
-  EndpointId resolve(LiveNodeId node) const override;
   /// Queues one frame for node `to`'s live endpoint and writes what the
   /// socket takes now; the rest goes out when the hub's poll reports the
   /// socket writable.
-  bool send(EndpointId to, std::vector<std::uint8_t> payload) override;
+  bool send(LiveNodeId to, std::vector<std::uint8_t> payload) override;
   /// Leaves the hub and closes every socket.
   void shutdown() override;
 

@@ -15,12 +15,12 @@
 // ready (net/tcp_transport.hpp).  So handlers need no lock.
 //
 // Identity by id: a node is its LiveNodeId, and that id is all a node
-// hands its transport.  `resolve(node)` maps the id to the endpoint that
-// reaches the node now, and `send(EndpointId, ...)` sends through it, so
-// no per-send path builds, hashes or copies a name.  Names (`Address`)
-// stay at the edges: endpoint registration, TCP connects, logs and tests.
-// Hub endpoint ids are never reused, so a cached id either reaches the
-// same endpoint or fails like any send to a crashed peer.
+// hands its transport.  `send(node, ...)` reaches the node's live
+// endpoint, which the transport looks up itself, so no per-send path
+// builds, hashes or copies a name.  Names (`Address`) stay at the edges:
+// endpoint registration, TCP connects, logs and tests.  A send reaches
+// whichever life of a node is live now; a frame in flight to an earlier
+// life dies with it.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +30,18 @@
 
 namespace poly::net {
 
-/// Logical node identity in the live runtime: what nodes gossip, address
-/// frames to and resolve into endpoints.
+/// Logical node identity in the live runtime: what nodes gossip and
+/// address frames to.
 using LiveNodeId = std::uint64_t;
 
 /// An endpoint's name, for logs and tests: "node-<id>" for
 /// EngineTransport, the "host:port" it listens on for TcpTransport.
 using Address = std::string;
 
-/// Dense id of an endpoint on a transport.
-using EndpointId = std::uint32_t;
-inline constexpr EndpointId kInvalidEndpointId = 0xffffffffu;
-
 /// A received datagram-style message (framing is the transport's job).
+/// The sender is whoever the payload's header names.
 struct Message {
   std::vector<std::uint8_t> payload;
-  /// The endpoint that sent the frame, when the transport knows it (hub
-  /// deliveries); kInvalidEndpointId otherwise.  Receivers can reply
-  /// through it without resolving the sender.
-  EndpointId from_ep = kInvalidEndpointId;
-  /// The node the transport registered `from_ep` for (unset without one).
-  LiveNodeId from_node = 0;
 };
 
 /// Handler invoked on message arrival (see above for the thread).  The
@@ -72,14 +63,10 @@ class Transport {
   /// expected; replacing the handler is allowed between quiescent points.
   virtual void set_handler(MessageHandler handler) = 0;
 
-  /// The endpoint that reaches `node` now, or kInvalidEndpointId when the
-  /// node has none.
-  virtual EndpointId resolve(LiveNodeId node) const = 0;
-
-  /// Sends `payload` to endpoint `to`.  Returns false if it is unreachable
-  /// (kInvalidEndpointId, crashed, connection refused, peer closed).
+  /// Sends `payload` to node `to`'s live endpoint.  Returns false if it
+  /// is unreachable (no live endpoint, connection refused, peer closed).
   /// Reliable transports never silently drop an accepted message.
-  virtual bool send(EndpointId to, std::vector<std::uint8_t> payload) = 0;
+  virtual bool send(LiveNodeId to, std::vector<std::uint8_t> payload) = 0;
 
   /// A payload buffer to encode the next frame into — recycled from the
   /// transport's pool when it keeps one (empty, but typically with the

@@ -4,9 +4,8 @@
 // view (<= rps_view entries), the ranked T-Man view (<= tman_view +
 // tman_msg), the backup target list (<= K) and the ghost table (~K
 // entries).  Each view is one util::ArenaVec of trivially copyable
-// entries (56 B each).  An entry names its peer by id alone: the send path
-// resolves the id through the transport (net/transport.hpp), so no view
-// holds a transport name.
+// entries (56 B each).  An entry names its peer by id alone, and the node
+// sends to that id (net/transport.hpp), so no view holds a transport name.
 //
 // The caps come from AsyncConfig, so the entire view footprint is known at
 // node construction and carved from the cluster's arena in one pass —

@@ -1,8 +1,7 @@
 // Chunked in-place object arena.
 //
-// The event-driven fleets index per-node state by dense ids (node index ==
-// hub EndpointId), and the steady-state delivery loop touches a random
-// node per message.  A vector<unique_ptr<T>> scatters every object across
+// The event-driven fleets index per-node state by dense node ids, and the
+// steady-state delivery loop touches a random node per message.  A vector<unique_ptr<T>> scatters every object across
 // the heap — one extra dependent load and a likely cache miss per touch.
 // ObjectSlab packs the objects themselves into large contiguous chunks:
 // index i lives at a fixed address for the slab's lifetime (chunks never

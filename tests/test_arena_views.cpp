@@ -174,7 +174,7 @@ struct HostileRig {
   }
 
   void deliver(std::vector<std::uint8_t> frame) {
-    attacker->send(attacker->resolve(1), std::move(frame));
+    attacker->send(1, std::move(frame));
     engine.run_until(engine.now() +
                      std::chrono::duration_cast<engine::SimTime>(10ms));
   }
@@ -284,7 +284,7 @@ TEST(ArenaStability, NoArenaGrowthInSteadyStateAfterChurn) {
 
 // A guest-less fleet (nodes joined without data points, as after a
 // catastrophe) exercises the full control plane — RPS shuffles, T-Man
-// exchanges, backup heartbeats, recovery scans, endpoint-cache sends —
+// exchanges, backup heartbeats, recovery scans, sends by node id —
 // with an empty data plane, which is exactly the surface the arena
 // rewrite promises is allocation-free.  (The data plane — migration
 // splits, guest unions — allocates by design and is out of scope; see
@@ -296,9 +296,7 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
 
   engine::EventEngine engine(5);
   engine::EngineHub hub(
-      engine,
-      engine::LinkModel(engine::SimTime{2ms}, engine::SimTime{2ms}),
-      engine::EventEngine::tick_duration());
+      engine, engine::LinkModel(engine::SimTime{2ms}, engine::SimTime{2ms}));
   shape::GridTorusShape shape(8, 6);
   util::Arena arena(std::size_t{1} << 20);
   net::AsyncConfig cfg;

@@ -156,57 +156,76 @@ TEST(EngineTransport, DeliversWithLatency) {
   b->set_handler([&](poly::net::Message m) {
     EXPECT_EQ(engine.now(), SimTime{3ms});
     got.emplace_back(m.payload.begin(), m.payload.end());
-    // The sender is known by endpoint and node.
-    EXPECT_EQ(m.from_ep, a->endpoint_id());
-    EXPECT_EQ(m.from_node, 0u);
   });
-  ASSERT_TRUE(a->send(b->endpoint_id(), {'h', 'i'}));
+  ASSERT_TRUE(a->send(1, {'h', 'i'}));
   engine.run();
   EXPECT_EQ(got, std::vector<std::string>{"hi"});
+}
+
+TEST(EngineTransport, FrameLandsAtSendTimePlusTheDrawnLatency) {
+  // No rounding: each frame is one event at exactly send time + latency,
+  // off the wheel's tick grid included.  A twin engine with the same seed
+  // replays the hub's latency draws.
+  constexpr SimTime kLo{std::chrono::microseconds(1500)};
+  constexpr SimTime kHi{std::chrono::microseconds(4500)};
+  EventEngine engine(9);
+  EngineHub hub(engine, LinkModel(kLo, kHi));
+  EventEngine twin(9);
+  poly::util::Rng draws = twin.split_rng();
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
+  std::vector<SimTime> landed;
+  b->set_handler([&](poly::net::Message&) { landed.push_back(engine.now()); });
+  std::vector<SimTime> want;
+  for (int i = 0; i < 8; ++i) {
+    // Sends 5 ms apart, 12,345 ns off a millisecond: no FIFO clamp engages.
+    const SimTime at = SimTime{5ms} * i + SimTime{12'345};
+    engine.schedule_at(at, [&] { ASSERT_TRUE(a->send(1, {1})); });
+    want.push_back(at + SimTime{draws.uniform_i64(kLo.count(), kHi.count())});
+  }
+  engine.run();
+  EXPECT_EQ(landed, want);
+  EXPECT_EQ(engine.events_executed(), 16u);  // 8 sends, 8 deliveries
 }
 
 TEST(EngineTransport, SendToUnknownOrShutdownFails) {
   EventEngine engine(1);
   EngineHub hub(engine);
   auto a = hub.make_endpoint(0);
-  EXPECT_EQ(a->resolve(7), poly::net::kInvalidEndpointId);  // no such node
-  EXPECT_FALSE(a->send(a->resolve(7), {1}));
+  EXPECT_FALSE(a->send(7, {1}));  // no such node
   auto b = hub.make_endpoint(1);
-  const auto b_ep = b->endpoint_id();
-  EXPECT_EQ(a->resolve(1), b_ep);
+  EXPECT_TRUE(a->send(1, {1}));
   b->shutdown();
-  EXPECT_FALSE(a->send(b_ep, {1}));
-  EXPECT_EQ(a->resolve(1), poly::net::kInvalidEndpointId);
-  EXPECT_EQ(hub.endpoint_of(1), poly::net::kInvalidEndpointId);
+  EXPECT_FALSE(a->send(1, {1}));  // no live endpoint
+  EXPECT_FALSE(b->send(0, {1}));  // nor does a closed one send
+  EXPECT_EQ(hub.frames_sent(), 1u);
 }
 
-TEST(EngineTransport, NodeIdsResolveToTheirLiveEndpoint) {
-  // The endpoint <-> node table: a node reborn under a fresh endpoint
-  // resolves to the new one, while the dead endpoint keeps its node — a
-  // frame in flight from it still arrives as that node's.
+TEST(EngineTransport, SendsReachTheNodesLiveEndpoint) {
+  // A node reborn under a fresh endpoint is reached by the same id, and a
+  // frame in flight from its dead endpoint still arrives: the sender's
+  // death does not recall what it sent.
   EventEngine engine(1);
   EngineHub hub(engine, LinkModel(SimTime{2ms}, SimTime{2ms}));
   auto peer = hub.make_endpoint(7);
-  std::vector<std::pair<poly::net::EndpointId, poly::net::LiveNodeId>> from;
-  peer->set_handler([&](poly::net::Message& m) {
-    from.emplace_back(m.from_ep, m.from_node);
-  });
+  std::vector<std::uint8_t> got;
+  peer->set_handler(
+      [&](poly::net::Message& m) { got.push_back(m.payload.at(0)); });
   auto first = hub.make_endpoint(42);
-  EXPECT_EQ(first->address(), "node-42");  // spelt from the table
-  EXPECT_EQ(peer->resolve(42), first->endpoint_id());
+  EXPECT_EQ(first->address(), "node-42");
   EXPECT_THROW(hub.make_endpoint(42), std::invalid_argument);
-  const auto dead = first->endpoint_id();
-  ASSERT_TRUE(first->send(peer->endpoint_id(), {1}));
+  ASSERT_TRUE(first->send(7, {1}));
   first->shutdown();  // crashes with its frame in flight
-  EXPECT_EQ(peer->resolve(42), poly::net::kInvalidEndpointId);
   auto second = hub.make_endpoint(42);
-  EXPECT_NE(second->endpoint_id(), dead);
-  EXPECT_EQ(peer->resolve(42), second->endpoint_id());
-  ASSERT_TRUE(second->send(peer->endpoint_id(), {2}));
+  EXPECT_EQ(second->address(), "node-42");
+  ASSERT_TRUE(second->send(7, {2}));
+  std::vector<std::uint8_t> got_42;
+  second->set_handler(
+      [&](poly::net::Message& m) { got_42.push_back(m.payload.at(0)); });
+  ASSERT_TRUE(peer->send(42, {3}));  // the live endpoint: second
   engine.run();
-  const std::vector<std::pair<poly::net::EndpointId, poly::net::LiveNodeId>>
-      want{{dead, 42}, {second->endpoint_id(), 42}};
-  EXPECT_EQ(from, want);
+  EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 2}));
+  EXPECT_EQ(got_42, std::vector<std::uint8_t>{3});
 }
 
 TEST(EngineTransport, LoopbackDeliversToSelf) {
@@ -216,25 +235,32 @@ TEST(EngineTransport, LoopbackDeliversToSelf) {
   std::vector<std::string> got;
   a->set_handler([&](poly::net::Message m) {
     got.emplace_back(m.payload.begin(), m.payload.end());
-    EXPECT_EQ(m.from_ep, a->endpoint_id());
   });
-  ASSERT_TRUE(a->send(a->endpoint_id(), {'m', 'e'}));
+  ASSERT_TRUE(a->send(0, {'m', 'e'}));
   engine.run();
   EXPECT_EQ(got, std::vector<std::string>{"me"});
 }
 
 TEST(EngineTransport, InFlightFrameToCrashedEndpointIsDiscarded) {
+  // Endpoint ids are never reused: a frame in flight to a dead endpoint is
+  // discarded even when its node has recovered under a new one before the
+  // frame lands.  The next send reaches the new life.
   EventEngine engine(1);
   EngineHub hub(engine, LinkModel(SimTime{5ms}, SimTime{5ms}));
   auto a = hub.make_endpoint(0);
   auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
-  ASSERT_TRUE(a->send(b->endpoint_id(), {1}));  // accepted while b is alive
-  b->shutdown();                   // crashes before delivery
+  ASSERT_TRUE(a->send(1, {1}));  // accepted while b is alive
+  b->shutdown();                 // crashes before delivery
+  b = hub.make_endpoint(1);      // and recovers, still before it
+  b->set_handler([&](poly::net::Message) { ++delivered; });
   engine.run();
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(hub.frames_delivered(), 0u);
+  ASSERT_TRUE(a->send(1, {2}));
+  engine.run();
+  EXPECT_EQ(delivered, 1);
 }
 
 TEST(EngineTransport, JitteredLatencyPreservesPerPairFifo) {
@@ -245,15 +271,15 @@ TEST(EngineTransport, JitteredLatencyPreservesPerPairFifo) {
   std::vector<std::uint8_t> got;
   b->set_handler(
       [&](poly::net::Message m) { got.push_back(m.payload.at(0)); });
-  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(a->send(b->endpoint_id(), {i}));
+  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(a->send(1, {i}));
   engine.run();
   ASSERT_EQ(got.size(), 50u);
   for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
 }
 
-TEST(EngineTransport, SameInstantFramesCoalesceAndKeepSendOrder) {
-  // Several senders hit one destination at the same instant: the first
-  // frame's head event drains the followers, in global send order.
+TEST(EngineTransport, SameInstantFramesArriveInSendOrderOneEventEach) {
+  // Several senders hit one destination at the same instant: each frame is
+  // its own engine event, and they run in global send order.
   EventEngine engine(1);
   EngineHub hub(engine, LinkModel(SimTime{2ms}, SimTime{2ms}));
   auto d = hub.make_endpoint(0);
@@ -266,37 +292,17 @@ TEST(EngineTransport, SameInstantFramesCoalesceAndKeepSendOrder) {
     got.push_back(m.payload.at(0));
   });
   for (std::uint8_t i = 0; i < 6; ++i)
-    ASSERT_TRUE(senders[i]->send(d->endpoint_id(), {i}));
-  engine.run();
+    ASSERT_TRUE(senders[i]->send(0, {i}));
+  EXPECT_EQ(engine.run(), 6u);  // one event per frame
   ASSERT_EQ(got.size(), 6u);
   for (std::uint8_t i = 0; i < 6; ++i) EXPECT_EQ(got[i], i);
   EXPECT_EQ(hub.frames_delivered(), 6u);
 }
 
-TEST(EngineTransport, BatchWindowRoundsDeliveryUpToBoundary) {
-  EventEngine engine(1);
-  // 2.5 ms latency, 1 ms batch window: delivery rounds up to the next
-  // window boundary (3 ms), not the raw latency instant.
-  const SimTime latency{std::chrono::microseconds(2500)};
-  EngineHub hub(engine, LinkModel(latency, latency),
-                /*batch_window=*/SimTime{1ms});
-  auto a = hub.make_endpoint(0);
-  auto b = hub.make_endpoint(1);
-  int delivered = 0;
-  b->set_handler([&](poly::net::Message) {
-    ++delivered;
-    EXPECT_EQ(engine.now(), SimTime{3ms});  // 2.5 ms rounded up to 3 ms
-  });
-  ASSERT_TRUE(a->send(b->endpoint_id(), {1}));
-  engine.run();
-  EXPECT_EQ(delivered, 1);
-}
-
-TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
-  // More concurrent open instants per destination than the inline marker
-  // capacity (3): later instants take the overflow path, and every frame
-  // still arrives exactly once, in timestamp order, with followers on an
-  // overflowed instant drained by its head.
+TEST(EngineTransport, StaggeredInstantsDeliverEachFrameOnceInOrder) {
+  // Six frames in flight to one destination at six distinct instants, the
+  // last shared with a second sender's frame: every frame arrives exactly
+  // once, in timestamp order, and same-instant frames in send order.
   EventEngine engine(1);
   EngineHub hub(engine, LinkModel(SimTime{20ms}, SimTime{20ms}));
   auto d = hub.make_endpoint(0);
@@ -305,20 +311,18 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
   std::vector<std::uint8_t> got;
   d->set_handler(
       [&](poly::net::Message m) { got.push_back(m.payload.at(0)); });
-  // Open six distinct instants (sends staggered 1 ms apart), the last one
-  // with a follower from a second sender.
   for (std::uint8_t i = 0; i < 6; ++i) {
     engine.schedule_at(SimTime{1ms} * i, [&, i] {
-      ASSERT_TRUE(s->send(d->endpoint_id(), {i}));
+      ASSERT_TRUE(s->send(0, {i}));
       if (i == 5) {
-        ASSERT_TRUE(s2->send(d->endpoint_id(), {std::uint8_t{100}}));
+        ASSERT_TRUE(s2->send(0, {std::uint8_t{100}}));
       }
     });
   }
   engine.run();
   ASSERT_EQ(got.size(), 7u);
   for (std::uint8_t i = 0; i < 6; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_EQ(got[6], 100);  // follower right after its head
+  EXPECT_EQ(got[6], 100);  // right after the frame sent before it
   EXPECT_EQ(hub.frames_delivered(), 7u);
 }
 
@@ -330,7 +334,7 @@ TEST(EngineTransport, DropModelLosesFramesSilently) {
   auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
-  for (int i = 0; i < 200; ++i) ASSERT_TRUE(a->send(b->endpoint_id(), {1}));
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(a->send(1, {1}));
   engine.run();
   EXPECT_EQ(hub.frames_dropped() + hub.frames_delivered(), 200u);
   EXPECT_GT(hub.frames_dropped(), 50u);

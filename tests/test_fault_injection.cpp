@@ -71,27 +71,26 @@ TEST(FaultPlane, HealRebindsTheWindow) {
 
 TEST(FaultPlane, RulesMatchNodeIdsAcrossEndpointRebirth) {
   // A recovered node keeps its node id under a fresh endpoint.  The hub
-  // hands the plane node ids from its endpoint <-> node table, so the rule
-  // keeps matching through the rebirth — and endpoint 0, registered for
-  // node 3, is not node 0.
+  // hands the plane node ids, so the rule keeps matching through the
+  // rebirth — and the hub's first endpoint, registered for node 3, is not
+  // node 0.
   EventEngine engine(7);
   EngineHub hub(engine);
   FaultPlane plane(7);
   hub.set_fault_plane(&plane);
   plane.add_partition({0}, SimTime::zero(), kNever);
-  auto other = hub.make_endpoint(3);  // endpoint 0
+  auto other = hub.make_endpoint(3);  // the hub's first endpoint
   auto peer = hub.make_endpoint(1);
   auto node = hub.make_endpoint(0);
   int delivered = 0;
   peer->set_handler([&](poly::net::Message&) { ++delivered; });
-  ASSERT_TRUE(node->send(peer->endpoint_id(), {1}));  // silently lost
+  ASSERT_TRUE(node->send(1, {1}));  // silently lost
   EXPECT_EQ(plane.counters().frames_blackholed, 1u);
   node->shutdown();
   auto reborn = hub.make_endpoint(0);  // recovery: new endpoint
-  ASSERT_NE(reborn->endpoint_id(), node->endpoint_id());
-  ASSERT_TRUE(reborn->send(peer->endpoint_id(), {1}));
+  ASSERT_TRUE(reborn->send(1, {1}));
   EXPECT_EQ(plane.counters().frames_blackholed, 2u);
-  ASSERT_TRUE(other->send(peer->endpoint_id(), {1}));  // same side: arrives
+  ASSERT_TRUE(other->send(1, {1}));  // same side: arrives
   engine.run();
   EXPECT_EQ(plane.counters().frames_blackholed, 2u);
   EXPECT_EQ(delivered, 1);
@@ -177,7 +176,7 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
   auto points = shape.generate();
 
   auto ep = hub.make_endpoint(0);
-  const poly::net::EndpointId to = ep->endpoint_id();
+  constexpr poly::net::LiveNodeId to = 0;
   auto attacker = hub.make_endpoint(1);
   poly::util::Arena arena;
   poly::net::AsyncScratch scratch;

@@ -179,7 +179,6 @@ TEST(Tcp, RoundTripOverLocalhost) {
   TcpPair p;
   Collector got;
   p.b->set_handler(got.handler());
-  ASSERT_EQ(p.a->resolve(1), 1u);
   ASSERT_TRUE(p.a->send(1, bytes_of("over tcp")));
   ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() == 1; }));
   EXPECT_EQ(got.messages[0].payload, bytes_of("over tcp"));
@@ -218,14 +217,12 @@ TEST(Tcp, SendToClosedEndpointFails) {
   ASSERT_TRUE(p.a->send(1, bytes_of("x")));
   ASSERT_TRUE(pump(p.hub, [&] { return got.messages.size() == 1; }));
   p.b->shutdown();
-  EXPECT_EQ(p.a->resolve(1), poly::net::kInvalidEndpointId);
   EXPECT_FALSE(p.a->send(1, bytes_of("y")));
   EXPECT_FALSE(p.b->send(0, bytes_of("z")));  // nor does a closed one send
 }
 
 TEST(Tcp, SendToUnboundNodeFails) {
   TcpPair p;
-  EXPECT_EQ(p.a->resolve(7), poly::net::kInvalidEndpointId);
   EXPECT_FALSE(p.a->send(7, bytes_of("x")));
 }
 
@@ -549,6 +546,80 @@ TEST(Live, CrashedTcpNodeRunsNoReadableFrame) {
   EXPECT_EQ(hub.deliver(), 0u);
   EXPECT_EQ(hub.wait(10ms), 0u);
   EXPECT_EQ(node.rps_view_size(), 1u);
+}
+
+// ---- a recovered peer, over both transports --------------------------------------
+
+/// True when `node`'s T-Man view holds `peer` with a gossiped descriptor.
+bool knows(const poly::net::AsyncNode& node, poly::net::LiveNodeId peer) {
+  struct Probe {
+    poly::net::LiveNodeId peer;
+    bool found = false;
+  } probe{peer};
+  node.for_each_view_member(
+      [](void* ctx, poly::net::LiveNodeId id, const Point&,
+         std::uint64_t version) {
+        auto& p = *static_cast<Probe*>(ctx);
+        p.found = p.found || (id == p.peer && version > 0);
+      },
+      &probe);
+  return probe.found;
+}
+
+/// Node A (0) learns of node 1 — a bare endpoint, B — from B's T-Man
+/// request, then sends to B from its own tick.  B crashes and recovers
+/// under a fresh endpoint; A's next tick sends to B again, and that send
+/// must reach B's new life with B still in A's view.  `make(node)` builds
+/// an endpoint, `pump(done)` moves frames until done() or a deadline.
+template <typename Make, typename Pump>
+void expect_send_reaches_recovered_peer(Make make, Pump pump) {
+  poly::shape::RingShape shape(2, 1.0);
+  const auto points = shape.generate();
+  const AsyncConfig cfg = fast_config();
+  poly::util::Arena arena;
+  poly::net::AsyncScratch scratch;
+  scratch.bind(arena, cfg);
+  poly::net::AsyncNode a(
+      0, shape.space_ptr(), make(0), points[0], cfg, /*seed=*/1,
+      [] { return std::chrono::steady_clock::time_point{}; }, arena, scratch);
+  int b_frames = 0;
+  auto b = make(1);
+  b->set_handler([&](Message&) { ++b_frames; });
+  ASSERT_TRUE(b->send(0, poly::net::encode_tman(
+                             Header{MsgType::kTmanReq, 1, {}},
+                             {{1, {}, points[1].pos, 1}})));
+  ASSERT_TRUE(pump([&] { return knows(a, 1) && b_frames == 1; }));
+  a.tick();  // a T-Man request and a migration request, both to B
+  ASSERT_TRUE(pump([&] { return b_frames == 3; }));
+
+  b->shutdown();  // B crashes...
+  b = make(1);    // ...and recovers
+  b_frames = 0;
+  b->set_handler([&](Message&) { ++b_frames; });
+  a.tick();
+  EXPECT_TRUE(pump([&] { return b_frames > 0; }));
+  EXPECT_TRUE(knows(a, 1));
+}
+
+TEST(RecoveredPeer, NextSendReachesTheNewLifeOverTheHub) {
+  poly::engine::EventEngine engine(3);
+  poly::engine::EngineHub hub(
+      engine, poly::engine::LinkModel(poly::engine::SimTime{2ms},
+                                      poly::engine::SimTime{2ms}));
+  expect_send_reaches_recovered_peer(
+      [&](poly::net::LiveNodeId node) { return hub.make_endpoint(node); },
+      [&](auto done) {
+        for (int ms = 0; ms < 20 && !done(); ++ms)
+          engine.run_until(engine.now() + poly::engine::SimTime{1ms});
+        return done();
+      });
+}
+
+TEST(RecoveredPeer, NextSendReachesTheNewLifeOverTcp) {
+  TcpHub hub;
+  expect_send_reaches_recovered_peer(
+      [&](poly::net::LiveNodeId node) { return hub.make_endpoint(node); },
+      [&](auto done) { return pump(hub, done); });
 }
 
 /// The process's thread count, from /proc/self/status.

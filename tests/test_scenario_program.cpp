@@ -1132,11 +1132,13 @@ TEST(MetricTable, RepsTableAggregatesEveryColumn) {
 }
 
 TEST(MetricTable, RepsAggregateByRoundNotRowIndex) {
-  // After `drain`, repetitions end at different rounds.  Each table row is
-  // one round, and each cell aggregates exactly the repetitions that
-  // measured that round.
-  auto p = traffic_smoke();
-  p.reps = 4;
+  // After `drain`, repetitions end at different rounds (here 41, 41 and
+  // 40).  Each table row is one round, and each cell aggregates exactly
+  // the repetitions that measured that round.
+  auto p = load_program(std::string(POLY_SCENARIO_DIR) +
+                        "/traffic_gray_links.poly");
+  ASSERT_EQ(p.reps, 3u);
+  p.expects.clear();
   const auto result = run_program(p);
   std::set<std::size_t> all, last;
   for (const auto& run : result.runs) {

@@ -15,6 +15,14 @@
 // If a PR changes these values *intentionally* (a documented RNG-sequence
 // change), follow the re-pin procedure in BENCH_baseline/README.md: rerun
 // with POLY_TRAJ_PRINT=1, paste the printed block, and say so in the PR.
+//
+// All four fleet rows were re-pinned together when the hub stopped
+// batching deliveries: each frame became its own engine event at exactly
+// its send time plus the drawn latency (no longer rounded up to a wheel
+// tick and drained behind a head frame), which reorders handlers within
+// an instant and adds events.  The same change let a send reach a
+// recovered peer's new endpoint instead of failing on a cached dead one,
+// which moves the timelines that crash and recover nodes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -77,8 +85,8 @@ TEST(TrajectoryPin, FixedLatencyHalfCrash) {
   fleet.run_rounds(30);
 
   expect_traj(measure(fleet),
-              Trajectory{"0.84499999999999997", "0.5253553390593273",
-                         "1.2919095998979637", 52296, 63145},
+              Trajectory{"0.84499999999999997", "0.52621320343559641",
+                         "1.2964994797599259", 71073, 63033},
               "fixed/half-crash");
 }
 
@@ -102,8 +110,8 @@ TEST(TrajectoryPin, JitteredChurnAndInject) {
   fleet.run_rounds(25);
 
   expect_traj(measure(fleet),
-              Trajectory{"0.98999999999999999", "0.27000000000000002",
-                         "1.0249636770515542", 43308, 41615},
+              Trajectory{"1", "0.29414213562373098",
+                         "1.0294036341515307", 45621, 41736},
               "jitter/churn+inject");
 }
 
@@ -140,11 +148,11 @@ TEST(TrajectoryPin, ChaosPartitionStallRecover) {
   } else {
     // stall_rounds < 8*4: crash_random lands on some stalled nodes, and a
     // crashed node's frozen ticks stop counting.
-    EXPECT_EQ(fc.frames_blackholed, 1999ull);
-    EXPECT_EQ(fc.frames_corrupted, 1095ull);
+    EXPECT_EQ(fc.frames_blackholed, 1996ull);
+    EXPECT_EQ(fc.frames_corrupted, 1101ull);
     EXPECT_EQ(fc.stall_rounds, 20ull);
     EXPECT_EQ(fc.recoveries, 10ull);
-    EXPECT_EQ(fleet.frames_rejected(), 368ull);
+    EXPECT_EQ(fleet.frames_rejected(), 393ull);
   }
   // Re-pinned once when the fleet's T-Man merge moved to the shared
   // ranked-view core (merge all of a frame, then truncate, instead of
@@ -159,8 +167,8 @@ TEST(TrajectoryPin, ChaosPartitionStallRecover) {
   // flip (and a corrupted id or name now acts differently).  With the
   // corrupt rule removed, this timeline runs the same as before.
   expect_traj(measure(fleet),
-              Trajectory{"0.92708333333333337", "0.26004938135137007",
-                         "0.91661042202114518", 31164, 38483},
+              Trajectory{"0.91666666666666663", "0.15625057402915565",
+                         "0.90349744813316579", 41804, 38669},
               "chaos/partition+stall+recover");
 }
 
@@ -206,16 +214,17 @@ TEST(TrajectoryPin, TrafficThroughCrashAndRecovery) {
                 g17(t.latency.quantile_ms(0.99)).c_str(), drained);
   } else {
     EXPECT_EQ(t.launched, 1104ull);
-    EXPECT_EQ(t.completed, 1040ull);
-    EXPECT_EQ(t.failed, 64ull);
-    EXPECT_EQ(t.hops_total, 1748ull);
+    EXPECT_EQ(t.completed, 1039ull);
+    EXPECT_EQ(t.failed, 65ull);
+    EXPECT_EQ(t.hops_total, 1649ull);
     EXPECT_EQ(g17(t.latency.quantile_ms(0.5)), "2.0316149999999999");
-    EXPECT_EQ(g17(t.latency.quantile_ms(0.99)), "16.252927");
+    EXPECT_EQ(g17(t.latency.quantile_ms(0.99)), "10.223615000000001");
   }
   EXPECT_EQ(t.launched, t.completed + t.failed);
   EXPECT_EQ(fleet.traffic_inflight(), 0u);
   expect_traj(measure(fleet),
-              Trajectory{"1", "0.15625", "0.95981391274719796", 37885, 41207},
+              Trajectory{"1", "0.14583333333333334", "0.9674413403204648",
+                         50322, 41272},
               "traffic/crash+recover");
 }
 

@@ -9,16 +9,16 @@
 // Protocol summary (one message kind per protocol step):
 //   kRpsShuffleReq/Resp — Cyclon shuffle buffers (id, address, age)
 //   kTmanReq/Resp       — T-Man descriptor buffers (id, address, pos, ver)
-//
-// The header, peers and descriptors keep an address slot on the wire, but
-// nodes identify each other by id alone: AsyncNode sends every address
-// slot empty and never reads a received one.  Decoders still bound it
-// (kMaxAddressLength), so the work a frame costs stays bounded.
 //   kBackupPush         — origin's full guest set (doubles as a liveness
 //                         heartbeat from origin to backup holder)
 //   kMigrateReq         — initiator's guests + position (pull phase)
 //   kMigrateResp        — accepted? + the initiator's new guest set (push
 //                         phase), or a busy rejection
+//
+// The header, peers and descriptors keep an address slot on the wire, but
+// nodes identify each other by id alone: AsyncNode sends every address
+// slot empty and never reads a received one.  Decoders still bound it
+// (kMaxAddressLength), so the work a frame costs stays bounded.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine_transport.hpp"
@@ -94,6 +96,50 @@ TEST(FaultPlane, RulesMatchNodeIdsAcrossEndpointRebirth) {
   engine.run();
   EXPECT_EQ(plane.counters().frames_blackholed, 2u);
   EXPECT_EQ(delivered, 1);
+}
+
+TEST(FaultPlane, HubDrawsLinkDropThenPlaneThenLatency) {
+  // Per frame the hub draws the link's drop first, consults the plane only
+  // for a frame that survived it, and draws the latency last, only for a
+  // frame the plane let through.  Twins of the hub's link stream and of
+  // the plane replay exactly that order.
+  constexpr SimTime kLo{1ms}, kHi{3ms};
+  const auto degrade = [](FaultPlane& p) {
+    p.add_degrade({0}, Direction::kBoth, 0.3, SimTime{2ms}, SimTime::zero(),
+                  kNever);
+  };
+  EventEngine engine(4);
+  EngineHub hub(engine, poly::engine::LinkModel(kLo, kHi, 0.3));
+  FaultPlane plane(8);
+  degrade(plane);
+  hub.set_fault_plane(&plane);
+  EventEngine twin(4);
+  poly::util::Rng link = twin.split_rng();
+  FaultPlane plane_twin(8);
+  degrade(plane_twin);
+
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
+  std::vector<std::pair<SimTime, std::uint8_t>> got, want;
+  b->set_handler([&](poly::net::Message& m) {
+    got.emplace_back(engine.now(), m.payload.at(0));
+  });
+  for (std::uint8_t i = 0; i < 64; ++i) {
+    // 10 ms apart: no frame overtakes another, so the FIFO clamp is idle.
+    const SimTime at = SimTime{10ms} * i;
+    engine.schedule_at(at, [&, i] { ASSERT_TRUE(a->send(1, {i})); });
+    if (link.bernoulli(0.3)) continue;
+    const FrameFate fate = plane_twin.fate(0, 1, 1, at);
+    if (fate.blackholed) continue;
+    want.emplace_back(
+        at + SimTime{link.uniform_i64(kLo.count(), kHi.count())} +
+            fate.extra_latency,
+        i);
+  }
+  engine.run();
+  EXPECT_EQ(got, want);
+  EXPECT_GT(hub.frames_dropped(), 0u);
+  EXPECT_GT(plane.counters().frames_blackholed, 0u);
 }
 
 TEST(FaultPlane, DuplicateAndReorderFates) {
